@@ -340,9 +340,3 @@ def birefringence_offset(fiber: FiberSpec, role: ModeRole,
         offset += parity_birefringence(fiber, role.photon)
     return offset
 
-
-def effective_index(fiber: FiberSpec, lam_um, role: ModeRole,
-                    axis_swapped: bool = False) -> np.ndarray:
-    """Effective index of a wave including birefringence overlays."""
-    base = lp_effective_index(fiber, lam_um, role.lp_label)
-    return base + birefringence_offset(fiber, role, axis_swapped)

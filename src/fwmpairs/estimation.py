@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .fields import ModeSuperposition
-from .spectrum import (JsiGrid, PumpSpec, _BaseIndexCache,
-                       _segmented_phase_fn, pump_envelope)
+from .processes import BaseIndexCache
+from .spectrum import JsiGrid, PumpSpec, pump_envelope
 
 BASIS_LABELS = ("ee", "eo", "oe", "oo")
 _BASIS_INDEX = {("e", "e"): 0, ("e", "o"): 1, ("o", "e"): 2, ("o", "o"): 3}
@@ -153,23 +153,22 @@ class SpectralWindow:
         return ls, li, hs * hi
 
 
-def trace_spectral(amplitude_fns: dict, processes, window: SpectralWindow,
+def trace_spectral(amplitudes, processes, window: SpectralWindow,
                    nodes: int = 101) -> np.ndarray:
     """Integrate pointwise projectors over a window and renormalize.
 
-    ``amplitude_fns`` maps process labels to vectorized functions
-    a_j(lam_s[:, None], lam_i[None, :]) -> real amplitude; the flat
+    ``amplitudes(lam_s[:, None], lam_i[None, :])`` returns a dict from
+    process labels to real amplitude arrays over the mesh (nm); the flat
     joint-spectral-phase assumption makes these nonnegative magnitudes.
+    ``model_amplitudes``, ``grid_amplitudes`` and ``lobe_amplitudes``
+    build such sources.
     """
     by_label = {p.label: p for p in processes}
     ls, li, _ = window.quadrature(nodes)
-    mesh_s = ls[:, None]
-    mesh_i = li[None, :]
     comp = np.zeros((4, nodes, nodes), dtype=complex)
-    for label, fn in amplitude_fns.items():
+    for label, amp in amplitudes(ls[:, None], li[None, :]).items():
         proc = by_label[label]
-        comp[basis_index(proc.t_s, proc.t_i)] += np.asarray(
-            fn(mesh_s, mesh_i), dtype=complex)
+        comp[basis_index(proc.t_s, proc.t_i)] += amp
     flat = comp.reshape(4, -1)
     rho = flat @ flat.conj().T
     tr = float(np.trace(rho).real)
@@ -180,50 +179,44 @@ def trace_spectral(amplitude_fns: dict, processes, window: SpectralWindow,
 
 
 def model_amplitudes(processes, fiber, pump: PumpSpec, weights: ProcessWeights,
-                     k_nl: float = 0.0) -> dict:
-    """Flat-phase amplitude evaluators straight from the physical model.
+                     k_nl: float = 0.0):
+    """Flat-phase amplitude source straight from the physical model.
 
     a_j = |c_j| * envelope * |phase-matching|, evaluated analytically at
-    the requested wavelengths (no grid interpolation).
+    the requested wavelengths (no grid interpolation); one index solve
+    per call serves every channel.
     """
-    fns = {}
-    for proc in processes:
-        c_j = weights.amplitudes.get(proc.label, 0j)
-        if c_j == 0:
-            continue
+    mags = {proc: abs(weights.amplitudes.get(proc.label, 0j))
+            for proc in processes}
 
-        def fn(ls, li, proc=proc, mag=abs(c_j)):
-            shape = np.broadcast_shapes(np.shape(ls), np.shape(li))
-            cache = _BaseIndexCache(fiber, np.asarray(ls, dtype=float),
-                                    np.asarray(li, dtype=float))
-            dks = [cache.delta_k(proc, swapped, k_nl)
-                   for _, swapped in fiber.segments]
-            phi = _segmented_phase_fn(dks, fiber.segments,
-                                      fiber.total_length_m)
-            amp = mag * pump_envelope(ls, li, pump) * np.abs(phi)
-            return np.broadcast_to(amp, shape)
+    def amplitudes(ls, li):
+        shape = np.broadcast_shapes(np.shape(ls), np.shape(li))
+        cache = BaseIndexCache(fiber, np.asarray(ls) / 1000.0,
+                               np.asarray(li) / 1000.0)
+        envelope = pump_envelope(ls, li, pump)
+        return {proc.label: np.broadcast_to(
+                    mag * envelope * np.abs(cache.phase_matching(proc, k_nl)),
+                    shape)
+                for proc, mag in mags.items() if mag != 0}
 
-        fns[proc.label] = fn
-    return fns
+    return amplitudes
 
 
-def grid_amplitudes(grid: JsiGrid) -> dict:
-    """Flat-phase amplitude evaluators from a stored per-process grid
+def grid_amplitudes(grid: JsiGrid):
+    """Flat-phase amplitude source from a stored per-process grid
     (bilinear interpolation of the magnitudes)."""
-    fns = {}
-    for label, amp in grid.per_process.items():
-        mag = np.abs(amp)
+    mags = {label: np.abs(amp) for label, amp in grid.per_process.items()}
 
-        def fn(ls, li, mag=mag):
-            return _bilinear(grid.lambda_s_axis, grid.lambda_i_axis,
-                             mag, ls, li)
+    def amplitudes(ls, li):
+        return {label: _bilinear(grid.lambda_s_axis, grid.lambda_i_axis,
+                                 mag, ls, li)
+                for label, mag in mags.items()}
 
-        fns[label] = fn
-    return fns
+    return amplitudes
 
 
-def lobe_amplitudes(lobes) -> dict:
-    """Flat-phase amplitude evaluators from fitted intensity lobes.
+def lobe_amplitudes(lobes):
+    """Flat-phase amplitude source from fitted intensity lobes.
 
     Each lobe must carry a process label; amplitudes are square roots
     of the fitted Gaussian intensity (lobes sharing a label add in
@@ -234,17 +227,18 @@ def lobe_amplitudes(lobes) -> dict:
         if not lobe.process_label:
             raise ConfigError("every lobe needs a process_label")
         groups.setdefault(lobe.process_label, []).append(lobe)
-    fns = {}
-    for label, group in groups.items():
-        def fn(ls, li, group=tuple(group)):
-            shape = np.broadcast_shapes(np.shape(ls), np.shape(li))
+
+    def amplitudes(ls, li):
+        shape = np.broadcast_shapes(np.shape(ls), np.shape(li))
+        out = {}
+        for label, group in groups.items():
             total = np.zeros(shape)
             for lobe in group:
                 total += np.maximum(lobe.evaluate(ls, li), 0.0)
-            return np.sqrt(total)
+            out[label] = np.sqrt(total)
+        return out
 
-        fns[label] = fn
-    return fns
+    return amplitudes
 
 
 def _bilinear(xs, ys, values, qx, qy):

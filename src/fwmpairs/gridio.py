@@ -117,6 +117,21 @@ def _check_axis(axis: np.ndarray, what: str) -> None:
             f"{what}: non-uniform spacing ({rel:.2e} relative)")
 
 
+def read_json_document(path: Path, keys) -> dict:
+    """Parse a JSON input document that must be an object holding
+    ``keys``; raises GridFormatError naming the file otherwise."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSON syntax or text encoding
+        raise GridFormatError(f"{path}: not a JSON document ({exc})")
+    if not isinstance(doc, dict):
+        raise GridFormatError(f"{path}: expected a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise GridFormatError(f"{path}: missing key {key!r}")
+    return doc
+
+
 # ---------------------------------------------------------------------------
 # density matrices
 
@@ -149,8 +164,7 @@ def density_from_json(doc: dict) -> np.ndarray:
 
 
 def load_density(path: Path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        return density_from_json(json.load(fh))
+    return density_from_json(read_json_document(path, ("basis", "matrix")))
 
 
 # ---------------------------------------------------------------------------

@@ -22,15 +22,15 @@ import scipy
 from . import __version__
 from .config import PipelineConfig
 from .dispersion import FiberSpec
-from .errors import ConfigError, NumericError, PhaseMatchError
+from .errors import ConfigError, GridFormatError, NumericError, PhaseMatchError
 from .estimation import (SpectralWindow, lobe_amplitudes, metrics_block,
                          model_amplitudes, process_weights, trace_spectral,
                          validate_density, fidelity)
 from .fields import (ModeSuperposition, default_grid, intensity_image,
                      normalize_overlaps, process_overlap)
 from .gridio import (density_to_json, load_density, load_grid_csv,
-                     render_svg_heatmap, sha256_file, write_grid_csv,
-                     write_json, write_pgm, write_ppm)
+                     read_json_document, render_svg_heatmap, sha256_file,
+                     write_grid_csv, write_json, write_pgm, write_ppm)
 from .processes import enumerate_processes, phasematched_center
 from .spectrum import GaussianLobe, SpectralGrid, fit_lobes, jsa_grid
 from .tomography import (CountRecord, bootstrap_metrics, expected_counts,
@@ -116,9 +116,6 @@ class Runner:
 # shared simulation context
 
 
-_OVERLAP_MEMO: dict = {}
-
-
 class Simulation:
     """Processes, phase-matched centers, overlaps and weights for a config."""
 
@@ -140,15 +137,10 @@ class Simulation:
             raise NumericError("no process is phase matched in the band")
         self.matched = [p for p in self.processes if p.label in self.centers]
         grid = default_grid(self.fiber)
-        raw = {}
-        for p in self.matched:
-            key = (self.fiber, self.pump.center_wavelength_nm, p.modes,
-                   self.centers[p.label], grid)
-            if key not in _OVERLAP_MEMO:
-                _OVERLAP_MEMO[key] = process_overlap(
-                    self.fiber, p, self.pump.center_wavelength_nm,
-                    self.centers[p.label], grid)
-            raw[p.label] = _OVERLAP_MEMO[key]
+        raw = {p.label: process_overlap(self.fiber, p,
+                                        self.pump.center_wavelength_nm,
+                                        self.centers[p.label], grid)
+               for p in self.matched}
         self.overlaps = normalize_overlaps(raw)
         self.weights = process_weights(self.pump, self.overlaps, self.matched)
 
@@ -158,7 +150,7 @@ class Simulation:
                         grid if grid is not None else self.cfg.grid,
                         k_nl=self.cfg.k_nl)
 
-    def amplitude_fns(self) -> dict:
+    def amplitudes(self):
         return model_amplitudes(self.matched, self.fiber, self.pump,
                                 self.weights, k_nl=self.cfg.k_nl)
 
@@ -197,7 +189,8 @@ def lobes_to_json(fit) -> dict:
     }
 
 
-def lobes_from_json(doc: dict) -> list:
+def load_lobes(path: Path) -> list:
+    doc = read_json_document(path, ("lobes",))
     return [GaussianLobe(**entry) for entry in doc["lobes"]]
 
 
@@ -366,20 +359,18 @@ def cmd_estimate_rho(runner: Runner, jsi_csv: Path | None = None,
                             min(cfg.expected_lobes, len(in_band)),
                             init_centers=sorted(in_band.values()))
             label_fitted_lobes(fit.lobes, in_band)
-            fns = lobe_amplitudes(fit.lobes)
+            amps = lobe_amplitudes(fit.lobes)
             source = "jsi_csv"
         elif lobes_json is not None:
-            with open(lobes_json, encoding="utf-8") as fh:
-                lobes = lobes_from_json(json.load(fh))
-            fns = lobe_amplitudes(lobes)
+            amps = lobe_amplitudes(load_lobes(lobes_json))
             source = "lobes_json"
         else:
-            fns = sim.amplitude_fns()
+            amps = sim.amplitudes()
             source = "simulation"
     rows = []
     for k, window in enumerate(_windows_or_default(runner, sim)):
         with runner.stage(f"window_{k}"):
-            rho = trace_spectral(fns, sim.matched, window)
+            rho = trace_spectral(amps, sim.matched, window)
             metrics = metrics_block(rho)
             doc = density_to_json(rho, metrics, extra={
                 "window": {"lambda_s_nm": list(window.lambda_s_nm),
@@ -411,7 +402,7 @@ def cmd_qst_simulate(runner: Runner, rho_json: Path | None = None) -> dict:
         else:
             sim = Simulation(cfg)
             window = _windows_or_default(runner, sim)[0]
-            rho = trace_spectral(sim.amplitude_fns(), sim.matched, window)
+            rho = trace_spectral(sim.amplitudes(), sim.matched, window)
     with runner.stage("counts"):
         basis = projector_basis()
         rates = expected_counts(rho, cfg.tomography.counts_scale, basis)
@@ -435,11 +426,13 @@ def cmd_qst_simulate(runner: Runner, rho_json: Path | None = None) -> dict:
 
 
 def load_counts(path: Path) -> CountRecord:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json_document(path, ("records", "n0"))
     basis = projector_basis()
     by_name = {rec["signal_basis"] + rec["idler_basis"]: rec["counts"]
                for rec in doc["records"]}
+    missing = [name for name in basis.names if name not in by_name]
+    if missing:
+        raise GridFormatError(f"{path}: no counts for projector {missing[0]}")
     counts = np.array([float(by_name[name]) for name in basis.names])
     return CountRecord(counts=counts, n0=float(doc["n0"]),
                        seed=doc.get("seed"))
@@ -503,8 +496,7 @@ def cmd_render(runner: Runner, input_csv: Path,
         lam_s, lam_i, intensity = load_grid_csv(input_csv)
         lobes = []
         if lobes_json is not None:
-            with open(lobes_json, encoding="utf-8") as fh:
-                lobes = lobes_from_json(json.load(fh))
+            lobes = load_lobes(lobes_json)
         stem = Path(input_csv).stem
         write_pgm(runner.path(f"{stem}.pgm"), intensity)
         runner.record(f"{stem}.pgm")

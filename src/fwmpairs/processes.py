@@ -20,12 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import FiberSpec, ModeRole, effective_index
-from .errors import ConfigError, PhaseMatchError
+from .dispersion import (FiberSpec, ModeRole, birefringence_offset,
+                         lp_effective_index)
+from .errors import ConfigError, DomainError, PhaseMatchError
 
 MODE_ORDER = ("g", "e", "o")
 _AZIMUTHAL = {"g": 0, "e": 1, "o": 1}
 _PARITY_SIGN = {"g": 1, "e": 1, "o": -1}
+_TO_RAD_M = 2.0 * np.pi * 1e6  # 2 pi n / lambda[um] -> rad/m
 
 # Canonical letter names of the two-mode channels, after the usual
 # (pump1, pump2, signal, idler) convention.
@@ -127,70 +129,74 @@ def enumerate_processes(mode_set) -> list:
     return sorted(viable, key=lambda p: p.modes)
 
 
-def process_roles(process: FwmProcess) -> tuple:
-    return (
-        ModeRole(process.t_p1, "pump"),
-        ModeRole(process.t_p2, "pump"),
-        ModeRole(process.t_s, "signal"),
-        ModeRole(process.t_i, "idler"),
-    )
+class BaseIndexCache:
+    """Base LP11 effective indices of the signal, idler and pump waves for
+    one set of (lam_s, lam_i) wavelengths, in um.
 
+    Every {e, o} channel shares one base index per wave, so the
+    eigenvalue problem is solved once per wave and each channel's phase
+    mismatch is composed from additive birefringence overlays.
+    Axis-shaped inputs like (n, 1) and (1, m) are solved in their thin
+    form; only the pump wavelength, 2/lam_p = 1/lam_s + 1/lam_i, which
+    varies across the whole mesh, costs a full-size solve.
+    """
 
-@dataclass(frozen=True)
-class PhaseMismatch:
-    """Signed wavevector mismatch and its per-wave components (rad/m)."""
+    def __init__(self, fiber: FiberSpec, lam_s_um, lam_i_um):
+        self.fiber = fiber
+        self.lam_s = np.asarray(lam_s_um, dtype=float)
+        self.lam_i = np.asarray(lam_i_um, dtype=float)
+        self.lam_p = 1.0 / (0.5 * (1.0 / self.lam_s + 1.0 / self.lam_i))
+        self.base_s, self.base_i, self.base_p = (
+            np.reshape(lp_effective_index(fiber, lam.ravel(), "LP11"),
+                       lam.shape)
+            for lam in (self.lam_s, self.lam_i, self.lam_p))
 
-    delta_k: float
-    k_nl: float
-    components: dict  # wave tag -> n*omega/c term
+    def delta_k(self, process: FwmProcess, axis_swapped: bool = False,
+                k_nl: float = 0.0) -> np.ndarray:
+        """Signed wavevector mismatch k_p1 + k_p2 - k_s - k_i - k_nl in
+        one segment, rad/m.  LP01 ('g') channels raise DomainError."""
+        if "g" in process.modes:
+            raise DomainError(
+                "phase mismatch supports the LP11 {e, o} channels only")
 
-    def reconstructed(self) -> float:
-        c = self.components
-        return c["p1"] + c["p2"] - c["s"] - c["i"] - self.k_nl
+        def k(parity, photon, base, lam_um):
+            role = ModeRole(parity, photon)
+            n = base + birefringence_offset(self.fiber, role, axis_swapped)
+            return _TO_RAD_M * n / lam_um
+
+        return (k(process.t_p1, "pump", self.base_p, self.lam_p)
+                + k(process.t_p2, "pump", self.base_p, self.lam_p)
+                - k(process.t_s, "signal", self.base_s, self.lam_s)
+                - k(process.t_i, "idler", self.base_i, self.lam_i)
+                - k_nl)
+
+    def phase_matching(self, process: FwmProcess,
+                       k_nl: float = 0.0) -> np.ndarray:
+        """Complex phase-matching amplitude of the segmented fiber.
+
+        One segment gives sinc(L dk / 2) exp(i L dk / 2); cross-spliced
+        segments contribute coherently with the accumulated propagation
+        phase and their axis-swapped mismatch.
+        """
+        total_m = self.fiber.total_length_m
+        phi = 0j
+        accumulated = 0.0
+        for length_m, swapped in self.fiber.segments:
+            dk = self.delta_k(process, swapped, k_nl)
+            x = 0.5 * dk * length_m
+            seg = (length_m / total_m) * np.sinc(x / np.pi) * np.exp(1j * x)
+            phi = phi + np.exp(1j * accumulated) * seg
+            accumulated = accumulated + dk * length_m
+        return phi
 
 
 def delta_k_vec(process: FwmProcess, lam_s_um, lam_i_um, fiber: FiberSpec,
-                k_nl: float = 0.0, axis_swapped: bool = False):
-    """Vectorized phase mismatch on the frequency-degenerate surface.
-
-    The pump wavelength is derived from 2/lam_p = 1/lam_s + 1/lam_i;
-    returns (delta_k, components) with wavenumbers in rad/m.
-    """
-    lam_s = np.atleast_1d(np.asarray(lam_s_um, dtype=float))
-    lam_i = np.atleast_1d(np.asarray(lam_i_um, dtype=float))
-    inv_p = 0.5 * (1.0 / lam_s + 1.0 / lam_i)
-    lam_p = 1.0 / inv_p
-
-    r_p1, r_p2, r_s, r_i = process_roles(process)
-    n_p1 = effective_index(fiber, lam_p, r_p1, axis_swapped)
-    if process.pump_mode_degenerate:
-        n_p2 = n_p1
-    else:
-        n_p2 = effective_index(fiber, lam_p, r_p2, axis_swapped)
-    n_s = effective_index(fiber, lam_s, r_s, axis_swapped)
-    n_i = effective_index(fiber, lam_i, r_i, axis_swapped)
-
-    # k = 2 pi n / lambda, with lambda in um -> rad/m
-    to_rad_m = 2.0 * np.pi * 1e6
-    k_p1 = to_rad_m * n_p1 / lam_p
-    k_p2 = to_rad_m * n_p2 / lam_p
-    k_s = to_rad_m * n_s / lam_s
-    k_i = to_rad_m * n_i / lam_i
-    dk = k_p1 + k_p2 - k_s - k_i - k_nl
-    return dk, {"p1": k_p1, "p2": k_p2, "s": k_s, "i": k_i}
-
-
-def delta_k(process: FwmProcess, lam_s_um: float, lam_i_um: float,
-            fiber: FiberSpec, k_nl: float = 0.0,
-            axis_swapped: bool = False) -> PhaseMismatch:
-    """Phase mismatch at one (lam_s, lam_i) point (wavelengths in um)."""
-    dk, comps = delta_k_vec(process, lam_s_um, lam_i_um, fiber,
-                            k_nl=k_nl, axis_swapped=axis_swapped)
-    return PhaseMismatch(
-        delta_k=float(dk[0]),
-        k_nl=k_nl,
-        components={tag: float(v[0]) for tag, v in comps.items()},
-    )
+                k_nl: float = 0.0, axis_swapped: bool = False) -> np.ndarray:
+    """Vectorized phase mismatch (rad/m) on the frequency-degenerate
+    surface, with the pump wavelength from 2/lam_p = 1/lam_s + 1/lam_i."""
+    return BaseIndexCache(fiber, np.atleast_1d(lam_s_um),
+                          np.atleast_1d(lam_i_um)).delta_k(
+        process, axis_swapped, k_nl)
 
 
 def _energy_partner_nm(lam_p_nm: float, lam_i_nm):
@@ -215,8 +221,8 @@ def phasematched_center(process: FwmProcess, fiber: FiberSpec,
     lo_nm, hi_nm = band_i_nm
     grid_i = np.arange(lo_nm, hi_nm + 0.5 * scan_step_nm, scan_step_nm)
     grid_s = _energy_partner_nm(lam_p_nm, grid_i)
-    dk, _ = delta_k_vec(process, grid_s / 1000.0, grid_i / 1000.0,
-                        fiber, k_nl=k_nl)
+    dk = delta_k_vec(process, grid_s / 1000.0, grid_i / 1000.0, fiber,
+                     k_nl=k_nl)
     sign = np.sign(dk)
     crossings = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     exact = np.nonzero(dk == 0.0)[0]
@@ -233,9 +239,8 @@ def phasematched_center(process: FwmProcess, fiber: FiberSpec,
 
     def dk_at(li_nm: float) -> float:
         ls_nm = float(_energy_partner_nm(lam_p_nm, li_nm))
-        val, _ = delta_k_vec(process, ls_nm / 1000.0, li_nm / 1000.0,
-                             fiber, k_nl=k_nl)
-        return float(val[0])
+        return float(delta_k_vec(process, ls_nm / 1000.0, li_nm / 1000.0,
+                                 fiber, k_nl=k_nl)[0])
 
     lo = float(grid_i[crossings[0]])
     hi = float(grid_i[crossings[0] + 1])

@@ -15,11 +15,10 @@ import numpy as np
 from scipy.constants import c as C_LIGHT
 from scipy.optimize import leastsq
 
-from .dispersion import (FiberSpec, ModeRole, birefringence_offset,
-                         lp_effective_index)
+from .dispersion import FiberSpec
 from .errors import ConfigError, DomainError, NumericError
 from .fields import ModeSuperposition
-from .processes import FwmProcess
+from .processes import BaseIndexCache, FwmProcess
 
 _TWO_PI = 2.0 * np.pi
 
@@ -72,88 +71,13 @@ def pump_envelope(lam_s_nm, lam_i_nm, pump: PumpSpec) -> np.ndarray:
     return np.exp(-(nu**2) / (8.0 * pump.sigma_omega**2))
 
 
-def _segment_delta_k(process: FwmProcess, fiber: FiberSpec,
-                     base_p, base_s, base_i,
-                     lam_p_nm, lam_s_nm, lam_i_nm,
-                     axis_swapped: bool, k_nl: float):
-    """Assemble delta_k from precomputed base indices plus overlays."""
-    roles = (ModeRole(process.t_p1, "pump"), ModeRole(process.t_p2, "pump"),
-             ModeRole(process.t_s, "signal"), ModeRole(process.t_i, "idler"))
-    offs = [birefringence_offset(fiber, r, axis_swapped) for r in roles]
-    to_rad_m = _TWO_PI * 1e9  # 2 pi n / lambda[nm]
-    k_p1 = to_rad_m * (base_p + offs[0]) / lam_p_nm
-    k_p2 = to_rad_m * (base_p + offs[1]) / lam_p_nm
-    k_s = to_rad_m * (base_s + offs[2]) / lam_s_nm
-    k_i = to_rad_m * (base_i + offs[3]) / lam_i_nm
-    return k_p1 + k_p2 - k_s - k_i - k_nl
-
-
-class _BaseIndexCache:
-    """Base LP11 effective indices for a set of wavelength arrays.
-
-    All channels over {e, o} share one base index per wave; the grid
-    evaluation therefore solves the eigenvalue problem once per wave
-    and composes every process from additive overlays.  Axis-shaped
-    inputs like (n, 1) and (1, m) are solved in their thin form; only
-    the pump wavelength, which genuinely varies across the grid, costs
-    a full-size solve.
-    """
-
-    def __init__(self, fiber: FiberSpec, lam_s_nm, lam_i_nm):
-        self.fiber = fiber
-        self.lam_s_nm = np.asarray(lam_s_nm, dtype=float)
-        self.lam_i_nm = np.asarray(lam_i_nm, dtype=float)
-        inv_p = 0.5 * (1.0 / self.lam_s_nm + 1.0 / self.lam_i_nm)
-        self.lam_p_nm = 1.0 / inv_p
-        self.base_s = np.reshape(
-            lp_effective_index(fiber, self.lam_s_nm.ravel() / 1000.0, "LP11"),
-            self.lam_s_nm.shape)
-        self.base_i = np.reshape(
-            lp_effective_index(fiber, self.lam_i_nm.ravel() / 1000.0, "LP11"),
-            self.lam_i_nm.shape)
-        self.base_p = np.reshape(
-            lp_effective_index(fiber, self.lam_p_nm.ravel() / 1000.0, "LP11"),
-            self.lam_p_nm.shape)
-
-    def delta_k(self, process: FwmProcess, axis_swapped: bool,
-                k_nl: float) -> np.ndarray:
-        if "g" in process.modes:
-            raise DomainError(
-                "grid evaluation supports the LP11 {e, o} channels only")
-        return _segment_delta_k(process, self.fiber, self.base_p,
-                                self.base_s, self.base_i, self.lam_p_nm,
-                                self.lam_s_nm, self.lam_i_nm,
-                                axis_swapped, k_nl)
-
-
-def _segmented_phase_fn(delta_k_per_segment, segments, total_m):
-    phi = None
-    accumulated = None
-    for (length_m, _), dk in zip(segments, delta_k_per_segment):
-        x = 0.5 * dk * length_m
-        seg = (length_m / total_m) * np.sinc(x / np.pi) * np.exp(1j * x)
-        if phi is None:
-            phi = seg.astype(complex)
-            accumulated = dk * length_m
-        else:
-            phi = phi + np.exp(1j * accumulated) * seg
-            accumulated = accumulated + dk * length_m
-    return phi
-
-
 def phase_matching_fn(process: FwmProcess, lam_s_nm, lam_i_nm,
                       fiber: FiberSpec, k_nl: float = 0.0) -> np.ndarray:
-    """Complex phase-matching amplitude of the segmented fiber.
-
-    One segment gives sinc(L dk / 2) exp(i L dk / 2); cross-spliced
-    segments contribute coherently with the accumulated propagation
-    phase and their axis-swapped mismatch.
-    """
-    cache = _BaseIndexCache(fiber, np.atleast_1d(np.asarray(lam_s_nm, float)),
-                            np.atleast_1d(np.asarray(lam_i_nm, float)))
-    dks = [cache.delta_k(process, swapped, k_nl)
-           for _, swapped in fiber.segments]
-    return _segmented_phase_fn(dks, fiber.segments, fiber.total_length_m)
+    """Complex phase-matching amplitude of the segmented fiber at
+    (lam_s, lam_i) in nm; see ``BaseIndexCache.phase_matching``."""
+    cache = BaseIndexCache(fiber, np.atleast_1d(lam_s_nm) / 1000.0,
+                           np.atleast_1d(lam_i_nm) / 1000.0)
+    return cache.phase_matching(process, k_nl)
 
 
 @dataclass(frozen=True)
@@ -239,17 +163,15 @@ def jsa_grid(processes, fiber: FiberSpec, pump: PumpSpec, weights: dict,
     mesh_i = li[None, :]
     alpha = pump_envelope(mesh_s, mesh_i, pump)
 
-    cache = _BaseIndexCache(fiber, mesh_s, mesh_i)
+    cache = BaseIndexCache(fiber, mesh_s / 1000.0, mesh_i / 1000.0)
     per_process = {}
     proc_map = {}
     for proc in processes:
         c_j = weights.get(proc.label, 0j)
         if c_j == 0:
             continue
-        dks = [cache.delta_k(proc, swapped, k_nl)
-               for _, swapped in fiber.segments]
-        phi = _segmented_phase_fn(dks, fiber.segments, fiber.total_length_m)
-        per_process[proc.label] = c_j * alpha * phi
+        per_process[proc.label] = c_j * alpha * cache.phase_matching(
+            proc, k_nl)
         proc_map[proc.label] = proc
     if not per_process:
         raise DomainError("all process weights are zero")
@@ -406,15 +328,18 @@ def _least_squares(p0, data, xs, yi, max_iter):
     def resid(p):
         return (_lobe_model(_from_log(p), xs, yi) - data).ravel()
 
-    p, _, info, _, ier = leastsq(
-        resid, p0, Dfun=lambda p: _lobe_jacobian(p, xs, yi), col_deriv=True,
-        full_output=True, maxfev=max_iter * len(p0),
-        xtol=1e-12, ftol=1e-12, gtol=1e-12)
+    # A diverging trial step overflows exp() or zeroes a sigma; the checks
+    # below turn such a result into NumericError instead of warnings.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        p, _, info, _, ier = leastsq(
+            resid, p0, Dfun=lambda p: _lobe_jacobian(p, xs, yi),
+            col_deriv=True, full_output=True, maxfev=max_iter * len(p0),
+            xtol=1e-12, ftol=1e-12, gtol=1e-12)
+        positive = _from_log(p).reshape(-1, 6)[:, _LOG_SLOTS]
     if ier not in (1, 2, 3, 4):
         raise NumericError(
             f"lobe fit did not converge; last residual norm "
             f"{np.linalg.norm(info['fvec']):.3e}")
-    positive = _from_log(p).reshape(-1, 6)[:, _LOG_SLOTS]
     if not np.all((positive > 0) & np.isfinite(positive)):
         raise NumericError("lobe fit drove an amplitude or sigma to 0 or "
                            "infinity")

@@ -184,11 +184,11 @@ def test_criterion_06_window_optimization(sim_15mm_cross):
     c = Criterion(6, "1 nm window at B-C intersection reproduces "
                      "(0.82, 0.91, 0.84)", 60.0)
     sim = sim_15mm_cross
-    fns = sim.amplitude_fns()
+    amps = sim.amplitudes()
     mid_s, mid_i = sim.bc_intersection()
     win = SpectralWindow((mid_s - 0.5, mid_s + 0.5),
                          (mid_i - 0.5, mid_i + 0.5))
-    rho = trace_spectral(fns, sim.matched, win)
+    rho = trace_spectral(amps, sim.matched, win)
     m = metrics_block(rho)
     target = {"concurrence": 0.82, "bell_fidelity": 0.91, "purity": 0.84}
     for key, want in target.items():
@@ -199,7 +199,7 @@ def test_criterion_06_window_optimization(sim_15mm_cross):
     for width in (3.0, 2.0, 1.0, 0.5):
         w = SpectralWindow((mid_s - width / 2, mid_s + width / 2),
                            (mid_i - width / 2, mid_i + width / 2))
-        val = concurrence(trace_spectral(fns, sim.matched, w))
+        val = concurrence(trace_spectral(amps, sim.matched, w))
         if val < prev - 1e-9:
             monotone = False
         prev = val
@@ -239,7 +239,7 @@ def test_criterion_08_pipeline_self_consistency(sim_15mm_cross):
     mid_s, mid_i = sim.bc_intersection()
     win = SpectralWindow((mid_s - 1.0, mid_s + 1.0),
                          (mid_i - 1.0, mid_i + 1.0))
-    rho_se = trace_spectral(sim.amplitude_fns(), sim.matched, win)
+    rho_se = trace_spectral(sim.amplitudes(), sim.matched, win)
     rates = expected_counts(rho_se, 100000.0, projector_basis())
     rho_qst = mle_reconstruct(CountRecord(counts=rates, n0=100000.0)).rho
     f = fidelity(rho_se, rho_qst)

@@ -169,6 +169,38 @@ def test_bad_grid_exit_code(tmp_path, config_path):
                 "--input", bad]) == 3
 
 
+def test_non_json_document_exit_code(tmp_path, config_path, capsys):
+    bad = tmp_path / "garbage.json"
+    bad.write_text("not json {", encoding="utf-8")
+    assert run(["qst-reconstruct", "--config", config_path, "--out",
+                tmp_path, "--counts", bad]) == 3
+    assert run(["compare", "--config", config_path, "--out", tmp_path,
+                "--rho-a", bad, "--rho-b", bad]) == 3
+    assert "garbage.json: not a JSON document" in capsys.readouterr().err
+
+
+def test_counts_missing_projector_exit_code(tmp_path, config_path, capsys):
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps({
+        "n0": 100, "records": [{"signal_basis": "e", "idler_basis": "e",
+                                "counts": 10}]}), encoding="utf-8")
+    assert run(["qst-reconstruct", "--config", config_path, "--out",
+                tmp_path, "--counts", counts]) == 3
+    err = capsys.readouterr().err
+    assert "counts.json: no counts for projector eo" in err
+
+
+def test_lobes_json_without_lobes_key_exit_code(tmp_path, config_path,
+                                                capsys):
+    grid = tmp_path / "grid.csv"
+    write_grid_csv(grid, [670.0, 671.0], [567.0, 568.0], np.ones((2, 2)))
+    lobes = tmp_path / "lobes.json"
+    lobes.write_text(json.dumps({"r_squared": 1.0}), encoding="utf-8")
+    assert run(["render", "--config", config_path, "--out", tmp_path,
+                "--input", grid, "--lobes-json", lobes]) == 3
+    assert "lobes.json: missing key 'lobes'" in capsys.readouterr().err
+
+
 def test_sweep_delta_monotone(tmp_path, config_path):
     out = tmp_path / "sweep"
     assert run(["sweep-delta", "--config", config_path, "--out", out]) == 0

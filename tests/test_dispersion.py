@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 
 from fwmpairs.dispersion import (FiberSpec, LP11_CUTOFF_V, ModeRole,
-                                 effective_index, lp_effective_index,
+                                 birefringence_offset, lp_effective_index,
                                  material_index, parity_birefringence,
                                  solve_lp_mode)
 from fwmpairs.errors import ConfigError, DomainError, ModeNotGuidedError
+
+
+def overlaid_index(fiber, lam, role, axis_swapped=False):
+    """Base LP index of a wave plus its birefringence overlay."""
+    return (lp_effective_index(fiber, lam, role.lp_label)
+            + birefringence_offset(fiber, role, axis_swapped))
 
 
 def test_material_index_sodium_d_line():
@@ -90,15 +96,15 @@ def test_n_eff_monotone_and_continuous(fiber):
 
 def test_birefringence_additivity_pump_parity(fiber):
     for lam in (0.60, 0.62, 0.64):
-        n_e = effective_index(fiber, lam, ModeRole("e", "pump"))
-        n_o = effective_index(fiber, lam, ModeRole("o", "pump"))
+        n_e = overlaid_index(fiber, lam, ModeRole("e", "pump"))
+        n_o = overlaid_index(fiber, lam, ModeRole("o", "pump"))
         assert float(n_o[0] - n_e[0]) == pytest.approx(fiber.delta_parity,
                                                        abs=1e-15)
 
 
 def test_birefringence_additivity_pol(fiber):
     lam = 0.62
-    n_pump_e = effective_index(fiber, lam, ModeRole("e", "pump"))
+    n_pump_e = overlaid_index(fiber, lam, ModeRole("e", "pump"))
     base = solve_lp_mode(fiber, lam, "LP11").n_eff
     assert float(n_pump_e[0]) - base == pytest.approx(fiber.delta_pol,
                                                       abs=1e-15)
@@ -107,10 +113,10 @@ def test_birefringence_additivity_pol(fiber):
 def test_signal_idler_parity_equal_at_zero_dispersion():
     fiber0 = FiberSpec(delta_parity_dispersion=0.0)
     lam = 0.62
-    ds = (effective_index(fiber0, lam, ModeRole("o", "signal"))
-          - effective_index(fiber0, lam, ModeRole("e", "signal")))
-    di = (effective_index(fiber0, lam, ModeRole("o", "idler"))
-          - effective_index(fiber0, lam, ModeRole("e", "idler")))
+    ds = (overlaid_index(fiber0, lam, ModeRole("o", "signal"))
+          - overlaid_index(fiber0, lam, ModeRole("e", "signal")))
+    di = (overlaid_index(fiber0, lam, ModeRole("o", "idler"))
+          - overlaid_index(fiber0, lam, ModeRole("e", "idler")))
     assert float(ds[0]) == pytest.approx(float(di[0]), abs=1e-18)
 
 
@@ -124,14 +130,14 @@ def test_parity_dispersion_is_signal_idler_difference(fiber):
 def test_axis_swap_exchanges_roles(fiber):
     lam = 0.62
     # swapped segment: pump leaves the slow axis, signal/idler join it
-    n_pump = effective_index(fiber, lam, ModeRole("e", "pump"),
-                             axis_swapped=True)
+    n_pump = overlaid_index(fiber, lam, ModeRole("e", "pump"),
+                            axis_swapped=True)
     base = solve_lp_mode(fiber, lam, "LP11").n_eff
     # lab-frame 'e' acts as fiber-frame 'o': parity term, no slow-axis term
     assert float(n_pump[0]) - base == pytest.approx(
         parity_birefringence(fiber, "pump"), abs=1e-15)
-    n_sig = effective_index(fiber, lam, ModeRole("o", "signal"),
-                            axis_swapped=True)
+    n_sig = overlaid_index(fiber, lam, ModeRole("o", "signal"),
+                           axis_swapped=True)
     # lab 'o' -> fiber 'e' (no parity term), fast -> slow (delta_pol)
     assert float(n_sig[0]) - base == pytest.approx(fiber.delta_pol,
                                                    abs=1e-15)

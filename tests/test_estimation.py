@@ -112,9 +112,9 @@ def test_pointwise_rejects_fundamental_mode_channels():
 
 def test_coincident_equal_lobes_give_bell_state():
     lobes = [bc_lobe(570.8, label="B"), bc_lobe(570.8, label="C")]
-    fns = lobe_amplitudes(lobes)
+    amps = lobe_amplitudes(lobes)
     win = SpectralWindow((675.0, 681.0), (568.0, 573.6))
-    rho = trace_spectral(fns, [PROC_B, PROC_C], win)
+    rho = trace_spectral(amps, [PROC_B, PROC_C], win)
     assert concurrence(rho) >= 0.999
     assert np.allclose(rho, BELL, atol=1e-6)
 
@@ -123,9 +123,9 @@ def test_disjoint_lobes_give_incoherent_mixture():
     # separation of 15 sigma: overlap below 1e-9 everywhere
     lobes = [bc_lobe(567.0, sigma=0.4, label="B"),
              bc_lobe(573.0, sigma=0.4, label="C")]
-    fns = lobe_amplitudes(lobes)
+    amps = lobe_amplitudes(lobes)
     win = SpectralWindow((672.0, 684.0), (564.0, 576.0))
-    rho = trace_spectral(fns, [PROC_B, PROC_C], win, nodes=161)
+    rho = trace_spectral(amps, [PROC_B, PROC_C], win, nodes=161)
     expect = np.zeros((4, 4), dtype=complex)
     expect[0, 0] = expect[3, 3] = 0.5
     assert np.max(np.abs(rho - expect)) < 1e-9
@@ -134,21 +134,21 @@ def test_disjoint_lobes_give_incoherent_mixture():
 
 def test_window_additivity():
     lobes = [bc_lobe(570.2, label="B"), bc_lobe(571.4, label="C")]
-    fns = lobe_amplitudes(lobes)
+    amps = lobe_amplitudes(lobes)
     w1 = SpectralWindow((676.0, 678.0), (569.0, 571.0))
     w2 = SpectralWindow((676.0, 678.0), (571.0, 573.0))
     w12 = SpectralWindow((676.0, 678.0), (569.0, 573.0))
     nodes = 120
-    rho1 = trace_spectral(fns, [PROC_B, PROC_C], w1, nodes=nodes)
-    rho2 = trace_spectral(fns, [PROC_B, PROC_C], w2, nodes=nodes)
-    rho12 = trace_spectral(fns, [PROC_B, PROC_C], w12, nodes=2 * nodes)
+    rho1 = trace_spectral(amps, [PROC_B, PROC_C], w1, nodes=nodes)
+    rho2 = trace_spectral(amps, [PROC_B, PROC_C], w2, nodes=nodes)
+    rho12 = trace_spectral(amps, [PROC_B, PROC_C], w12, nodes=2 * nodes)
 
     # intensity weights of the two halves
     def mass(win, n):
         ls, li, da = win.quadrature(n)
         total = np.zeros((n, n))
-        for label, fn in fns.items():
-            total += fn(ls[:, None], li[None, :]) ** 2
+        for amp in amps(ls[:, None], li[None, :]).values():
+            total += amp ** 2
         return total.sum() * da
 
     m1, m2 = mass(w1, nodes), mass(w2, nodes)
@@ -168,13 +168,13 @@ def test_rescaling_invariance():
 
 def test_window_narrowing_never_decreases_concurrence():
     lobes = [bc_lobe(570.2, label="B"), bc_lobe(571.4, label="C")]
-    fns = lobe_amplitudes(lobes)
+    amps = lobe_amplitudes(lobes)
     mid_i, mid_s = 570.8, 678.0
     prev = -1.0
     for width in (4.0, 2.0, 1.0, 0.5, 0.25):
         win = SpectralWindow((mid_s - width / 2, mid_s + width / 2),
                              (mid_i - width / 2, mid_i + width / 2))
-        c = concurrence(trace_spectral(fns, [PROC_B, PROC_C], win))
+        c = concurrence(trace_spectral(amps, [PROC_B, PROC_C], win))
         assert c >= prev - 1e-9
         prev = c
 
@@ -202,13 +202,13 @@ def test_quadrature_doubling_converged(fiber, pump, processes_eo,
                                        overlaps_abcd, centers):
     procs = [p for p in processes_eo if p.label in "ABCD"]
     weights = process_weights(pump, overlaps_abcd, procs)
-    fns = model_amplitudes(procs, fiber, pump, weights)
+    amps = model_amplitudes(procs, fiber, pump, weights)
     mid_i = 0.5 * (centers["B"][1] + centers["C"][1])
     mid_s = 0.5 * (centers["B"][0] + centers["C"][0])
     win = SpectralWindow((mid_s - 0.5, mid_s + 0.5),
                          (mid_i - 0.5, mid_i + 0.5))
-    c1 = concurrence(trace_spectral(fns, procs, win, nodes=101))
-    c2 = concurrence(trace_spectral(fns, procs, win, nodes=202))
+    c1 = concurrence(trace_spectral(amps, procs, win, nodes=101))
+    c2 = concurrence(trace_spectral(amps, procs, win, nodes=202))
     assert abs(c1 - c2) < 1e-3
 
 

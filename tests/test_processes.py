@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from fwmpairs.dispersion import FiberSpec
-from fwmpairs.errors import PhaseMatchError
-from fwmpairs.processes import (FwmProcess, all_candidates, delta_k,
+from fwmpairs.dispersion import (FiberSpec, ModeRole, birefringence_offset,
+                                 lp_effective_index)
+from fwmpairs.errors import DomainError, PhaseMatchError
+from fwmpairs.processes import (BaseIndexCache, FwmProcess, all_candidates,
                                 delta_k_vec, enumerate_processes,
                                 phasematched_center)
 from conftest import MEASURED_CENTERS
@@ -80,22 +81,16 @@ def test_constant_index_cancels_on_energy_surface(monkeypatch):
     import fwmpairs.processes as procmod
 
     monkeypatch.setattr(
-        procmod, "effective_index",
-        lambda fiber, lam, role, swapped=False: np.full_like(
-            np.atleast_1d(np.asarray(lam, dtype=float)), 1.45))
+        procmod, "lp_effective_index",
+        lambda fiber, lam, lp_label: np.full_like(
+            np.asarray(lam, dtype=float), 1.45))
     flat = FiberSpec(delta_pol=0.0, delta_parity=0.0,
                      delta_parity_dispersion=0.0)
     proc = FwmProcess("e", "o", "o", "e")
     for li in (0.560, 0.5712, 0.580):
         ls = 1.0 / (2.0 / 0.620 - 1.0 / li)
-        pm = delta_k(proc, ls, li, flat)
-        assert pm.delta_k == pytest.approx(0.0, abs=1e-6)
-
-
-def test_phase_mismatch_components_reconstruct(fiber):
-    proc = FwmProcess("o", "o", "o", "o")
-    pm = delta_k(proc, 0.6788, 0.5700, fiber)
-    assert pm.reconstructed() == pytest.approx(pm.delta_k, rel=1e-9)
+        dk = delta_k_vec(proc, ls, li, flat)
+        assert dk[0] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_b_equals_c_without_parity_dispersion():
@@ -104,8 +99,8 @@ def test_b_equals_c_without_parity_dispersion():
     c = FwmProcess("e", "e", "e", "e")
     for li in (0.560, 0.570, 0.5795):
         ls = 1.0 / (2.0 / 0.620 - 1.0 / li)
-        dkb = delta_k(b, ls, li, fiber0).delta_k
-        dkc = delta_k(c, ls, li, fiber0).delta_k
+        dkb = delta_k_vec(b, ls, li, fiber0)[0]
+        dkc = delta_k_vec(c, ls, li, fiber0)[0]
         # exact cancellation up to roundoff of the 1e7-scale wavenumbers
         assert dkb == pytest.approx(dkc, abs=1e-7)
 
@@ -116,7 +111,7 @@ def test_delta_k_changes_sign_across_contour(fiber, centers):
     for offset, sign in ((-0.002, -1.0), (0.002, 1.0)):
         li = li_c + offset
         ls = 1.0 / (2.0 / 0.620 - 1.0 / li)
-        dk, _ = delta_k_vec(proc, ls, li, fiber)
+        dk = delta_k_vec(proc, ls, li, fiber)
         assert np.sign(dk[0]) == sign
 
 
@@ -168,3 +163,85 @@ def test_no_root_in_band_reports_extrema(fiber):
     assert "not phase matched in band" in str(err.value)
     assert err.value.dk_min < err.value.dk_max
     assert err.value.dk_min > 0  # entire band on one side of the root
+
+
+# ---------------------------------------------------------------------------
+# one phase-mismatch path against a wave-by-wave reference
+
+# default-fiber centers (lambda_s, lambda_i) in nm before the phase-mismatch
+# paths were folded into BaseIndexCache
+FOLD_CENTERS = {
+    "A": (682.333676, 568.101821),
+    "B": (679.773543, 569.888794),
+    "C": (677.980832, 571.154907),
+    "D": (675.536809, 572.901021),
+    "E": (723.769548, 542.254888),
+}
+LAYOUTS = {
+    "10cm": FiberSpec(),
+    "15+15mm_cross": FiberSpec(segments=((0.015, False), (0.015, True))),
+}
+
+
+def reference_delta_k(process, lam_s, lam_i, fiber, axis_swapped):
+    """k_p1 + k_p2 - k_s - k_i with each wave's index solved on its own."""
+    lam_p = 1.0 / (0.5 * (1.0 / lam_s + 1.0 / lam_i))
+    waves = ((process.t_p1, "pump", lam_p, 1.0),
+             (process.t_p2, "pump", lam_p, 1.0),
+             (process.t_s, "signal", lam_s, -1.0),
+             (process.t_i, "idler", lam_i, -1.0))
+    total = 0.0
+    for parity, photon, lam, sign in waves:
+        n = (lp_effective_index(fiber, lam, "LP11")
+             + birefringence_offset(fiber, ModeRole(parity, photon),
+                                    axis_swapped))
+        total = total + sign * 2.0 * np.pi * 1e6 * n / lam
+    return total
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_delta_k_matches_wave_by_wave_reference(processes_eo, layout):
+    fiber = LAYOUTS[layout]
+    rng = np.random.default_rng(7)
+    lam_s = rng.uniform(0.660, 0.740, 200)
+    lam_i = rng.uniform(0.535, 0.580, 200)
+    axis_s = np.linspace(0.670, 0.700, 7)[:, None]
+    axis_i = np.linspace(0.567, 0.576, 9)[None, :]
+    mesh_s, mesh_i = np.broadcast_arrays(axis_s, axis_i)
+    points = BaseIndexCache(fiber, lam_s, lam_i)
+    mesh = BaseIndexCache(fiber, axis_s, axis_i)
+    assert mesh.base_s.shape == (7, 1) and mesh.base_i.shape == (1, 9)
+    for proc in processes_eo:
+        for swapped in (False, True):
+            want = reference_delta_k(proc, lam_s, lam_i, fiber, swapped)
+            got = points.delta_k(proc, swapped)
+            assert np.max(np.abs(got - want)) <= 1e-6, (proc.label, swapped)
+            want = reference_delta_k(proc, mesh_s.ravel(), mesh_i.ravel(),
+                                     fiber, swapped).reshape(7, 9)
+            got = mesh.delta_k(proc, swapped)
+            assert np.max(np.abs(got - want)) <= 1e-6, (proc.label, swapped)
+        # segments add coherently, each sinc-shaped and delayed by the
+        # mismatch phase accumulated before it
+        phi, phase = 0j, 0.0
+        for length_m, swapped in fiber.segments:
+            dk = reference_delta_k(proc, mesh_s, mesh_i, fiber, swapped)
+            x = 0.5 * dk * length_m
+            phi = phi + (length_m / fiber.total_length_m) * np.sinc(
+                x / np.pi) * np.exp(1j * (x + phase))
+            phase = phase + dk * length_m
+        assert np.max(np.abs(mesh.phase_matching(proc) - phi)) <= 1e-9
+
+
+def test_centers_unchanged_by_the_fold(centers):
+    for label, (ms, mi) in FOLD_CENTERS.items():
+        ls, li = centers[label]
+        assert ls == pytest.approx(ms, abs=1e-6), label
+        assert li == pytest.approx(mi, abs=1e-6), label
+
+
+def test_fundamental_mode_channels_have_no_delta_k(fiber):
+    cache = BaseIndexCache(fiber, 0.68, 0.57)
+    with pytest.raises(DomainError):
+        cache.delta_k(FwmProcess("g", "g", "g", "g"))
+    with pytest.raises(DomainError):
+        delta_k_vec(FwmProcess("g", "e", "g", "e"), 0.68, 0.57, fiber)

@@ -84,7 +84,7 @@ def test_phase_matching_first_null(fiber, centers):
     target = -2 * np.pi / L  # detuned side below the center
     li = np.arange(centers["C"][1] - 0.5, centers["C"][1], 1e-4)
     ls = surface_partner(li)
-    dk, _ = delta_k_vec(proc, ls / 1000.0, li / 1000.0, fiber)
+    dk = delta_k_vec(proc, ls / 1000.0, li / 1000.0, fiber)
     idx = int(np.argmin(np.abs(dk - target)))
     val = phase_matching_fn(proc, ls[idx], li[idx], fiber)
     assert abs(val[0]) ** 2 < 1e-5
@@ -309,6 +309,29 @@ def test_lobe_jacobian_matches_finite_differences():
         fd = (_lobe_model(_from_log(p + step), ls, li)
               - _lobe_model(_from_log(p - step), ls, li)).ravel() / (2 * h)
         assert np.max(np.abs(jac[j] - fd)) < 1e-6 * np.max(np.abs(fd))
+
+
+def test_diverging_fit_prints_no_runtime_warnings():
+    # hints in the grid corners, far off both lobes: the LM trial steps
+    # overflow exp() on the way; the fit must either return positive,
+    # finite lobes or raise NumericError, never warn
+    import warnings
+    from fwmpairs.errors import NumericError
+    ls = np.linspace(674.0, 684.0, 41)
+    li = np.linspace(566.0, 576.0, 41)
+    truths = [GaussianLobe(678.0, 569.0, 1.0, 0.4, 0.6, 1.0),
+              GaussianLobe(680.0, 573.0, 1.0, 0.4, 0.6, 0.8)]
+    grid = sum(t.evaluate(ls[:, None], li[None, :]) for t in truths)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            fit = fit_lobes(ls, li, grid, 2,
+                            init_centers=[(674.0, 566.0), (684.0, 576.0)])
+        except NumericError:
+            return
+    for lobe in fit.lobes:
+        assert 0 < lobe.amplitude < np.inf
+        assert 0 < lobe.sigma_minor_nm <= lobe.sigma_major_nm < np.inf
 
 
 def test_fit_quality_on_noisy_data():
