@@ -69,18 +69,6 @@ def _check_range(lam_um: np.ndarray) -> None:
         )
 
 
-def material_index(lam_um) -> np.ndarray | float:
-    """Cladding (fused silica) refractive index at ``lam_um``.
-
-    Raises DomainError outside the model validity range
-    ``SELLMEIER_RANGE_UM``.
-    """
-    lam = np.asarray(lam_um, dtype=float)
-    _check_range(lam)
-    n = _sellmeier(lam, FUSED_SILICA_SELLMEIER)
-    return float(n) if np.isscalar(lam_um) else n
-
-
 @lru_cache(maxsize=64)
 def _geo2_fraction(numerical_aperture: float, reference_um: float) -> float:
     """Molar GeO2 fraction whose binary-mix core reproduces the nominal
@@ -235,7 +223,9 @@ def _solve_u_array(v: np.ndarray, azimuthal: int) -> np.ndarray:
     """Bracketed bisection for the LP characteristic equation.
 
     Solves u * J_{l+1}(u)/J_l(u) = w * K_{l+1}(w)/K_l(w) with
-    w = sqrt(V^2 - u^2), on the fundamental branch of each label.
+    w = sqrt(V^2 - u^2), on the fundamental branch of each label.  Each
+    point stops once its own bracket is narrower than 1e-13, so a root
+    does not depend on the other points of the batch.
     """
     l = azimuthal
     if l == 0:
@@ -251,22 +241,88 @@ def _solve_u_array(v: np.ndarray, azimuthal: int) -> np.ndarray:
 
     f_lo = resid(lo)
     for _ in range(120):
+        open_ = hi - lo >= 1e-13
+        if not np.any(open_):
+            break
         mid = 0.5 * (lo + hi)
         f_mid = resid(mid)
         same = np.signbit(f_mid) == np.signbit(f_lo)
-        lo = np.where(same, mid, lo)
-        f_lo = np.where(same, f_mid, f_lo)
-        hi = np.where(same, hi, mid)
-        if np.max(hi - lo) < 1e-13:
-            break
+        lo = np.where(open_ & same, mid, lo)
+        f_lo = np.where(open_ & same, f_mid, f_lo)
+        hi = np.where(open_ & ~same, mid, hi)
     return 0.5 * (lo + hi)
+
+
+def _bisect_n_eff(fiber: FiberSpec, lam: np.ndarray, azimuthal: int):
+    """Effective index from the bisection root; the table's builder and
+    reference."""
+    u = _solve_u_array(fiber.v_number(lam), azimuthal)
+    k = 2.0 * np.pi / lam
+    return np.sqrt(fiber.core_index(lam) ** 2
+                   - (u / (k * fiber.core_radius_um)) ** 2)
+
+
+# Chebyshev index table: fixed panels on an absolute wavelength grid that
+# starts at the low end of the Sellmeier range.
+PANEL_WIDTH_UM = 0.02
+PANEL_NODES = 20
+# largest interpolation error tolerated at a panel's check points
+PANEL_TOLERANCE = 1e-13
+
+
+def _panel_bounds(index: int) -> tuple:
+    lo, hi = SELLMEIER_RANGE_UM
+    return lo + index * PANEL_WIDTH_UM, min(lo + (index + 1) * PANEL_WIDTH_UM,
+                                            hi)
+
+
+def _panel_x(lam: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Map [a, b] onto the Chebyshev interval [-1, 1]."""
+    return (2.0 * lam - (a + b)) / (b - a)
+
+
+def _clenshaw(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Chebyshev series sum_k coef[k] T_k(x), elementwise."""
+    b1 = b2 = np.zeros_like(x)
+    for c in coef[:0:-1]:
+        b1, b2 = c + 2.0 * x * b1 - b2, b1
+    return coef[0] + x * b1 - b2
+
+
+@lru_cache(maxsize=1024)
+def _panel(core_radius_um: float, numerical_aperture: float, core_model: str,
+           azimuthal: int, index: int):
+    """Chebyshev coefficients of n_eff on one panel, or None when the
+    interpolant misses the bisection at the panel's ends or centre (the
+    panel holding the LP11 cutoff); that panel is bisected point by
+    point."""
+    fiber = FiberSpec(core_radius_um=core_radius_um,
+                      numerical_aperture=numerical_aperture,
+                      core_model=core_model)
+    a, b = _panel_bounds(index)
+    theta = np.pi * (np.arange(PANEL_NODES) + 0.5) / PANEL_NODES
+    check = np.array([a, 0.5 * (a + b), b])
+    lam = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * np.cos(theta),
+                          check])
+    if azimuthal == 1 and np.any(fiber.v_number(lam) <= LP11_CUTOFF_V):
+        return None
+    n = _bisect_n_eff(fiber, lam, azimuthal)
+    # discrete cosine sum at the Chebyshev-Gauss nodes cos(theta_j)
+    coef = (2.0 / PANEL_NODES) * np.sum(
+        np.cos(np.outer(np.arange(PANEL_NODES), theta)) * n[:PANEL_NODES],
+        axis=1)
+    coef[0] *= 0.5
+    error = np.abs(_clenshaw(coef, _panel_x(check, a, b)) - n[PANEL_NODES:])
+    return coef if np.max(error) <= PANEL_TOLERANCE else None
 
 
 def lp_effective_index(fiber: FiberSpec, lam_um, lp_label: str) -> np.ndarray:
     """Vectorized base effective index of an LP mode (no birefringence).
 
-    Raises ModeNotGuidedError if LP11 is below cutoff anywhere in
-    ``lam_um``.
+    Values come from a Chebyshev table of fixed panels, built lazily by
+    the bisection and cached per fiber geometry, so a value depends on
+    the fiber and the wavelength only.  Raises ModeNotGuidedError if
+    LP11 is below cutoff anywhere in ``lam_um``.
     """
     if lp_label not in LP_LABELS:
         raise ConfigError(f"unknown LP label {lp_label!r}")
@@ -281,9 +337,21 @@ def lp_effective_index(fiber: FiberSpec, lam_um, lp_label: str) -> np.ndarray:
             f"got V = {v_bad:.4f}",
             v_number=v_bad,
         )
-    u = _solve_u_array(v, l)
-    k = 2.0 * np.pi / lam
-    n_eff = np.sqrt(fiber.core_index(lam) ** 2 - (u / (k * fiber.core_radius_um)) ** 2)
+    lo, hi = SELLMEIER_RANGE_UM
+    last = int((hi - lo) // PANEL_WIDTH_UM)
+    panel = np.minimum(((lam - lo) // PANEL_WIDTH_UM).astype(int), last)
+    n_eff = np.empty_like(lam)
+    for index in range(panel.min(), panel.max() + 1):
+        at = panel == index
+        if not at.any():
+            continue
+        coef = _panel(fiber.core_radius_um, fiber.numerical_aperture,
+                      fiber.core_model, l, index)
+        if coef is None:
+            n_eff[at] = _bisect_n_eff(fiber, lam[at], l)
+        else:
+            n_eff[at] = _clenshaw(coef, _panel_x(lam[at],
+                                                 *_panel_bounds(index)))
     return n_eff
 
 

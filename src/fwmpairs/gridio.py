@@ -94,15 +94,21 @@ def load_grid_csv(path: Path):
         except ValueError:
             raise GridFormatError(f"{path}: row {r}: non-numeric value")
         lam_s.append(row[0])
-        for c, v in enumerate(row[1:], start=1):
-            if v < 0:
-                raise GridFormatError(
-                    f"{path}: negative intensity at (row {r}, col {c})")
         values.append(row[1:])
     lam_s = np.array(lam_s)
+    values = np.array(values)
+    # (row, col) as in the file: row 0 is the header, col 0 the lambda_s axis
+    for r0, c0, cells in ((0, 1, lam_i[None, :]), (1, 0, lam_s[:, None]),
+                          (1, 1, values)):
+        for r, c in np.argwhere(~np.isfinite(cells))[:1]:
+            raise GridFormatError(
+                f"{path}: non-finite value at (row {r + r0}, col {c + c0})")
+    for r, c in np.argwhere(values < 0)[:1]:
+        raise GridFormatError(
+            f"{path}: negative intensity at (row {r + 1}, col {c + 1})")
     _check_axis(lam_i, f"{path}: lambda_i axis")
     _check_axis(lam_s, f"{path}: lambda_s axis")
-    return lam_s, lam_i, np.array(values)
+    return lam_s, lam_i, values
 
 
 def _check_axis(axis: np.ndarray, what: str) -> None:
@@ -150,21 +156,48 @@ def density_to_json(rho: np.ndarray, metrics: dict | None = None,
     return doc
 
 
-def density_from_json(doc: dict) -> np.ndarray:
-    if doc.get("basis") != list(BASIS_LABELS):
-        raise GridFormatError(
-            f"density matrix must use basis {list(BASIS_LABELS)}")
-    mat = doc["matrix"]
-    rho = np.zeros((4, 4), dtype=complex)
-    for r in range(4):
-        for c in range(4):
-            re, im = mat[r][c]
-            rho[r, c] = complex(re, im)
-    return rho
+def document_entries(path: Path, doc: dict, key: str, required,
+                     optional=()) -> list:
+    """The list ``doc[key]``, each entry checked to be an object holding
+    the ``required`` keys and no key outside ``required`` and
+    ``optional``; raises GridFormatError naming the file and the entry."""
+    entries = doc[key]
+    if not isinstance(entries, list):
+        raise GridFormatError(f"{path}: {key!r} must be a list")
+    for j, entry in enumerate(entries):
+        where = f"{path}: {key}[{j}]"
+        if not isinstance(entry, dict):
+            raise GridFormatError(f"{where}: expected a JSON object")
+        for name in required:
+            if name not in entry:
+                raise GridFormatError(f"{where}: missing key {name!r}")
+        for name in entry:
+            if name not in required and name not in optional:
+                raise GridFormatError(f"{where}: unknown key {name!r}")
+    return entries
 
 
 def load_density(path: Path) -> np.ndarray:
-    return density_from_json(read_json_document(path, ("basis", "matrix")))
+    doc = read_json_document(path, ("basis", "matrix"))
+    if doc["basis"] != list(BASIS_LABELS):
+        raise GridFormatError(
+            f"{path}: density matrix must use basis {list(BASIS_LABELS)}")
+    mat = doc["matrix"]
+    if not (isinstance(mat, list) and len(mat) == 4
+            and all(isinstance(row, list) and len(row) == 4 for row in mat)):
+        raise GridFormatError(f"{path}: 'matrix' must be 4 rows of 4 entries")
+    rho = np.zeros((4, 4), dtype=complex)
+    for r, c in np.ndindex(4, 4):
+        try:
+            re, im = mat[r][c]
+            rho[r, c] = complex(float(re), float(im))
+        except (TypeError, ValueError):
+            raise GridFormatError(
+                f"{path}: matrix[{r}][{c}]: expected a [re, im] pair of "
+                "numbers") from None
+    for r, c in np.argwhere(~np.isfinite(rho))[:1]:
+        raise GridFormatError(f"{path}: matrix[{r}][{c}]: non-finite value")
+    return rho
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,10 @@ from .estimation import (SpectralWindow, lobe_amplitudes, metrics_block,
                          validate_density, fidelity)
 from .fields import (ModeSuperposition, default_grid, intensity_image,
                      normalize_overlaps, process_overlap)
-from .gridio import (density_to_json, load_density, load_grid_csv,
-                     read_json_document, render_svg_heatmap, sha256_file,
-                     write_grid_csv, write_json, write_pgm, write_ppm)
+from .gridio import (density_to_json, document_entries, load_density,
+                     load_grid_csv, read_json_document, render_svg_heatmap,
+                     sha256_file, write_grid_csv, write_json, write_pgm,
+                     write_ppm)
 from .processes import enumerate_processes, phasematched_center
 from .spectrum import GaussianLobe, SpectralGrid, fit_lobes, jsa_grid
 from .tomography import (CountRecord, bootstrap_metrics, expected_counts,
@@ -190,8 +191,12 @@ def lobes_to_json(fit) -> dict:
 
 
 def load_lobes(path: Path) -> list:
-    doc = read_json_document(path, ("lobes",))
-    return [GaussianLobe(**entry) for entry in doc["lobes"]]
+    fields = dataclasses.fields(GaussianLobe)
+    entries = document_entries(
+        path, read_json_document(path, ("lobes",)), "lobes",
+        [f.name for f in fields if f.default is dataclasses.MISSING],
+        [f.name for f in fields if f.default is not dataclasses.MISSING])
+    return [GaussianLobe(**entry) for entry in entries]
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +433,25 @@ def cmd_qst_simulate(runner: Runner, rho_json: Path | None = None) -> dict:
 def load_counts(path: Path) -> CountRecord:
     doc = read_json_document(path, ("records", "n0"))
     basis = projector_basis()
-    by_name = {rec["signal_basis"] + rec["idler_basis"]: rec["counts"]
-               for rec in doc["records"]}
+    records = document_entries(path, doc, "records",
+                               ("signal_basis", "idler_basis", "counts"))
+    by_name = {}
+    for j, rec in enumerate(records):
+        try:
+            count = float(rec["counts"])
+        except (TypeError, ValueError):
+            raise GridFormatError(
+                f"{path}: records[{j}]: counts must be a number") from None
+        by_name[str(rec["signal_basis"]) + str(rec["idler_basis"])] = count
     missing = [name for name in basis.names if name not in by_name]
     if missing:
         raise GridFormatError(f"{path}: no counts for projector {missing[0]}")
-    counts = np.array([float(by_name[name]) for name in basis.names])
-    return CountRecord(counts=counts, n0=float(doc["n0"]),
-                       seed=doc.get("seed"))
+    try:
+        n0 = float(doc["n0"])
+    except (TypeError, ValueError):
+        raise GridFormatError(f"{path}: n0 must be a number") from None
+    counts = np.array([by_name[name] for name in basis.names])
+    return CountRecord(counts=counts, n0=n0, seed=doc.get("seed"))
 
 
 def cmd_qst_reconstruct(runner: Runner, counts_json: Path) -> dict:

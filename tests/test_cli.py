@@ -201,6 +201,98 @@ def test_lobes_json_without_lobes_key_exit_code(tmp_path, config_path,
     assert "lobes.json: missing key 'lobes'" in capsys.readouterr().err
 
 
+def test_grid_csv_non_finite_cells_named(tmp_path):
+    path = tmp_path / "grid.csv"
+    write_grid_csv(path, [1.0, 2.0], [1.0, 2.0],
+                   np.array([[0.0, 1.0], [2.0, 3.0]]))
+    good = path.read_text()
+    for text, where in [(good.replace("3.0", "nan"), "row 2, col 2"),
+                        (good.replace(",2.0\n", ",inf\n", 1), "row 0, col 2"),
+                        (good.replace("\n2.0,", "\n-inf,"), "row 2, col 0")]:
+        path.write_text(text)
+        with pytest.raises(GridFormatError,
+                           match=rf"non-finite value at \({where}\)"):
+            load_grid_csv(path)
+
+
+def test_non_finite_grid_cell_exit_code(tmp_path, config_path, capsys):
+    grid = tmp_path / "grid.csv"
+    write_grid_csv(grid, [670.0, 671.0], [567.0, 568.0], np.ones((2, 2)))
+    grid.write_text(grid.read_text().replace("1.0\n", "nan\n", 1))
+    assert run(["render", "--config", config_path, "--out", tmp_path,
+                "--input", grid]) == 3
+    assert "grid.csv: non-finite value at (row 1, col 2)" in (
+        capsys.readouterr().err)
+
+
+def test_density_matrix_entry_exit_code(tmp_path, config_path, capsys):
+    rho = tmp_path / "rho.json"
+    rho.write_text(json.dumps({"basis": ["ee", "eo", "oe", "oo"],
+                               "matrix": [[1, 0]]}), encoding="utf-8")
+    assert run(["compare", "--config", config_path, "--out", tmp_path,
+                "--rho-a", rho, "--rho-b", rho]) == 3
+    assert "rho.json: 'matrix' must be 4 rows of 4 entries" in (
+        capsys.readouterr().err)
+    rows = [[[0.25, 0.0]] * 4 for _ in range(4)]
+    rows[2][1] = 7
+    rho.write_text(json.dumps({"basis": ["ee", "eo", "oe", "oo"],
+                               "matrix": rows}), encoding="utf-8")
+    assert run(["compare", "--config", config_path, "--out", tmp_path,
+                "--rho-a", rho, "--rho-b", rho]) == 3
+    assert "rho.json: matrix[2][1]: expected a [re, im] pair" in (
+        capsys.readouterr().err)
+    rows[2][1] = [float("nan"), 0.0]
+    rho.write_text(json.dumps({"basis": ["ee", "eo", "oe", "oo"],
+                               "matrix": rows}), encoding="utf-8")
+    assert run(["compare", "--config", config_path, "--out", tmp_path,
+                "--rho-a", rho, "--rho-b", rho]) == 3
+    assert "rho.json: matrix[2][1]: non-finite value" in (
+        capsys.readouterr().err)
+
+
+def test_counts_record_without_basis_exit_code(tmp_path, config_path,
+                                               capsys):
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps({
+        "n0": 100, "records": [{"signal_basis": "e", "idler_basis": "e",
+                                "counts": 10},
+                               {"idler_basis": "o", "counts": 3}]}),
+        encoding="utf-8")
+    assert run(["qst-reconstruct", "--config", config_path, "--out",
+                tmp_path, "--counts", counts]) == 3
+    err = capsys.readouterr().err
+    assert "counts.json: records[1]: missing key 'signal_basis'" in err
+    records = [{"signal_basis": s, "idler_basis": i, "counts": "many"}
+               for s in "eodarl" for i in "eodarl"]
+    counts.write_text(json.dumps({"n0": 100, "records": records}),
+                      encoding="utf-8")
+    assert run(["qst-reconstruct", "--config", config_path, "--out",
+                tmp_path, "--counts", counts]) == 3
+    err = capsys.readouterr().err
+    assert "counts.json: records[0]: counts must be a number" in err
+    for rec in records:
+        rec["counts"] = 5
+    counts.write_text(json.dumps({"n0": "lots", "records": records}),
+                      encoding="utf-8")
+    assert run(["qst-reconstruct", "--config", config_path, "--out",
+                tmp_path, "--counts", counts]) == 3
+    assert "counts.json: n0 must be a number" in capsys.readouterr().err
+
+
+def test_lobe_with_unknown_field_exit_code(tmp_path, config_path, capsys):
+    grid = tmp_path / "grid.csv"
+    write_grid_csv(grid, [670.0, 671.0], [567.0, 568.0], np.ones((2, 2)))
+    lobe = {"center_s_nm": 670.5, "center_i_nm": 567.5,
+            "sigma_major_nm": 1.0, "sigma_minor_nm": 0.3,
+            "orientation_rad": 0.4, "amplitude": 1.0, "colour": "red"}
+    lobes = tmp_path / "lobes.json"
+    lobes.write_text(json.dumps({"lobes": [lobe]}), encoding="utf-8")
+    assert run(["render", "--config", config_path, "--out", tmp_path,
+                "--input", grid, "--lobes-json", lobes]) == 3
+    assert "lobes.json: lobes[0]: unknown key 'colour'" in (
+        capsys.readouterr().err)
+
+
 def test_sweep_delta_monotone(tmp_path, config_path):
     out = tmp_path / "sweep"
     assert run(["sweep-delta", "--config", config_path, "--out", out]) == 0

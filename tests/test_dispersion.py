@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from scipy.optimize import brentq
+
+from fwmpairs import dispersion
 from fwmpairs.dispersion import (FiberSpec, LP11_CUTOFF_V, ModeRole,
                                  birefringence_offset, lp_effective_index,
-                                 material_index, parity_birefringence,
-                                 solve_lp_mode)
+                                 parity_birefringence, solve_lp_mode)
 from fwmpairs.errors import ConfigError, DomainError, ModeNotGuidedError
+from fwmpairs.processes import BaseIndexCache, FwmProcess
 
 
 def overlaid_index(fiber, lam, role, axis_swapped=False):
@@ -14,20 +17,21 @@ def overlaid_index(fiber, lam, role, axis_swapped=False):
             + birefringence_offset(fiber, role, axis_swapped))
 
 
-def test_material_index_sodium_d_line():
+def test_material_index_sodium_d_line(fiber):
     # fused silica at the helium d line, standard catalog value
-    assert material_index(0.5876) == pytest.approx(1.4585, abs=1e-3)
+    assert float(fiber.cladding_index(0.5876)) == pytest.approx(1.4585,
+                                                                abs=1e-3)
 
 
-def test_material_index_normal_dispersion():
-    assert material_index(0.620) > material_index(0.680)
+def test_material_index_normal_dispersion(fiber):
+    assert fiber.cladding_index(0.620) > fiber.cladding_index(0.680)
 
 
-def test_material_index_out_of_range():
+def test_material_index_out_of_range(fiber):
     with pytest.raises(DomainError, match=r"\[0.21, 3.7\]"):
-        material_index(0.1)
+        fiber.cladding_index(0.1)
     with pytest.raises(DomainError):
-        material_index(5.0)
+        fiber.cladding_index(5.0)
 
 
 def test_v_number_at_620(fiber):
@@ -171,3 +175,112 @@ def test_ge_doped_core_anchors_na_at_reference(fiber):
     n_co = float(fiber.core_index(lam))
     n_cl = float(fiber.cladding_index(lam))
     assert np.sqrt(n_co**2 - n_cl**2) == pytest.approx(0.17, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Chebyshev index table against the bisection it is built from
+
+TABLE_FIBERS = {
+    "default": FiberSpec(),
+    "na_offset": FiberSpec(core_model="na_offset"),
+    "r2.2_na0.14": FiberSpec(core_radius_um=2.2, numerical_aperture=0.14),
+}
+LABEL_AZIMUTHAL = {"LP01": 0, "LP11": 1}
+
+
+def lp11_cutoff_um(fiber):
+    """Wavelength at which V falls to the LP11 cutoff."""
+    return brentq(lambda lam: float(fiber.v_number(lam)) - LP11_CUTOFF_V,
+                  0.3, 3.0, xtol=1e-15)
+
+
+def assert_matches_bisection(fiber, lam, label):
+    table = lp_effective_index(fiber, lam, label)
+    reference = dispersion._bisect_n_eff(fiber, lam, LABEL_AZIMUTHAL[label])
+    assert np.max(np.abs(table - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("label", ["LP01", "LP11"])
+@pytest.mark.parametrize("name", sorted(TABLE_FIBERS))
+def test_index_table_matches_bisection(name, label):
+    fiber = TABLE_FIBERS[name]
+    lo, hi = dispersion.SELLMEIER_RANGE_UM
+    lam = np.random.default_rng(2024).uniform(lo, hi, 3000)
+    if label == "LP11":
+        lam = lam[fiber.v_number(lam) > LP11_CUTOFF_V]
+    assert len(lam) > 300
+    assert_matches_bisection(fiber, lam, label)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_FIBERS))
+def test_index_table_matches_bisection_below_lp11_cutoff(name):
+    fiber = TABLE_FIBERS[name]
+    cutoff = lp11_cutoff_um(fiber)
+    lam = cutoff - np.random.default_rng(7).uniform(0.0, 0.002, 400)
+    lam = lam[fiber.v_number(lam) > LP11_CUTOFF_V]
+    assert_matches_bisection(fiber, lam, "LP11")
+
+
+def test_only_the_cutoff_panel_is_bisected(fiber):
+    """Every LP11 panel of the default fiber carries coefficients except
+    the one holding the cutoff, and every LP01 panel does."""
+    cutoff = lp11_cutoff_um(fiber)
+    for index in range(int(np.ptp(dispersion.SELLMEIER_RANGE_UM)
+                           // dispersion.PANEL_WIDTH_UM) + 1):
+        a, b = dispersion._panel_bounds(index)
+        key = (fiber.core_radius_um, fiber.numerical_aperture,
+               fiber.core_model)
+        assert dispersion._panel(*key, 0, index) is not None
+        if b < cutoff:
+            assert dispersion._panel(*key, 1, index) is not None
+        elif a <= cutoff:
+            assert dispersion._panel(*key, 1, index) is None
+
+
+def test_index_is_independent_of_the_batch(fiber):
+    lam_s = np.linspace(0.670, 0.690, 301)
+    lam_i = np.linspace(0.565, 0.578, 301)
+    lam_p = 1.0 / (0.5 * (1.0 / lam_s[:, None] + 1.0 / lam_i[None, :]))
+    # a few points in the bisected cutoff panel ride along
+    cutoff = lp11_cutoff_um(fiber)
+    batch = np.concatenate([lam_p.ravel(), cutoff - np.array([3e-3, 1e-3, 1e-5])])
+    assert len(batch) == 90_604
+    full = lp_effective_index(fiber, batch, "LP11")
+    rng = np.random.default_rng(11)
+    for j in list(rng.integers(0, 90_601, 20)) + [90_601, 90_602, 90_603]:
+        alone = lp_effective_index(fiber, batch[j], "LP11")
+        assert alone.shape == (1,)
+        assert alone[0] == full[j]
+    reversed_ = lp_effective_index(fiber, batch[::-1], "LP11")
+    assert np.array_equal(reversed_[::-1], full)
+
+
+def test_thin_axis_cache_matches_full_mesh(fiber):
+    lam_s = np.linspace(0.670, 0.690, 61)
+    lam_i = np.linspace(0.565, 0.578, 47)
+    thin = BaseIndexCache(fiber, lam_s[:, None], lam_i[None, :])
+    mesh_s, mesh_i = np.meshgrid(lam_s, lam_i, indexing="ij")
+    full = BaseIndexCache(fiber, mesh_s, mesh_i)
+    for name in ("base_s", "base_i", "base_p"):
+        wide = np.broadcast_to(getattr(thin, name), mesh_s.shape)
+        assert np.array_equal(wide, getattr(full, name))
+    process = FwmProcess("e", "o", "o", "e")
+    assert np.array_equal(
+        np.broadcast_to(thin.delta_k(process), mesh_s.shape),
+        full.delta_k(process))
+
+
+def test_index_table_keeps_the_error_contract(fiber):
+    with pytest.raises(ConfigError, match="LP21"):
+        lp_effective_index(fiber, 0.62, "LP21")
+    with pytest.raises(DomainError, match=r"\[0.21, 3.7\]"):
+        lp_effective_index(fiber, [0.62, 0.1], "LP11")
+    with pytest.raises(DomainError):
+        lp_effective_index(fiber, 5.0, "LP01")
+    lam = np.array([0.62, 0.70, 0.80, 0.90])
+    with pytest.raises(ModeNotGuidedError, match="got V = ") as err:
+        lp_effective_index(fiber, lam, "LP11")
+    assert err.value.v_number == float(np.min(fiber.v_number(lam)))
+    assert err.value.v_number < LP11_CUTOFF_V
+    # LP01 has no cutoff
+    assert np.all(np.isfinite(lp_effective_index(fiber, lam, "LP01")))
