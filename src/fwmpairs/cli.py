@@ -30,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="master RNG seed (default: config tomography.seed)")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for parallel stages")
+                       help="recorded in the manifest; no stage reads it")
         return p
 
     common(sub.add_parser("simulate-jsi",

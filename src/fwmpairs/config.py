@@ -175,14 +175,12 @@ class PipelineConfig:
             "center_wavelength_nm": (float, 620.0),
             "intensity_fwhm_nm": (float, 2.0),
             "transverse_state": ("raw", "d"),
-            "average_power_mw": (float, 8.0),
         }, "config.pump")
         pump = PumpSpec(
             center_wavelength_nm=p["center_wavelength_nm"],
             intensity_fwhm_nm=p["intensity_fwhm_nm"],
             transverse_state=parse_state(p["transverse_state"],
                                          "config.pump.transverse_state"),
-            average_power_mw=p["average_power_mw"],
         )
 
         g = _require(top["grid"], {

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .fields import ModeSuperposition
 from .processes import BaseIndexCache
-from .spectrum import JsiGrid, PumpSpec, pump_envelope
+from .spectrum import PumpSpec, pump_envelope
 
 BASIS_LABELS = ("ee", "eo", "oe", "oo")
 _BASIS_INDEX = {("e", "e"): 0, ("e", "o"): 1, ("o", "e"): 2, ("o", "o"): 3}
@@ -160,8 +160,7 @@ def trace_spectral(amplitudes, processes, window: SpectralWindow,
     ``amplitudes(lam_s[:, None], lam_i[None, :])`` returns a dict from
     process labels to real amplitude arrays over the mesh (nm); the flat
     joint-spectral-phase assumption makes these nonnegative magnitudes.
-    ``model_amplitudes``, ``grid_amplitudes`` and ``lobe_amplitudes``
-    build such sources.
+    ``model_amplitudes`` and ``lobe_amplitudes`` build such sources.
     """
     by_label = {p.label: p for p in processes}
     ls, li, _ = window.quadrature(nodes)
@@ -202,19 +201,6 @@ def model_amplitudes(processes, fiber, pump: PumpSpec, weights: ProcessWeights,
     return amplitudes
 
 
-def grid_amplitudes(grid: JsiGrid):
-    """Flat-phase amplitude source from a stored per-process grid
-    (bilinear interpolation of the magnitudes)."""
-    mags = {label: np.abs(amp) for label, amp in grid.per_process.items()}
-
-    def amplitudes(ls, li):
-        return {label: _bilinear(grid.lambda_s_axis, grid.lambda_i_axis,
-                                 mag, ls, li)
-                for label, mag in mags.items()}
-
-    return amplitudes
-
-
 def lobe_amplitudes(lobes):
     """Flat-phase amplitude source from fitted intensity lobes.
 
@@ -239,23 +225,6 @@ def lobe_amplitudes(lobes):
         return out
 
     return amplitudes
-
-
-def _bilinear(xs, ys, values, qx, qy):
-    qx = np.asarray(qx, dtype=float)
-    qy = np.asarray(qy, dtype=float)
-    ix = np.clip(np.searchsorted(xs, qx) - 1, 0, len(xs) - 2)
-    iy = np.clip(np.searchsorted(ys, qy) - 1, 0, len(ys) - 2)
-    x0 = xs[ix]
-    y0 = ys[iy]
-    tx = np.clip((qx - x0) / (xs[ix + 1] - x0), 0.0, 1.0)
-    ty = np.clip((qy - y0) / (ys[iy + 1] - y0), 0.0, 1.0)
-    v00 = values[ix, iy]
-    v10 = values[ix + 1, iy]
-    v01 = values[ix, iy + 1]
-    v11 = values[ix + 1, iy + 1]
-    return ((1 - tx) * (1 - ty) * v00 + tx * (1 - ty) * v10
-            + (1 - tx) * ty * v01 + tx * ty * v11)
 
 
 # ---------------------------------------------------------------------------

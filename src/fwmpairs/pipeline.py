@@ -462,14 +462,17 @@ def cmd_qst_reconstruct(runner: Runner, counts_json: Path) -> dict:
         metrics = metrics_block(result.rho)
     with runner.stage("bootstrap"):
         boot = bootstrap_metrics(record, n_samples=cfg.tomography.n_samples,
-                                 seed=runner.seed, threads=runner.threads)
+                                 seed=runner.seed)
     doc = density_to_json(result.rho, metrics, extra={
         "kind": "rho_qst",
         "log_likelihood": result.log_likelihood,
         "iterations": result.iterations,
+        "converged": result.converged,
+        "kkt_residual": result.kkt_residual,
         "bootstrap": {
             "n_samples": boot.n_samples,
             "failures": boot.failures,
+            "unconverged": boot.unconverged,
             "seed": boot.seed,
             "means": boot.means,
             "stds": boot.stds,

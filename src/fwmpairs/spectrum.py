@@ -29,14 +29,12 @@ class PumpSpec:
 
     ``intensity_fwhm_nm`` is the single-pump intensity FWHM; the
     two-photon envelope in the summed detuning has twice the variance.
-    ``average_power_mw`` only matters as a relative weight.
     """
 
     center_wavelength_nm: float = 620.0
     intensity_fwhm_nm: float = 2.0
     transverse_state: ModeSuperposition = field(
         default_factory=lambda: ModeSuperposition.named("d"))
-    average_power_mw: float = 8.0
 
     def __post_init__(self):
         if self.intensity_fwhm_nm <= 0:
@@ -419,8 +417,9 @@ def fit_lobes(lam_s_axis, lam_i_axis, intensity, expected_lobes: int,
     drives one to 0 or infinity raises instead.
 
     Deterministic given the same input.  Raises on a zero grid, when
-    fewer positive maxima than lobes remain to seed, or when the
-    optimizer exhausts its budget without converging.
+    fewer positive maxima than lobes remain to seed, when the optimizer
+    exhausts its budget without converging, or when a fitted lobe is
+    centred off the grid or has a sigma wider than the wider axis span.
     """
     if expected_lobes < 1:
         raise ConfigError("expected_lobes must be >= 1")
@@ -448,7 +447,15 @@ def fit_lobes(lam_s_axis, lam_i_axis, intensity, expected_lobes: int,
     denom_total = float(((intensity - intensity.mean()) ** 2).sum())
     fitted = _canonical_params(_from_log(p))
     res_grid = _lobe_model(fitted, xs, yi) - intensity
+    span = max(np.ptp(ls), np.ptp(li))
     for amp, x0, y0, sa, sb, th in np.reshape(fitted, (-1, 6)):
+        if not (ls.min() <= x0 <= ls.max() and li.min() <= y0 <= li.max()):
+            raise NumericError(f"lobe fit moved a center off the grid, to "
+                               f"({x0:.3f}, {y0:.3f}) nm")
+        if sa > span:  # sa is the major sigma
+            raise NumericError(f"lobe fit spread a lobe at ({x0:.3f}, "
+                               f"{y0:.3f}) nm to sigma {sa:.3e} nm, wider "
+                               f"than the grid span {span:.3f} nm")
         # local goodness of fit inside the 3-sigma ellipse
         ct, st = np.cos(th), np.sin(th)
         u = ct * (xs - x0) + st * (yi - y0)

@@ -3,9 +3,11 @@
 Projective coincidence measurements use all products of the six
 single-photon states {e, o, d, a, r, l} (three mutually unbiased bases)
 on signal and idler.  Reconstruction maximizes the Poisson
-log-likelihood over the Cholesky-style parameterization
-rho = T^dag T / tr(T^dag T), which is physical by construction, using
-damped Fisher scoring (accepted steps never decrease the likelihood).
+log-likelihood with one diluted R rho R iteration (Rehacek et al., PRA
+75, 042108, 2007) over a stack of count records: every iterate is a
+density matrix, no accepted step lowers the likelihood, and a record
+stops on the KKT residual ||R rho - rho||_F (Hradil, PRA 55, R1561,
+1997).  The bootstrap solves all of its resamples in one such stack.
 """
 
 from __future__ import annotations
@@ -94,60 +96,9 @@ def sample_counts(rates: np.ndarray, seed: int, n0: float) -> CountRecord:
 # ---------------------------------------------------------------------------
 # maximum-likelihood reconstruction
 
-_DIAG_SLOTS = [(0, 0), (1, 1), (2, 2), (3, 3)]
-_LOWER_SLOTS = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
-
-
-def _t_from_params(t: np.ndarray) -> np.ndarray:
-    m = np.zeros((4, 4), dtype=complex)
-    for k, (r, c) in enumerate(_DIAG_SLOTS):
-        m[r, c] = t[k]
-    for k, (r, c) in enumerate(_LOWER_SLOTS):
-        m[r, c] = t[4 + 2 * k] + 1j * t[5 + 2 * k]
-    return m
-
-
-def _params_from_t(m: np.ndarray) -> np.ndarray:
-    t = np.zeros(16)
-    for k, (r, c) in enumerate(_DIAG_SLOTS):
-        t[k] = m[r, c].real
-    for k, (r, c) in enumerate(_LOWER_SLOTS):
-        t[4 + 2 * k] = m[r, c].real
-        t[5 + 2 * k] = m[r, c].imag
-    return t
-
-
-def _rho_from_t(tmat: np.ndarray) -> np.ndarray:
-    rho = tmat.conj().T @ tmat
-    return rho / np.trace(rho).real
-
-
-def _gather_grad(gmat: np.ndarray) -> np.ndarray:
-    """d tr(Pi T^dag T) / d params given G = (T Pi)."""
-    g = np.zeros(16)
-    for k, (r, c) in enumerate(_DIAG_SLOTS):
-        g[k] = 2.0 * gmat[r, c].real
-    for k, (r, c) in enumerate(_LOWER_SLOTS):
-        g[4 + 2 * k] = 2.0 * gmat[r, c].real
-        g[5 + 2 * k] = 2.0 * gmat[r, c].imag
-    return g
-
-
-def _initial_t(counts: np.ndarray, n0: float,
-               basis: ProjectorSet) -> np.ndarray:
-    """Linear inversion projected onto the physical cone."""
-    probs = counts / n0
-    design = basis.projectors.reshape(36, 16)
-    rho_vec, *_ = np.linalg.lstsq(design.conj(), probs.astype(complex),
-                                  rcond=None)
-    rho = rho_vec.reshape(4, 4)
-    rho = 0.5 * (rho + rho.conj().T)
-    vals, vecs = np.linalg.eigh(rho)
-    vals = np.clip(vals.real, 1e-6, None)
-    rho = (vecs * vals) @ vecs.conj().T
-    rho = rho / np.trace(rho).real
-    lower = np.linalg.cholesky(rho)
-    return _params_from_t(lower.conj().T)
+KKT_TOL = 1e-8      # a record stops once ||R rho - rho||_F <= KKT_TOL
+MAX_ITER = 20_000   # ... or after this many accepted steps
+_DILUTIONS = (None, 1.0, 0.1, 0.01)
 
 
 @dataclass
@@ -156,169 +107,108 @@ class MleResult:
     log_likelihood: float
     iterations: int
     converged: bool
+    kkt_residual: float
     ll_trace: np.ndarray
 
 
-def _log_likelihood(mu: np.ndarray, counts: np.ndarray) -> float:
-    mu_safe = np.maximum(mu, 1e-300)
-    terms = np.where(counts > 0, counts * np.log(mu_safe), 0.0) - mu
-    return float(terms.sum())
+def _probabilities(rho: np.ndarray, pconj: np.ndarray) -> np.ndarray:
+    """tr(Pi_k rho) for a stack of states, shape (B, 36)."""
+    return (rho.reshape(-1, 1, 16) * pconj).sum(axis=2).real
 
 
-def _rho_log_likelihood(rho: np.ndarray, counts: np.ndarray, n0: float,
-                        projectors: np.ndarray) -> float:
-    p = np.einsum("kij,ji->k", projectors, rho).real
-    mu = n0 * np.clip(p, 0.0, None)
-    return _log_likelihood(mu, counts)
+def _log_likelihood(p: np.ndarray, counts: np.ndarray,
+                    n0: np.ndarray) -> np.ndarray:
+    mu = n0[:, None] * np.clip(p, 0.0, None)
+    return (counts * np.log(np.maximum(mu, 1e-300)) - mu).sum(axis=1)
 
 
-def _fixed_point_phase(rho: np.ndarray, counts: np.ndarray, n0: float,
-                       projectors: np.ndarray, max_iter: int,
-                       rel_tol: float, ll_trace: list):
-    """Iterate rho <- R rho R / tr with R built from count/probability
-    ratios; diluted steps keep the likelihood non-decreasing.
+def _solve(counts: np.ndarray, n0: np.ndarray,
+           ll_trace: list | None = None):
+    """Diluted R rho R iteration over a stack of count records.
 
-    This fixed-point phase closes in on the optimum fast even when it
-    sits on the rank boundary (pure states), where curvature-based
-    steps on the triangular factor crawl.
+    R = sum_k (c_k / p_k) Pi_k / sum_k c_k over the projectors with
+    c_k > 0, so that R rho = rho at the likelihood maximum.  Each record
+    starts at I/4 and, in every pass, takes the first of the steps
+    rho <- S rho S / tr(S rho S), S in (R, (I + eps R) / (1 + eps)), that
+    does not lower its log-likelihood.  A record stops once
+    ||R rho - rho||_F <= KKT_TOL, after MAX_ITER steps, or when no
+    dilution keeps its likelihood.  Every operation acts on each record
+    alone, so a record's result does not depend on the rest of the batch.
+
+    Returns (rho, log-likelihood, steps, KKT residual) per record.  Given
+    a list, ``ll_trace`` gets the log-likelihoods of the records still
+    iterating at the start of every pass: one record's trace when a
+    single record is solved.
     """
-    pos = counts > 0
-    c_pos = counts[pos]
-    proj_pos = projectors[pos]
-    ll = _rho_log_likelihood(rho, counts, n0, projectors)
-    ll_trace.append(ll)
+    pflat = projector_basis().projectors.reshape(36, 16)
+    pconj = pflat.conj()
+    eye = np.eye(4)
+    n_rec = len(counts)
+    out_rho = np.empty((n_rec, 4, 4), dtype=complex)
+    out_ll = np.empty(n_rec)
+    out_steps = np.empty(n_rec, dtype=int)
+    out_res = np.empty(n_rec)
+    # state of the records still iterating; rows are dropped as they stop
+    live = np.arange(n_rec)
+    weights = counts / counts.sum(axis=1, keepdims=True)
+    observed = counts > 0
+    rho = np.tile(eye / 4.0 + 0j, (n_rec, 1, 1))
+    p = _probabilities(rho, pconj)
+    ll = _log_likelihood(p, counts, n0)
     it = 0
-    for it in range(1, max_iter + 1):
-        p = np.einsum("kij,ji->k", proj_pos, rho).real
-        p = np.maximum(p, 1e-300)
-        r_op = np.tensordot(c_pos / p, proj_pos, axes=1)
-        r_op = r_op / np.trace(r_op).real  # scale-free
-        accepted = False
-        for dilution in (None, 1.0, 0.1, 0.01):
-            if dilution is None:
-                step = r_op
-            else:
-                step = (np.eye(4) + dilution * r_op) / (1.0 + dilution)
-            cand = step @ rho @ step
-            tr = np.trace(cand).real
-            if tr <= 0:
-                continue
-            cand = cand / tr
-            cand = 0.5 * (cand + cand.conj().T)
-            ll_new = _rho_log_likelihood(cand, counts, n0, projectors)
-            if np.isfinite(ll_new) and ll_new >= ll:
-                accepted = True
+    while live.size:
+        ratio = np.where(observed, weights / np.maximum(p, 1e-300), 0.0)
+        r_op = (ratio[:, :, None] * pflat).sum(axis=1).reshape(-1, 4, 4)
+        res = np.linalg.norm(r_op @ rho - rho, axis=(1, 2))
+        if ll_trace is not None:
+            ll_trace.append(ll.copy())
+        stop = (res <= KKT_TOL) | (it >= MAX_ITER)
+        pending = ~stop
+        for eps in _DILUTIONS:
+            if not pending.any():
                 break
-        if not accepted:
-            break
-        gain = ll_new - ll
-        rho = cand
-        ll = ll_new
-        ll_trace.append(ll)
-        if gain <= rel_tol * (abs(ll) + 1.0):
-            break
-    return rho, ll, it
+            step = r_op if eps is None else (eye + eps * r_op) / (1.0 + eps)
+            cand = step @ rho @ step
+            cand /= np.trace(cand, axis1=1, axis2=2).real[:, None, None]
+            cand = 0.5 * (cand + cand.conj().transpose(0, 2, 1))
+            p_cand = _probabilities(cand, pconj)
+            ll_cand = _log_likelihood(p_cand, counts, n0)
+            ok = pending & (ll_cand >= ll)
+            np.copyto(rho, cand, where=ok[:, None, None])
+            np.copyto(p, p_cand, where=ok[:, None])
+            np.copyto(ll, ll_cand, where=ok)
+            pending &= ~ok
+        stop |= pending  # no dilution kept the likelihood
+        if stop.any():
+            done = live[stop]
+            out_rho[done], out_ll[done] = rho[stop], ll[stop]
+            out_steps[done], out_res[done] = it, res[stop]
+            keep = ~stop
+            live, rho, p, ll = live[keep], rho[keep], p[keep], ll[keep]
+            counts, n0 = counts[keep], n0[keep]
+            weights, observed = weights[keep], observed[keep]
+        it += 1
+    return out_rho, out_ll, out_steps, out_res
 
 
-def mle_reconstruct(record: CountRecord,
-                    basis: ProjectorSet | None = None,
-                    max_iter: int = 500,
-                    rel_tol: float = 1e-10) -> MleResult:
+def mle_reconstruct(record: CountRecord) -> MleResult:
     """Maximum-likelihood density matrix for a count record.
 
-    A likelihood-monotone fixed-point phase carries the estimate close
-    to the optimum; damped Fisher scoring on the 16 real parameters of
-    the lower-triangular factor rho = T^dag T / tr(T^dag T) then
-    polishes it.  Steps in both phases are accepted only when the
-    Poisson log-likelihood does not decrease, so the recorded trace is
-    monotone, and the factorization keeps every iterate physical.
+    One diluted R rho R iteration (``_solve``) from I/4: every iterate
+    is physical, every accepted step keeps the Poisson log-likelihood
+    from falling, so the recorded trace is monotone, and ``converged``
+    says whether the KKT residual ||R rho - rho||_F reached KKT_TOL.
     """
-    if basis is None:
-        basis = projector_basis()
-    counts = record.counts
-    if counts.sum() <= 0:
+    if record.counts.sum() <= 0:
         raise DomainError("cannot reconstruct from all-zero counts")
-    n0 = record.n0
-    projectors = basis.projectors
-
-    ll_trace: list = []
-    rho0 = _rho_from_t(_t_from_params(_initial_t(counts, n0, basis)))
-    rho0 = 0.5 * (rho0 + rho0.conj().T)
-    rho1, ll, fp_iters = _fixed_point_phase(
-        rho0, counts, n0, projectors, max_iter=40 * max_iter,
-        rel_tol=1e-2 * rel_tol, ll_trace=ll_trace)
-
-    # hand off to the triangular factor (tiny ridge keeps it invertible)
-    vals, vecs = np.linalg.eigh(rho1)
-    vals = np.clip(vals, 1e-14, None)
-    rho1 = (vecs * vals) @ vecs.conj().T
-    rho1 = rho1 / np.trace(rho1).real
-    t = _params_from_t(np.linalg.cholesky(rho1).conj().T)
-    lam = 1e-3
-
-    def forward(tvec):
-        tmat = _t_from_params(tvec)
-        ttt = tmat.conj().T @ tmat
-        s = float(np.trace(ttt).real)
-        a_k = np.einsum("kij,ji->k", projectors, ttt).real
-        mu = n0 * np.clip(a_k, 0.0, None) / s
-        return tmat, s, a_k, mu
-
-    tmat, s, a_k, mu = forward(t)
-    ll_polish = _log_likelihood(mu, counts)
-    best_rho = _rho_from_t(tmat)
-    best_ll = ll_polish
-    if best_ll < ll:
-        # ridge cost exceeded the gain; keep the fixed-point answer
-        best_rho, best_ll = rho1, ll
-    converged = True
-    it = 0
-    floor = 1e-12 * n0
-    for it in range(1, max_iter + 1):
-        jac = np.zeros((36, 16))
-        g_s = _gather_grad(tmat)  # gradient of s (Pi = identity)
-        for k in range(36):
-            g_a = _gather_grad(tmat @ projectors[k])
-            jac[k] = n0 * (g_a * s - a_k[k] * g_s) / s**2
-        w = 1.0 / np.maximum(mu, floor)
-        resid = counts - mu
-        jtw = jac.T * w
-        hess = jtw @ jac
-        grad = jtw @ resid
-
-        accepted = False
-        for _ in range(12):
-            damped = hess + lam * np.diag(np.diag(hess)) \
-                + 1e-12 * np.eye(16)
-            try:
-                step = np.linalg.solve(damped, grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            t_new = t + step
-            tmat_n, s_n, a_n, mu_n = forward(t_new)
-            ll_new = _log_likelihood(mu_n, counts)
-            if np.isfinite(ll_new) and ll_new >= ll_polish:
-                accepted = True
-                break
-            lam *= 10.0
-        if not accepted:
-            break
-        gain = ll_new - ll_polish
-        t, tmat, s, a_k, mu = t_new, tmat_n, s_n, a_n, mu_n
-        ll_polish = ll_new
-        if ll_polish > best_ll:
-            best_ll = ll_polish
-            best_rho = _rho_from_t(tmat)
-            ll_trace.append(best_ll)
-        lam = max(lam / 10.0, 1e-12)
-        if gain <= rel_tol * (abs(ll_polish) + 1.0):
-            break
-
-    rho = 0.5 * (best_rho + best_rho.conj().T)
-    return MleResult(rho=rho, log_likelihood=best_ll,
-                     iterations=fp_iters + it, converged=converged,
-                     ll_trace=np.asarray(ll_trace))
+    trace: list = []
+    rho, ll, steps, residual = _solve(
+        record.counts[None, :], np.array([record.n0]), trace)
+    return MleResult(rho=rho[0], log_likelihood=float(ll[0]),
+                     iterations=int(steps[0]),
+                     converged=bool(residual[0] <= KKT_TOL),
+                     kkt_residual=float(residual[0]),
+                     ll_trace=np.concatenate(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -331,59 +221,44 @@ class BootstrapResult:
     stds: dict
     n_samples: int
     failures: int
+    unconverged: int
     seed: int
 
 
 def bootstrap_metrics(record: CountRecord, n_samples: int = 100,
-                      seed: int = 0, threads: int = 1) -> BootstrapResult:
-    """Poisson-resample the counts, reconstruct each sample and report
-    mean and standard deviation of the entanglement metrics.
+                      seed: int = 0) -> BootstrapResult:
+    """Poisson-resample the counts, reconstruct every sample in one
+    batched solve and report mean and standard deviation of the
+    entanglement metrics.
 
-    Resample streams derive from one master seed; failed
-    reconstructions are retried up to 3 times with fresh draws and
-    otherwise counted.
+    Each resample draws from its own child of one master seed; an
+    all-zero draw is redrawn up to 3 times and otherwise counted as a
+    failure.  Resamples whose solve stopped short of KKT_TOL stay in the
+    statistics and are counted as ``unconverged``.
     """
     if n_samples < 2:
         raise DomainError("bootstrap needs n_samples >= 2")
-    basis = projector_basis()
-    master = np.random.SeedSequence(seed)
-    children = master.spawn(n_samples)
-
-    def one(child):
+    draws = []
+    for child in np.random.SeedSequence(seed).spawn(n_samples):
         rng = np.random.default_rng(child)
         for _ in range(3):
             counts = rng.poisson(record.counts).astype(float)
-            if counts.sum() <= 0:
-                continue
-            try:
-                res = mle_reconstruct(
-                    CountRecord(counts=counts, n0=record.n0), basis=basis)
-            except NumericError:
-                continue
-            rho = res.rho
-            return {
-                "concurrence": concurrence(rho),
-                "bell_fidelity": bell_fidelity(rho),
-                "purity": purity(rho),
-            }
-        return None
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, children))
-    else:
-        results = [one(child) for child in children]
-
-    failures = sum(1 for r in results if r is None)
-    good = [r for r in results if r is not None]
-    if not good:
+            if counts.sum() > 0:
+                draws.append(counts)
+                break
+    if not draws:
         raise NumericError("every bootstrap resample failed to reconstruct")
+    rhos, _, _, residual = _solve(
+        np.array(draws), np.full(len(draws), record.n0))
     means = {}
     stds = {}
-    for key in ("concurrence", "bell_fidelity", "purity"):
-        vals = np.array([r[key] for r in good])
-        means[key] = float(vals.mean())
-        stds[key] = float(vals.std(ddof=1))
+    for name, metric in (("concurrence", concurrence),
+                         ("bell_fidelity", bell_fidelity),
+                         ("purity", purity)):
+        vals = np.array([metric(rho) for rho in rhos])
+        means[name] = float(vals.mean())
+        stds[name] = float(vals.std(ddof=1))
     return BootstrapResult(means=means, stds=stds, n_samples=n_samples,
-                           failures=failures, seed=seed)
+                           failures=n_samples - len(draws),
+                           unconverged=int(np.sum(residual > KKT_TOL)),
+                           seed=seed)

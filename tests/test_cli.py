@@ -293,6 +293,27 @@ def test_lobe_with_unknown_field_exit_code(tmp_path, config_path, capsys):
         capsys.readouterr().err)
 
 
+def test_fit_lobes_leaving_the_grid_exit_code(tmp_path, config_path,
+                                               centers, capsys):
+    # one lobe at the model's D center plus 1 % noise; fit-lobes hints the
+    # second lobe at the C center, on noise, and that lobe leaves the grid
+    from fwmpairs.spectrum import GaussianLobe
+    ls = np.linspace(670.0, 690.0, 81)
+    li = np.linspace(565.0, 577.0, 61)
+    cs, ci = centers["D"]
+    lobe = GaussianLobe(center_s_nm=cs, center_i_nm=ci, sigma_major_nm=1.0,
+                        sigma_minor_nm=0.4, orientation_rad=0.45,
+                        amplitude=1.0)
+    rng = np.random.default_rng(5)
+    grid = tmp_path / "jsi.csv"
+    write_grid_csv(grid, ls, li,
+                   np.abs(lobe.evaluate(ls[:, None], li[None, :])
+                          + 0.01 * rng.standard_normal((81, 61))))
+    assert run(["fit-lobes", "--config", config_path, "--out", tmp_path,
+                "--input", grid, "--lobes", 2]) == 3
+    assert "moved a center off the grid" in capsys.readouterr().err
+
+
 def test_sweep_delta_monotone(tmp_path, config_path):
     out = tmp_path / "sweep"
     assert run(["sweep-delta", "--config", config_path, "--out", out]) == 0
@@ -355,6 +376,31 @@ def test_qst_pipeline_end_to_end(tmp_path, config_path):
     assert rep["fidelity_squared"] > 0.95
     assert rep["fidelity_unsquared"] == pytest.approx(
         np.sqrt(rep["fidelity_squared"]))
+
+
+def test_qst_reconstruct_same_on_one_and_two_threads(tmp_path, config_path):
+    from fwmpairs.estimation import BELL_PHI_PLUS
+    from fwmpairs.gridio import density_to_json, write_json
+    from fwmpairs.tomography import KKT_TOL
+    bell = np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS.conj())
+    rho_path = tmp_path / "rho.json"
+    write_json(rho_path, density_to_json(0.8 * bell + 0.2 * np.eye(4) / 4))
+    assert run(["qst-simulate", "--config", config_path, "--out", tmp_path,
+                "--rho", rho_path, "--seed", "3"]) == 0
+    docs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        assert run(["qst-reconstruct", "--config", config_path, "--out", out,
+                    "--counts", tmp_path / "counts.json", "--seed", "3",
+                    "--threads", threads]) == 0
+        docs.append((out / "rho_qst.json").read_bytes())
+    assert docs[0] == docs[1]
+    doc = json.loads(docs[0])
+    assert doc["converged"] is True
+    assert 0.0 <= doc["kkt_residual"] <= KKT_TOL
+    assert doc["iterations"] > 0
+    assert doc["bootstrap"]["unconverged"] == 0
+    assert doc["bootstrap"]["failures"] == 0
 
 
 def test_compare_self_identity(tmp_path, config_path):

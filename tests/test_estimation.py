@@ -306,24 +306,3 @@ def test_validate_density_rejects_bad_matrices():
         validate_density(neg)
     with pytest.raises(DomainError):
         concurrence(np.eye(4, dtype=complex))  # trace 4
-
-
-def test_grid_amplitudes_agree_with_direct_model(fiber, pump, processes_eo,
-                                                 overlaps_abcd, centers):
-    # interpolating magnitudes off a stored per-process grid reproduces
-    # the direct-model estimate inside the grid band
-    from fwmpairs.estimation import fidelity, grid_amplitudes
-    from fwmpairs.spectrum import SpectralGrid, jsa_grid
-
-    procs = [p for p in processes_eo if p.label in "ABCD"]
-    weights = process_weights(pump, overlaps_abcd, procs)
-    grid = jsa_grid(procs, fiber, pump, weights.amplitudes,
-                    SpectralGrid((674.0, 682.0), (567.5, 574.5), 241, 241))
-    mid_i = 0.5 * (centers["B"][1] + centers["C"][1])
-    mid_s = 0.5 * (centers["B"][0] + centers["C"][0])
-    win = SpectralWindow((mid_s - 0.6, mid_s + 0.6),
-                         (mid_i - 0.6, mid_i + 0.6))
-    rho_grid = trace_spectral(grid_amplitudes(grid), procs, win)
-    rho_model = trace_spectral(
-        model_amplitudes(procs, fiber, pump, weights), procs, win)
-    assert fidelity(rho_grid, rho_model) > 0.9999

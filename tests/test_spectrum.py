@@ -3,7 +3,7 @@ import pytest
 from scipy.constants import c as C_LIGHT
 
 from fwmpairs.dispersion import FiberSpec
-from fwmpairs.errors import ConfigError, DomainError
+from fwmpairs.errors import ConfigError, DomainError, NumericError
 from fwmpairs.fields import ModeSuperposition
 from fwmpairs.processes import FwmProcess
 from fwmpairs.spectrum import (GaussianLobe, PumpSpec, SpectralGrid,
@@ -292,6 +292,26 @@ def test_fit_four_lobes_stays_positive(seed):
     for (gi, gs), (wi, ws) in zip(got, want):
         assert gi == pytest.approx(wi, abs=0.05)
         assert gs == pytest.approx(ws, abs=0.05)
+
+
+@pytest.mark.parametrize("seed, message", [
+    (2, "off the grid"),            # lobe ends at (666.87, 580.17) nm
+    (4, "wider than the grid span"),  # sigma ends at 1.2e4 nm
+])
+def test_hinted_fit_leaving_the_grid_raises(seed, message):
+    # one lobe plus 1 % noise; the second hint sits on noise 5 nm away,
+    # and the fit spreads that lobe into a pedestal instead of returning
+    ls = np.linspace(670.0, 690.0, 81)
+    li = np.linspace(565.0, 577.0, 61)
+    lobe = GaussianLobe(center_s_nm=680.0, center_i_nm=571.0,
+                        sigma_major_nm=1.0, sigma_minor_nm=0.4,
+                        orientation_rad=0.45, amplitude=1.0)
+    rng = np.random.default_rng(seed)
+    grid = np.abs(lobe.evaluate(ls[:, None], li[None, :])
+                  + 0.01 * rng.standard_normal((81, 61)))
+    with pytest.raises(NumericError, match=message):
+        fit_lobes(ls, li, grid, 2,
+                  init_centers=[(680.0, 571.0), (675.0, 574.0)])
 
 
 def test_lobe_jacobian_matches_finite_differences():
