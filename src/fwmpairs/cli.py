@@ -89,6 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag, value in (("--threads", args.threads),
+                            ("--lobes", getattr(args, "n_lobes", None))):
+            if value is not None and value < 1:
+                raise ConfigError(f"{flag}: must be >= 1")
         cfg = load_config(args.config)
         runner = pipeline.Runner(cfg, args.command, out_dir=args.out,
                                  seed=args.seed, threads=args.threads)

@@ -33,10 +33,16 @@ PSD_TOL = 1e-9
 
 
 def validate_density(rho: np.ndarray) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity; returns the input."""
+    """Check entry magnitudes, Hermiticity, unit trace and positivity;
+    returns the input."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise DomainError(f"expected a 4x4 matrix, got {rho.shape}")
+    # |rho_rc| <= 1 holds for every density matrix; larger entries would
+    # also overflow the checks below
+    if np.max(np.abs(rho)) > 1.0 + TRACE_TOL:
+        raise DomainError(
+            f"matrix entry of magnitude {np.max(np.abs(rho)):.3e} exceeds 1")
     if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
         raise DomainError("matrix is not Hermitian within tolerance")
     if abs(np.trace(rho).real - 1.0) > TRACE_TOL or \

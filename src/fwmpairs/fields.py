@@ -64,11 +64,6 @@ class ModeSuperposition:
     def amplitude(self, mode: str) -> complex:
         return self.amplitudes.get(mode, 0j)
 
-    def overlap(self, other: "ModeSuperposition") -> complex:
-        """<self|other>."""
-        return sum(np.conj(self.amplitude(m)) * other.amplitude(m)
-                   for m in _BASIS)
-
 
 @dataclass(frozen=True)
 class GridSpec:

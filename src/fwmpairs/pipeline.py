@@ -174,12 +174,20 @@ class Simulation:
         return 0.5 * (bs + cs), 0.5 * (bi + ci)
 
 
-def label_fitted_lobes(lobes, centers: dict) -> None:
-    """Assign process labels by idler-axis ordering of predicted centers."""
-    order = sorted(centers, key=lambda k: centers[k][1])
-    fitted = sorted(lobes, key=lambda lb: lb.center_i_nm)
-    for lobe, label in zip(fitted, order):
-        lobe.process_label = label
+def _fit_in_band_lobes(sim: Simulation, lam_s, lam_i, intensity,
+                       n_lobes: int | None = None):
+    """Fit ``n_lobes`` lobes (default: ``expected_lobes``, at most one per
+    in-band process) and label them with the in-band processes, both
+    taken in idler order."""
+    in_band = sorted(sim.in_band(), key=lambda p: sim.centers[p.label][1])
+    if not in_band:
+        raise NumericError("no phase-matched lobe inside the grid band")
+    if n_lobes is None:
+        n_lobes = min(sim.cfg.expected_lobes, len(in_band))
+    fit = fit_lobes(lam_s, lam_i, intensity, n_lobes)
+    for lobe, proc in zip(fit.lobes, in_band):
+        lobe.process_label = proc.label
+    return fit
 
 
 def lobes_to_json(fit) -> dict:
@@ -209,13 +217,8 @@ def cmd_simulate_jsi(runner: Runner) -> dict:
         sim = Simulation(cfg)
         grid = sim.jsi()
     with runner.stage("fit"):
-        in_band = {p.label: sim.centers[p.label] for p in sim.in_band()}
-        if not in_band:
-            raise NumericError("no phase-matched lobe inside the grid band")
-        n_lobes = min(cfg.expected_lobes, len(in_band))
-        fit = fit_lobes(grid.lambda_s_axis, grid.lambda_i_axis, grid.combined,
-                        n_lobes, init_centers=sorted(in_band.values()))
-        label_fitted_lobes(fit.lobes, in_band)
+        fit = _fit_in_band_lobes(sim, grid.lambda_s_axis, grid.lambda_i_axis,
+                                 grid.combined)
     with runner.stage("write"):
         write_grid_csv(runner.path("jsi.csv"), grid.lambda_s_axis,
                        grid.lambda_i_axis, grid.combined)
@@ -326,15 +329,8 @@ def cmd_fit_lobes(runner: Runner, input_csv: Path,
     with runner.stage("load"):
         lam_s, lam_i, intensity = load_grid_csv(input_csv)
     with runner.stage("fit"):
-        sim = Simulation(cfg)
-        in_band = {p.label: sim.centers[p.label] for p in sim.in_band()}
-        n = expected if expected is not None else min(cfg.expected_lobes,
-                                                      len(in_band))
-        if n < 1:
-            raise NumericError("no phase-matched lobe inside the grid band")
-        inits = sorted(in_band.values())[:n] if len(in_band) >= n else None
-        fit = fit_lobes(lam_s, lam_i, intensity, n, init_centers=inits)
-        label_fitted_lobes(fit.lobes, in_band)
+        fit = _fit_in_band_lobes(Simulation(cfg), lam_s, lam_i, intensity,
+                                 expected)
     doc = lobes_to_json(fit)
     runner.write_json("lobes.json", doc)
     render_svg_heatmap(runner.path("lobes.svg"), lam_s, lam_i, intensity,
@@ -358,12 +354,7 @@ def cmd_estimate_rho(runner: Runner, jsi_csv: Path | None = None,
     with runner.stage("prepare"):
         sim = Simulation(cfg)
         if jsi_csv is not None:
-            lam_s, lam_i, intensity = load_grid_csv(jsi_csv)
-            in_band = {p.label: sim.centers[p.label] for p in sim.in_band()}
-            fit = fit_lobes(lam_s, lam_i, intensity,
-                            min(cfg.expected_lobes, len(in_band)),
-                            init_centers=sorted(in_band.values()))
-            label_fitted_lobes(fit.lobes, in_band)
+            fit = _fit_in_band_lobes(sim, *load_grid_csv(jsi_csv))
             amps = lobe_amplitudes(fit.lobes)
             source = "jsi_csv"
         elif lobes_json is not None:

@@ -277,6 +277,9 @@ def _lobe_model(params: np.ndarray, xs, yi) -> np.ndarray:
     return out
 
 
+# Evaluation budget of one least-squares fit, per fitted parameter.
+MAX_EVALS_PER_PARAM = 200
+
 # The optimizer sees each lobe's amplitude and two sigmas as logarithms,
 # so every value it can reach maps to a positive amplitude and width.
 _LOG_SLOTS = [0, 3, 4]
@@ -318,11 +321,11 @@ def _lobe_jacobian(p: np.ndarray, xs, yi) -> np.ndarray:
     return rows
 
 
-def _least_squares(p0, data, xs, yi, max_iter):
+def _least_squares(p0, data, xs, yi):
     """MINPACK Levenberg-Marquardt fit of the lobe sum to ``data``, in the
     log parameters.  Returns (parameters, residual vector, evaluations);
-    raises when it does not converge within ``max_iter`` evaluations per
-    parameter."""
+    raises when it does not converge within ``MAX_EVALS_PER_PARAM``
+    evaluations per parameter."""
     def resid(p):
         return (_lobe_model(_from_log(p), xs, yi) - data).ravel()
 
@@ -331,7 +334,8 @@ def _least_squares(p0, data, xs, yi, max_iter):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         p, _, info, _, ier = leastsq(
             resid, p0, Dfun=lambda p: _lobe_jacobian(p, xs, yi),
-            col_deriv=True, full_output=True, maxfev=max_iter * len(p0),
+            col_deriv=True, full_output=True,
+            maxfev=MAX_EVALS_PER_PARAM * len(p0),
             xtol=1e-12, ftol=1e-12, gtol=1e-12)
         positive = _from_log(p).reshape(-1, 6)[:, _LOG_SLOTS]
     if ier not in (1, 2, 3, 4):
@@ -355,16 +359,16 @@ def _half_widths(image: np.ndarray, r: int, col: int):
     return widths
 
 
-def _seed_at(image, ls, li, r, col, cs, ci) -> list:
-    """Natural parameters of one lobe at (cs, ci): the value at node
-    (r, col), with widths and orientation from the second moments about
-    (cs, ci) of the grid within two half-maximum widths of that node."""
+def _seed_at(image, ls, li, r, col) -> list:
+    """Natural parameters of one lobe at node (r, col): its value, with
+    widths and orientation from the second moments about that node of the
+    grid within two half-maximum widths of it."""
     hw_s, hw_i = _half_widths(image, r, col)
     rows = slice(max(0, r - 2 * hw_s), r + 2 * hw_s + 1)
     cols = slice(max(0, col - 2 * hw_i), col + 2 * hw_i + 1)
     w = np.maximum(image[rows, cols], 0.0)
-    dx = ls[rows, None] - cs
-    dy = li[None, cols] - ci
+    dx = ls[rows, None] - ls[r]
+    dy = li[None, cols] - li[col]
     total = w.sum()
     cxx, cxy, cyy = ((w * a * b).sum() / total if total > 0 else 0.0
                      for a, b in ((dx, dx), (dx, dy), (dy, dy)))
@@ -374,11 +378,11 @@ def _seed_at(image, ls, li, r, col, cs, ci) -> list:
     var_b = st * st * cxx - 2.0 * ct * st * cxy + ct * ct * cyy
     floor = min(ls[1] - ls[0], li[1] - li[0])
     amp = max(float(image[r, col]), 1e-12 * float(image.max()))
-    return [amp, float(cs), float(ci), max(np.sqrt(var_a), floor),
+    return [amp, float(ls[r]), float(li[col]), max(np.sqrt(var_a), floor),
             max(np.sqrt(max(var_b, 0.0)), floor), float(th)]
 
 
-def _peel(intensity, ls, li, n, max_iter) -> list:
+def _peel(intensity, ls, li, n) -> list:
     """Seed ``n`` lobes one at a time: fit one lobe on a crop around the
     maximum of what earlier lobes leave unexplained, then subtract it."""
     residual = intensity.copy()
@@ -391,57 +395,51 @@ def _peel(intensity, ls, li, n, max_iter) -> list:
         hw_s, hw_i = _half_widths(residual, r, col)
         rows = slice(max(0, r - 3 * hw_s), r + 3 * hw_s + 1)
         cols = slice(max(0, col - 3 * hw_i), col + 3 * hw_i + 1)
-        seed = _seed_at(residual, ls, li, r, col, ls[r], li[col])
+        seed = _seed_at(residual, ls, li, r, col)
         p, _, _ = _least_squares(_to_log(seed), residual[rows, cols],
-                                 ls[rows, None], li[None, cols], max_iter)
+                                 ls[rows, None], li[None, cols])
         params += list(p)
         residual -= _lobe_model(_from_log(p), ls[:, None], li[None, :])
     return params
 
 
-def fit_lobes(lam_s_axis, lam_i_axis, intensity, expected_lobes: int,
-              init_centers=None, max_iter: int = 200) -> LobeFit:
+def fit_lobes(lam_s_axis, lam_i_axis, intensity,
+              expected_lobes: int) -> LobeFit:
     """Nonlinear least squares of a sum of elliptical Gaussians.
 
-    Seeding: without ``init_centers`` the lobes are peeled off one at a
-    time.  The maximum of the grid left unexplained by the lobes so far
-    seeds one lobe, which is fitted alone on a crop of three half-maximum
-    widths around that maximum and subtracted before the next maximum is
-    taken.  With ``init_centers`` each lobe starts at its given center
-    with the grid value at the nearest node.  Seed widths and orientations
-    come from the second moments within two half-maximum widths of the
-    seed node.  All lobes are then fitted jointly on the whole grid.
+    Seeding: the lobes are peeled off one at a time.  The maximum of the
+    grid left unexplained by the lobes so far seeds one lobe, with widths
+    and orientation from the second moments within two half-maximum
+    widths of it; that lobe is fitted alone on a crop of three such widths
+    and subtracted before the next maximum is taken.  All lobes are then
+    fitted jointly on the whole grid.  Predicted centers play no part.
 
     Positivity: amplitudes and sigmas are fitted as logarithms, so every
     returned amplitude and sigma is positive and finite; a fit that
     drives one to 0 or infinity raises instead.
 
-    Deterministic given the same input.  Raises on a zero grid, when
-    fewer positive maxima than lobes remain to seed, when the optimizer
-    exhausts its budget without converging, or when a fitted lobe is
-    centred off the grid or has a sigma wider than the wider axis span.
+    Deterministic given the same input; lobes are returned in ascending
+    idler center.  Raises on a zero grid or one with fewer nodes than
+    parameters, when fewer positive maxima than lobes remain to seed, when
+    the optimizer exhausts its budget without converging, or when a fitted
+    lobe is centred off the grid or has a sigma wider than the wider axis
+    span.
     """
     if expected_lobes < 1:
         raise ConfigError("expected_lobes must be >= 1")
     intensity = np.asarray(intensity, dtype=float)
     if not np.any(intensity > 0):
         raise DomainError("cannot fit lobes on a non-positive grid")
+    if intensity.size < 6 * expected_lobes:
+        raise DomainError(f"{intensity.size} grid nodes are too few to fit "
+                          f"{expected_lobes} lobes of 6 parameters each")
     ls = np.asarray(lam_s_axis, dtype=float)
     li = np.asarray(lam_i_axis, dtype=float)
     xs = ls[:, None]
     yi = li[None, :]
 
-    if init_centers is not None:
-        params = []
-        for (cs, ci) in init_centers:
-            r = int(np.argmin(np.abs(ls - cs)))
-            col = int(np.argmin(np.abs(li - ci)))
-            params += list(_to_log(
-                _seed_at(intensity, ls, li, r, col, cs, ci)))
-    else:
-        params = _peel(intensity, ls, li, expected_lobes, max_iter)
-    p, fvec, nfev = _least_squares(np.asarray(params), intensity, xs, yi,
-                                   max_iter)
+    params = _peel(intensity, ls, li, expected_lobes)
+    p, fvec, nfev = _least_squares(np.asarray(params), intensity, xs, yi)
 
     lobes = []
     denom_total = float(((intensity - intensity.mean()) ** 2).sum())

@@ -7,6 +7,9 @@ from fwmpairs.cli import main
 from fwmpairs.config import PipelineConfig, load_config
 from fwmpairs.errors import ConfigError, GridFormatError
 from fwmpairs.gridio import load_grid_csv, write_grid_csv, load_density
+from fwmpairs.spectrum import GaussianLobe
+
+from conftest import MEASURED_CENTERS
 
 BASE_CONFIG = {
     "fiber": {"segments": [[0.10, False]]},
@@ -295,9 +298,8 @@ def test_lobe_with_unknown_field_exit_code(tmp_path, config_path, capsys):
 
 def test_fit_lobes_leaving_the_grid_exit_code(tmp_path, config_path,
                                                centers, capsys):
-    # one lobe at the model's D center plus 1 % noise; fit-lobes hints the
-    # second lobe at the C center, on noise, and that lobe leaves the grid
-    from fwmpairs.spectrum import GaussianLobe
+    # one lobe at the model's D center plus 1 % noise, fitted as two: the
+    # peel seeds the second lobe on noise, and that lobe leaves the grid
     ls = np.linspace(670.0, 690.0, 81)
     li = np.linspace(565.0, 577.0, 61)
     cs, ci = centers["D"]
@@ -312,6 +314,86 @@ def test_fit_lobes_leaving_the_grid_exit_code(tmp_path, config_path,
     assert run(["fit-lobes", "--config", config_path, "--out", tmp_path,
                 "--input", grid, "--lobes", 2]) == 3
     assert "moved a center off the grid" in capsys.readouterr().err
+
+
+def test_fit_lobes_recovers_lobes_at_reference_centers(tmp_path,
+                                                       config_path):
+    # four lobes drawn around the measured centers, up to 1.6 nm from the
+    # model's predicted centers, with 1 % noise on the default 301^2 grid;
+    # a fit seeded at the predicted centers spread one lobe off the grid
+    rng = np.random.default_rng([1800188482, 1])
+    truth = [(cs + rng.uniform(-0.3, 0.3), ci + rng.uniform(-0.2, 0.2),
+              rng.uniform(1.0, 1.2), rng.uniform(0.3, 0.4),
+              rng.uniform(0.4, 0.5), rng.uniform(0.8, 2.0))
+             for cs, ci in MEASURED_CENTERS.values()]
+    ls = np.linspace(670.0, 700.0, 301)
+    li = np.linspace(567.0, 576.0, 301)
+    total = sum(GaussianLobe(*t).evaluate(ls[:, None], li[None, :])
+                for t in truth)
+    grid = tmp_path / "measured.csv"
+    write_grid_csv(grid, ls, li, np.abs(
+        total + 0.01 * total.max() * rng.standard_normal(total.shape)))
+    out = tmp_path / "fit"
+    assert run(["fit-lobes", "--config", config_path, "--out", out,
+                "--input", grid]) == 0
+    lobes = json.loads((out / "lobes.json").read_text())["lobes"]
+    assert [lb["process_label"] for lb in lobes] == list("ABCD")
+    for lb, (cs, ci, *_) in zip(lobes, truth):
+        assert abs(lb["center_s_nm"] - cs) < 0.05
+        assert abs(lb["center_i_nm"] - ci) < 0.05
+        assert lb["amplitude"] > 0
+
+
+@pytest.mark.parametrize("command, flag", [("fit-lobes", "--input"),
+                                           ("estimate-rho", "--jsi-csv")])
+def test_lobe_fit_with_no_center_in_band_exit_code(tmp_path, capsys,
+                                                   command, flag):
+    cfg = dict(BASE_CONFIG, grid={"lambda_s_nm": [670.0, 672.0],
+                                  "lambda_i_nm": [574.0, 576.0]})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    grid = tmp_path / "grid.csv"
+    ls, li = np.linspace(670.0, 672.0, 21), np.linspace(574.0, 576.0, 21)
+    write_grid_csv(grid, ls, li, np.ones((21, 21)))
+    assert run([command, "--config", config, "--out", tmp_path / "o",
+                flag, grid]) == 3
+    assert "no phase-matched lobe inside the grid band" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("flag", ["--threads", "--lobes"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_count_flag_below_one_exit_code(tmp_path, config_path, capsys,
+                                        flag, value):
+    grid = tmp_path / "grid.csv"
+    write_grid_csv(grid, [670.0, 671.0], [567.0, 568.0], np.ones((2, 2)))
+    out = tmp_path / "fit"
+    assert run(["fit-lobes", "--config", config_path, "--out", out,
+                "--input", grid, flag, value]) == 2
+    assert f"{flag}: must be >= 1" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["compare", "qst-simulate"])
+@pytest.mark.parametrize("diagonal", [(0.25, 0.25, 0.25, 0.25),
+                                      (1e308, -1e308, 0.5, 0.5)])
+def test_density_entry_above_one_exit_code(tmp_path, config_path, capsys,
+                                           command, diagonal):
+    # Hermitian with trace 1, but with entries of 1e308, which no density
+    # matrix has: a coherence pair, or two diagonal entries
+    rows = [[[diagonal[r] if r == c else 0.0, 0.0] for c in range(4)]
+            for r in range(4)]
+    if diagonal[0] < 1:
+        rows[0][1] = rows[1][0] = [1e308, 0.0]
+    rho = tmp_path / "rho.json"
+    rho.write_text(json.dumps({"basis": ["ee", "eo", "oe", "oo"],
+                               "matrix": rows}), encoding="utf-8")
+    args = (["--rho-a", rho, "--rho-b", rho] if command == "compare"
+            else ["--rho", rho])
+    assert run([command, "--config", config_path, "--out", tmp_path]
+               + args) == 3
+    err = capsys.readouterr().err
+    assert "matrix entry of magnitude 1.000e+308 exceeds 1" in err
 
 
 def test_sweep_delta_monotone(tmp_path, config_path):

@@ -294,24 +294,28 @@ def test_fit_four_lobes_stays_positive(seed):
         assert gs == pytest.approx(ws, abs=0.05)
 
 
-@pytest.mark.parametrize("seed, message", [
-    (2, "off the grid"),            # lobe ends at (666.87, 580.17) nm
-    (4, "wider than the grid span"),  # sigma ends at 1.2e4 nm
-])
-def test_hinted_fit_leaving_the_grid_raises(seed, message):
-    # one lobe plus 1 % noise; the second hint sits on noise 5 nm away,
-    # and the fit spreads that lobe into a pedestal instead of returning
+def one_lobe_with_noise(seed):
+    """One lobe plus 1 % noise on an 81 x 61 grid."""
     ls = np.linspace(670.0, 690.0, 81)
     li = np.linspace(565.0, 577.0, 61)
     lobe = GaussianLobe(center_s_nm=680.0, center_i_nm=571.0,
                         sigma_major_nm=1.0, sigma_minor_nm=0.4,
                         orientation_rad=0.45, amplitude=1.0)
     rng = np.random.default_rng(seed)
-    grid = np.abs(lobe.evaluate(ls[:, None], li[None, :])
-                  + 0.01 * rng.standard_normal((81, 61)))
+    return ls, li, np.abs(lobe.evaluate(ls[:, None], li[None, :])
+                          + 0.01 * rng.standard_normal((81, 61)))
+
+
+@pytest.mark.parametrize("seed, message", [
+    (7, "off the grid"),            # lobe ends at (699.29, 563.13) nm
+    (4, "wider than the grid span"),  # sigma ends at 5.6e7 nm
+])
+def test_fit_leaving_the_grid_raises(seed, message):
+    # asked for two lobes, the peel seeds the second on noise, and the
+    # joint fit spreads that lobe into a pedestal instead of returning
+    ls, li, grid = one_lobe_with_noise(seed)
     with pytest.raises(NumericError, match=message):
-        fit_lobes(ls, li, grid, 2,
-                  init_centers=[(680.0, 571.0), (675.0, 574.0)])
+        fit_lobes(ls, li, grid, 2)
 
 
 def test_lobe_jacobian_matches_finite_differences():
@@ -332,26 +336,16 @@ def test_lobe_jacobian_matches_finite_differences():
 
 
 def test_diverging_fit_prints_no_runtime_warnings():
-    # hints in the grid corners, far off both lobes: the LM trial steps
-    # overflow exp() on the way; the fit must either return positive,
-    # finite lobes or raise NumericError, never warn
+    # the second lobe, seeded on noise, diverges: on this seed the LM
+    # trial steps overflow exp() and divide by a zero sigma on the way
+    # (about 4800 warnings without the guard); the fit must raise
+    # NumericError, never warn
     import warnings
-    from fwmpairs.errors import NumericError
-    ls = np.linspace(674.0, 684.0, 41)
-    li = np.linspace(566.0, 576.0, 41)
-    truths = [GaussianLobe(678.0, 569.0, 1.0, 0.4, 0.6, 1.0),
-              GaussianLobe(680.0, 573.0, 1.0, 0.4, 0.6, 0.8)]
-    grid = sum(t.evaluate(ls[:, None], li[None, :]) for t in truths)
+    ls, li, grid = one_lobe_with_noise(3)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        try:
-            fit = fit_lobes(ls, li, grid, 2,
-                            init_centers=[(674.0, 566.0), (684.0, 576.0)])
-        except NumericError:
-            return
-    for lobe in fit.lobes:
-        assert 0 < lobe.amplitude < np.inf
-        assert 0 < lobe.sigma_minor_nm <= lobe.sigma_major_nm < np.inf
+        with pytest.raises(NumericError):
+            fit_lobes(ls, li, grid, 2)
 
 
 def test_fit_quality_on_noisy_data():
@@ -368,6 +362,12 @@ def test_fit_rejects_zero_grid():
         fit_lobes(ls, ls, np.zeros((32, 32)), 1)
 
 
+def test_fit_rejects_grid_with_fewer_nodes_than_parameters():
+    ls = np.linspace(670.0, 671.0, 2)
+    with pytest.raises(DomainError, match="4 grid nodes are too few"):
+        fit_lobes(ls, ls, np.ones((2, 2)), 1)
+
+
 def test_fit_determinism():
     truths = [dict(center_s_nm=678.0, center_i_nm=570.5, sigma_major_nm=1.2,
                    sigma_minor_nm=0.4, orientation_rad=0.5, amplitude=1.0)]
@@ -378,28 +378,26 @@ def test_fit_determinism():
     assert a.residual_norm == b.residual_norm
 
 
-def test_grid_refinement_moves_fitted_centers_little(pump, weights, centers,
+def test_grid_refinement_moves_fitted_centers_little(pump, weights,
                                                      processes_eo):
     # short cross-spliced fiber: lobes wide enough to resolve at both
     # resolutions, centers unchanged by segment layout
     short = FiberSpec(segments=((0.025, False), (0.025, True)))
     procs = [p for p in processes_eo if p.label in "ABCD"]
-    inits = sorted((centers[p.label] for p in procs))
     results = {}
     for n in (161, 322):
         grid = jsa_grid(procs, short, pump, weights.amplitudes,
                         SpectralGrid((672.0, 684.0), (566.0, 576.0), n, n))
         fit = fit_lobes(grid.lambda_s_axis, grid.lambda_i_axis,
-                        grid.combined, 4, init_centers=inits)
+                        grid.combined, 4)
         results[n] = sorted(lb.center_i_nm for lb in fit.lobes)
     for a, b in zip(results[161], results[322]):
         assert abs(a - b) < 0.01
 
 
-def test_fitted_centers_satisfy_energy_identity(grid_default, centers):
-    inits = sorted(centers[k] for k in "ABCD")
+def test_fitted_centers_satisfy_energy_identity(grid_default):
     fit = fit_lobes(grid_default.lambda_s_axis, grid_default.lambda_i_axis,
-                    grid_default.combined, 4, init_centers=inits)
+                    grid_default.combined, 4)
     for lobe in fit.lobes:
         resid = abs(2.0 / 620.0 - 1.0 / lobe.center_s_nm
                     - 1.0 / lobe.center_i_nm)
