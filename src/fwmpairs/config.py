@@ -8,7 +8,7 @@ dict; ``load_config`` reads a file.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .dispersion import FiberSpec
@@ -99,9 +99,6 @@ class TomographyConfig:
 @dataclass
 class SeedScanConfig:
     lambda_i_nm: tuple = (567.0, 576.0)
-    step_nm: float = 0.05
-    state: ModeSuperposition = field(
-        default_factory=lambda: ModeSuperposition.named("d"))
 
 
 @dataclass
@@ -199,12 +196,8 @@ class PipelineConfig:
 
         s = _require(top["seed_scan"], {
             "lambda_i_nm": ("interval", (567.0, 576.0)),
-            "step_nm": (float, 0.05),
-            "state": ("raw", "d"),
         }, "config.seed_scan")
-        seed_scan = SeedScanConfig(
-            lambda_i_nm=s["lambda_i_nm"], step_nm=s["step_nm"],
-            state=parse_state(s["state"], "config.seed_scan.state"))
+        seed_scan = SeedScanConfig(lambda_i_nm=s["lambda_i_nm"])
 
         windows = []
         if not isinstance(top["windows"], list):

@@ -115,25 +115,7 @@ def process_weights(pump: PumpSpec | ModeSuperposition, overlaps: dict,
 
 
 # ---------------------------------------------------------------------------
-# pointwise state and spectral tracing
-
-
-def pointwise_rho(amplitudes: dict, processes) -> np.ndarray:
-    """Projector of the pure state at one spectral point.
-
-    ``amplitudes`` maps process labels to complex amplitudes; channels
-    sharing an output mode pair interfere.  The result has unit trace.
-    """
-    psi = np.zeros(4, dtype=complex)
-    by_label = {p.label: p for p in processes}
-    for label, amp in amplitudes.items():
-        proc = by_label[label]
-        psi[basis_index(proc.t_s, proc.t_i)] += amp
-    norm2 = float(np.vdot(psi, psi).real)
-    if norm2 <= 0:
-        raise DomainError("all amplitudes vanish at this point")
-    psi = psi / np.sqrt(norm2)
-    return np.outer(psi, psi.conj())
+# spectral tracing
 
 
 @dataclass(frozen=True)

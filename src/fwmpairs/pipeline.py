@@ -137,10 +137,9 @@ class Simulation:
         if not self.centers:
             raise NumericError("no process is phase matched in the band")
         self.matched = [p for p in self.processes if p.label in self.centers]
-        grid = default_grid(self.fiber)
         raw = {p.label: process_overlap(self.fiber, p,
                                         self.pump.center_wavelength_nm,
-                                        self.centers[p.label], grid)
+                                        self.centers[p.label])
                for p in self.matched}
         self.overlaps = normalize_overlaps(raw)
         self.weights = process_weights(self.pump, self.overlaps, self.matched)

@@ -187,52 +187,6 @@ def jsa_grid(processes, fiber: FiberSpec, pump: PumpSpec, weights: dict,
 
 
 @dataclass
-class SeedSlice:
-    """Stimulated signal spectrum for one seed wavelength and state."""
-
-    lambda_s_axis: np.ndarray
-    lambda_i_nm: float  # grid node actually used
-    total: np.ndarray
-    per_process: dict  # label -> intensity contribution
-
-
-def stimulated_slice(grid: JsiGrid, seed_wavelength_nm: float,
-                     seed_state: ModeSuperposition) -> SeedSlice:
-    """Project the idler onto a classical seed and return the signal
-    spectrum at the nearest grid column.
-
-    Only processes whose idler mode overlaps the seed contribute;
-    signal modes stay distinguishable, so different signal modes add in
-    intensity while equal ones add coherently.
-    """
-    axis = grid.lambda_i_axis
-    if not axis[0] <= seed_wavelength_nm <= axis[-1]:
-        raise DomainError(
-            f"seed wavelength {seed_wavelength_nm} nm outside grid range "
-            f"[{axis[0]}, {axis[-1]}] nm")
-    col = int(np.argmin(np.abs(axis - seed_wavelength_nm)))
-
-    by_signal = {}
-    per_process = {}
-    for label, amp in grid.per_process.items():
-        proc = grid.processes[label]
-        ov = np.conj(seed_state.amplitude(proc.t_i))
-        contrib = amp[:, col] * ov
-        per_process[label] = np.abs(contrib) ** 2
-        if ov != 0:
-            key = proc.t_s
-            by_signal.setdefault(key, np.zeros(len(grid.lambda_s_axis),
-                                               dtype=complex))
-            by_signal[key] = by_signal[key] + contrib
-    total = np.zeros(len(grid.lambda_s_axis))
-    for coherent in by_signal.values():
-        total += np.abs(coherent) ** 2
-    return SeedSlice(lambda_s_axis=grid.lambda_s_axis,
-                     lambda_i_nm=float(axis[col]),
-                     total=total, per_process=per_process)
-
-
-@dataclass
 class GaussianLobe:
     """Elliptical 2-D Gaussian fitted to one JSI lobe."""
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fwmpairs.dispersion import FiberSpec
-from fwmpairs.fields import default_grid, normalize_overlaps, process_overlap
+from fwmpairs.fields import normalize_overlaps, process_overlap
 from fwmpairs.processes import enumerate_processes, phasematched_center
 from fwmpairs.spectrum import PumpSpec
 
@@ -39,8 +39,7 @@ def centers(fiber, processes_eo):
 @pytest.fixture(scope="session")
 def overlaps_abcd(fiber, processes_eo, centers):
     """Normalized overlaps over the four in-band channels."""
-    grid = default_grid(fiber)
-    raw = {p.label: process_overlap(fiber, p, 620.0, centers[p.label], grid)
+    raw = {p.label: process_overlap(fiber, p, 620.0, centers[p.label])
            for p in processes_eo if p.label in "ABCD"}
     return normalize_overlaps(raw)
 

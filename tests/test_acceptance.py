@@ -17,7 +17,8 @@ from fwmpairs.dispersion import FiberSpec
 from fwmpairs.estimation import (SpectralWindow, concurrence, fidelity,
                                  lobe_amplitudes, metrics_block,
                                  trace_spectral, validate_density)
-from fwmpairs.fields import (GridSpec, ModeSuperposition, default_grid,
+from fwmpairs import fields
+from fwmpairs.fields import (ModeSuperposition, default_grid,
                              intensity_image, normalize_overlaps,
                              process_overlap)
 from fwmpairs.pipeline import Simulation
@@ -90,13 +91,12 @@ def test_criterion_01_process_enumeration():
     c.conclude()
 
 
-def test_criterion_02_overlap_integrals(sim_10cm):
+def test_criterion_02_overlap_integrals(sim_10cm, monkeypatch):
     c = Criterion(2, "overlap ratio 2.2 and normalized 0.35/0.15", 10.0)
     fiber = sim_10cm.fiber
     centers = sim_10cm.centers
     in_band = [p for p in sim_10cm.matched if p.label in "ABCD"]
-    grid = default_grid(fiber)
-    raw = {p.label: process_overlap(fiber, p, 620.0, centers[p.label], grid)
+    raw = {p.label: process_overlap(fiber, p, 620.0, centers[p.label])
            for p in in_band}
     ratio = abs(raw["C"]) ** 2 / abs(raw["A"]) ** 2
     c.check(abs(ratio - 2.2) <= 0.1 * 2.2, f"|O_C|^2/|O_A|^2 = {ratio:.3f}")
@@ -107,9 +107,9 @@ def test_criterion_02_overlap_integrals(sim_10cm):
     for label in ("A", "D"):
         c.check(abs(norm[label] - 0.15) <= 0.03,
                 f"|O_{label}|^2 = {norm[label]:.3f}")
+    monkeypatch.setattr(fields, "RADIAL_NODES", 2 * fields.RADIAL_NODES)
     fine = process_overlap(fiber, in_band[0], 620.0,
-                           centers[in_band[0].label],
-                           GridSpec(grid.extent_um, 2 * grid.resolution))
+                           centers[in_band[0].label])
     key = in_band[0].label
     rel = abs(abs(fine) ** 2 - abs(raw[key]) ** 2) / abs(raw[key]) ** 2
     c.check(rel < 0.005, f"quadrature doubling moved |O|^2 by {rel:.2%}")

@@ -587,6 +587,42 @@ def test_estimate_rho_from_labeled_lobes(tmp_path, config_path):
         assert doc["metrics"]["concurrence"] >= 0.999
 
 
+def _degenerate_densities():
+    from fwmpairs.estimation import PSD_TOL
+
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4))
+                        + 1j * rng.standard_normal((4, 4)))
+    low = -(1.0 - 1e-6) * PSD_TOL  # just inside the validation limit
+    return {
+        "rank1": np.outer(q[:, 0], q[:, 0].conj()),
+        "diagonal": np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex),
+        "maximally_mixed": np.eye(4, dtype=complex) / 4.0,
+        # rotated, so that no entry is zero
+        "eigenvalue_at_minus_tol": (q * [0.6 - low, 0.3, 0.1, low])
+        @ q.conj().T,
+    }
+
+
+@pytest.mark.parametrize("name_a", list(_degenerate_densities()))
+def test_compare_degenerate_densities(tmp_path, config_path, name_a):
+    from fwmpairs.gridio import density_to_json, write_json
+
+    states = _degenerate_densities()
+    for name, rho in states.items():
+        write_json(tmp_path / f"{name}.json", density_to_json(rho))
+    for name_b in states:
+        out = tmp_path / f"cmp_{name_b}"
+        assert run(["compare", "--config", config_path, "--out", out,
+                    "--rho-a", tmp_path / f"{name_a}.json",
+                    "--rho-b", tmp_path / f"{name_b}.json"]) == 0
+        rep = json.loads((out / "compare.json").read_text())
+        for key in ("fidelity_squared", "phase_blind_fidelity_squared"):
+            assert 0.0 <= rep[key] <= 1.0
+        if name_b == name_a:
+            assert rep["fidelity_squared"] == pytest.approx(1.0, abs=1e-6)
+
+
 def test_compare_phase_blind_uses_entrywise_magnitudes(tmp_path, config_path):
     from fwmpairs.gridio import density_to_json, write_json
     from fwmpairs.estimation import fidelity

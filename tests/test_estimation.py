@@ -5,7 +5,7 @@ from fwmpairs.errors import ConfigError, DomainError
 from fwmpairs.estimation import (BELL_PHI_PLUS, SpectralWindow, bell_fidelity,
                                  concurrence, fidelity, lobe_amplitudes,
                                  metrics_block, model_amplitudes,
-                                 pointwise_rho, process_weights, purity,
+                                 process_weights, purity,
                                  trace_spectral, validate_density)
 from fwmpairs.fields import ModeSuperposition
 from fwmpairs.processes import FwmProcess
@@ -71,39 +71,6 @@ def test_weights_normalized(overlaps_abcd):
 def test_all_zero_weights_rejected(overlaps_abcd):
     with pytest.raises(DomainError):
         process_weights(ModeSuperposition.named("g"), overlaps_abcd, ABCD)
-
-
-# ---------------------------------------------------------------------------
-# pointwise states
-
-
-def test_pointwise_single_channel_is_its_projector():
-    rho = pointwise_rho({"B": 0.7}, [PROC_B])
-    expect = np.zeros((4, 4), dtype=complex)
-    expect[3, 3] = 1.0
-    assert np.allclose(rho, expect, atol=1e-12)
-
-
-def test_pointwise_balanced_intersection_is_bell():
-    rho = pointwise_rho({"B": 0.5, "C": 0.5}, [PROC_B, PROC_C])
-    assert np.allclose(rho, BELL, atol=1e-12)
-    assert concurrence(rho) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_pointwise_trace_one():
-    rho = pointwise_rho({"A": 0.2, "B": 0.3, "C": 0.1, "D": 0.4}, ABCD)
-    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
-
-
-def test_pointwise_all_zero_rejected():
-    with pytest.raises(DomainError):
-        pointwise_rho({"B": 0.0}, [PROC_B])
-
-
-def test_pointwise_rejects_fundamental_mode_channels():
-    gg = FwmProcess("g", "g", "g", "g")
-    with pytest.raises(DomainError):
-        pointwise_rho({"gg-gg": 1.0}, [gg])
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +151,14 @@ def test_zero_intensity_window_rejected():
     win = SpectralWindow((690.0, 695.0), (574.0, 576.0))
     with pytest.raises(DomainError):
         trace_spectral(lobe_amplitudes(lobes), [PROC_B], win)
+
+
+def test_trace_rejects_fundamental_mode_channels():
+    gg = FwmProcess("g", "g", "g", "g")
+    lobes = [bc_lobe(570.8, label=gg.label)]
+    win = SpectralWindow((675.0, 681.0), (568.0, 573.6))
+    with pytest.raises(DomainError, match="outside the two-qubit"):
+        trace_spectral(lobe_amplitudes(lobes), [gg], win)
 
 
 def test_disjoint_supports_have_no_cross_coherence():

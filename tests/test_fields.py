@@ -1,15 +1,40 @@
 import numpy as np
 import pytest
 
+from fwmpairs import fields
 from fwmpairs.errors import ConfigError, DomainError
-from fwmpairs.fields import (GridSpec, ModeSuperposition, default_grid,
-                             intensity_image, mode_field, normalize_overlaps,
-                             overlap_integral, process_overlap)
+from fwmpairs.fields import (FieldGrid, GridSpec, ModeSuperposition,
+                             default_grid, intensity_image, mode_field,
+                             normalize_overlaps, process_overlap)
 from fwmpairs.processes import FwmProcess, all_candidates
 
 
 def basis(name):
     return ModeSuperposition.named(name)
+
+
+def overlap_integral(p1: FieldGrid, p2: FieldGrid, s: FieldGrid,
+                     i: FieldGrid) -> complex:
+    """Slow 2-D reference: four-field overlap T_p1 T_p2 T_s* T_i* d2r
+    summed over a shared square grid.  Symmetric under p1 <-> p2."""
+    specs = {f.grid for f in (p1, p2, s, i)}
+    if len(specs) != 1:
+        raise DomainError("overlap_integral requires identical grid specs")
+    integrand = p1.values * p2.values * np.conj(s.values) * np.conj(i.values)
+    return complex(np.sum(integrand) * p1.grid.cell_area_um2)
+
+
+def grid_process_overlap(fiber, process, lam_p_nm, center_nm, grid):
+    """process_overlap evaluated by ``overlap_integral`` on ``grid``."""
+    f_p1, f_p2, f_s, f_i = (
+        mode_field(fiber, lam_nm / 1000.0, ModeSuperposition({mode: 1.0}),
+                   grid)
+        for mode, lam_nm in ((process.t_p1, lam_p_nm),
+                             (process.t_p2, lam_p_nm),
+                             (process.t_s, center_nm[0]),
+                             (process.t_i, center_nm[1])))
+    exchange = 1.0 if process.pump_mode_degenerate else 2.0
+    return exchange * overlap_integral(f_p1, f_p2, f_s, f_i)
 
 
 def test_superposition_normalization_and_names():
@@ -109,14 +134,36 @@ def test_parity_violating_combinations_have_zero_overlap(fiber, centers):
             assert abs(raw) < 1e-9
 
 
-def test_quadrature_doubling_changes_overlaps_little(fiber, centers):
-    for proc in (FwmProcess("e", "e", "e", "e"), FwmProcess("e", "o", "o", "e")):
-        coarse = process_overlap(fiber, proc, 620.0, centers[proc.label],
-                                 GridSpec(3 * 1.74, 257))
-        fine = process_overlap(fiber, proc, 620.0, centers[proc.label],
-                               GridSpec(3 * 1.74, 514))
-        rel = abs(abs(fine) ** 2 - abs(coarse) ** 2) / abs(coarse) ** 2
+def test_quadrature_doubling_changes_overlaps_little(fiber, centers,
+                                                     monkeypatch):
+    procs = (FwmProcess("e", "e", "e", "e"), FwmProcess("e", "o", "o", "e"))
+    coarse = [process_overlap(fiber, p, 620.0, centers[p.label])
+              for p in procs]
+    monkeypatch.setattr(fields, "RADIAL_NODES", 2 * fields.RADIAL_NODES)
+    fine = [process_overlap(fiber, p, 620.0, centers[p.label])
+            for p in procs]
+    for c, f in zip(coarse, fine):
+        rel = abs(abs(f) ** 2 - abs(c) ** 2) / abs(c) ** 2
         assert rel < 0.005
+
+
+@pytest.mark.parametrize("modes", [
+    ("e", "o", "o", "e"), ("o", "o", "o", "o"), ("e", "e", "e", "e"),
+    ("e", "o", "e", "o"), ("o", "o", "e", "e"), ("g", "g", "g", "g"),
+    ("g", "g", "e", "e"),
+], ids=["A", "B", "C", "D", "E", "gggg", "ggee"])
+def test_radial_overlap_matches_grid_reference(fiber, centers, modes):
+    # 641 x 641 grid at half-width 5a.  Channel E gets a looser bound: the
+    # grid still truncates its LP11 tail.  The channels with g modes are
+    # not phase matched in band, so they are taken at a fixed point near
+    # the lobes.
+    proc = FwmProcess(*modes)
+    center = centers.get(proc.label, (677.0, 571.0))
+    ref = grid_process_overlap(fiber, proc, 620.0, center,
+                               GridSpec(5 * fiber.core_radius_um, 641))
+    got = process_overlap(fiber, proc, 620.0, center)
+    bound = 5e-3 if proc.label == "E" else 5e-4
+    assert abs(got - ref) <= bound * abs(ref)
 
 
 def test_donut_equivalence(fiber):

@@ -4,11 +4,10 @@ from scipy.constants import c as C_LIGHT
 
 from fwmpairs.dispersion import FiberSpec
 from fwmpairs.errors import ConfigError, DomainError, NumericError
-from fwmpairs.fields import ModeSuperposition
 from fwmpairs.processes import FwmProcess
 from fwmpairs.spectrum import (GaussianLobe, PumpSpec, SpectralGrid,
                                fit_lobes, jsa_grid, phase_matching_fn,
-                               pump_envelope, stimulated_slice)
+                               pump_envelope)
 
 
 def surface_partner(lam_i_nm, lam_p_nm=620.0):
@@ -172,52 +171,6 @@ def test_short_cross_spliced_fiber_has_broader_lobes(pump):
                         grid.combined, 1)
         sizes[tag] = fit.lobes[0].sigma_minor_nm
     assert sizes["short"] > 2.5 * sizes["long"]
-
-
-def test_slice_seed_e_selects_a_and_c(grid_default):
-    res = stimulated_slice(grid_default, 568.1, ModeSuperposition.named("e"))
-    assert res.per_process["A"].max() > 0
-    assert res.per_process["C"].max() > 0
-    assert res.per_process["B"].max() == 0
-    assert res.per_process["D"].max() == 0
-
-
-def test_slice_seed_d_between_b_and_c_excites_both(grid_default, centers):
-    mid = 0.5 * (centers["B"][1] + centers["C"][1])
-    res = stimulated_slice(grid_default, mid, ModeSuperposition.named("d"))
-    b = res.per_process["B"].max()
-    c = res.per_process["C"].max()
-    assert b > 0 and c > 0
-    assert 1 / 3 < b / c < 3
-    # the classic observation point: 570.8 nm with a diagonal seed
-    res2 = stimulated_slice(grid_default, 570.8, ModeSuperposition.named("d"))
-    assert res2.per_process["B"].max() > 0
-    assert res2.per_process["C"].max() > 0
-
-
-def test_slice_zero_overlap_seed_is_dark(grid_default):
-    # a seed with zero overlap on every contributing idler mode: the g
-    # mode, which no {e, o} channel emits into
-    res = stimulated_slice(grid_default, 570.0, ModeSuperposition.named("g"))
-    assert res.total.max() == 0.0
-
-
-def test_slice_bounded_by_row_and_consistent(grid_default):
-    li = 570.4
-    res_e = stimulated_slice(grid_default, li, ModeSuperposition.named("e"))
-    res_o = stimulated_slice(grid_default, li, ModeSuperposition.named("o"))
-    col = int(np.argmin(np.abs(grid_default.lambda_i_axis - li)))
-    row = grid_default.combined[:, col]
-    # each projection is bounded by the full row intensity
-    assert np.all(res_e.total <= row + 1e-15)
-    assert np.all(res_o.total <= row + 1e-15)
-    # completeness over an orthonormal seed basis reconstructs the row
-    assert np.max(np.abs(res_e.total + res_o.total - row)) < 1e-12
-
-
-def test_slice_outside_grid_rejected(grid_default):
-    with pytest.raises(DomainError):
-        stimulated_slice(grid_default, 500.0, ModeSuperposition.named("e"))
 
 
 # ---------------------------------------------------------------------------
