@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import jv, kv
+import scipy  # submodules are reached by attribute, so they load on first use
 
 from .errors import ConfigError, DomainError, ModeNotGuidedError
 
@@ -211,10 +211,6 @@ class ModeRole:
             raise ConfigError(f"unknown photon role {self.photon!r}")
 
     @property
-    def polarization_axis(self) -> str:
-        return "x_slow" if self.photon == "pump" else "y_fast"
-
-    @property
     def lp_label(self) -> str:
         return "LP01" if self.parity == "g" else "LP11"
 
@@ -237,6 +233,7 @@ def _solve_u_array(v: np.ndarray, azimuthal: int) -> np.ndarray:
 
     def resid(u):
         w = np.sqrt(np.maximum(v**2 - u**2, 1e-300))
+        jv, kv = scipy.special.jv, scipy.special.kv
         return u * jv(l + 1, u) / jv(l, u) - w * kv(l + 1, w) / kv(l, w)
 
     f_lo = resid(lo)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import jv, kv
+import scipy  # submodules are reached by attribute, so they load on first use
 
 from .dispersion import FiberSpec, solve_lp_mode
 from .errors import ConfigError, DomainError
@@ -120,6 +120,7 @@ class FieldGrid:
 def _radial_profile(sol, azimuthal: int, rho: np.ndarray) -> np.ndarray:
     """LP radial profile R_l at ``rho`` = r / a: Bessel core,
     modified-Bessel cladding, both equal to 1 at the core boundary."""
+    jv, kv = scipy.special.jv, scipy.special.kv
     inside = rho <= 1.0
     radial = np.empty_like(rho)
     radial[inside] = jv(azimuthal, sol.u * rho[inside]) / jv(azimuthal, sol.u)
@@ -128,9 +129,13 @@ def _radial_profile(sol, azimuthal: int, rho: np.ndarray) -> np.ndarray:
     return radial
 
 
+@lru_cache(maxsize=len(_BASIS))
 def _basis_profile(fiber: FiberSpec, lam_um: float, mode: str,
                    grid: GridSpec) -> np.ndarray:
-    """Un-normalized LP mode profile sampled on ``grid``."""
+    """Un-normalized LP mode profile sampled on ``grid``; read-only.
+
+    Cached, so the images of one wavelength and grid share the three
+    basis profiles instead of rebuilding one per superposed mode."""
     sol = solve_lp_mode(fiber, lam_um, "LP01" if mode == "g" else "LP11")
     x, y, _ = grid.axes()
     xx, yy = np.meshgrid(x, y, indexing="xy")
@@ -143,7 +148,9 @@ def _basis_profile(fiber: FiberSpec, lam_um: float, mode: str,
         azim = np.where(r > 0, xx / np.maximum(r, 1e-300), 1.0)  # cos(phi)
     else:
         azim = np.where(r > 0, yy / np.maximum(r, 1e-300), 0.0)  # sin(phi)
-    return radial * azim
+    profile = radial * azim
+    profile.flags.writeable = False
+    return profile
 
 
 def mode_field(fiber: FiberSpec, lam_um: float, state: ModeSuperposition,

@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
+import scipy  # only for scipy.__version__; submodules would load on first use
 
 from . import __version__
 from .config import PipelineConfig

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import c as C_LIGHT
-from scipy.optimize import leastsq
+import scipy  # submodules are reached by attribute, so they load on first use
 
 from .dispersion import FiberSpec
 from .errors import ConfigError, DomainError, NumericError
@@ -21,6 +20,8 @@ from .fields import ModeSuperposition
 from .processes import BaseIndexCache, FwmProcess
 
 _TWO_PI = 2.0 * np.pi
+# speed of light in vacuum, m/s (exact SI value, equal to scipy.constants.c)
+C_LIGHT = 299_792_458.0
 
 
 @dataclass(frozen=True)
@@ -286,7 +287,7 @@ def _least_squares(p0, data, xs, yi):
     # A diverging trial step overflows exp() or zeroes a sigma; the checks
     # below turn such a result into NumericError instead of warnings.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        p, _, info, _, ier = leastsq(
+        p, _, info, _, ier = scipy.optimize.leastsq(
             resid, p0, Dfun=lambda p: _lobe_jacobian(p, xs, yi),
             col_deriv=True, full_output=True,
             maxfev=MAX_EVALS_PER_PARAM * len(p0),

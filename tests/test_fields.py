@@ -174,6 +174,16 @@ def test_donut_equivalence(fiber):
     assert np.max(np.abs(mix - donut)) < 1e-9
 
 
+def test_cached_basis_profile_is_shared_read_only_and_exact(fiber):
+    grid = GridSpec(5.0, 64)
+    for mode in ("g", "e", "o"):
+        cached = fields._basis_profile(fiber, 0.62, mode, grid)
+        assert fields._basis_profile(fiber, 0.62, mode, grid) is cached
+        assert not cached.flags.writeable
+        fresh = fields._basis_profile.__wrapped__(fiber, 0.62, mode, grid)
+        assert np.array_equal(cached, fresh)
+
+
 def test_diagonal_state_is_rotated_even_lobe(fiber):
     # |d> intensity at (x, y) equals |e> intensity at the coordinates
     # rotated by -45 degrees; compare the diagonal cut against the
