@@ -1,7 +1,8 @@
 """Transverse LP mode fields, overlap integrals and intensity images.
 
 An LP field factorizes into a radial profile R_l(r) (Bessel in the core,
-modified Bessel in the cladding) times an azimuthal factor: 1 for the
+modified Bessel in the cladding, from the numpy kernels of
+``dispersion``) times an azimuthal factor: 1 for the
 LP01 mode g, cos(phi) for the even LP11 mode e (lobes along the x, slow,
 axis) and sin(phi) for the odd mode o.  The four-field overlap therefore
 factorizes too: a 1-D radial integral, by Gauss-Legendre quadrature on
@@ -24,9 +25,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy  # submodules are reached by attribute, so they load on first use
 
-from .dispersion import FiberSpec, solve_lp_mode
+from .dispersion import FiberSpec, _bessel_j, _bessel_k, solve_lp_mode
 from .errors import ConfigError, DomainError
 
 _BASIS = ("g", "e", "o")
@@ -120,12 +120,12 @@ class FieldGrid:
 def _radial_profile(sol, azimuthal: int, rho: np.ndarray) -> np.ndarray:
     """LP radial profile R_l at ``rho`` = r / a: Bessel core,
     modified-Bessel cladding, both equal to 1 at the core boundary."""
-    jv, kv = scipy.special.jv, scipy.special.kv
     inside = rho <= 1.0
     radial = np.empty_like(rho)
-    radial[inside] = jv(azimuthal, sol.u * rho[inside]) / jv(azimuthal, sol.u)
-    radial[~inside] = kv(azimuthal, sol.w * rho[~inside]) / kv(azimuthal,
-                                                                sol.w)
+    radial[inside] = (_bessel_j(azimuthal, sol.u * rho[inside])
+                      / _bessel_j(azimuthal, sol.u))
+    radial[~inside] = (_bessel_k(azimuthal, sol.w * rho[~inside])
+                       / _bessel_k(azimuthal, sol.w))
     return radial
 
 

@@ -17,7 +17,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy  # only for scipy.__version__; submodules would load on first use
 
 from . import __version__
 from .config import PipelineConfig
@@ -95,7 +94,6 @@ class Runner:
                 "fwmpairs": __version__,
                 "python": sys.version.split()[0],
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
             },
             "outputs": [
                 {"path": name,

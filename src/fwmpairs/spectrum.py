@@ -1,10 +1,13 @@
-"""Joint spectral amplitudes, stimulated-seed slices and 2-D lobe fits.
+"""Joint spectral amplitudes and 2-D lobe fits.
 
 The joint spectral amplitude of a channel factorizes into the pump
 envelope (a Gaussian in the summed detuning, from the convolution of
 the two identical pump photons) and the phase-matching function of the
 segmented fiber.  Processes with the same output mode pair add
 coherently before squaring; distinct output pairs add in intensity.
+
+Lobes are fitted as sums of elliptical Gaussians by a numpy
+Levenberg-Marquardt iteration on the analytic Jacobian.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy  # submodules are reached by attribute, so they load on first use
 
 from .dispersion import FiberSpec
 from .errors import ConfigError, DomainError, NumericError
@@ -20,7 +22,7 @@ from .fields import ModeSuperposition
 from .processes import BaseIndexCache, FwmProcess
 
 _TWO_PI = 2.0 * np.pi
-# speed of light in vacuum, m/s (exact SI value, equal to scipy.constants.c)
+# speed of light in vacuum, m/s (exact SI value)
 C_LIGHT = 299_792_458.0
 
 
@@ -234,6 +236,13 @@ def _lobe_model(params: np.ndarray, xs, yi) -> np.ndarray:
 
 # Evaluation budget of one least-squares fit, per fitted parameter.
 MAX_EVALS_PER_PARAM = 200
+# Levenberg-Marquardt: convergence tolerance, starting damping, the floor
+# of the damping (Gauss-Newton to within the tolerance), and its cap, past
+# which no step has lowered the cost and the fit stops.
+_LM_TOL = 1e-12
+_LM_DAMPING0 = 1e-3
+_LM_DAMPING_FLOOR = 1e-12
+_LM_DAMPING_CAP = 1e10
 
 # The optimizer sees each lobe's amplitude and two sigmas as logarithms,
 # so every value it can reach maps to a positive amplitude and width.
@@ -254,8 +263,7 @@ def _to_log(q: np.ndarray) -> np.ndarray:
 
 def _lobe_jacobian(p: np.ndarray, xs, yi) -> np.ndarray:
     """Analytic Jacobian of the lobe-sum model in the log parameters,
-    one row per parameter (MINPACK's column layout, copied without a
-    transpose)."""
+    one row per parameter."""
     shape = np.broadcast_shapes(xs.shape, yi.shape)
     rows = np.empty((len(p), int(np.prod(shape))))
     for k, (amp, x0, y0, sa, sb, th) in enumerate(
@@ -276,31 +284,101 @@ def _lobe_jacobian(p: np.ndarray, xs, yi) -> np.ndarray:
     return rows
 
 
-def _least_squares(p0, data, xs, yi):
-    """MINPACK Levenberg-Marquardt fit of the lobe sum to ``data``, in the
-    log parameters.  Returns (parameters, residual vector, evaluations);
-    raises when it does not converge within ``MAX_EVALS_PER_PARAM``
-    evaluations per parameter."""
-    def resid(p):
-        return (_lobe_model(_from_log(p), xs, yi) - data).ravel()
-
-    # A diverging trial step overflows exp() or zeroes a sigma; the checks
-    # below turn such a result into NumericError instead of warnings.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        p, _, info, _, ier = scipy.optimize.leastsq(
-            resid, p0, Dfun=lambda p: _lobe_jacobian(p, xs, yi),
-            col_deriv=True, full_output=True,
-            maxfev=MAX_EVALS_PER_PARAM * len(p0),
-            xtol=1e-12, ftol=1e-12, gtol=1e-12)
-        positive = _from_log(p).reshape(-1, 6)[:, _LOG_SLOTS]
-    if ier not in (1, 2, 3, 4):
-        raise NumericError(
-            f"lobe fit did not converge; last residual norm "
-            f"{np.linalg.norm(info['fvec']):.3e}")
+def _check_lobes(p: np.ndarray, ls: np.ndarray, li: np.ndarray) -> None:
+    """Raise when a lobe of the log parameters ``p`` has an amplitude or
+    sigma at 0 or infinity, is centred off the grid with axes ``ls`` and
+    ``li``, or has a sigma wider than the wider axis span."""
+    q = _from_log(p).reshape(-1, 6)
+    positive = q[:, _LOG_SLOTS]
     if not np.all((positive > 0) & np.isfinite(positive)):
         raise NumericError("lobe fit drove an amplitude or sigma to 0 or "
                            "infinity")
-    return p, info["fvec"], info["nfev"]
+    span = max(np.ptp(ls), np.ptp(li))
+    for amp, x0, y0, sa, sb, th in q:
+        if not (ls.min() <= x0 <= ls.max() and li.min() <= y0 <= li.max()):
+            raise NumericError(f"lobe fit moved a center off the grid, to "
+                               f"({x0:.3f}, {y0:.3f}) nm")
+        if max(sa, sb) > span:
+            raise NumericError(f"lobe fit spread a lobe at ({x0:.3f}, "
+                               f"{y0:.3f}) nm to sigma {max(sa, sb):.3e} nm, "
+                               f"wider than the grid span {span:.3f} nm")
+
+
+def _least_squares(p0, data, xs, yi, grid):
+    """Levenberg-Marquardt fit of the lobe sum to ``data``, in the log
+    parameters (More, Lecture Notes in Mathematics 630, 1978).
+
+    Each step solves the normal equations (J J^T + mu diag(J J^T)) s = -J r
+    of the rows J of ``_lobe_jacobian``; a step that lowers the cost is
+    taken and divides the damping mu by 10, one that does not multiplies
+    it by 10.  Converges when the relative cost reduction, actual and
+    predicted, the relative scaled step, or the largest cosine between
+    the residual and a Jacobian row falls to ``_LM_TOL``.  Returns
+    (parameters, residual vector, evaluations).  Every step taken must
+    pass ``_check_lobes`` on ``grid``, the (signal, idler) axes; raises
+    when one does not, when the damping passes ``_LM_DAMPING_CAP``
+    without lowering the cost, or when ``MAX_EVALS_PER_PARAM`` evaluations
+    per parameter do not converge."""
+    target = np.ravel(data)
+
+    def resid(p):
+        return _lobe_model(_from_log(p), xs, yi).ravel() - target
+
+    budget = MAX_EVALS_PER_PARAM * len(p0)
+    # A diverging trial step can overflow exp() or zero a sigma; its cost
+    # is then inf or nan and the step is rejected, and _check_lobes raises
+    # on a step taken that carries one, so the fit raises instead of
+    # warning.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        p = np.asarray(p0, dtype=float)
+        r = resid(p)
+        cost = float(r @ r)
+        nfev = 1
+        damping = _LM_DAMPING0
+        converged = cost == 0.0
+        while not converged:
+            jac = _lobe_jacobian(p, xs, yi)
+            normal = jac @ jac.T
+            grad = jac @ r
+            scale = np.diag(normal).copy()
+            scale[~(scale > 0)] = 1.0
+            if np.max(np.abs(grad) / np.sqrt(scale * cost)) <= _LM_TOL:
+                break
+            while True:
+                if nfev >= budget:
+                    raise NumericError(
+                        f"lobe fit did not converge in {nfev} evaluations; "
+                        f"last residual norm {np.sqrt(cost):.3e}")
+                if damping > _LM_DAMPING_CAP:
+                    raise NumericError(
+                        f"lobe fit stalled: no step lowers the residual "
+                        f"norm {np.sqrt(cost):.3e} after {nfev} "
+                        f"evaluations")
+                try:
+                    step = np.linalg.solve(normal + damping * np.diag(scale),
+                                           -grad)
+                except np.linalg.LinAlgError:
+                    damping *= 10.0
+                    continue
+                r_trial = resid(p + step)
+                nfev += 1
+                cost_trial = float(r_trial @ r_trial)
+                step_norm2 = float(step @ (scale * step))
+                # relative cost reductions, actual and predicted
+                actual = 1.0 - cost_trial / cost
+                predicted = (damping * step_norm2 - float(grad @ step)) / cost
+                converged = abs(actual) <= _LM_TOL and predicted <= _LM_TOL
+                if cost_trial < cost:
+                    converged |= step_norm2 <= _LM_TOL**2 * float(
+                        p @ (scale * p))
+                    p, r, cost = p + step, r_trial, cost_trial
+                    _check_lobes(p, *grid)
+                    damping = max(damping / 10.0, _LM_DAMPING_FLOOR)
+                    break
+                if converged:
+                    break
+                damping *= 10.0
+    return p, r, nfev
 
 
 def _half_widths(image: np.ndarray, r: int, col: int):
@@ -352,7 +430,7 @@ def _peel(intensity, ls, li, n) -> list:
         cols = slice(max(0, col - 3 * hw_i), col + 3 * hw_i + 1)
         seed = _seed_at(residual, ls, li, r, col)
         p, _, _ = _least_squares(_to_log(seed), residual[rows, cols],
-                                 ls[rows, None], li[None, cols])
+                                 ls[rows, None], li[None, cols], (ls, li))
         params += list(p)
         residual -= _lobe_model(_from_log(p), ls[:, None], li[None, :])
     return params
@@ -370,15 +448,15 @@ def fit_lobes(lam_s_axis, lam_i_axis, intensity,
     fitted jointly on the whole grid.  Predicted centers play no part.
 
     Positivity: amplitudes and sigmas are fitted as logarithms, so every
-    returned amplitude and sigma is positive and finite; a fit that
-    drives one to 0 or infinity raises instead.
+    returned amplitude and sigma is positive and finite.
 
     Deterministic given the same input; lobes are returned in ascending
     idler center.  Raises on a zero grid or one with fewer nodes than
-    parameters, when fewer positive maxima than lobes remain to seed, when
-    the optimizer exhausts its budget without converging, or when a fitted
-    lobe is centred off the grid or has a sigma wider than the wider axis
-    span.
+    parameters, and when fewer positive maxima than lobes remain to seed.
+    Every fit, of one peeled lobe or of all of them, raises as soon as a
+    step it takes centres a lobe off the grid, gives it a sigma wider than
+    the wider axis span or drives an amplitude or sigma to 0 or infinity,
+    and when it stalls or exhausts its budget (``_least_squares``).
     """
     if expected_lobes < 1:
         raise ConfigError("expected_lobes must be >= 1")
@@ -394,21 +472,14 @@ def fit_lobes(lam_s_axis, lam_i_axis, intensity,
     yi = li[None, :]
 
     params = _peel(intensity, ls, li, expected_lobes)
-    p, fvec, nfev = _least_squares(np.asarray(params), intensity, xs, yi)
+    p, fvec, nfev = _least_squares(np.asarray(params), intensity, xs, yi,
+                                   (ls, li))
 
     lobes = []
     denom_total = float(((intensity - intensity.mean()) ** 2).sum())
     fitted = _canonical_params(_from_log(p))
     res_grid = _lobe_model(fitted, xs, yi) - intensity
-    span = max(np.ptp(ls), np.ptp(li))
     for amp, x0, y0, sa, sb, th in np.reshape(fitted, (-1, 6)):
-        if not (ls.min() <= x0 <= ls.max() and li.min() <= y0 <= li.max()):
-            raise NumericError(f"lobe fit moved a center off the grid, to "
-                               f"({x0:.3f}, {y0:.3f}) nm")
-        if sa > span:  # sa is the major sigma
-            raise NumericError(f"lobe fit spread a lobe at ({x0:.3f}, "
-                               f"{y0:.3f}) nm to sigma {sa:.3e} nm, wider "
-                               f"than the grid span {span:.3f} nm")
         # local goodness of fit inside the 3-sigma ellipse
         ct, st = np.cos(th), np.sin(th)
         u = ct * (xs - x0) + st * (yi - y0)

@@ -299,14 +299,15 @@ def test_lobe_with_unknown_field_exit_code(tmp_path, config_path, capsys):
 def test_fit_lobes_leaving_the_grid_exit_code(tmp_path, config_path,
                                                centers, capsys):
     # one lobe at the model's D center plus 1 % noise, fitted as two: the
-    # peel seeds the second lobe on noise, and that lobe leaves the grid
+    # peel seeds the second lobe on noise, and that lobe leaves the grid,
+    # to (675.345, 562.945) nm
     ls = np.linspace(670.0, 690.0, 81)
     li = np.linspace(565.0, 577.0, 61)
     cs, ci = centers["D"]
     lobe = GaussianLobe(center_s_nm=cs, center_i_nm=ci, sigma_major_nm=1.0,
                         sigma_minor_nm=0.4, orientation_rad=0.45,
                         amplitude=1.0)
-    rng = np.random.default_rng(5)
+    rng = np.random.default_rng(4)
     grid = tmp_path / "jsi.csv"
     write_grid_csv(grid, ls, li,
                    np.abs(lobe.evaluate(ls[:, None], li[None, :])

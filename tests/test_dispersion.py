@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import scipy.special
 from scipy.optimize import brentq
 
 from fwmpairs import dispersion
@@ -284,3 +285,49 @@ def test_index_table_keeps_the_error_contract(fiber):
     assert err.value.v_number < LP11_CUTOFF_V
     # LP01 has no cutoff
     assert np.all(np.isfinite(lp_effective_index(fiber, lam, "LP01")))
+
+
+# ---------------------------------------------------------------------------
+# numpy Bessel kernels against scipy.special, the test-side reference
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_bessel_j_matches_scipy(n):
+    # every core argument of an LP solve lies below the first J_1 zero
+    x = np.linspace(0.0, 3.84, 4001)
+    got = dispersion._bessel_j(n, x)
+    assert np.max(np.abs(got - scipy.special.jv(n, x))) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_bessel_k_matches_scipy(n):
+    # both quadrature bands and the asymptotic series
+    x = np.concatenate([np.geomspace(1e-8, 50.0, 4001),
+                        np.linspace(50.0, 400.0, 351)])
+    got = dispersion._bessel_k(n, x)
+    assert np.max(np.abs(got / scipy.special.kv(n, x) - 1.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("kernel", [dispersion._bessel_j, dispersion._bessel_k])
+def test_bessel_kernel_values_are_pointwise(kernel):
+    # more arguments than one chunk, over every K band and J's range
+    x = 4.5 * np.random.default_rng(3).random(5000) ** 8
+    full = kernel(1, x)
+    for j in (0, 2047, 2048, 4999):
+        assert kernel(1, x[j])[()] == full[j]
+    assert np.array_equal(kernel(1, x[::-1])[::-1], full)
+    assert np.array_equal(kernel(1, x.reshape(50, 100)), full.reshape(50, 100))
+
+
+@pytest.mark.parametrize("label", ["LP01", "LP11"])
+@pytest.mark.parametrize("name", sorted(TABLE_FIBERS))
+def test_bisection_matches_scipy_bessel_bisection(monkeypatch, name, label):
+    fiber = TABLE_FIBERS[name]
+    lo, hi = dispersion.SELLMEIER_RANGE_UM
+    lam = np.random.default_rng(2025).uniform(lo, hi, 600)
+    if label == "LP11":
+        lam = lam[fiber.v_number(lam) > LP11_CUTOFF_V]
+    ours = dispersion._bisect_n_eff(fiber, lam, LABEL_AZIMUTHAL[label])
+    monkeypatch.setattr(dispersion, "_bessel_j", scipy.special.jv)
+    monkeypatch.setattr(dispersion, "_bessel_k", scipy.special.kv)
+    reference = dispersion._bisect_n_eff(fiber, lam, LABEL_AZIMUTHAL[label])
+    assert np.max(np.abs(ours - reference)) <= 1e-13

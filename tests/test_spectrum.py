@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.constants import c as C_LIGHT
 
 from fwmpairs.dispersion import FiberSpec
@@ -260,15 +262,63 @@ def one_lobe_with_noise(seed):
 
 
 @pytest.mark.parametrize("seed, message", [
-    (7, "off the grid"),            # lobe ends at (699.29, 563.13) nm
-    (4, "wider than the grid span"),  # sigma ends at 5.6e7 nm
+    (4, "off the grid"),               # a center reaches (675.67, 561.59) nm
+    (10, "wider than the grid span"),  # a sigma reaches 90 nm
 ])
 def test_fit_leaving_the_grid_raises(seed, message):
     # asked for two lobes, the peel seeds the second on noise, and the
-    # joint fit spreads that lobe into a pedestal instead of returning
+    # fit drives that lobe off the grid or spreads it into a pedestal; it
+    # raises at the first step that does so
     ls, li, grid = one_lobe_with_noise(seed)
     with pytest.raises(NumericError, match=message):
         fit_lobes(ls, li, grid, 2)
+
+
+@pytest.fixture
+def model_calls(monkeypatch):
+    """The list that grows by one per evaluation of the lobe model."""
+    from fwmpairs import spectrum
+    calls = []
+    lobe_model = spectrum._lobe_model
+
+    def counted(*args):
+        calls.append(1)
+        return lobe_model(*args)
+
+    monkeypatch.setattr(spectrum, "_lobe_model", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+def test_diverging_fits_stop_well_inside_the_budget(model_calls, seed):
+    # the second lobe of these fits creeps away in small steps that each
+    # lower the cost; the bound is a tenth of the joint fit's budget
+    from fwmpairs.spectrum import MAX_EVALS_PER_PARAM
+    ls, li, grid = one_lobe_with_noise(seed)
+    with pytest.raises(NumericError):
+        fit_lobes(ls, li, grid, 2)
+    assert 0 < len(model_calls) <= MAX_EVALS_PER_PARAM * 12 // 10
+
+
+def test_stalled_fit_raises_without_spending_the_budget(model_calls):
+    # a data node at infinity: no step can lower the cost
+    from fwmpairs.spectrum import _least_squares, _to_log
+    ls, li, grid = one_lobe_with_noise(0)
+    grid[40, 30] = np.inf
+    p0 = _to_log([1.0, 680.0, 571.0, 1.0, 0.4, 0.45])
+    with pytest.raises(NumericError, match="stalled"):
+        _least_squares(p0, grid, ls[:, None], li[None, :], (ls, li))
+    assert len(model_calls) <= 20
+
+
+def test_lobe_checks_reject_vanishing_amplitudes():
+    from fwmpairs.spectrum import _check_lobes
+    ls = np.linspace(670.0, 690.0, 81)
+    li = np.linspace(565.0, 577.0, 61)
+    _check_lobes(np.array([0.0, 680.0, 571.0, 0.0, -1.0, 0.45]), ls, li)
+    with pytest.raises(NumericError, match="to 0 or infinity"):
+        _check_lobes(np.array([-800.0, 680.0, 571.0, 0.0, -1.0, 0.45]),
+                     ls, li)
 
 
 def test_lobe_jacobian_matches_finite_differences():
@@ -289,15 +339,15 @@ def test_lobe_jacobian_matches_finite_differences():
 
 
 def test_diverging_fit_prints_no_runtime_warnings():
-    # the second lobe, seeded on noise, diverges: on this seed the LM
-    # trial steps overflow exp() and divide by a zero sigma on the way
-    # (about 4800 warnings without the guard); the fit must raise
-    # NumericError, never warn
+    # the second lobe, seeded on noise, diverges: on this seed an LM
+    # trial step overflows sigma**2 in the Jacobian on the way (two
+    # warnings without the guard); the fit must raise NumericError,
+    # never warn
     import warnings
-    ls, li, grid = one_lobe_with_noise(3)
+    ls, li, grid = one_lobe_with_noise(89)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match="off the grid"):
             fit_lobes(ls, li, grid, 2)
 
 
@@ -356,3 +406,103 @@ def test_fitted_centers_satisfy_energy_identity(grid_default):
                     - 1.0 / lobe.center_i_nm)
         # within the pump-bandwidth equivalent (paper checks 0.2%)
         assert resid / (2.0 / 620.0) < 0.002
+
+
+# ---------------------------------------------------------------------------
+# the numpy Levenberg-Marquardt against MINPACK, the test-side reference
+
+def minpack_least_squares(p0, data, xs, yi, grid):
+    """``spectrum._least_squares`` through ``scipy.optimize.leastsq`` with
+    the same residual, Jacobian, tolerances and budget."""
+    from scipy.optimize import leastsq
+    from fwmpairs import spectrum
+
+    def resid(p):
+        return (spectrum._lobe_model(spectrum._from_log(p), xs, yi)
+                - data).ravel()
+
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        p, _, info, _, ier = leastsq(
+            resid, p0, Dfun=lambda p: spectrum._lobe_jacobian(p, xs, yi),
+            col_deriv=True, full_output=True,
+            maxfev=spectrum.MAX_EVALS_PER_PARAM * len(p0),
+            xtol=1e-12, ftol=1e-12, gtol=1e-12)
+    assert ier in (1, 2, 3, 4)
+    return p, info["fvec"], info["nfev"]
+
+
+def benchmark_style_lobes(seed, centers):
+    """Four lobes near the model's A-D centers with 1 % noise on the
+    default 301^2 grid, drawn as the benchmark's lobes are."""
+    rng = np.random.default_rng([seed, 1])
+    ls = np.linspace(670.0, 700.0, 301)
+    li = np.linspace(567.0, 576.0, 301)
+    total = np.zeros((301, 301))
+    for label in "ABCD":
+        cs, ci = centers[label]
+        total += GaussianLobe(
+            center_s_nm=cs + rng.uniform(-0.3, 0.3),
+            center_i_nm=ci + rng.uniform(-0.2, 0.2),
+            sigma_major_nm=rng.uniform(1.0, 1.2),
+            sigma_minor_nm=rng.uniform(0.3, 0.4),
+            orientation_rad=rng.uniform(0.4, 0.5),
+            amplitude=rng.uniform(0.8, 2.0)).evaluate(ls[:, None],
+                                                      li[None, :])
+    return ls, li, np.abs(total + 0.01 * total.max()
+                          * rng.standard_normal(total.shape))
+
+
+@pytest.mark.parametrize("case", ["simulate-jsi", 1, 2, 3])
+def test_levenberg_marquardt_matches_minpack(monkeypatch, centers, case):
+    from fwmpairs import spectrum
+    if case == "simulate-jsi":
+        from fwmpairs.config import PipelineConfig
+        from fwmpairs.pipeline import Simulation
+        jsi = Simulation(PipelineConfig.parse({})).jsi()
+        ls, li, grid = jsi.lambda_s_axis, jsi.lambda_i_axis, jsi.combined
+    else:
+        ls, li, grid = benchmark_style_lobes(case, centers)
+    ours = fit_lobes(ls, li, grid, 4).lobes
+    monkeypatch.setattr(spectrum, "_least_squares", minpack_least_squares)
+    reference = fit_lobes(ls, li, grid, 4).lobes
+    for a, b in zip(ours, reference):
+        assert a.center_s_nm == pytest.approx(b.center_s_nm, abs=1e-6)
+        assert a.center_i_nm == pytest.approx(b.center_i_nm, abs=1e-6)
+        for name in ("sigma_major_nm", "sigma_minor_nm", "amplitude"):
+            assert getattr(a, name) == pytest.approx(getattr(b, name),
+                                                     rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# property: separated lobes are recovered
+
+# lobe slots on the synthetic grid, 6 nm apart in signal and 5 nm in idler
+_SLOTS = [(s, i) for s in (674.0, 680.0, 686.0) for i in (568.5, 573.5)]
+
+
+@st.composite
+def separated_lobes(draw):
+    slots = draw(st.lists(st.sampled_from(_SLOTS), min_size=1, max_size=4,
+                          unique=True))
+    jitter = st.floats(-0.3, 0.3)
+    return [dict(center_s_nm=s + draw(jitter), center_i_nm=i + draw(jitter),
+                 sigma_major_nm=draw(st.floats(0.6, 1.4)),
+                 sigma_minor_nm=draw(st.floats(0.25, 0.5)),
+                 orientation_rad=draw(st.floats(0.0, np.pi)),
+                 amplitude=draw(st.floats(0.5, 2.0)))
+            for s, i in slots]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(truths=separated_lobes(), seed=st.integers(0, 2**32 - 1))
+def test_fit_recovers_separated_lobes(truths, seed):
+    ls, li, grid = synthetic_lobe_grid(truths, noise=0.01, seed=seed)
+    fit = fit_lobes(ls, li, grid, len(truths))
+    assert len(fit.lobes) == len(truths)
+    assert all(lobe.amplitude > 0 for lobe in fit.lobes)
+    # the truths lie at least 4 nm apart, so no fitted lobe is within
+    # 0.05 nm of two of them
+    got = np.array([(lb.center_s_nm, lb.center_i_nm) for lb in fit.lobes])
+    for t in truths:
+        error = np.abs(got - (t["center_s_nm"], t["center_i_nm"]))
+        assert np.min(np.max(error, axis=1)) <= 0.05
