@@ -81,12 +81,9 @@ def test_import_cli_loads_no_heavy_scipy():
     assert probe([]) == (0, set())
 
 
-@pytest.mark.parametrize("command", [
-    "simulate-jsi", "sweep-delta", "fit-lobes", "estimate-rho --jsi-csv",
-    "qst-simulate", "qst-reconstruct", "compare", "render", "modes",
-    "overlaps"])
-def test_command_loads_no_heavy_scipy(inputs, tmp_path, command):
-    # each command with the inputs that send it down its heaviest path
+def command_argv(inputs, tmp_path, command):
+    """``command`` with the inputs that send it down its heaviest path;
+    ``qst-simulate`` without ``--rho`` runs on model amplitudes."""
     root, common = inputs
     jsi = root / "jsi" / "jsi.csv"
     extra = {
@@ -98,15 +95,30 @@ def test_command_loads_no_heavy_scipy(inputs, tmp_path, command):
                     "--rho-b", root / "qst" / "rho_qst.json"],
         "render": ["--input", root / "grid.csv"],
     }.get(command, [])
-    argv = [command.split()[0], *common, "--out", tmp_path, *extra]
-    assert probe(argv) == (0, set())
+    return [command.split()[0], *common, "--out", tmp_path, *extra]
+
+
+@pytest.mark.parametrize("command", ["qst-simulate", "qst-reconstruct",
+                                     "compare", "render"])
+def test_tomography_and_render_load_no_heavy_scipy(inputs, tmp_path,
+                                                   command):
+    assert probe(command_argv(inputs, tmp_path, command)) == (0, set())
+
+
+# estimate-rho without --jsi-csv or --lobes-json uses model amplitudes
+@pytest.mark.parametrize("command", [
+    "simulate-jsi", "sweep-delta", "fit-lobes", "estimate-rho",
+    "estimate-rho --jsi-csv", "modes", "overlaps"])
+def test_command_loads_no_heavy_scipy(inputs, tmp_path, command):
+    assert probe(command_argv(inputs, tmp_path, command)) == (0, set())
 
 
 def test_speed_of_light_literal_matches_scipy():
     assert C_LIGHT == scipy.constants.c
 
 
-def test_manifest_records_no_scipy_version(inputs):
+def test_manifest_records_scipy_version(inputs):
+    # scipy is a test-side reference only, so no manifest names it
     root, _ = inputs
     manifest = json.loads((root / "qst" / "manifest.json").read_text())
     assert set(manifest["versions"]) == {"fwmpairs", "python", "numpy"}

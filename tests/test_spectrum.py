@@ -262,8 +262,8 @@ def one_lobe_with_noise(seed):
 
 
 @pytest.mark.parametrize("seed, message", [
-    (4, "off the grid"),               # a center reaches (675.67, 561.59) nm
-    (10, "wider than the grid span"),  # a sigma reaches 90 nm
+    (4, "off the grid"),              # a center reaches (675.67, 561.59) nm
+    (7, "wider than the grid span"),  # a sigma reaches 21.9 nm
 ])
 def test_fit_leaving_the_grid_raises(seed, message):
     # asked for two lobes, the peel seeds the second on noise, and the
