@@ -12,14 +12,15 @@ Effective indices are built in two layers:
    seen by the long-wavelength (signal) photon.
 
 The LP solver and the mode fields evaluate the Bessel functions J_n and
-K_n (n = 0, 1, 2) through the fixed-node quadratures ``_bessel_j`` and
-``_bessel_k`` below, in numpy alone.
+K_n (n = 0, 1, 2) through the fixed-node quadratures ``_bessel_j_orders``
+and ``_bessel_k_orders`` below, in numpy alone.
 
 All wavelengths in this module are in micrometres.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -259,31 +260,42 @@ _K_BAND_LOW = np.array([0.0] + [4.0 / 16**k for k in range(6, -1, -1)])
 _K_BAND_NODES = [_k_band_nodes(x_low) for x_low in _K_BAND_LOW]
 
 
+def _bessel_j_orders(orders: tuple, x) -> tuple:
+    """Bessel functions J_n(x), one array per n in ``orders`` (each in
+    {0, 1, 2}), for 0 <= x <= 4.5; the orders share one x sin(tau)
+    table."""
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    out = np.empty((len(orders), flat.size))
+    for s in range(0, flat.size, _BESSEL_CHUNK):
+        x_sin = flat[s:s + _BESSEL_CHUNK, None] * _J_SIN_TAU
+        for row, n in zip(out, orders):
+            row[s:s + _BESSEL_CHUNK] = np.cos(n * _J_TAU - x_sin).sum(axis=1)
+    return tuple((row / _J_NODES).reshape(x.shape) for row in out)
+
+
 def _bessel_j(n: int, x) -> np.ndarray:
     """Bessel function J_n(x) for n in {0, 1, 2} and 0 <= x <= 4.5."""
-    x = np.asarray(x, dtype=float)
-    flat = x.ravel()
-    out = np.empty_like(flat)
-    for s in range(0, flat.size, _BESSEL_CHUNK):
-        arg = n * _J_TAU - flat[s:s + _BESSEL_CHUNK, None] * _J_SIN_TAU
-        out[s:s + _BESSEL_CHUNK] = np.cos(arg).sum(axis=1)
-    return (out / _J_NODES).reshape(x.shape)
+    return _bessel_j_orders((n,), x)[0]
 
 
-def _bessel_k(n: int, x) -> np.ndarray:
-    """Modified Bessel function K_n(x) for n in {0, 1, 2} and x >= 1e-8."""
+def _bessel_k_orders(orders: tuple, x) -> tuple:
+    """Modified Bessel functions K_n(x), one array per n in ``orders``
+    (each in {0, 1, 2}), for x >= 1e-8; the orders share one damping
+    table per argument band."""
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
-    scaled = np.full_like(flat, np.nan)  # e^x K_n(x)
+    scaled = np.full((len(orders), flat.size), np.nan)  # e^x K_n(x)
     far = np.flatnonzero(flat > _K_ASYMPTOTIC_X)
     if far.size:
         z = flat[far]
-        term = total = np.ones_like(z)
-        for k in range(1, _K_ASYMPTOTIC_TERMS + 1):
-            term = term * (4 * n * n - (2 * k - 1) ** 2) / (8 * k * z)
-            total = total + term
-        scaled[far] = np.sqrt(0.5 * np.pi / z) * total
-    weights = _K_WEIGHTS * np.cosh(n * _K_T)
+        for row, n in zip(scaled, orders):
+            term = total = np.ones_like(z)
+            for k in range(1, _K_ASYMPTOTIC_TERMS + 1):
+                term = term * (4 * n * n - (2 * k - 1) ** 2) / (8 * k * z)
+                total = total + term
+            row[far] = np.sqrt(0.5 * np.pi / z) * total
+    weights = [_K_WEIGHTS * np.cosh(n * _K_T) for n in orders]
     band = np.searchsorted(_K_BAND_LOW, flat, side="right") - 1
     band[~(flat <= _K_ASYMPTOTIC_X)] = -1
     for b in np.unique(band[band >= 0]):
@@ -292,8 +304,15 @@ def _bessel_k(n: int, x) -> np.ndarray:
         for s in range(0, at.size, _BESSEL_CHUNK):
             rows = at[s:s + _BESSEL_CHUNK]
             damp = np.exp(-flat[rows, None] * _K_COSH_M1[:nodes])
-            scaled[rows] = (damp * weights[:nodes]).sum(axis=1)
-    return (np.exp(-flat) * scaled).reshape(x.shape)
+            for row, w in zip(scaled, weights):
+                row[rows] = (damp * w[:nodes]).sum(axis=1)
+    decay = np.exp(-flat)
+    return tuple((decay * row).reshape(x.shape) for row in scaled)
+
+
+def _bessel_k(n: int, x) -> np.ndarray:
+    """Modified Bessel function K_n(x) for n in {0, 1, 2} and x >= 1e-8."""
+    return _bessel_k_orders((n,), x)[0]
 
 
 def _solve_u_array(v: np.ndarray, azimuthal: int) -> np.ndarray:
@@ -314,8 +333,9 @@ def _solve_u_array(v: np.ndarray, azimuthal: int) -> np.ndarray:
 
     def resid(u):
         w = np.sqrt(np.maximum(v**2 - u**2, 1e-300))
-        return (u * _bessel_j(l + 1, u) / _bessel_j(l, u)
-                - w * _bessel_k(l + 1, w) / _bessel_k(l, w))
+        j_l, j_next = _bessel_j_orders((l, l + 1), u)
+        k_l, k_next = _bessel_k_orders((l, l + 1), w)
+        return u * j_next / j_l - w * k_next / k_l
 
     f_lo = resid(lo)
     for _ in range(120):
@@ -367,31 +387,59 @@ def _clenshaw(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     return coef[0] + x * b1 - b2
 
 
-@lru_cache(maxsize=1024)
-def _panel(core_radius_um: float, numerical_aperture: float, core_model: str,
-           azimuthal: int, index: int):
-    """Chebyshev coefficients of n_eff on one panel, or None when the
-    interpolant misses the bisection at the panel's ends or centre (the
-    panel holding the LP11 cutoff); that panel is bisected point by
-    point."""
-    fiber = FiberSpec(core_radius_um=core_radius_um,
-                      numerical_aperture=numerical_aperture,
-                      core_model=core_model)
-    a, b = _panel_bounds(index)
-    theta = np.pi * (np.arange(PANEL_NODES) + 0.5) / PANEL_NODES
-    check = np.array([a, 0.5 * (a + b), b])
-    lam = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * np.cos(theta),
-                          check])
-    if azimuthal == 1 and np.any(fiber.v_number(lam) <= LP11_CUTOFF_V):
-        return None
-    n = _bisect_n_eff(fiber, lam, azimuthal)
-    # discrete cosine sum at the Chebyshev-Gauss nodes cos(theta_j)
-    coef = (2.0 / PANEL_NODES) * np.sum(
-        np.cos(np.outer(np.arange(PANEL_NODES), theta)) * n[:PANEL_NODES],
-        axis=1)
-    coef[0] *= 0.5
-    error = np.abs(_clenshaw(coef, _panel_x(check, a, b)) - n[PANEL_NODES:])
-    return coef if np.max(error) <= PANEL_TOLERANCE else None
+# Chebyshev-Gauss angles of a panel's nodes and the cosine table of the
+# discrete cosine sum that turns node values into coefficients
+_PANEL_THETA = np.pi * (np.arange(PANEL_NODES) + 0.5) / PANEL_NODES
+_PANEL_COS = np.cos(np.outer(np.arange(PANEL_NODES), _PANEL_THETA))
+
+# (core_radius_um, numerical_aperture, core_model, azimuthal, panel index)
+# -> Chebyshev coefficients or None, least recently used first
+_PANEL_CACHE: OrderedDict = OrderedDict()
+_PANEL_CACHE_SIZE = 1024
+
+
+def _panels(fiber: FiberSpec, azimuthal: int, indices) -> list:
+    """Chebyshev coefficients of n_eff on each panel in ``indices``, or
+    None for a panel whose interpolant misses the bisection at its ends
+    or centre (the panel holding the LP11 cutoff); that panel is bisected
+    point by point.
+
+    Panels are cached per fiber geometry; the ones missing from the cache
+    are built together in one bisection.
+    """
+    keys = [(fiber.core_radius_um, fiber.numerical_aperture,
+             fiber.core_model, azimuthal, int(index)) for index in indices]
+    missing = [key for key in keys if key not in _PANEL_CACHE]
+    if missing:
+        bounds = [_panel_bounds(key[-1]) for key in missing]
+        # per panel: the Chebyshev nodes, then the check points a, centre, b
+        lam = np.array([np.concatenate([
+            0.5 * (a + b) + 0.5 * (b - a) * np.cos(_PANEL_THETA),
+            [a, 0.5 * (a + b), b]]) for a, b in bounds])
+        guided = ((azimuthal == 0)
+                  | np.all(fiber.v_number(lam) > LP11_CUTOFF_V, axis=1))
+        n = np.full_like(lam, np.nan)
+        if guided.any():
+            n[guided] = _bisect_n_eff(fiber, lam[guided].ravel(),
+                                      azimuthal).reshape(-1, lam.shape[1])
+        for key, (a, b), ok, check, n_row in zip(missing, bounds, guided,
+                                                  lam[:, PANEL_NODES:], n):
+            coef = None
+            if ok:
+                coef = (2.0 / PANEL_NODES) * np.sum(
+                    _PANEL_COS * n_row[:PANEL_NODES], axis=1)
+                coef[0] *= 0.5
+                error = np.abs(_clenshaw(coef, _panel_x(check, a, b))
+                               - n_row[PANEL_NODES:])
+                if not np.max(error) <= PANEL_TOLERANCE:
+                    coef = None
+            _PANEL_CACHE[key] = coef
+    for key in keys:
+        _PANEL_CACHE.move_to_end(key)
+    out = [_PANEL_CACHE[key] for key in keys]
+    while len(_PANEL_CACHE) > _PANEL_CACHE_SIZE:
+        _PANEL_CACHE.popitem(last=False)
+    return out
 
 
 def lp_effective_index(fiber: FiberSpec, lam_um, lp_label: str) -> np.ndarray:
@@ -418,18 +466,18 @@ def lp_effective_index(fiber: FiberSpec, lam_um, lp_label: str) -> np.ndarray:
     lo, hi = SELLMEIER_RANGE_UM
     last = int((hi - lo) // PANEL_WIDTH_UM)
     panel = np.minimum(((lam - lo) // PANEL_WIDTH_UM).astype(int), last)
+    indices = np.unique(panel)
     n_eff = np.empty_like(lam)
-    for index in range(panel.min(), panel.max() + 1):
+    bisect = np.zeros(lam.shape, dtype=bool)
+    for index, coef in zip(indices, _panels(fiber, l, indices)):
         at = panel == index
-        if not at.any():
-            continue
-        coef = _panel(fiber.core_radius_um, fiber.numerical_aperture,
-                      fiber.core_model, l, index)
         if coef is None:
-            n_eff[at] = _bisect_n_eff(fiber, lam[at], l)
+            bisect |= at
         else:
             n_eff[at] = _clenshaw(coef, _panel_x(lam[at],
                                                  *_panel_bounds(index)))
+    if bisect.any():
+        n_eff[bisect] = _bisect_n_eff(fiber, lam[bisect], l)
     return n_eff
 
 

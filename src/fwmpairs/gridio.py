@@ -302,21 +302,20 @@ def render_svg_heatmap(path: Path, lam_s_nm, lam_i_nm, intensity,
         f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
     ]
+    # one rect per run of equal colours along a row
+    changes = np.any(rgb[:, 1:] != rgb[:, :-1], axis=2)
     for r in range(rows):
         y = margin + ph - (r + 1) * cell_h  # row 0 = smallest lambda_s
-        run_start = 0
-        while run_start < cols:
-            color = rgb[r, run_start]
-            run_end = run_start + 1
-            while run_end < cols and np.array_equal(rgb[r, run_end], color):
-                run_end += 1
+        starts = np.concatenate([[0], np.flatnonzero(changes[r]) + 1])
+        bounds = [*starts.tolist(), cols]
+        for run_start, run_end, color in zip(bounds[:-1], bounds[1:],
+                                             rgb[r, starts].tolist()):
             x = margin + run_start * cell_w
             w_run = (run_end - run_start) * cell_w
             parts.append(
                 f'<rect x="{x:.2f}" y="{y:.2f}" width="{w_run + 0.5:.2f}" '
                 f'height="{cell_h + 0.5:.2f}" '
                 f'fill="rgb({color[0]},{color[1]},{color[2]})"/>')
-            run_start = run_end
 
     scale = CONTOUR_LEVELS.get(contour_level, 2.0)
     for lobe in lobes:

@@ -31,7 +31,7 @@ from .gridio import (density_to_json, document_entries, load_density,
                      load_grid_csv, read_json_document, render_svg_heatmap,
                      sha256_file, write_grid_csv, write_json, write_pgm,
                      write_ppm)
-from .processes import enumerate_processes, phasematched_center
+from .processes import enumerate_processes, phasematched_centers
 from .spectrum import GaussianLobe, SpectralGrid, fit_lobes, jsa_grid
 from .tomography import (CountRecord, bootstrap_metrics, expected_counts,
                          mle_reconstruct, projector_basis, sample_counts)
@@ -125,13 +125,14 @@ class Simulation:
         self.processes = enumerate_processes(TWO_MODE_SET)
         self.centers = {}
         self.unmatched = {}
-        for proc in self.processes:
-            try:
-                self.centers[proc.label] = phasematched_center(
-                    proc, self.fiber, self.pump.center_wavelength_nm,
-                    band_i_nm=cfg.center_band_nm, k_nl=cfg.k_nl)
-            except PhaseMatchError as exc:
-                self.unmatched[proc.label] = str(exc)
+        found = phasematched_centers(
+            self.processes, self.fiber, self.pump.center_wavelength_nm,
+            band_i_nm=cfg.center_band_nm, k_nl=cfg.k_nl)
+        for label, center in found.items():
+            if isinstance(center, PhaseMatchError):
+                self.unmatched[label] = str(center)
+            else:
+                self.centers[label] = center
         if not self.centers:
             raise NumericError("no process is phase matched in the band")
         self.matched = [p for p in self.processes if p.label in self.centers]

@@ -12,6 +12,10 @@ mode pair.  Three selection rules decide which combinations can emit:
 
 For the two-mode set {e, o} these rules leave exactly the five channels
 labelled A-E; adding the fundamental mode g admits five more.
+
+``phasematched_centers`` finds the phase-matched centers of a set of
+channels from one shared scan of the idler band and one bisection of
+all their bracketing intervals.
 """
 
 from __future__ import annotations
@@ -204,54 +208,92 @@ def _energy_partner_nm(lam_p_nm: float, lam_i_nm):
     return 1.0 / (2.0 / lam_p_nm - 1.0 / np.asarray(lam_i_nm, dtype=float))
 
 
+def phasematched_centers(processes, fiber: FiberSpec, lam_p_nm: float,
+                         band_i_nm: tuple = (540.0, 580.0),
+                         k_nl: float = 0.0,
+                         scan_step_nm: float = 0.01) -> dict:
+    """Locate, per channel, the (lam_s, lam_i) pair in nm where delta_k
+    crosses zero.
+
+    All channels share one scan of the idler band (one BaseIndexCache,
+    with per-channel birefringence overlays).  Each channel takes the
+    first scan point where delta_k is exactly zero or else the first
+    bracketing interval, and the brackets are bisected together, each
+    until it is at most 1e-5 nm wide.  A returned pair satisfies the
+    energy constraint 2/lam_p = 1/lam_s + 1/lam_i exactly.
+
+    Returns {label: (lam_s, lam_i)} with a PhaseMatchError (carrying the
+    scanned extrema) in place of the pair for a channel with no sign
+    change in the band.
+    """
+    lo_nm, hi_nm = band_i_nm
+    grid_i = np.arange(lo_nm, hi_nm + 0.5 * scan_step_nm, scan_step_nm)
+    grid_s = _energy_partner_nm(lam_p_nm, grid_i)
+    scan = BaseIndexCache(fiber, grid_s / 1000.0, grid_i / 1000.0)
+    out = {}
+    bracketed, first = [], []
+    for process in processes:
+        dk = scan.delta_k(process, k_nl=k_nl)
+        sign = np.sign(dk)
+        crossings = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+        exact = np.nonzero(dk == 0.0)[0]
+        if len(exact):
+            li = float(grid_i[exact[0]])
+            out[process.label] = float(_energy_partner_nm(lam_p_nm, li)), li
+        elif len(crossings) == 0:
+            out[process.label] = PhaseMatchError(
+                f"process {process.label} not phase matched in band "
+                f"[{lo_nm}, {hi_nm}] nm: delta_k in "
+                f"[{dk.min():.6g}, {dk.max():.6g}] 1/m",
+                dk_min=float(dk.min()), dk_max=float(dk.max()),
+            )
+        else:
+            out[process.label] = None  # keeps the channel order; set below
+            bracketed.append(process)
+            first.append(crossings[0])
+    if not bracketed:
+        return out
+
+    def dk_at(channels, li_nm):
+        """delta_k of bracketed channel channels[j] at idler li_nm[j]."""
+        cache = BaseIndexCache(fiber,
+                               _energy_partner_nm(lam_p_nm, li_nm) / 1000.0,
+                               li_nm / 1000.0)
+        return np.array([cache.delta_k(bracketed[c], k_nl=k_nl)[j]
+                         for j, c in enumerate(channels)])
+
+    first = np.array(first, dtype=int)
+    lo, hi = grid_i[first], grid_i[first + 1]
+    f_lo = dk_at(range(len(bracketed)), lo)
+    while True:
+        open_ = np.flatnonzero(hi - lo > 1e-5)
+        if not open_.size:
+            break
+        mid = 0.5 * (lo[open_] + hi[open_])
+        f_mid = dk_at(open_, mid)
+        same = np.sign(f_mid) == np.sign(f_lo[open_])
+        lo[open_[same]] = mid[same]
+        f_lo[open_[same]] = f_mid[same]
+        hi[open_[~same]] = mid[~same]
+    for process, lam_i in zip(bracketed, 0.5 * (lo + hi)):
+        lam_s = float(_energy_partner_nm(lam_p_nm, lam_i))
+        out[process.label] = lam_s, float(lam_i)
+    return out
+
+
 def phasematched_center(process: FwmProcess, fiber: FiberSpec,
                         lam_p_nm: float,
                         band_i_nm: tuple = (540.0, 580.0),
                         k_nl: float = 0.0,
                         scan_step_nm: float = 0.01) -> tuple:
-    """Locate the (lam_s, lam_i) pair, in nm, where delta_k crosses zero.
-
-    Scans the idler band coarsely, then bisects the first bracketing
-    interval down to 1e-4 nm.  The returned pair satisfies the energy
-    constraint 2/lam_p = 1/lam_s + 1/lam_i exactly.
+    """(lam_s, lam_i) in nm where delta_k of one channel crosses zero;
+    see ``phasematched_centers``.
 
     Raises PhaseMatchError (with the scanned extrema) when no sign
     change exists in the band.
     """
-    lo_nm, hi_nm = band_i_nm
-    grid_i = np.arange(lo_nm, hi_nm + 0.5 * scan_step_nm, scan_step_nm)
-    grid_s = _energy_partner_nm(lam_p_nm, grid_i)
-    dk = delta_k_vec(process, grid_s / 1000.0, grid_i / 1000.0, fiber,
-                     k_nl=k_nl)
-    sign = np.sign(dk)
-    crossings = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    exact = np.nonzero(dk == 0.0)[0]
-    if len(exact):
-        li = float(grid_i[exact[0]])
-        return float(_energy_partner_nm(lam_p_nm, li)), li
-    if len(crossings) == 0:
-        raise PhaseMatchError(
-            f"process {process.label} not phase matched in band "
-            f"[{lo_nm}, {hi_nm}] nm: delta_k in "
-            f"[{dk.min():.6g}, {dk.max():.6g}] 1/m",
-            dk_min=float(dk.min()), dk_max=float(dk.max()),
-        )
-
-    def dk_at(li_nm: float) -> float:
-        ls_nm = float(_energy_partner_nm(lam_p_nm, li_nm))
-        return float(delta_k_vec(process, ls_nm / 1000.0, li_nm / 1000.0,
-                                 fiber, k_nl=k_nl)[0])
-
-    lo = float(grid_i[crossings[0]])
-    hi = float(grid_i[crossings[0] + 1])
-    f_lo = dk_at(lo)
-    while hi - lo > 1e-5:
-        mid = 0.5 * (lo + hi)
-        f_mid = dk_at(mid)
-        if np.sign(f_mid) == np.sign(f_lo):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    lam_i = 0.5 * (lo + hi)
-    lam_s = float(_energy_partner_nm(lam_p_nm, lam_i))
-    return lam_s, lam_i
+    center = phasematched_centers([process], fiber, lam_p_nm, band_i_nm,
+                                  k_nl, scan_step_nm)[process.label]
+    if isinstance(center, PhaseMatchError):
+        raise center
+    return center

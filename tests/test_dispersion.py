@@ -1,14 +1,18 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
 import scipy.special
 from scipy.optimize import brentq
 
-from fwmpairs import dispersion
+from fwmpairs import dispersion, processes
+from fwmpairs.config import PipelineConfig
 from fwmpairs.dispersion import (FiberSpec, LP11_CUTOFF_V, ModeRole,
                                  birefringence_offset, lp_effective_index,
                                  parity_birefringence, solve_lp_mode)
 from fwmpairs.errors import ConfigError, DomainError, ModeNotGuidedError
+from fwmpairs.pipeline import Simulation
 from fwmpairs.processes import BaseIndexCache, FwmProcess
 
 
@@ -222,20 +226,78 @@ def test_index_table_matches_bisection_below_lp11_cutoff(name):
     assert_matches_bisection(fiber, lam, "LP11")
 
 
-def test_only_the_cutoff_panel_is_bisected(fiber):
+def test_only_the_cutoff_panel_is_bisected(fiber, monkeypatch):
     """Every LP11 panel of the default fiber carries coefficients except
     the one holding the cutoff, and every LP01 panel does."""
+    monkeypatch.setattr(dispersion, "_PANEL_CACHE", OrderedDict())
     cutoff = lp11_cutoff_um(fiber)
-    for index in range(int(np.ptp(dispersion.SELLMEIER_RANGE_UM)
-                           // dispersion.PANEL_WIDTH_UM) + 1):
+    indices = range(int(np.ptp(dispersion.SELLMEIER_RANGE_UM)
+                        // dispersion.PANEL_WIDTH_UM) + 1)
+    lp01 = dispersion._panels(fiber, 0, indices)
+    lp11 = dispersion._panels(fiber, 1, indices)
+    assert len(dispersion._PANEL_CACHE) == 2 * len(indices)
+    for index, coef01, coef11 in zip(indices, lp01, lp11):
         a, b = dispersion._panel_bounds(index)
-        key = (fiber.core_radius_um, fiber.numerical_aperture,
-               fiber.core_model)
-        assert dispersion._panel(*key, 0, index) is not None
+        assert coef01 is not None
         if b < cutoff:
-            assert dispersion._panel(*key, 1, index) is not None
+            assert coef11 is not None
         elif a <= cutoff:
-            assert dispersion._panel(*key, 1, index) is None
+            assert coef11 is None
+
+
+@pytest.mark.parametrize("label", ["LP01", "LP11"])
+def test_multi_panel_build_matches_one_panel_builds(fiber, monkeypatch,
+                                                    label):
+    # panels from 0.50 to 0.86 um, the LP11 cutoff panel among them
+    l = LABEL_AZIMUTHAL[label]
+    cutoff_panel = int((lp11_cutoff_um(fiber) - 0.21)
+                       // dispersion.PANEL_WIDTH_UM)
+    indices = range(cutoff_panel - 13, cutoff_panel + 5)
+    monkeypatch.setattr(dispersion, "_PANEL_CACHE", OrderedDict())
+    together = dispersion._panels(fiber, l, indices)
+    assert (together[13] is None) == (label == "LP11")
+    for index, coef in zip(indices, together):
+        monkeypatch.setattr(dispersion, "_PANEL_CACHE", OrderedDict())
+        (alone,) = dispersion._panels(fiber, l, [index])
+        if coef is None:
+            assert alone is None, index
+        else:
+            assert np.array_equal(alone, coef), index
+
+
+def test_panel_cache_is_bounded_least_recently_used(fiber, monkeypatch):
+    monkeypatch.setattr(dispersion, "_PANEL_CACHE", OrderedDict())
+    monkeypatch.setattr(dispersion, "_PANEL_CACHE_SIZE", 4)
+    key = (fiber.core_radius_um, fiber.numerical_aperture,
+           fiber.core_model, 0)
+    dispersion._panels(fiber, 0, [10, 11, 12])
+    dispersion._panels(fiber, 0, [10, 13, 14])
+    assert list(dispersion._PANEL_CACHE) == [key + (i,)
+                                             for i in (12, 10, 13, 14)]
+
+
+def test_cold_simulation_solves_each_wave_once(monkeypatch):
+    # index queries of the center search, and bisections of any caller
+    calls = {"centers": 0, "solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dispersion, "_PANEL_CACHE", OrderedDict())
+    monkeypatch.setattr(processes, "lp_effective_index",
+                        counted("centers", lp_effective_index))
+    monkeypatch.setattr(dispersion, "_solve_u_array",
+                        counted("solve", dispersion._solve_u_array))
+    sim = Simulation(PipelineConfig.parse({}))
+    assert sorted(sim.centers) == list("ABCDE")
+    # the 4001-point scan, the brackets' lower ends and 10 bisection
+    # steps, three waves each; the scan builds the signal, idler and pump
+    # panels in one bisection per wave, and every later query, the
+    # overlaps' included, falls in a built panel
+    assert calls == {"centers": 36, "solve": 3}
 
 
 def test_index_is_independent_of_the_batch(fiber):
@@ -327,7 +389,66 @@ def test_bisection_matches_scipy_bessel_bisection(monkeypatch, name, label):
     if label == "LP11":
         lam = lam[fiber.v_number(lam) > LP11_CUTOFF_V]
     ours = dispersion._bisect_n_eff(fiber, lam, LABEL_AZIMUTHAL[label])
-    monkeypatch.setattr(dispersion, "_bessel_j", scipy.special.jv)
-    monkeypatch.setattr(dispersion, "_bessel_k", scipy.special.kv)
+    monkeypatch.setattr(dispersion, "_bessel_j_orders", lambda orders, x: tuple(
+        scipy.special.jv(n, x) for n in orders))
+    monkeypatch.setattr(dispersion, "_bessel_k_orders", lambda orders, x: tuple(
+        scipy.special.kv(n, x) for n in orders))
     reference = dispersion._bisect_n_eff(fiber, lam, LABEL_AZIMUTHAL[label])
     assert np.max(np.abs(ours - reference)) <= 1e-13
+
+
+# the single-order kernels before the orders shared their tables, as the
+# bit-for-bit reference of the shared-table kernels
+
+def reference_bessel_j(n, x):
+    flat = np.asarray(x, dtype=float).ravel()
+    out = np.empty_like(flat)
+    for s in range(0, flat.size, dispersion._BESSEL_CHUNK):
+        arg = (n * dispersion._J_TAU
+               - flat[s:s + dispersion._BESSEL_CHUNK, None]
+               * dispersion._J_SIN_TAU)
+        out[s:s + dispersion._BESSEL_CHUNK] = np.cos(arg).sum(axis=1)
+    return out / dispersion._J_NODES
+
+
+def reference_bessel_k(n, x):
+    d = dispersion
+    flat = np.asarray(x, dtype=float).ravel()
+    scaled = np.full_like(flat, np.nan)
+    far = np.flatnonzero(flat > d._K_ASYMPTOTIC_X)
+    z = flat[far]
+    term = total = np.ones_like(z)
+    for k in range(1, d._K_ASYMPTOTIC_TERMS + 1):
+        term = term * (4 * n * n - (2 * k - 1) ** 2) / (8 * k * z)
+        total = total + term
+    scaled[far] = np.sqrt(0.5 * np.pi / z) * total
+    weights = d._K_WEIGHTS * np.cosh(n * d._K_T)
+    band = np.searchsorted(d._K_BAND_LOW, flat, side="right") - 1
+    band[~(flat <= d._K_ASYMPTOTIC_X)] = -1
+    for b in np.unique(band[band >= 0]):
+        at = np.flatnonzero(band == b)
+        nodes = d._K_BAND_NODES[b]
+        for s in range(0, at.size, d._BESSEL_CHUNK):
+            rows = at[s:s + d._BESSEL_CHUNK]
+            damp = np.exp(-flat[rows, None] * d._K_COSH_M1[:nodes])
+            scaled[rows] = (damp * weights[:nodes]).sum(axis=1)
+    return np.exp(-flat) * scaled
+
+
+@pytest.mark.parametrize("orders", [(0, 1), (1, 2), (0,), (1,), (2,)])
+def test_shared_table_kernels_match_single_order_kernels(orders):
+    # more arguments than one chunk; K over every band, the band edges
+    # and both sides of the asymptotic switch at x = 25
+    x_j = np.linspace(0.0, 4.5, 5001)
+    x_k = np.concatenate([np.geomspace(1e-8, 400.0, 5001),
+                          dispersion._K_BAND_LOW[1:],
+                          np.linspace(24.0, 26.0, 201)])
+    got_j = dispersion._bessel_j_orders(orders, x_j)
+    got_k = dispersion._bessel_k_orders(orders, x_k)
+    assert len(got_j) == len(got_k) == len(orders)
+    for n, j, k in zip(orders, got_j, got_k):
+        assert np.array_equal(j, reference_bessel_j(n, x_j)), n
+        assert np.array_equal(k, reference_bessel_k(n, x_k)), n
+    n = orders[0]
+    assert np.array_equal(dispersion._bessel_j(n, x_j), got_j[0])
+    assert np.array_equal(dispersion._bessel_k(n, x_k), got_k[0])

@@ -1,0 +1,75 @@
+import numpy as np
+import pytest
+
+from fwmpairs import gridio
+from fwmpairs.spectrum import GaussianLobe
+
+
+def reference_heatmap_rects(rgb):
+    """Heatmap rects from the per-pixel run loop the renderer used
+    before, as the reference of its vectorized run search."""
+    width, height, margin = 640.0, 520.0, 60.0
+    pw, ph = width - 2 * margin, height - 2 * margin
+    rows, cols = rgb.shape[:2]
+    cell_w, cell_h = pw / cols, ph / rows
+    parts = []
+    for r in range(rows):
+        y = margin + ph - (r + 1) * cell_h
+        run_start = 0
+        while run_start < cols:
+            color = rgb[r, run_start]
+            run_end = run_start + 1
+            while run_end < cols and np.array_equal(rgb[r, run_end], color):
+                run_end += 1
+            x = margin + run_start * cell_w
+            w_run = (run_end - run_start) * cell_w
+            parts.append(
+                f'<rect x="{x:.2f}" y="{y:.2f}" width="{w_run + 0.5:.2f}" '
+                f'height="{cell_h + 0.5:.2f}" '
+                f'fill="rgb({color[0]},{color[1]},{color[2]})"/>')
+            run_start = run_end
+    return parts
+
+
+def noisy_lobe_grid():
+    lam_s = np.linspace(670.0, 690.0, 301)
+    lam_i = np.linspace(565.0, 578.0, 301)
+    ds = (lam_s[:, None] - 680.0) / 3.0
+    di = (lam_i[None, :] - 571.0) / 1.5
+    values = np.exp(-0.5 * (ds**2 + di**2))
+    values += 0.05 * np.random.default_rng(5).random(values.shape)
+    return lam_s, lam_i, values
+
+
+def constant_grid():
+    return (np.linspace(670.0, 680.0, 21), np.linspace(567.0, 571.0, 11),
+            np.full((21, 11), 3.0))
+
+
+@pytest.mark.parametrize("grid", [noisy_lobe_grid, constant_grid])
+def test_svg_heatmap_matches_the_per_pixel_loop(tmp_path, monkeypatch, grid):
+    rasters = []
+    colormap = gridio._colormap
+
+    def recorded(norm):
+        rasters.append(colormap(norm))
+        return rasters[-1]
+
+    monkeypatch.setattr(gridio, "_colormap", recorded)
+    lobe = GaussianLobe(center_s_nm=680.0, center_i_nm=571.0,
+                        sigma_major_nm=3.0, sigma_minor_nm=1.5,
+                        orientation_rad=0.3, amplitude=1.0,
+                        process_label="C")
+    path = tmp_path / "grid.svg"
+    gridio.render_svg_heatmap(path, *grid(), lobes=[lobe], title="t")
+    (rgb,) = rasters
+    want = reference_heatmap_rects(rgb)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    # three header lines, then the heatmap, then the lobe contour
+    assert lines[3:3 + len(want)] == want
+    assert lines[3 + len(want)].startswith("<g transform=")
+    assert sum('fill="rgb(' in line for line in lines) == len(want)
+    if grid is constant_grid:
+        assert len(want) == rgb.shape[0]
+    else:
+        assert len(want) > 10 * rgb.shape[0]

@@ -6,7 +6,7 @@ from fwmpairs.dispersion import (FiberSpec, ModeRole, birefringence_offset,
 from fwmpairs.errors import DomainError, PhaseMatchError
 from fwmpairs.processes import (BaseIndexCache, FwmProcess, all_candidates,
                                 delta_k_vec, enumerate_processes,
-                                phasematched_center)
+                                phasematched_center, phasematched_centers)
 from conftest import MEASURED_CENTERS
 
 CANONICAL = {
@@ -245,3 +245,100 @@ def test_fundamental_mode_channels_have_no_delta_k(fiber):
         cache.delta_k(FwmProcess("g", "g", "g", "g"))
     with pytest.raises(DomainError):
         delta_k_vec(FwmProcess("g", "e", "g", "e"), 0.68, 0.57, fiber)
+
+
+# ---------------------------------------------------------------------------
+# shared scan against the per-channel search it replaced
+
+def reference_center(process, fiber, lam_p_nm, band_i_nm, k_nl=0.0,
+                     scan_step_nm=0.01):
+    """One channel's own scan and scalar bisection."""
+    lo_nm, hi_nm = band_i_nm
+    grid_i = np.arange(lo_nm, hi_nm + 0.5 * scan_step_nm, scan_step_nm)
+    grid_s = 1.0 / (2.0 / lam_p_nm - 1.0 / grid_i)
+    dk = delta_k_vec(process, grid_s / 1000.0, grid_i / 1000.0, fiber,
+                     k_nl=k_nl)
+    sign = np.sign(dk)
+    crossings = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    exact = np.nonzero(dk == 0.0)[0]
+    if len(exact):
+        li = float(grid_i[exact[0]])
+        return float(1.0 / (2.0 / lam_p_nm - 1.0 / li)), li
+    if len(crossings) == 0:
+        return PhaseMatchError(
+            f"process {process.label} not phase matched in band "
+            f"[{lo_nm}, {hi_nm}] nm: delta_k in "
+            f"[{dk.min():.6g}, {dk.max():.6g}] 1/m",
+            dk_min=float(dk.min()), dk_max=float(dk.max()))
+
+    def dk_at(li_nm):
+        ls_nm = float(1.0 / (2.0 / lam_p_nm - 1.0 / np.asarray(li_nm)))
+        return float(delta_k_vec(process, ls_nm / 1000.0, li_nm / 1000.0,
+                                 fiber, k_nl=k_nl)[0])
+
+    lo = float(grid_i[crossings[0]])
+    hi = float(grid_i[crossings[0] + 1])
+    f_lo = dk_at(lo)
+    while hi - lo > 1e-5:
+        mid = 0.5 * (lo + hi)
+        f_mid = dk_at(mid)
+        if np.sign(f_mid) == np.sign(f_lo):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    lam_i = 0.5 * (lo + hi)
+    return float(1.0 / (2.0 / lam_p_nm - 1.0 / np.asarray(lam_i))), lam_i
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.9e-5, 4.2e-5])
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_shared_scan_matches_per_channel_search(processes_eo, layout, delta):
+    fiber = FiberSpec(segments=LAYOUTS[layout].segments,
+                      delta_parity_dispersion=delta)
+    got = phasematched_centers(processes_eo, fiber, 620.0)
+    assert list(got) == [p.label for p in processes_eo]
+    for proc in processes_eo:
+        assert got[proc.label] == reference_center(
+            proc, fiber, 620.0, (540.0, 580.0)), proc.label
+
+
+def test_shared_scan_reports_unmatched_channels_like_the_search(
+        fiber, processes_eo):
+    # E matches near 542 nm, outside this band; A-D match inside it
+    got = phasematched_centers(processes_eo, fiber, 620.0,
+                               band_i_nm=(560.0, 580.0))
+    for proc in processes_eo:
+        want = reference_center(proc, fiber, 620.0, (560.0, 580.0))
+        assert isinstance(want, PhaseMatchError) == (proc.label == "E")
+        if proc.label == "E":
+            err = got[proc.label]
+            assert isinstance(err, PhaseMatchError)
+            assert str(err) == str(want)
+            assert (err.dk_min, err.dk_max) == (want.dk_min, want.dk_max)
+            with pytest.raises(PhaseMatchError) as raised:
+                phasematched_center(proc, fiber, 620.0,
+                                    band_i_nm=(560.0, 580.0))
+            assert str(raised.value) == str(want)
+        else:
+            assert got[proc.label] == want, proc.label
+
+
+def test_shared_scan_takes_the_first_of_several_crossings(
+        fiber, processes_eo, monkeypatch):
+    # a 3 nm ripple on the base index gives every channel several zeros
+    import fwmpairs.processes as procmod
+
+    def rippled(fiber, lam, lp_label):
+        lam = np.asarray(lam, dtype=float)
+        return (lp_effective_index(fiber, lam, lp_label)
+                + 1e-4 * np.sin(2.0 * np.pi * lam / 0.003))
+
+    monkeypatch.setattr(procmod, "lp_effective_index", rippled)
+    grid_i = np.arange(540.0, 580.005, 0.01)
+    grid_s = 1.0 / (2.0 / 620.0 - 1.0 / grid_i)
+    got = phasematched_centers(processes_eo, fiber, 620.0)
+    for proc in processes_eo:
+        dk = delta_k_vec(proc, grid_s / 1000.0, grid_i / 1000.0, fiber)
+        assert np.count_nonzero(np.diff(np.sign(dk))) >= 4, proc.label
+        assert got[proc.label] == reference_center(
+            proc, fiber, 620.0, (540.0, 580.0)), proc.label
