@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import load_config
+from .config import check_seed, load_config
 from .errors import ConfigError, FwmPairsError, GridFormatError, NumericError
 from . import pipeline
 
@@ -93,6 +93,8 @@ def main(argv=None) -> int:
                             ("--lobes", getattr(args, "n_lobes", None))):
             if value is not None and value < 1:
                 raise ConfigError(f"{flag}: must be >= 1")
+        if args.seed is not None:
+            check_seed(args.seed, "--seed")
         cfg = load_config(args.config)
         runner = pipeline.Runner(cfg, args.command, out_dir=args.out,
                                  seed=args.seed, threads=args.threads)

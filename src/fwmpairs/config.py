@@ -66,6 +66,12 @@ def _convert(value, typ, where: str):
     raise AssertionError(typ)
 
 
+def check_seed(seed: int, where: str) -> None:
+    """Seeds are unsigned 64-bit integers."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{where}: must be in [0, 2^64), got {seed}")
+
+
 def parse_state(value, where: str) -> ModeSuperposition:
     """A named state ('d', 'e', ...) or {mode: [re, im]} amplitudes."""
     if isinstance(value, str):
@@ -218,6 +224,7 @@ class PipelineConfig:
             "n_samples": (int, 100),
             "seed": (int, 20240620),
         }, "config.tomography")
+        check_seed(t["seed"], "config.tomography.seed")
         tomo = TomographyConfig(counts_scale=t["counts_scale"],
                                 n_samples=t["n_samples"], seed=t["seed"])
 

@@ -274,11 +274,6 @@ def _bessel_j_orders(orders: tuple, x) -> tuple:
     return tuple((row / _J_NODES).reshape(x.shape) for row in out)
 
 
-def _bessel_j(n: int, x) -> np.ndarray:
-    """Bessel function J_n(x) for n in {0, 1, 2} and 0 <= x <= 4.5."""
-    return _bessel_j_orders((n,), x)[0]
-
-
 def _bessel_k_orders(orders: tuple, x) -> tuple:
     """Modified Bessel functions K_n(x), one array per n in ``orders``
     (each in {0, 1, 2}), for x >= 1e-8; the orders share one damping
@@ -308,11 +303,6 @@ def _bessel_k_orders(orders: tuple, x) -> tuple:
                 row[rows] = (damp * w[:nodes]).sum(axis=1)
     decay = np.exp(-flat)
     return tuple((decay * row).reshape(x.shape) for row in scaled)
-
-
-def _bessel_k(n: int, x) -> np.ndarray:
-    """Modified Bessel function K_n(x) for n in {0, 1, 2} and x >= 1e-8."""
-    return _bessel_k_orders((n,), x)[0]
 
 
 def _solve_u_array(v: np.ndarray, azimuthal: int) -> np.ndarray:

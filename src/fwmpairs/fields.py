@@ -26,7 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dispersion import FiberSpec, _bessel_j, _bessel_k, solve_lp_mode
+from .dispersion import (FiberSpec, _bessel_j_orders, _bessel_k_orders,
+                         solve_lp_mode)
 from .errors import ConfigError, DomainError
 
 _BASIS = ("g", "e", "o")
@@ -122,10 +123,11 @@ def _radial_profile(sol, azimuthal: int, rho: np.ndarray) -> np.ndarray:
     modified-Bessel cladding, both equal to 1 at the core boundary."""
     inside = rho <= 1.0
     radial = np.empty_like(rho)
-    radial[inside] = (_bessel_j(azimuthal, sol.u * rho[inside])
-                      / _bessel_j(azimuthal, sol.u))
-    radial[~inside] = (_bessel_k(azimuthal, sol.w * rho[~inside])
-                       / _bessel_k(azimuthal, sol.w))
+    order = (azimuthal,)
+    radial[inside] = (_bessel_j_orders(order, sol.u * rho[inside])[0]
+                      / _bessel_j_orders(order, sol.u)[0])
+    radial[~inside] = (_bessel_k_orders(order, sol.w * rho[~inside])[0]
+                       / _bessel_k_orders(order, sol.w)[0])
     return radial
 
 

@@ -33,8 +33,9 @@ from .gridio import (density_to_json, document_entries, load_density,
                      write_ppm)
 from .processes import enumerate_processes, phasematched_centers
 from .spectrum import GaussianLobe, SpectralGrid, fit_lobes, jsa_grid
-from .tomography import (CountRecord, bootstrap_metrics, expected_counts,
-                         mle_reconstruct, projector_basis, sample_counts)
+from .tomography import (MAX_COUNT, CountRecord, bootstrap_metrics,
+                         expected_counts, mle_reconstruct, projector_basis,
+                         sample_counts)
 
 TWO_MODE_SET = frozenset(("e", "o"))
 
@@ -431,6 +432,10 @@ def load_counts(path: Path) -> CountRecord:
         except (TypeError, ValueError):
             raise GridFormatError(
                 f"{path}: records[{j}]: counts must be a number") from None
+        if not 0.0 <= count <= MAX_COUNT:
+            raise GridFormatError(
+                f"{path}: records[{j}]: counts must be finite, nonnegative "
+                f"and at most 2^53, got {count!r}")
         by_name[str(rec["signal_basis"]) + str(rec["idler_basis"])] = count
     missing = [name for name in basis.names if name not in by_name]
     if missing:
@@ -439,6 +444,8 @@ def load_counts(path: Path) -> CountRecord:
         n0 = float(doc["n0"])
     except (TypeError, ValueError):
         raise GridFormatError(f"{path}: n0 must be a number") from None
+    if not 0.0 < n0 < np.inf:
+        raise GridFormatError(f"{path}: n0 must be finite and > 0, got {n0!r}")
     counts = np.array([by_name[name] for name in basis.names])
     return CountRecord(counts=counts, n0=n0, seed=doc.get("seed"))
 
@@ -458,6 +465,7 @@ def cmd_qst_reconstruct(runner: Runner, counts_json: Path) -> dict:
         "iterations": result.iterations,
         "converged": result.converged,
         "kkt_residual": result.kkt_residual,
+        "dual_gap": result.dual_gap,
         "bootstrap": {
             "n_samples": boot.n_samples,
             "failures": boot.failures,

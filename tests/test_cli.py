@@ -282,6 +282,73 @@ def test_counts_record_without_basis_exit_code(tmp_path, config_path,
     assert "counts.json: n0 must be a number" in capsys.readouterr().err
 
 
+def all_projector_records(counts):
+    return [{"signal_basis": s, "idler_basis": i, "counts": counts}
+            for s in "eodarl" for i in "eodarl"]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e308])
+def test_counts_bad_number_exit_code(tmp_path, config_path, capsys, bad):
+    # non-finite, or above 2^53, where float64 counts stop being exact
+    records = all_projector_records(5)
+    records[7]["counts"] = bad
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps({"n0": 100, "records": records}),
+                      encoding="utf-8")
+    assert run(["qst-reconstruct", "--config", config_path, "--out",
+                tmp_path, "--counts", counts]) == 3
+    err = capsys.readouterr().err
+    assert ("counts.json: records[7]: counts must be finite, nonnegative "
+            "and at most 2^53") in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_counts_non_finite_n0_exit_code(tmp_path, config_path, capsys, bad):
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps({"n0": bad,
+                                  "records": all_projector_records(5)}),
+                      encoding="utf-8")
+    assert run(["qst-reconstruct", "--config", config_path, "--out",
+                tmp_path, "--counts", counts]) == 3
+    assert "counts.json: n0 must be finite and > 0" in (
+        capsys.readouterr().err)
+
+
+def qst_simulate_mixture(tmp_path, config_path, *flags):
+    from fwmpairs.gridio import density_to_json, write_json
+    rho = tmp_path / "rho.json"
+    write_json(rho, density_to_json(np.diag([0.5, 0.0, 0.0, 0.5])))
+    return run(["qst-simulate", "--config", config_path, "--out",
+                tmp_path / "qst", "--rho", rho, *flags])
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_flag_outside_u64_exit_code(tmp_path, config_path, capsys,
+                                         seed):
+    assert qst_simulate_mixture(tmp_path, config_path, "--seed", seed) == 2
+    assert "--seed: must be in [0, 2^64)" in capsys.readouterr().err
+    assert not (tmp_path / "qst" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_config_seed_outside_u64_exit_code(tmp_path, capsys, seed):
+    cfg = dict(BASE_CONFIG, tomography={"seed": seed},
+               output_dir=str(tmp_path / "out"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert qst_simulate_mixture(tmp_path, path) == 2
+    assert "config.tomography.seed: must be in [0, 2^64)" in (
+        capsys.readouterr().err)
+
+
+def test_seed_u64_bounds_accepted(tmp_path, config_path):
+    for seed in (0, 2**64 - 1):
+        assert qst_simulate_mixture(tmp_path, config_path, "--seed", seed) == 0
+        doc = json.loads((tmp_path / "qst" / "counts.json").read_text())
+        assert doc["seed"] == seed
+
+
 def test_lobe_with_unknown_field_exit_code(tmp_path, config_path, capsys):
     grid = tmp_path / "grid.csv"
     write_grid_csv(grid, [670.0, 671.0], [567.0, 568.0], np.ones((2, 2)))
@@ -464,7 +531,7 @@ def test_qst_pipeline_end_to_end(tmp_path, config_path):
 def test_qst_reconstruct_same_on_one_and_two_threads(tmp_path, config_path):
     from fwmpairs.estimation import BELL_PHI_PLUS
     from fwmpairs.gridio import density_to_json, write_json
-    from fwmpairs.tomography import KKT_TOL
+    from fwmpairs.tomography import DUAL_TOL, KKT_TOL
     bell = np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS.conj())
     rho_path = tmp_path / "rho.json"
     write_json(rho_path, density_to_json(0.8 * bell + 0.2 * np.eye(4) / 4))
@@ -481,6 +548,9 @@ def test_qst_reconstruct_same_on_one_and_two_threads(tmp_path, config_path):
     doc = json.loads(docs[0])
     assert doc["converged"] is True
     assert 0.0 <= doc["kkt_residual"] <= KKT_TOL
+    total = sum(rec["counts"] for rec in json.loads(
+        (tmp_path / "counts.json").read_text())["records"])
+    assert 0.0 <= doc["dual_gap"] <= DUAL_TOL * total
     assert doc["iterations"] > 0
     assert doc["bootstrap"]["unconverged"] == 0
     assert doc["bootstrap"]["failures"] == 0

@@ -356,7 +356,7 @@ def test_index_table_keeps_the_error_contract(fiber):
 def test_bessel_j_matches_scipy(n):
     # every core argument of an LP solve lies below the first J_1 zero
     x = np.linspace(0.0, 3.84, 4001)
-    got = dispersion._bessel_j(n, x)
+    got, = dispersion._bessel_j_orders((n,), x)
     assert np.max(np.abs(got - scipy.special.jv(n, x))) <= 1e-15
 
 
@@ -365,13 +365,18 @@ def test_bessel_k_matches_scipy(n):
     # both quadrature bands and the asymptotic series
     x = np.concatenate([np.geomspace(1e-8, 50.0, 4001),
                         np.linspace(50.0, 400.0, 351)])
-    got = dispersion._bessel_k(n, x)
+    got, = dispersion._bessel_k_orders((n,), x)
     assert np.max(np.abs(got / scipy.special.kv(n, x) - 1.0)) <= 1e-14
 
 
-@pytest.mark.parametrize("kernel", [dispersion._bessel_j, dispersion._bessel_k])
-def test_bessel_kernel_values_are_pointwise(kernel):
+@pytest.mark.parametrize("orders_kernel", [dispersion._bessel_j_orders,
+                                           dispersion._bessel_k_orders],
+                         ids=["_bessel_j", "_bessel_k"])
+def test_bessel_kernel_values_are_pointwise(orders_kernel):
     # more arguments than one chunk, over every K band and J's range
+    def kernel(n, x):
+        return orders_kernel((n,), x)[0]
+
     x = 4.5 * np.random.default_rng(3).random(5000) ** 8
     full = kernel(1, x)
     for j in (0, 2047, 2048, 4999):
@@ -449,6 +454,3 @@ def test_shared_table_kernels_match_single_order_kernels(orders):
     for n, j, k in zip(orders, got_j, got_k):
         assert np.array_equal(j, reference_bessel_j(n, x_j)), n
         assert np.array_equal(k, reference_bessel_k(n, x_k)), n
-    n = orders[0]
-    assert np.array_equal(dispersion._bessel_j(n, x_j), got_j[0])
-    assert np.array_equal(dispersion._bessel_k(n, x_k), got_k[0])

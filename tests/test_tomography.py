@@ -172,17 +172,25 @@ def criterion_7_pure_states():
             rng.standard_normal((4, 4))
 
 
-def test_mle_satisfies_kkt_conditions():
-    # Rho maximizes the likelihood iff R rho = rho and R <= I; the stop
-    # guarantees the first, the second certifies the likelihood gap
+def kkt_records():
+    """The criterion-7 pure states at exact rates, then Poisson records of
+    random rank-2 states at n0 = 1000, 5000 and 20 000."""
     basis = projector_basis()
     records = [CountRecord(counts=expected_counts(rho, 10000.0, basis),
                            n0=10000.0) for rho in criterion_7_pure_states()]
-    rng = np.random.default_rng(31)
-    for k in range(10):
-        rho = random_mixed(rng, rank=2)
-        records.append(sample_counts(expected_counts(rho, 1000.0, basis),
-                                     seed=k, n0=1000.0))
+    for n0, size in ((1000.0, 10), (5000.0, 60), (20000.0, 60)):
+        rng = np.random.default_rng(31)
+        for k in range(size):
+            rho = random_mixed(rng, rank=2)
+            records.append(sample_counts(expected_counts(rho, n0, basis),
+                                         seed=k, n0=n0))
+    return records
+
+
+def test_mle_satisfies_kkt_conditions():
+    # Rho maximizes the likelihood iff R rho = rho and R <= I; the stop
+    # guarantees both, the second certifies the likelihood gap
+    records = kkt_records()
     # one batched solve; test_batched_solve_matches_single_records ties
     # each row to mle_reconstruct
     rhos, _, _, residual = tomography._solve(
@@ -193,6 +201,93 @@ def test_mle_satisfies_kkt_conditions():
         r_op = r_operator(rho, rec.counts)
         assert np.linalg.norm(r_op @ rho - rho) <= 1e-8
         assert np.linalg.eigvalsh(r_op).max() <= 1.0 + 1e-6
+
+
+def test_stop_requires_both_kkt_conditions(monkeypatch):
+    # with either bound loosened to 1, the other alone must still hold
+    basis = projector_basis()
+    rng = np.random.default_rng(5)
+    records = [sample_counts(expected_counts(random_mixed(rng, rank=2),
+                                             5000.0, basis),
+                             seed=k, n0=5000.0) for k in range(6)]
+    for loose in ("KKT_TOL", "DUAL_TOL"):
+        with monkeypatch.context() as patch:
+            patch.setattr(tomography, loose, 1.0)
+            results = [mle_reconstruct(rec) for rec in records]
+        for rec, res in zip(records, results):
+            assert res.converged, loose
+            r_op = r_operator(res.rho, rec.counts)
+            if loose == "KKT_TOL":
+                assert np.linalg.eigvalsh(r_op).max() <= 1.0 + 1e-6
+                assert res.dual_gap <= 1e-6 * rec.counts.sum()
+            else:
+                assert np.linalg.norm(r_op @ res.rho - res.rho) <= 1e-8
+
+
+def rrhor_reference(counts, tol=1e-8, max_steps=20_000):
+    """Diluted R rho R iteration (Rehacek et al., PRA 75, 042108, 2007),
+    the slow reference the barrier solver replaced.  Each record starts
+    at I/4 and takes the first of R, (I + eps R) / (1 + eps) for
+    eps = 1, 0.1, 0.01 that does not lower its likelihood, until
+    ||R rho - rho||_F <= tol, max_steps, or no step keeps the likelihood.
+    """
+    pflat = projector_basis().projectors.reshape(36, 16)
+    eye = np.eye(4)
+    out = np.empty((len(counts), 4, 4), dtype=complex)
+    live = np.arange(len(counts))
+    weights = counts / counts.sum(axis=1, keepdims=True)
+    observed = weights > 0
+
+    def likelihood(rho, weights, observed):
+        p = (rho.reshape(-1, 1, 16) * pflat.conj()).sum(axis=2).real
+        p_obs = np.where(observed, p, 1.0)
+        return p_obs, (weights * np.log(p_obs)).sum(axis=1)
+
+    rho = np.tile(eye / 4.0 + 0j, (len(counts), 1, 1))
+    p, ll = likelihood(rho, weights, observed)
+    for step in range(max_steps + 1):
+        r_op = ((np.where(observed, weights / p, 0.0))[:, :, None]
+                * pflat).sum(axis=1).reshape(-1, 4, 4)
+        stop = ((np.linalg.norm(r_op @ rho - rho, axis=(1, 2)) <= tol)
+                | (step == max_steps))
+        pending = ~stop
+        for eps in (None, 1.0, 0.1, 0.01):
+            if not pending.any():
+                break
+            s = r_op if eps is None else (eye + eps * r_op) / (1.0 + eps)
+            cand = s @ rho @ s
+            cand /= np.trace(cand, axis1=1, axis2=2).real[:, None, None]
+            p_cand, ll_cand = likelihood(cand, weights, observed)
+            ok = pending & (ll_cand >= ll)
+            rho[ok], p[ok], ll[ok] = cand[ok], p_cand[ok], ll_cand[ok]
+            pending &= ~ok
+        stop |= pending
+        out[live[stop]] = rho[stop]
+        keep = ~stop
+        live, rho, p, ll = live[keep], rho[keep], p[keep], ll[keep]
+        weights, observed = weights[keep], observed[keep]
+        if not live.size:
+            return out
+
+
+def test_mle_within_dual_gap_of_rrhor_reference():
+    # ll_new <= ll* <= ll_new + dual_gap, so no physical state, the
+    # reference's included, may beat the certificate; and the reference's
+    # own gap bounds it from the other side
+    records = kkt_records()
+    counts = np.array([r.counts for r in records])
+    n0 = np.array([r.n0 for r in records])
+    rho, ll, _, _ = tomography._solve(counts, n0)
+    gap = tomography._kkt(rho, counts)[1]
+    ref = rrhor_reference(counts)
+    ll_ref = tomography._log_likelihood(
+        tomography._probabilities(
+            ref, projector_basis().projectors.reshape(36, 16).conj()),
+        counts, n0)
+    gap_ref = tomography._kkt(ref, counts)[1]
+    assert np.all(gap <= 1e-6 * counts.sum(axis=1))
+    assert np.all(ll_ref <= ll + gap)
+    assert np.all(ll <= ll_ref + gap_ref)
 
 
 def test_batched_solve_matches_single_records():
@@ -213,15 +308,19 @@ def test_batched_solve_matches_single_records():
 
 
 def test_mle_reports_iteration_cap(monkeypatch):
-    monkeypatch.setattr(tomography, "MAX_ITER", 5)
     basis = projector_basis()
     rates = expected_counts(0.7 * BELL + 0.3 * np.eye(4) / 4, 500.0, basis)
     rec = CountRecord(counts=np.round(rates), n0=500.0)
+    uncapped = mle_reconstruct(rec)
+    monkeypatch.setattr(tomography, "MAX_ITER", 5)
     res = mle_reconstruct(rec)
     assert res.converged is False
     assert res.iterations == 5
     assert res.kkt_residual > KKT_TOL
-    assert len(res.ll_trace) == 6
+    # ll at I/4 and at the one point centred within the 5 steps: the
+    # start of the uncapped trace
+    assert len(res.ll_trace) == 2
+    assert np.array_equal(res.ll_trace, uncapped.ll_trace[:2])
     validate_density(res.rho)
     boot = bootstrap_metrics(rec, n_samples=6, seed=1)
     assert boot.unconverged == 6 and boot.failures == 0
@@ -239,6 +338,13 @@ def test_count_record_validation():
         CountRecord(counts=-np.ones(36), n0=100.0)
     with pytest.raises(DomainError):
         CountRecord(counts=np.ones(36), n0=0.0)
+    for bad in (np.nan, np.inf, 2.0**53 + 2.0):
+        with pytest.raises(DomainError):
+            CountRecord(counts=np.r_[np.ones(35), bad], n0=100.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            CountRecord(counts=np.ones(36), n0=bad)
+    CountRecord(counts=np.full(36, 2.0**53), n0=100.0)
 
 
 # ---------------------------------------------------------------------------
