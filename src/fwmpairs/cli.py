@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import check_seed, load_config
+from .config import convert, load_config
 from .errors import ConfigError, FwmPairsError, GridFormatError, NumericError
 from . import pipeline
 
@@ -89,12 +89,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for flag, value in (("--threads", args.threads),
-                            ("--lobes", getattr(args, "n_lobes", None))):
-            if value is not None and value < 1:
-                raise ConfigError(f"{flag}: must be >= 1")
-        if args.seed is not None:
-            check_seed(args.seed, "--seed")
+        for flag, typ, value in (
+                ("--seed", "seed", args.seed),
+                ("--threads", "count", args.threads),
+                ("--lobes", "count", getattr(args, "n_lobes", None)),
+                ("--deltas", [float], getattr(args, "deltas", None)),
+                ("--wavelength-nm", float,
+                 getattr(args, "wavelength_nm", None))):
+            if value is not None:
+                convert(value, typ, flag)
         cfg = load_config(args.config)
         runner = pipeline.Runner(cfg, args.command, out_dir=args.out,
                                  seed=args.seed, threads=args.threads)

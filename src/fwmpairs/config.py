@@ -1,98 +1,31 @@
 """Pipeline configuration: strict JSON with location-aware errors.
 
-Unknown keys are rejected with their path so a typo never silently
-falls back to a default.  ``PipelineConfig.parse`` accepts the raw
-dict; ``load_config`` reads a file.
+``SCHEMA`` gives the JSON type of every key of every config section.
+The defaults live on the dataclasses alone, and a key whose field has
+no default is required.  Unknown keys are rejected with their path so a
+typo never silently falls back to a default.  ``convert`` is the one
+place for type and range checks (numbers finite, intervals ascending,
+seeds unsigned 64-bit, counts at least 1); a dataclass checks only its
+own physical constraints, such as a positive core radius.
+``PipelineConfig.parse`` accepts the raw dict; ``load_config`` reads a
+file.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .dispersion import FiberSpec
 from .errors import ConfigError
 from .estimation import SpectralWindow
 from .fields import ModeSuperposition
+from .gridio import CONTOUR_LEVELS
 from .spectrum import PumpSpec, SpectralGrid
-
-
-def _require(dct: dict, allowed: dict, where: str) -> dict:
-    if not isinstance(dct, dict):
-        raise ConfigError(f"{where}: expected an object")
-    for key in dct:
-        if key not in allowed:
-            raise ConfigError(f"{where}.{key}: unknown key")
-    out = {}
-    for key, (typ, default) in allowed.items():
-        if key in dct:
-            out[key] = _convert(dct[key], typ, f"{where}.{key}")
-        elif default is _REQUIRED:
-            raise ConfigError(f"{where}.{key}: missing required key")
-        else:
-            out[key] = default
-    return out
-
-
-_REQUIRED = object()
-
-
-def _convert(value, typ, where: str):
-    if typ is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{where}: expected a number")
-        return float(value)
-    if typ is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{where}: expected an integer")
-        return value
-    if typ is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{where}: expected true/false")
-        return value
-    if typ is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{where}: expected a string")
-        return value
-    if typ == "interval":
-        if (not isinstance(value, (list, tuple)) or len(value) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                       for v in value)):
-            raise ConfigError(f"{where}: expected [low, high]")
-        return (float(value[0]), float(value[1]))
-    if typ == "raw":
-        return value
-    raise AssertionError(typ)
-
-
-def check_seed(seed: int, where: str) -> None:
-    """Seeds are unsigned 64-bit integers."""
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"{where}: must be in [0, 2^64), got {seed}")
-
-
-def parse_state(value, where: str) -> ModeSuperposition:
-    """A named state ('d', 'e', ...) or {mode: [re, im]} amplitudes."""
-    if isinstance(value, str):
-        try:
-            return ModeSuperposition.named(value)
-        except ConfigError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-    if isinstance(value, dict):
-        amps = {}
-        for mode, pair in value.items():
-            if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                    or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                           for v in pair)):
-                raise ConfigError(
-                    f"{where}.{mode}: expected [re, im] amplitude")
-            amps[mode] = complex(pair[0], pair[1])
-        try:
-            return ModeSuperposition(amps)
-        except ConfigError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-    raise ConfigError(f"{where}: expected a state name or amplitude map")
+from .tomography import MAX_COUNT
 
 
 @dataclass
@@ -109,143 +42,144 @@ class SeedScanConfig:
 
 @dataclass
 class PipelineConfig:
-    fiber: FiberSpec
-    pump: PumpSpec
-    grid: SpectralGrid
-    seed_scan: SeedScanConfig
-    windows: list
-    tomography: TomographyConfig
-    output_dir: str
-    k_nl: float
-    threads: int
-    delta_sweep: list
-    center_band_nm: tuple
-    expected_lobes: int
-    contour_level: str
-    raw: dict
+    fiber: FiberSpec = field(default_factory=FiberSpec)
+    pump: PumpSpec = field(default_factory=PumpSpec)
+    grid: SpectralGrid = field(default_factory=SpectralGrid)
+    seed_scan: SeedScanConfig = field(default_factory=SeedScanConfig)
+    windows: list = field(default_factory=list)
+    tomography: TomographyConfig = field(default_factory=TomographyConfig)
+    output_dir: str = "out"
+    k_nl: float = 0.0
+    threads: int = 1
+    delta_sweep: list = field(default_factory=lambda: [0.0, 1.5e-5, 3.0e-5])
+    center_band_nm: tuple = (540.0, 580.0)
+    expected_lobes: int = 4
+    contour_level: str = "1/e2"
+    raw: dict = field(default_factory=dict)
 
     @classmethod
     def parse(cls, data: dict) -> "PipelineConfig":
-        top = _require(data, {
-            "fiber": ("raw", {}),
-            "pump": ("raw", {}),
-            "grid": ("raw", {}),
-            "seed_scan": ("raw", {}),
-            "windows": ("raw", []),
-            "tomography": ("raw", {}),
-            "output_dir": (str, "out"),
-            "k_nl": (float, 0.0),
-            "threads": (int, 1),
-            "delta_sweep": ("raw", [0.0, 1.5e-5, 3.0e-5]),
-            "center_band_nm": ("interval", (540.0, 580.0)),
-            "expected_lobes": (int, 4),
-            "contour_level": (str, "1/e2"),
-        }, "config")
+        cfg = convert(data, cls, "config")
+        cfg.raw = data
+        return cfg
 
-        f = _require(top["fiber"], {
-            "core_radius_um": (float, 1.74),
-            "numerical_aperture": (float, 0.17),
-            "delta_pol": (float, 2.37e-4),
-            "delta_parity": (float, 4.41e-4),
-            "delta_parity_dispersion": (float, 3.0e-5),
-            "segments": ("raw", [[0.10, False]]),
-            "core_model": (str, "ge_doped"),
-        }, "config.fiber")
-        segments = []
-        for k, seg in enumerate(f["segments"]):
-            if (not isinstance(seg, (list, tuple)) or len(seg) != 2
-                    or isinstance(seg[0], bool)
-                    or not isinstance(seg[0], (int, float))
-                    or not isinstance(seg[1], bool)):
-                raise ConfigError(
-                    f"config.fiber.segments[{k}]: expected "
-                    "[length_m, axis_swapped]")
-            segments.append((float(seg[0]), seg[1]))
+
+# The JSON type of each key: a scalar type, a section (dataclass), a
+# fixed-length array (tuple of types), an array of one type (one-element
+# list) or a named kind from ``KINDS``.
+SCHEMA = {
+    PipelineConfig: {
+        "fiber": FiberSpec, "pump": PumpSpec, "grid": SpectralGrid,
+        "seed_scan": SeedScanConfig, "windows": [SpectralWindow],
+        "tomography": TomographyConfig, "output_dir": str, "k_nl": float,
+        "threads": "count", "delta_sweep": [float],
+        "center_band_nm": "interval", "expected_lobes": "count",
+        "contour_level": "contour",
+    },
+    FiberSpec: {
+        "core_radius_um": float, "numerical_aperture": float,
+        "delta_pol": float, "delta_parity": float,
+        "delta_parity_dispersion": float, "segments": [(float, bool)],
+        "core_model": str,
+    },
+    PumpSpec: {"center_wavelength_nm": float, "intensity_fwhm_nm": float,
+               "transverse_state": "state"},
+    SpectralGrid: {"lambda_s_nm": "interval", "lambda_i_nm": "interval",
+                   "points_s": int, "points_i": int},
+    SeedScanConfig: {"lambda_i_nm": "interval"},
+    SpectralWindow: {"lambda_s_nm": "interval", "lambda_i_nm": "interval"},
+    TomographyConfig: {"counts_scale": "counts_scale",
+                       "n_samples": "samples", "seed": "seed"},
+}
+
+# named kind -> (JSON type, test, rule stated when the test fails)
+KINDS = {
+    "interval": ((float, float), lambda v: v[0] < v[1],
+                 "must be an ascending [low, high]"),
+    "count": (int, lambda v: v >= 1, "must be >= 1"),
+    "samples": (int, lambda v: v >= 2, "must be >= 2"),
+    "seed": (int, lambda v: 0 <= v < 2**64, "must be in [0, 2^64)"),
+    "counts_scale": (float, lambda v: 0 < v <= MAX_COUNT,
+                     "must be in (0, 2^53]"),
+    "contour": (str, lambda v: v in CONTOUR_LEVELS,
+                f"must be one of {sorted(CONTOUR_LEVELS)}"),
+}
+
+_EXPECTED = {float: "a number", int: "an integer", bool: "true/false",
+             str: "a string"}
+
+
+def convert(value, typ, where: str):
+    """Check ``value`` against the schema type ``typ`` and return it
+    converted; a ConfigError names ``where`` and the rule broken."""
+    if dataclasses.is_dataclass(typ):
+        return _section(typ, value, where)
+    if isinstance(typ, (list, tuple)):
+        fixed = isinstance(typ, tuple)
+        if not isinstance(value, (list, tuple)) or (
+                fixed and len(value) != len(typ)):
+            raise ConfigError(f"{where}: expected a list"
+                              + (f" of {len(typ)} items" if fixed else ""))
+        types = typ if fixed else typ * len(value)
+        out = [convert(v, t, f"{where}[{k}]")
+               for k, (v, t) in enumerate(zip(value, types))]
+        return tuple(out) if fixed else out
+    if typ in KINDS:
+        base, test, rule = KINDS[typ]
+        value = convert(value, base, where)
+        if not test(value):
+            raise ConfigError(f"{where}: {rule}, got {value!r}")
+        return value
+    if typ == "state":
+        return _state(value, where)
+    if isinstance(value, bool) != (typ is bool) or not isinstance(
+            value, (int, float) if typ is float else typ):
+        raise ConfigError(f"{where}: expected {_EXPECTED[typ]}")
+    if typ is float:
         try:
-            fiber = FiberSpec(
-                core_radius_um=f["core_radius_um"],
-                numerical_aperture=f["numerical_aperture"],
-                delta_pol=f["delta_pol"],
-                delta_parity=f["delta_parity"],
-                delta_parity_dispersion=f["delta_parity_dispersion"],
-                segments=tuple(segments),
-                core_model=f["core_model"],
-            )
-        except ConfigError as exc:
-            raise ConfigError(f"config.fiber: {exc}") from None
+            value = float(value)
+        except OverflowError:  # an integer past the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{where}: must be finite, got {value!r}")
+    return value
 
-        p = _require(top["pump"], {
-            "center_wavelength_nm": (float, 620.0),
-            "intensity_fwhm_nm": (float, 2.0),
-            "transverse_state": ("raw", "d"),
-        }, "config.pump")
-        pump = PumpSpec(
-            center_wavelength_nm=p["center_wavelength_nm"],
-            intensity_fwhm_nm=p["intensity_fwhm_nm"],
-            transverse_state=parse_state(p["transverse_state"],
-                                         "config.pump.transverse_state"),
-        )
 
-        g = _require(top["grid"], {
-            "lambda_s_nm": ("interval", (670.0, 700.0)),
-            "lambda_i_nm": ("interval", (567.0, 576.0)),
-            "points_s": (int, 301),
-            "points_i": (int, 301),
-        }, "config.grid")
-        try:
-            grid = SpectralGrid(lambda_s_nm=g["lambda_s_nm"],
-                                lambda_i_nm=g["lambda_i_nm"],
-                                points_s=g["points_s"],
-                                points_i=g["points_i"])
-        except ConfigError as exc:
-            raise ConfigError(f"config.grid: {exc}") from None
+def _section(cls, value, where: str):
+    """Build ``cls`` from the keys present; the others keep the field
+    defaults, and a field without a default is a required key."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object")
+    types = SCHEMA[cls]
+    for key in value:
+        if key not in types:
+            raise ConfigError(f"{where}.{key}: unknown key")
+    for f in dataclasses.fields(cls):
+        if (f.name not in value and f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING):
+            raise ConfigError(f"{where}.{f.name}: missing required key")
+    kwargs = {key: convert(v, types[key], f"{where}.{key}")
+              for key, v in value.items()}
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
-        s = _require(top["seed_scan"], {
-            "lambda_i_nm": ("interval", (567.0, 576.0)),
-        }, "config.seed_scan")
-        seed_scan = SeedScanConfig(lambda_i_nm=s["lambda_i_nm"])
 
-        windows = []
-        if not isinstance(top["windows"], list):
-            raise ConfigError("config.windows: expected a list")
-        for k, w in enumerate(top["windows"]):
-            wd = _require(w, {
-                "lambda_s_nm": ("interval", _REQUIRED),
-                "lambda_i_nm": ("interval", _REQUIRED),
-            }, f"config.windows[{k}]")
-            try:
-                windows.append(SpectralWindow(lambda_s_nm=wd["lambda_s_nm"],
-                                              lambda_i_nm=wd["lambda_i_nm"]))
-            except ConfigError as exc:
-                raise ConfigError(f"config.windows[{k}]: {exc}") from None
-
-        t = _require(top["tomography"], {
-            "counts_scale": (float, 1000.0),
-            "n_samples": (int, 100),
-            "seed": (int, 20240620),
-        }, "config.tomography")
-        check_seed(t["seed"], "config.tomography.seed")
-        tomo = TomographyConfig(counts_scale=t["counts_scale"],
-                                n_samples=t["n_samples"], seed=t["seed"])
-
-        if not isinstance(top["delta_sweep"], list) or any(
-                isinstance(v, bool) or not isinstance(v, (int, float))
-                for v in top["delta_sweep"]):
-            raise ConfigError("config.delta_sweep: expected a list of numbers")
-        if top["threads"] < 1:
-            raise ConfigError("config.threads: must be >= 1")
-
-        return cls(
-            fiber=fiber, pump=pump, grid=grid, seed_scan=seed_scan,
-            windows=windows, tomography=tomo,
-            output_dir=top["output_dir"], k_nl=top["k_nl"],
-            threads=top["threads"],
-            delta_sweep=[float(v) for v in top["delta_sweep"]],
-            center_band_nm=top["center_band_nm"],
-            expected_lobes=top["expected_lobes"],
-            contour_level=top["contour_level"],
-            raw=data,
-        )
+def _state(value, where: str) -> ModeSuperposition:
+    """A named state ('d', 'e', ...) or {mode: [re, im]} amplitudes."""
+    if isinstance(value, dict):
+        value = {mode: complex(*convert(pair, (float, float),
+                                        f"{where}.{mode}"))
+                 for mode, pair in value.items()}
+    elif not isinstance(value, str):
+        raise ConfigError(f"{where}: expected a state name or amplitude map")
+    try:
+        if isinstance(value, str):
+            return ModeSuperposition.named(value)
+        return ModeSuperposition(value)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def load_config(path: str | Path) -> PipelineConfig:

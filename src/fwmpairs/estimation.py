@@ -80,7 +80,6 @@ class ProcessWeights:
 
     amplitudes: dict          # label -> c_j, sum |c_j|^2 = 1
     pump_pair_factor: dict    # label -> b_j
-    overlaps: dict            # label -> O_j used
 
     def m(self) -> dict:
         return {k: float(abs(v) ** 2) for k, v in self.amplitudes.items()}
@@ -96,7 +95,6 @@ def process_weights(pump: PumpSpec | ModeSuperposition, overlaps: dict,
     state = pump.transverse_state if isinstance(pump, PumpSpec) else pump
     amps = {}
     bfac = {}
-    used = {}
     for proc in processes:
         a1 = state.amplitude(proc.t_p1)
         a2 = state.amplitude(proc.t_p2)
@@ -104,14 +102,12 @@ def process_weights(pump: PumpSpec | ModeSuperposition, overlaps: dict,
         mult = 1.0 if proc.pump_mode_degenerate else 2.0
         bfac[proc.label] = float(mult * abs(a1 * a2) ** 2)
         amps[proc.label] = a1 * a2 * o_j
-        used[proc.label] = o_j
     total = sum(abs(v) ** 2 for v in amps.values())
     if total <= 0:
         raise DomainError("all process weights are zero for this pump state")
     scale = 1.0 / np.sqrt(total)
     amps = {k: v * scale for k, v in amps.items()}
-    return ProcessWeights(amplitudes=amps, pump_pair_factor=bfac,
-                          overlaps=used)
+    return ProcessWeights(amplitudes=amps, pump_pair_factor=bfac)
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +120,6 @@ class SpectralWindow:
 
     lambda_s_nm: tuple
     lambda_i_nm: tuple
-
-    def __post_init__(self):
-        if self.lambda_s_nm[0] >= self.lambda_s_nm[1] or \
-                self.lambda_i_nm[0] >= self.lambda_i_nm[1]:
-            raise ConfigError("window intervals must be ascending")
 
     def quadrature(self, nodes: int = 101):
         """Midpoint nodes and the cell area."""

@@ -21,6 +21,7 @@ two-even/two-odd ones after normalization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -57,7 +58,9 @@ class ModeSuperposition:
         for k in amps:
             if k not in _BASIS:
                 raise ConfigError(f"unknown basis mode {k!r}")
-        norm = np.sqrt(sum(abs(v) ** 2 for v in amps.values()))
+        # hypot of the parts: no overflow or underflow at extreme scales
+        norm = math.hypot(*(x for v in amps.values()
+                            for x in (v.real, v.imag)))
         if abs(norm - 1.0) > 1e-9:
             amps = {k: v / norm for k, v in amps.items()}
         object.__setattr__(self, "amplitudes", amps)

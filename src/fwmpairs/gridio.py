@@ -267,7 +267,6 @@ def render_svg_heatmap(path: Path, lam_s_nm, lam_i_nm, intensity,
         factor = int(np.ceil(n / n_target))
         pad = (-n) % factor
         if pad:
-            idx = [slice(None)] * arr.ndim
             arr = np.concatenate(
                 [arr, np.repeat(arr.take([-1], axis=axis), pad, axis=axis)],
                 axis=axis)
@@ -317,7 +316,7 @@ def render_svg_heatmap(path: Path, lam_s_nm, lam_i_nm, intensity,
                 f'height="{cell_h + 0.5:.2f}" '
                 f'fill="rgb({color[0]},{color[1]},{color[2]})"/>')
 
-    scale = CONTOUR_LEVELS.get(contour_level, 2.0)
+    scale = CONTOUR_LEVELS[contour_level]
     for lobe in lobes:
         cx = px(lobe.center_i_nm)
         cy = py(lobe.center_s_nm)

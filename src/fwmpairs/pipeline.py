@@ -165,13 +165,6 @@ class Simulation:
                 out.append(proc)
         return out
 
-    def bc_intersection(self) -> tuple:
-        """Midpoint of the B and C phase-matched centers."""
-        if "B" not in self.centers or "C" not in self.centers:
-            raise NumericError("B and C are not both phase matched")
-        (bs, bi), (cs, ci) = self.centers["B"], self.centers["C"]
-        return 0.5 * (bs + cs), 0.5 * (bi + ci)
-
 
 def _fit_in_band_lobes(sim: Simulation, lam_s, lam_i, intensity,
                        n_lobes: int | None = None):
@@ -300,6 +293,10 @@ def cmd_sweep_delta(runner: Runner, deltas=None) -> list:
             fiber = dataclasses.replace(cfg.fiber,
                                         delta_parity_dispersion=delta)
             sim = Simulation(cfg, fiber=fiber)
+            for label in ("B", "C"):
+                if label not in sim.centers:
+                    raise NumericError(f"delta = {delta:g}: "
+                                       f"{sim.unmatched[label]}")
             grid = sim.jsi()
             name = f"jsi_delta{k}.csv"
             write_grid_csv(runner.path(name), grid.lambda_s_axis,

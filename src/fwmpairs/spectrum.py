@@ -19,7 +19,7 @@ import numpy as np
 from .dispersion import FiberSpec
 from .errors import ConfigError, DomainError, NumericError
 from .fields import ModeSuperposition
-from .processes import BaseIndexCache, FwmProcess
+from .processes import BaseIndexCache
 
 _TWO_PI = 2.0 * np.pi
 # speed of light in vacuum, m/s (exact SI value)
@@ -72,15 +72,6 @@ def pump_envelope(lam_s_nm, lam_i_nm, pump: PumpSpec) -> np.ndarray:
     return np.exp(-(nu**2) / (8.0 * pump.sigma_omega**2))
 
 
-def phase_matching_fn(process: FwmProcess, lam_s_nm, lam_i_nm,
-                      fiber: FiberSpec, k_nl: float = 0.0) -> np.ndarray:
-    """Complex phase-matching amplitude of the segmented fiber at
-    (lam_s, lam_i) in nm; see ``BaseIndexCache.phase_matching``."""
-    cache = BaseIndexCache(fiber, np.atleast_1d(lam_s_nm) / 1000.0,
-                           np.atleast_1d(lam_i_nm) / 1000.0)
-    return cache.phase_matching(process, k_nl)
-
-
 @dataclass(frozen=True)
 class SpectralGrid:
     """Rectangular uniform (lambda_s, lambda_i) grid specification."""
@@ -91,9 +82,6 @@ class SpectralGrid:
     points_i: int = 301
 
     def __post_init__(self):
-        if self.lambda_s_nm[0] >= self.lambda_s_nm[1] \
-                or self.lambda_i_nm[0] >= self.lambda_i_nm[1]:
-            raise ConfigError("grid bands must be ascending intervals")
         if self.points_s < 2 or self.points_i < 2:
             raise ConfigError("grids need at least 2 points per axis")
 
@@ -119,14 +107,6 @@ class JsiGrid:
     processes: dict  # label -> FwmProcess
     combined: np.ndarray
     normalization: float  # raw intensity integral before scaling
-
-    @property
-    def step_s(self) -> float:
-        return float(self.lambda_s_axis[1] - self.lambda_s_axis[0])
-
-    @property
-    def step_i(self) -> float:
-        return float(self.lambda_i_axis[1] - self.lambda_i_axis[0])
 
 
 def combine_intensity(per_process: dict, processes: dict) -> np.ndarray:

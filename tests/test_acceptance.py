@@ -180,12 +180,18 @@ def test_criterion_05_rho_se_analytic_limits():
     c.conclude()
 
 
+def bc_intersection(sim):
+    """Midpoint of the B and C phase-matched centers."""
+    (bs, bi), (cs, ci) = sim.centers["B"], sim.centers["C"]
+    return 0.5 * (bs + cs), 0.5 * (bi + ci)
+
+
 def test_criterion_06_window_optimization(sim_15mm_cross):
     c = Criterion(6, "1 nm window at B-C intersection reproduces "
                      "(0.82, 0.91, 0.84)", 60.0)
     sim = sim_15mm_cross
     amps = sim.amplitudes()
-    mid_s, mid_i = sim.bc_intersection()
+    mid_s, mid_i = bc_intersection(sim)
     win = SpectralWindow((mid_s - 0.5, mid_s + 0.5),
                          (mid_i - 0.5, mid_i + 0.5))
     rho = trace_spectral(amps, sim.matched, win)
@@ -236,7 +242,7 @@ def test_criterion_07_tomography_round_trip():
 def test_criterion_08_pipeline_self_consistency(sim_15mm_cross):
     c = Criterion(8, "rho_SE vs MLE(expected counts) fidelity >= 0.99", 60.0)
     sim = sim_15mm_cross
-    mid_s, mid_i = sim.bc_intersection()
+    mid_s, mid_i = bc_intersection(sim)
     win = SpectralWindow((mid_s - 1.0, mid_s + 1.0),
                          (mid_i - 1.0, mid_i + 1.0))
     rho_se = trace_spectral(sim.amplitudes(), sim.matched, win)

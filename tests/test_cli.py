@@ -475,6 +475,32 @@ def test_sweep_delta_monotone(tmp_path, config_path):
     assert (out / "jsi_delta2.svg").exists()
 
 
+@pytest.mark.parametrize("delta", ["0.01", "0.1"])
+def test_sweep_delta_unmatched_channel_exit_code(tmp_path, config_path,
+                                                 capsys, delta):
+    # at these parity dispersions B leaves the searched idler band
+    out = tmp_path / "sweep"
+    assert run(["sweep-delta", "--config", config_path, "--out", out,
+                "--deltas", delta]) == 3
+    err = capsys.readouterr().err
+    assert f"delta = {float(delta):g}: process B not phase matched" in err
+    assert "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, flag", [("sweep-delta", "--deltas"),
+                                           ("modes", "--wavelength-nm")])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_number_flag_exit_code(tmp_path, config_path, capsys,
+                                          command, flag, bad):
+    out = tmp_path / "out"
+    assert run([command, "--config", config_path, "--out", out,
+                f"{flag}={bad}"]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "must be finite" in err
+    assert not (out / "manifest.json").exists()
+
+
 def test_estimate_rho_wide_window_metrics(tmp_path, config_path):
     out = tmp_path / "rho"
     assert run(["estimate-rho", "--config", config_path, "--out", out]) == 0

@@ -6,10 +6,17 @@ from scipy.constants import c as C_LIGHT
 
 from fwmpairs.dispersion import FiberSpec
 from fwmpairs.errors import ConfigError, DomainError, NumericError
-from fwmpairs.processes import FwmProcess
+from fwmpairs.processes import BaseIndexCache, FwmProcess
 from fwmpairs.spectrum import (GaussianLobe, PumpSpec, SpectralGrid,
-                               fit_lobes, jsa_grid, phase_matching_fn,
-                               pump_envelope)
+                               fit_lobes, jsa_grid, pump_envelope)
+
+
+def phase_matching_fn(process, lam_s_nm, lam_i_nm, fiber, k_nl=0.0):
+    """Complex phase-matching amplitude of the segmented fiber at
+    (lam_s, lam_i) in nm."""
+    cache = BaseIndexCache(fiber, np.atleast_1d(lam_s_nm) / 1000.0,
+                           np.atleast_1d(lam_i_nm) / 1000.0)
+    return cache.phase_matching(process, k_nl)
 
 
 def surface_partner(lam_i_nm, lam_p_nm=620.0):
@@ -103,8 +110,9 @@ def test_split_segments_reproduce_single_fiber(centers):
 
 
 def test_grid_normalization(grid_default):
-    total = grid_default.combined.sum() * grid_default.step_s \
-        * grid_default.step_i
+    step_s = grid_default.lambda_s_axis[1] - grid_default.lambda_s_axis[0]
+    step_i = grid_default.lambda_i_axis[1] - grid_default.lambda_i_axis[0]
+    total = grid_default.combined.sum() * step_s * step_i
     assert total == pytest.approx(1.0, abs=1e-9)
     assert np.all(grid_default.combined >= 0)
 
