@@ -5,8 +5,9 @@ The defaults live on the dataclasses alone, and a key whose field has
 no default is required.  Unknown keys are rejected with their path so a
 typo never silently falls back to a default.  ``convert`` is the one
 place for type and range checks (numbers finite, intervals ascending,
-seeds unsigned 64-bit, counts at least 1); a dataclass checks only its
-own physical constraints, such as a positive core radius.
+seeds unsigned 64-bit, counts at least 1, bootstrap samples at most
+``MAX_BOOTSTRAP_SAMPLES``); a dataclass checks only its own constraints,
+such as a positive core radius or a grid of at most ``MAX_GRID_POINTS``.
 ``PipelineConfig.parse`` accepts the raw dict; ``load_config`` reads a
 file.
 """
@@ -25,7 +26,7 @@ from .estimation import SpectralWindow
 from .fields import ModeSuperposition
 from .gridio import CONTOUR_LEVELS
 from .spectrum import PumpSpec, SpectralGrid
-from .tomography import MAX_COUNT
+from .tomography import MAX_BOOTSTRAP_SAMPLES, MAX_COUNT
 
 
 @dataclass
@@ -92,12 +93,14 @@ SCHEMA = {
                        "n_samples": "samples", "seed": "seed"},
 }
 
-# named kind -> (JSON type, test, rule stated when the test fails)
+# named kind -> (JSON type or kind, test, rule stated when the test fails)
 KINDS = {
     "interval": ((float, float), lambda v: v[0] < v[1],
                  "must be an ascending [low, high]"),
     "count": (int, lambda v: v >= 1, "must be >= 1"),
-    "samples": (int, lambda v: v >= 2, "must be >= 2"),
+    "two_or_more": (int, lambda v: v >= 2, "must be >= 2"),
+    "samples": ("two_or_more", lambda v: v <= MAX_BOOTSTRAP_SAMPLES,
+                f"must be <= {MAX_BOOTSTRAP_SAMPLES}"),
     "seed": (int, lambda v: 0 <= v < 2**64, "must be in [0, 2^64)"),
     "counts_scale": (float, lambda v: 0 < v <= MAX_COUNT,
                      "must be in (0, 2^53]"),

@@ -48,6 +48,9 @@ _J0_ZERO = 2.404825557695773
 _J1_ZERO = 3.8317059702075125
 
 LP11_CUTOFF_V = _J0_ZERO
+# From here up LP21 and LP02 are guided too, and the fiber is no longer
+# few-mode: the LP01/LP11 solver and the {g, e, o} basis stop describing it.
+FEW_MODE_V = _J1_ZERO
 
 LP_LABELS = ("LP01", "LP11")
 _LP_AZIMUTHAL = {"LP01": 0, "LP11": 1}
@@ -183,6 +186,18 @@ class FiberSpec:
         lam = np.asarray(lam_um, dtype=float)
         na = np.sqrt(self.core_index(lam) ** 2 - self.cladding_index(lam) ** 2)
         return 2.0 * np.pi * self.core_radius_um * na / lam
+
+
+def check_few_mode(fiber: FiberSpec, lam_um) -> None:
+    """Raise DomainError where V reaches FEW_MODE_V at one of the
+    wavelengths ``lam_um``, naming the largest V and its wavelength."""
+    lam = np.atleast_1d(np.asarray(lam_um, dtype=float))
+    v = fiber.v_number(lam)
+    k = int(np.argmax(v))
+    if v[k] >= FEW_MODE_V:
+        raise DomainError(
+            f"fiber is not few-mode: V = {v[k]:.4g} at {lam[k] * 1e3:g} nm "
+            f"is at least {FEW_MODE_V:.4f}, where LP21 and LP02 are guided")
 
 
 @dataclass(frozen=True)

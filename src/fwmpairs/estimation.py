@@ -73,13 +73,10 @@ class ProcessWeights:
 
     c_j is the product of the two pump-mode amplitudes with the spatial
     coupling O_j (whose mixed-pump exchange doubling already accounts
-    for pump-photon indistinguishability).  ``pump_pair_factor`` is the
-    probability weight of the unordered pump-mode configuration,
-    carrying the factor of 2 for mixed pairs.
+    for pump-photon indistinguishability).
     """
 
     amplitudes: dict          # label -> c_j, sum |c_j|^2 = 1
-    pump_pair_factor: dict    # label -> b_j
 
     def m(self) -> dict:
         return {k: float(abs(v) ** 2) for k, v in self.amplitudes.items()}
@@ -93,21 +90,15 @@ def process_weights(pump: PumpSpec | ModeSuperposition, overlaps: dict,
     no support on the required modes).
     """
     state = pump.transverse_state if isinstance(pump, PumpSpec) else pump
-    amps = {}
-    bfac = {}
-    for proc in processes:
-        a1 = state.amplitude(proc.t_p1)
-        a2 = state.amplitude(proc.t_p2)
-        o_j = overlaps.get(proc.label, 0j)
-        mult = 1.0 if proc.pump_mode_degenerate else 2.0
-        bfac[proc.label] = float(mult * abs(a1 * a2) ** 2)
-        amps[proc.label] = a1 * a2 * o_j
+    amps = {proc.label: state.amplitude(proc.t_p1)
+            * state.amplitude(proc.t_p2) * overlaps.get(proc.label, 0j)
+            for proc in processes}
     total = sum(abs(v) ** 2 for v in amps.values())
     if total <= 0:
         raise DomainError("all process weights are zero for this pump state")
     scale = 1.0 / np.sqrt(total)
     amps = {k: v * scale for k, v in amps.items()}
-    return ProcessWeights(amplitudes=amps, pump_pair_factor=bfac)
+    return ProcessWeights(amplitudes=amps)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ covers every listed file.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import PipelineConfig
-from .dispersion import FiberSpec
+from .dispersion import FiberSpec, check_few_mode
 from .errors import ConfigError, GridFormatError, NumericError, PhaseMatchError
 from .estimation import (SpectralWindow, lobe_amplitudes, metrics_block,
                          model_amplitudes, process_weights, trace_spectral,
@@ -61,29 +62,20 @@ class Runner:
         self.timings: list = []
         self._t0 = time.perf_counter()
 
+    @contextlib.contextmanager
     def stage(self, name: str):
-        runner = self
-
-        class _Stage:
-            def __enter__(self):
-                self.start = time.perf_counter()
-                return self
-
-            def __exit__(self, *exc):
-                runner.timings.append((name, time.perf_counter() - self.start))
-                return False
-
-        return _Stage()
+        start = time.perf_counter()
+        yield
+        self.timings.append((name, time.perf_counter() - start))
 
     def path(self, name: str) -> Path:
         return self.out / name
 
-    def record(self, name: str) -> None:
+    def write(self, name: str, writer, *args, **kw) -> None:
+        """Write output ``name`` through ``writer(path, *args, **kw)`` and
+        list it in the manifest."""
+        writer(self.path(name), *args, **kw)
         self.files.append(name)
-
-    def write_json(self, name: str, obj) -> None:
-        write_json(self.path(name), obj)
-        self.record(name)
 
     def finish(self) -> Path:
         manifest = {
@@ -123,6 +115,11 @@ class Simulation:
         self.cfg = cfg
         self.fiber = fiber if fiber is not None else cfg.fiber
         self.pump = cfg.pump
+        check_few_mode(self.fiber, np.array([
+            cfg.pump.center_wavelength_nm, *cfg.center_band_nm,
+            *cfg.grid.lambda_s_nm, *cfg.grid.lambda_i_nm,
+            *(lam for w in cfg.windows
+              for lam in (*w.lambda_s_nm, *w.lambda_i_nm))]) / 1000.0)
         self.processes = enumerate_processes(TWO_MODE_SET)
         self.centers = {}
         self.unmatched = {}
@@ -203,18 +200,16 @@ def load_lobes(path: Path) -> list:
 # commands
 
 
-def cmd_simulate_jsi(runner: Runner) -> dict:
+def cmd_simulate_jsi(runner: Runner) -> list:
     cfg = runner.cfg
     with runner.stage("simulate"):
         sim = Simulation(cfg)
         grid = sim.jsi()
+        axes = (grid.lambda_s_axis, grid.lambda_i_axis, grid.combined)
     with runner.stage("fit"):
-        fit = _fit_in_band_lobes(sim, grid.lambda_s_axis, grid.lambda_i_axis,
-                                 grid.combined)
+        fit = _fit_in_band_lobes(sim, *axes)
     with runner.stage("write"):
-        write_grid_csv(runner.path("jsi.csv"), grid.lambda_s_axis,
-                       grid.lambda_i_axis, grid.combined)
-        runner.record("jsi.csv")
+        runner.write("jsi.csv", write_grid_csv, *axes)
         meta = {
             "pump": {
                 "center_wavelength_nm": cfg.pump.center_wavelength_nm,
@@ -234,7 +229,7 @@ def cmd_simulate_jsi(runner: Runner) -> dict:
                       "intensity": "1/nm^2 (integrates to 1)"},
             "unmatched_processes": sim.unmatched,
         }
-        runner.write_json("jsi_meta.json", meta)
+        runner.write("jsi_meta.json", write_json, meta)
         report_rows = []
         for lobe in sorted(fit.lobes, key=lambda lb: lb.center_i_nm):
             pred = sim.centers[lobe.process_label]
@@ -250,25 +245,22 @@ def cmd_simulate_jsi(runner: Runner) -> dict:
                 "amplitude": lobe.amplitude,
                 "r_squared": lobe.r_squared,
             })
-        runner.write_json("lobes.json", lobes_to_json(fit))
-        _write_csv(runner, "lobe_centers.csv", report_rows)
-        write_pgm(runner.path("jsi.pgm"), grid.combined)
-        runner.record("jsi.pgm")
-        write_ppm(runner.path("jsi.ppm"), grid.combined)
-        runner.record("jsi.ppm")
-        render_svg_heatmap(runner.path("jsi.svg"), grid.lambda_s_axis,
-                           grid.lambda_i_axis, grid.combined,
-                           lobes=fit.lobes,
-                           contour_level=cfg.contour_level,
-                           title="combined joint spectral intensity")
-        runner.record("jsi.svg")
-    return {"lobes": report_rows, "unmatched": sim.unmatched}
+        runner.write("lobes.json", write_json, lobes_to_json(fit))
+        runner.write("lobe_centers.csv", _write_csv, report_rows)
+        runner.write("jsi.pgm", write_pgm, grid.combined)
+        runner.write("jsi.ppm", write_ppm, grid.combined)
+        runner.write("jsi.svg", render_svg_heatmap, *axes, lobes=fit.lobes,
+                     contour_level=cfg.contour_level,
+                     title="combined joint spectral intensity")
+    return [f"{row['process']}: fitted center "
+            f"({row['fitted_lambda_s_nm']:.3f}, "
+            f"{row['fitted_lambda_i_nm']:.3f}) nm, "
+            f"R^2 = {row['r_squared']:.4f}" for row in report_rows]
 
 
-def _write_csv(runner: Runner, name: str, rows: list) -> None:
+def _write_csv(path: Path, rows: list) -> None:
     if not rows:
-        runner.path(name).write_text("", encoding="utf-8")
-        runner.record(name)
+        path.write_text("", encoding="utf-8")
         return
     cols = list(rows[0].keys())
     lines = [",".join(cols)]
@@ -278,8 +270,7 @@ def _write_csv(runner: Runner, name: str, rows: list) -> None:
             v = row[col]
             cells.append(repr(float(v)) if isinstance(v, float) else str(v))
         lines.append(",".join(cells))
-    runner.path(name).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    runner.record(name)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def cmd_sweep_delta(runner: Runner, deltas=None) -> list:
@@ -298,15 +289,10 @@ def cmd_sweep_delta(runner: Runner, deltas=None) -> list:
                     raise NumericError(f"delta = {delta:g}: "
                                        f"{sim.unmatched[label]}")
             grid = sim.jsi()
-            name = f"jsi_delta{k}.csv"
-            write_grid_csv(runner.path(name), grid.lambda_s_axis,
-                           grid.lambda_i_axis, grid.combined)
-            runner.record(name)
-            svg = f"jsi_delta{k}.svg"
-            render_svg_heatmap(runner.path(svg), grid.lambda_s_axis,
-                               grid.lambda_i_axis, grid.combined,
-                               title=f"parity dispersion {delta:g}")
-            runner.record(svg)
+            axes = (grid.lambda_s_axis, grid.lambda_i_axis, grid.combined)
+            runner.write(f"jsi_delta{k}.csv", write_grid_csv, *axes)
+            runner.write(f"jsi_delta{k}.svg", render_svg_heatmap, *axes,
+                         title=f"parity dispersion {delta:g}")
             (bs, bi) = sim.centers["B"]
             (cs, ci) = sim.centers["C"]
             rows.append({
@@ -315,33 +301,28 @@ def cmd_sweep_delta(runner: Runner, deltas=None) -> list:
                 "lambda_s_B_nm": bs, "lambda_s_C_nm": cs,
                 "separation_i_nm": abs(ci - bi),
             })
-    _write_csv(runner, "separations.csv", rows)
-    return rows
+    runner.write("separations.csv", _write_csv, rows)
+    return [f"delta = {row['delta']:g}: B-C separation "
+            f"{row['separation_i_nm']:.4f} nm" for row in rows]
 
 
 def cmd_fit_lobes(runner: Runner, input_csv: Path,
-                  expected: int | None = None) -> dict:
+                  n_lobes: int | None = None) -> list:
     cfg = runner.cfg
     with runner.stage("load"):
-        lam_s, lam_i, intensity = load_grid_csv(input_csv)
+        grid = load_grid_csv(input_csv)
     with runner.stage("fit"):
-        fit = _fit_in_band_lobes(Simulation(cfg), lam_s, lam_i, intensity,
-                                 expected)
-    doc = lobes_to_json(fit)
-    runner.write_json("lobes.json", doc)
-    render_svg_heatmap(runner.path("lobes.svg"), lam_s, lam_i, intensity,
-                       lobes=fit.lobes, contour_level=cfg.contour_level,
-                       title="fitted lobes")
-    runner.record("lobes.svg")
-    return doc
+        fit = _fit_in_band_lobes(Simulation(cfg), *grid, n_lobes)
+    runner.write("lobes.json", write_json, lobes_to_json(fit))
+    runner.write("lobes.svg", render_svg_heatmap, *grid, lobes=fit.lobes,
+                 contour_level=cfg.contour_level, title="fitted lobes")
+    return [f"global R^2 = {fit.r_squared:.4f}"]
 
 
-def _windows_or_default(runner: Runner, sim: Simulation) -> list:
-    if runner.cfg.windows:
-        return list(runner.cfg.windows)
-    (s0, s1) = runner.cfg.grid.lambda_s_nm
-    (i0, i1) = runner.cfg.grid.lambda_i_nm
-    return [SpectralWindow((s0, s1), (i0, i1))]
+def _windows(cfg: PipelineConfig) -> list:
+    """The configured windows, or one window over the whole grid."""
+    return list(cfg.windows) or [
+        SpectralWindow(cfg.grid.lambda_s_nm, cfg.grid.lambda_i_nm)]
 
 
 def cmd_estimate_rho(runner: Runner, jsi_csv: Path | None = None,
@@ -360,7 +341,7 @@ def cmd_estimate_rho(runner: Runner, jsi_csv: Path | None = None,
             amps = sim.amplitudes()
             source = "simulation"
     rows = []
-    for k, window in enumerate(_windows_or_default(runner, sim)):
+    for k, window in enumerate(_windows(cfg)):
         with runner.stage(f"window_{k}"):
             rho = trace_spectral(amps, sim.matched, window)
             metrics = metrics_block(rho)
@@ -370,7 +351,7 @@ def cmd_estimate_rho(runner: Runner, jsi_csv: Path | None = None,
                 "source": source,
                 "kind": "rho_se",
             })
-            runner.write_json(f"rho_se_w{k}.json", doc)
+            runner.write(f"rho_se_w{k}.json", write_json, doc)
             rows.append({
                 "window": k,
                 "lambda_s_lo_nm": window.lambda_s_nm[0],
@@ -382,39 +363,42 @@ def cmd_estimate_rho(runner: Runner, jsi_csv: Path | None = None,
                 "bell_fidelity_unsquared": metrics["bell_fidelity_unsquared"],
                 "purity": metrics["purity"],
             })
-    _write_csv(runner, "windows.csv", rows)
-    return rows
+    runner.write("windows.csv", _write_csv, rows)
+    return [f"window {row['window']}: concurrence {row['concurrence']:.4f}, "
+            f"bell fidelity {row['bell_fidelity']:.4f} (unsquared "
+            f"{row['bell_fidelity_unsquared']:.4f}), purity "
+            f"{row['purity']:.4f}" for row in rows]
 
 
-def cmd_qst_simulate(runner: Runner, rho_json: Path | None = None) -> dict:
+def cmd_qst_simulate(runner: Runner, rho_json: Path | None = None) -> list:
     cfg = runner.cfg
     with runner.stage("state"):
         if rho_json is not None:
             rho = validate_density(load_density(rho_json))
         else:
             sim = Simulation(cfg)
-            window = _windows_or_default(runner, sim)[0]
-            rho = trace_spectral(sim.amplitudes(), sim.matched, window)
+            rho = trace_spectral(sim.amplitudes(), sim.matched,
+                                 _windows(cfg)[0])
     with runner.stage("counts"):
         basis = projector_basis()
         rates = expected_counts(rho, cfg.tomography.counts_scale, basis)
         record = sample_counts(rates, runner.seed,
                                cfg.tomography.counts_scale)
-        doc = {
+        counts = [int(c) for c in record.counts]
+        runner.write("counts.json", write_json, {
             "n0": cfg.tomography.counts_scale,
             "seed": runner.seed,
             "records": [
                 {"signal_basis": name[0], "idler_basis": name[1],
-                 "counts": int(c)}
-                for name, c in zip(basis.names, record.counts)
+                 "counts": c}
+                for name, c in zip(basis.names, counts)
             ],
-        }
-        runner.write_json("counts.json", doc)
-        runner.write_json("expected_rates.json", {
+        })
+        runner.write("expected_rates.json", write_json, {
             "n0": cfg.tomography.counts_scale,
             "rates": {name: float(r) for name, r in zip(basis.names, rates)},
         })
-    return doc
+    return [f"sampled {len(counts)} projectors, total counts {sum(counts)}"]
 
 
 def load_counts(path: Path) -> CountRecord:
@@ -447,10 +431,10 @@ def load_counts(path: Path) -> CountRecord:
     return CountRecord(counts=counts, n0=n0, seed=doc.get("seed"))
 
 
-def cmd_qst_reconstruct(runner: Runner, counts_json: Path) -> dict:
+def cmd_qst_reconstruct(runner: Runner, counts: Path) -> list:
     cfg = runner.cfg
     with runner.stage("mle"):
-        record = load_counts(counts_json)
+        record = load_counts(counts)
         result = mle_reconstruct(record)
         metrics = metrics_block(result.rho)
     with runner.stage("bootstrap"):
@@ -472,25 +456,32 @@ def cmd_qst_reconstruct(runner: Runner, counts_json: Path) -> dict:
             "stds": boot.stds,
         },
     })
-    runner.write_json("rho_qst.json", doc)
-    return doc
+    runner.write("rho_qst.json", write_json, doc)
+    return [f"{key}: {metrics[key]:.4f} (bootstrap {boot.means[key]:.4f} "
+            f"+/- {boot.stds[key]:.4f})"
+            for key in ("concurrence", "bell_fidelity", "purity")]
 
 
-def cmd_compare(runner: Runner, rho_a_path: Path, rho_b_path: Path) -> dict:
+def cmd_compare(runner: Runner, rho_a: Path, rho_b: Path) -> list:
     with runner.stage("compare"):
-        rho_a = validate_density(load_density(rho_a_path))
-        rho_b = validate_density(load_density(rho_b_path))
-        f_sq = fidelity(rho_a, rho_b)
-        abs_a = _nearest_density(np.abs(rho_a))
-        f_abs = fidelity(abs_a, rho_b)
+        a = validate_density(load_density(rho_a))
+        b = validate_density(load_density(rho_b))
+        f_sq = fidelity(a, b)
+        f_abs = fidelity(_nearest_density(np.abs(a)), b)
         doc = {
             "fidelity_squared": f_sq,
             "fidelity_unsquared": float(np.sqrt(f_sq)),
             "phase_blind_fidelity_squared": f_abs,
             "phase_blind_fidelity_unsquared": float(np.sqrt(f_abs)),
         }
-    runner.write_json("compare.json", doc)
-    return doc
+    runner.write("compare.json", write_json, doc)
+    return [f"fidelity (squared convention):   {doc['fidelity_squared']:.4f}",
+            "fidelity (unsquared convention): "
+            f"{doc['fidelity_unsquared']:.4f}",
+            "phase-blind |rho_a| vs rho_b (squared):   "
+            f"{doc['phase_blind_fidelity_squared']:.4f}",
+            "phase-blind |rho_a| vs rho_b (unsquared): "
+            f"{doc['phase_blind_fidelity_unsquared']:.4f}"]
 
 
 def _nearest_density(mat: np.ndarray) -> np.ndarray:
@@ -504,56 +495,50 @@ def _nearest_density(mat: np.ndarray) -> np.ndarray:
 
 
 def cmd_render(runner: Runner, input_csv: Path,
-               lobes_json: Path | None = None) -> None:
+               lobes_json: Path | None = None) -> list:
     with runner.stage("render"):
         lam_s, lam_i, intensity = load_grid_csv(input_csv)
-        lobes = []
-        if lobes_json is not None:
-            lobes = load_lobes(lobes_json)
+        lobes = load_lobes(lobes_json) if lobes_json is not None else []
         stem = Path(input_csv).stem
-        write_pgm(runner.path(f"{stem}.pgm"), intensity)
-        runner.record(f"{stem}.pgm")
-        write_ppm(runner.path(f"{stem}.ppm"), intensity)
-        runner.record(f"{stem}.ppm")
-        render_svg_heatmap(runner.path(f"{stem}.svg"), lam_s, lam_i,
-                           intensity, lobes=lobes,
-                           contour_level=runner.cfg.contour_level,
-                           title=stem)
-        runner.record(f"{stem}.svg")
+        runner.write(f"{stem}.pgm", write_pgm, intensity)
+        runner.write(f"{stem}.ppm", write_ppm, intensity)
+        runner.write(f"{stem}.svg", render_svg_heatmap, lam_s, lam_i,
+                     intensity, lobes=lobes,
+                     contour_level=runner.cfg.contour_level, title=stem)
+    return []
 
 
 MODE_IMAGE_STATES = ("g", "e", "o", "d", "a", "r", "l")
 
 
-def cmd_modes(runner: Runner, wavelength_nm: float | None = None) -> None:
+def cmd_modes(runner: Runner, wavelength_nm: float | None = None) -> list:
     cfg = runner.cfg
     lam_nm = wavelength_nm if wavelength_nm is not None else \
         0.5 * (cfg.seed_scan.lambda_i_nm[0] + cfg.seed_scan.lambda_i_nm[1])
+    check_few_mode(cfg.fiber, lam_nm / 1000.0)
     with runner.stage("modes"):
         grid = default_grid(cfg.fiber)
         for name in MODE_IMAGE_STATES:
-            img = intensity_image(cfg.fiber, lam_nm / 1000.0,
-                                  ModeSuperposition.named(name), grid)
-            write_pgm(runner.path(f"mode_{name}.pgm"), img)
-            runner.record(f"mode_{name}.pgm")
-        mix = intensity_image(
+            runner.write(f"mode_{name}.pgm", write_pgm, intensity_image(
+                cfg.fiber, lam_nm / 1000.0, ModeSuperposition.named(name),
+                grid))
+        runner.write("mode_mix_eo.pgm", write_pgm, intensity_image(
             cfg.fiber, lam_nm / 1000.0,
             [(0.5, ModeSuperposition.named("e")),
-             (0.5, ModeSuperposition.named("o"))], grid)
-        write_pgm(runner.path("mode_mix_eo.pgm"), mix)
-        runner.record("mode_mix_eo.pgm")
-        runner.write_json("modes_meta.json", {
+             (0.5, ModeSuperposition.named("o"))], grid))
+        runner.write("modes_meta.json", write_json, {
             "wavelength_nm": lam_nm,
             "grid_extent_um": grid.extent_um,
             "grid_resolution": grid.resolution,
             "states": list(MODE_IMAGE_STATES) + ["mix_eo"],
         })
+    return []
 
 
 def cmd_overlaps(runner: Runner) -> list:
-    cfg = runner.cfg
     with runner.stage("overlaps"):
-        sim = Simulation(cfg)
+        sim = Simulation(runner.cfg)
+        m = sim.weights.m()
         rows = []
         for proc in sim.matched:
             o_j = sim.overlaps[proc.label]
@@ -565,8 +550,10 @@ def cmd_overlaps(runner: Runner) -> list:
                 "overlap_re": float(o_j.real),
                 "overlap_im": float(o_j.imag),
                 "overlap_sq": float(abs(o_j) ** 2),
-                "weight_m": sim.weights.m()[proc.label],
+                "weight_m": m[proc.label],
             })
-    _write_csv(runner, "overlaps.csv", rows)
-    runner.write_json("overlaps.json", {"processes": rows})
-    return rows
+    runner.write("overlaps.csv", _write_csv, rows)
+    runner.write("overlaps.json", write_json, {"processes": rows})
+    return [f"{row['process']} ({row['modes']}): |O|^2 = "
+            f"{row['overlap_sq']:.4f}, weight {row['weight_m']:.4f}"
+            for row in rows]

@@ -72,6 +72,12 @@ def pump_envelope(lam_s_nm, lam_i_nm, pump: PumpSpec) -> np.ndarray:
     return np.exp(-(nu**2) / (8.0 * pump.sigma_omega**2))
 
 
+# Largest grid a config may ask for.  simulate-jsi, the largest
+# consumer, peaks near 40 MB + 0.53 kB per node (86 MB at 301 x 301,
+# 573 MB at 1001 x 1001), so 2^20 nodes stay near 600 MB
+MAX_GRID_POINTS = 2**20
+
+
 @dataclass(frozen=True)
 class SpectralGrid:
     """Rectangular uniform (lambda_s, lambda_i) grid specification."""
@@ -84,6 +90,10 @@ class SpectralGrid:
     def __post_init__(self):
         if self.points_s < 2 or self.points_i < 2:
             raise ConfigError("grids need at least 2 points per axis")
+        if self.points_s * self.points_i > MAX_GRID_POINTS:
+            raise ConfigError(
+                f"points_s * points_i must be at most {MAX_GRID_POINTS}, "
+                f"got {self.points_s * self.points_i}")
 
     def axes(self):
         ls = np.linspace(*self.lambda_s_nm, self.points_s)

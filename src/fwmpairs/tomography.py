@@ -21,16 +21,12 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .estimation import bell_fidelity, concurrence, purity, validate_density
+from .fields import NAMED_STATES
 
-SINGLE_STATES = {
-    "e": np.array([1.0, 0.0], dtype=complex),
-    "o": np.array([0.0, 1.0], dtype=complex),
-    "d": np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
-    "a": np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0),
-    "r": np.array([1.0, 1j], dtype=complex) / np.sqrt(2.0),
-    "l": np.array([1.0, -1j], dtype=complex) / np.sqrt(2.0),
-}
 STATE_ORDER = ("e", "o", "d", "a", "r", "l")
+# the named single-photon states as (e, o) kets
+SINGLE_STATES = {s: np.array([NAMED_STATES[s].get(m, 0.0) for m in "eo"],
+                             dtype=complex) for s in STATE_ORDER}
 
 
 @dataclass(frozen=True)
@@ -68,6 +64,9 @@ def expected_counts(rho: np.ndarray, n0: float,
 
 
 MAX_COUNT = 2.0**53  # float64 holds every integer count up to here exactly
+# Largest bootstrap a config may ask for: each resample adds about 28 kB
+# to the batched solve, so 10 000 of them peak near 330 MB
+MAX_BOOTSTRAP_SAMPLES = 10_000
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -498,6 +499,28 @@ def test_non_finite_number_flag_exit_code(tmp_path, config_path, capsys,
                 f"{flag}={bad}"]) == 2
     err = capsys.readouterr().err
     assert flag in err and "must be finite" in err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, radius, lam", [
+    ("overlaps", 1e9, "540 nm"), ("overlaps", 2.0, "540 nm"),
+    ("modes", 1e9, "571.5 nm")])
+def test_fiber_beyond_few_mode_exit_code(tmp_path, capsys, command, radius,
+                                         lam):
+    # V reaches 3.8317, where LP21 and LP02 are guided, at the shortest
+    # wavelength the command uses: the centre band's 540 nm for overlaps
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(
+        BASE_CONFIG, fiber={"core_radius_um": radius})), encoding="utf-8")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run([command, "--config", config, "--out", out])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert "fiber is not few-mode: V = " in err and f" at {lam} " in err
+    assert "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not (out / "manifest.json").exists()
 
 

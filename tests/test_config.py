@@ -17,6 +17,8 @@ from fwmpairs.cli import main
 from fwmpairs.config import SCHEMA, PipelineConfig
 from fwmpairs.errors import ConfigError
 from fwmpairs.gridio import density_to_json, write_grid_csv, write_json
+from fwmpairs.spectrum import MAX_GRID_POINTS
+from fwmpairs.tomography import MAX_BOOTSTRAP_SAMPLES
 
 NAN, INF = float("nan"), float("inf")
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -60,6 +62,12 @@ PROBES = {
                               "config.tomography.counts_scale"),
     "n_samples_one": ({"tomography": {"n_samples": 1}}, "qst-reconstruct",
                       "config.tomography.n_samples"),
+    # past the memory bounds; overlaps itself would allocate neither
+    "grid_points_over_bound": (
+        {"grid": {"points_s": 100_000, "points_i": 100_000}}, "overlaps",
+        "config.grid"),
+    "n_samples_over_bound": ({"tomography": {"n_samples": 10**6}},
+                             "overlaps", "config.tomography.n_samples"),
 }
 
 
@@ -166,6 +174,16 @@ def test_nested_boundary_values_are_config_errors():
                 {"tomography": {"counts_scale": 2**1100}},
                 {"expected_lobes": 0},
                 {"threads": True}):
+        with pytest.raises(ConfigError):
+            PipelineConfig.parse(doc)
+
+
+def test_size_bounds_are_inclusive():
+    side = math.isqrt(MAX_GRID_POINTS)
+    PipelineConfig.parse({"grid": {"points_s": side, "points_i": side},
+                          "tomography": {"n_samples": MAX_BOOTSTRAP_SAMPLES}})
+    for doc in ({"grid": {"points_s": side, "points_i": side + 1}},
+                {"tomography": {"n_samples": MAX_BOOTSTRAP_SAMPLES + 1}}):
         with pytest.raises(ConfigError):
             PipelineConfig.parse(doc)
 
