@@ -16,12 +16,9 @@ import numpy as np
 
 from .errors import GridFormatError
 from .estimation import BASIS_LABELS
+from .spectrum import MAX_GRID_POINTS
 
 CSV_CORNER = "lambda_s_nm\\lambda_i_nm"
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def canonical_json(obj) -> str:
@@ -63,20 +60,29 @@ def sha256_file(path: Path) -> str:
 def write_grid_csv(path: Path, lam_s_nm, lam_i_nm, intensity) -> None:
     lam_s = np.asarray(lam_s_nm, dtype=float)
     lam_i = np.asarray(lam_i_nm, dtype=float)
-    rows = [CSV_CORNER + "," + ",".join(_fmt(v) for v in lam_i)]
-    for r, ls in enumerate(lam_s):
-        rows.append(_fmt(ls) + "," + ",".join(_fmt(v) for v in intensity[r]))
+    values = np.asarray(intensity, dtype=float)
+    rows = [CSV_CORNER + "," + ",".join(map(repr, lam_i.tolist()))]
+    # a row's Python floats at a time, never the whole grid's
+    for ls, row in zip(lam_s.tolist(), values):
+        rows.append(",".join(map(repr, [ls, *row.tolist()])))
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8",
                           newline="\n")
 
 
 def load_grid_csv(path: Path):
-    """Parse and validate a grid CSV; returns (lam_s, lam_i, intensity)."""
+    """Parse and validate a grid CSV; returns (lam_s, lam_i, intensity).
+    A grid of more than ``MAX_GRID_POINTS`` cells is rejected before any
+    value is parsed."""
     text = Path(path).read_text(encoding="utf-8")
     lines = [ln for ln in text.split("\n") if ln.strip()]
     if len(lines) < 2:
         raise GridFormatError(f"{path}: needs a header row and data rows")
     header = lines[0].split(",")
+    rows, cols = len(lines) - 1, len(header) - 1
+    if rows * cols > MAX_GRID_POINTS:
+        raise GridFormatError(
+            f"{path}: {rows} x {cols} grid has {rows * cols} cells, more "
+            f"than the {MAX_GRID_POINTS} allowed")
     try:
         lam_i = np.array([float(v) for v in header[1:]])
     except ValueError:

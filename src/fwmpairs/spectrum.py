@@ -72,9 +72,9 @@ def pump_envelope(lam_s_nm, lam_i_nm, pump: PumpSpec) -> np.ndarray:
     return np.exp(-(nu**2) / (8.0 * pump.sigma_omega**2))
 
 
-# Largest grid a config may ask for.  simulate-jsi, the largest
-# consumer, peaks near 40 MB + 0.53 kB per node (86 MB at 301 x 301,
-# 573 MB at 1001 x 1001), so 2^20 nodes stay near 600 MB
+# Largest grid a config or a grid CSV may hold.  simulate-jsi, the largest
+# consumer, peaks near 34 MB + 0.31 kB per node (62 MB at 301 x 301,
+# 341 MB at 1001 x 1001), so 2^20 nodes stay near 360 MB
 MAX_GRID_POINTS = 2**20
 
 
@@ -426,6 +426,27 @@ def _peel(intensity, ls, li, n) -> list:
     return params
 
 
+# The joint fit's support radius around the peeled lobes (Mahalanobis;
+# exp(-R^2 / 2) ~ 1e-14), and the fraction of its amplitude a fitted lobe
+# may keep outside the support before the fit reruns on the whole grid.
+SUPPORT_RADIUS = 8.0
+_LEAK_FRACTION = 1e-12
+
+
+def _distances2(q: np.ndarray, xs, yi):
+    """Squared Mahalanobis distance of the nodes to each lobe of the
+    natural parameters ``q``, one array per lobe."""
+    for amp, x0, y0, sa, sb, th in np.reshape(q, (-1, 6)):
+        ct, st = np.cos(th), np.sin(th)
+        dx = xs - x0
+        dy = yi - y0
+        # a sigma below about 1e-150 nm overflows the distance to inf,
+        # which reads as outside every radius
+        with np.errstate(over="ignore"):
+            yield (((ct * dx + st * dy) / sa) ** 2
+                   + ((-st * dx + ct * dy) / sb) ** 2)
+
+
 def fit_lobes(lam_s_axis, lam_i_axis, intensity,
               expected_lobes: int) -> LobeFit:
     """Nonlinear least squares of a sum of elliptical Gaussians.
@@ -434,8 +455,17 @@ def fit_lobes(lam_s_axis, lam_i_axis, intensity,
     grid left unexplained by the lobes so far seeds one lobe, with widths
     and orientation from the second moments within two half-maximum
     widths of it; that lobe is fitted alone on a crop of three such widths
-    and subtracted before the next maximum is taken.  All lobes are then
-    fitted jointly on the whole grid.  Predicted centers play no part.
+    and subtracted before the next maximum is taken.  Predicted centers
+    play no part.
+
+    Joint fit: all lobes are then fitted jointly on the support of the
+    peeled lobes, the nodes within Mahalanobis radius ``SUPPORT_RADIUS``
+    of any of them.  Outside it every peeled lobe is below about 1e-14 of
+    its amplitude, so the fit equals the one on the whole grid.  When a
+    fitted lobe exceeds ``_LEAK_FRACTION`` of its amplitude at a node
+    outside the support, the fit is run once more on the whole grid,
+    started from the supported result.  The global and per-lobe R^2 and
+    ``residual_norm`` are taken over the whole grid.
 
     Positivity: amplitudes and sigmas are fitted as logarithms, so every
     returned amplitude and sigma is positive and finite.
@@ -461,20 +491,28 @@ def fit_lobes(lam_s_axis, lam_i_axis, intensity,
     xs = ls[:, None]
     yi = li[None, :]
 
-    params = _peel(intensity, ls, li, expected_lobes)
-    p, fvec, nfev = _least_squares(np.asarray(params), intensity, xs, yi,
-                                   (ls, li))
+    p = np.asarray(_peel(intensity, ls, li, expected_lobes))
+    shape = intensity.shape
+    support = np.zeros(shape, dtype=bool)
+    for d2 in _distances2(_from_log(p), xs, yi):
+        support |= d2 <= SUPPORT_RADIUS**2
+    p, _, nfev = _least_squares(
+        p, intensity[support], np.broadcast_to(xs, shape)[support],
+        np.broadcast_to(yi, shape)[support], (ls, li))
+    leak = -2.0 * np.log(_LEAK_FRACTION)
+    if any(np.any(d2[~support] < leak)
+           for d2 in _distances2(_from_log(p), xs, yi)):
+        p, _, more = _least_squares(p, intensity, xs, yi, (ls, li))
+        nfev += more
 
     lobes = []
     denom_total = float(((intensity - intensity.mean()) ** 2).sum())
     fitted = _canonical_params(_from_log(p))
     res_grid = _lobe_model(fitted, xs, yi) - intensity
-    for amp, x0, y0, sa, sb, th in np.reshape(fitted, (-1, 6)):
+    for (amp, x0, y0, sa, sb, th), d2 in zip(
+            np.reshape(fitted, (-1, 6)), _distances2(fitted, xs, yi)):
         # local goodness of fit inside the 3-sigma ellipse
-        ct, st = np.cos(th), np.sin(th)
-        u = ct * (xs - x0) + st * (yi - y0)
-        v = -st * (xs - x0) + ct * (yi - y0)
-        mask = (u**2 / sa**2 + v**2 / sb**2) <= 9.0
+        mask = d2 <= 9.0
         if mask.sum() >= 8:
             data = intensity[mask]
             denom = float(((data - data.mean()) ** 2).sum())
@@ -490,7 +528,8 @@ def fit_lobes(lam_s_axis, lam_i_axis, intensity,
     lobes.sort(key=lambda lb: lb.center_i_nm)
     r2_global = 1.0 - float((res_grid**2).sum()) / denom_total \
         if denom_total > 0 else float("nan")
-    return LobeFit(lobes=lobes, residual_norm=float(np.linalg.norm(fvec)),
+    return LobeFit(lobes=lobes,
+                   residual_norm=float(np.linalg.norm(res_grid)),
                    r_squared=r2_global, iterations=int(nfev))
 
 

@@ -229,6 +229,23 @@ def test_non_finite_grid_cell_exit_code(tmp_path, config_path, capsys):
         capsys.readouterr().err)
 
 
+def test_oversized_grid_csv_exit_code(tmp_path, config_path, capsys):
+    # 1025 x 1025 = 1 050 625 cells, past MAX_GRID_POINTS = 2^20; the size
+    # is read from the header and the line count, before any value
+    n = 1025
+    grid = tmp_path / "grid.csv"
+    axis = ",".join(repr(float(v)) for v in np.linspace(567.0, 576.0, n))
+    rows = [f"{v!r}," + ",".join(["0"] * n)
+            for v in np.linspace(670.0, 700.0, n).tolist()]
+    grid.write_text("\n".join(["lambda_s_nm\\lambda_i_nm," + axis, *rows])
+                    + "\n", encoding="utf-8")
+    for command in ("render", "fit-lobes"):
+        assert run([command, "--config", config_path, "--out",
+                    tmp_path / command, "--input", grid]) == 3
+        assert ("grid.csv: 1025 x 1025 grid has 1050625 cells, more than "
+                "the 1048576 allowed") in capsys.readouterr().err
+
+
 def test_density_matrix_entry_exit_code(tmp_path, config_path, capsys):
     rho = tmp_path / "rho.json"
     rho.write_text(json.dumps({"basis": ["ee", "eo", "oe", "oo"],

@@ -46,6 +46,31 @@ def constant_grid():
             np.full((21, 11), 3.0))
 
 
+def reference_grid_csv(lam_s, lam_i, intensity) -> bytes:
+    """Grid CSV bytes from the per-value writer the module used before,
+    one ``repr(float)`` per cell, as the reference of its row writer."""
+    rows = [gridio.CSV_CORNER + ","
+            + ",".join(repr(float(v)) for v in lam_i)]
+    for r, ls in enumerate(lam_s):
+        rows.append(repr(float(ls)) + ","
+                    + ",".join(repr(float(v)) for v in intensity[r]))
+    return ("\n".join(rows) + "\n").encode("utf-8")
+
+
+def edge_value_grid():
+    # every edge value in every row and column, and on both axes
+    edges = np.array([-0.0, 5e-324, 1e308, 0.1, 1 / 3])
+    return edges, edges[::-1], np.array([np.roll(edges, k)
+                                         for k in range(len(edges))])
+
+
+@pytest.mark.parametrize("grid", [edge_value_grid, noisy_lobe_grid])
+def test_grid_csv_matches_the_per_value_writer(tmp_path, grid):
+    path = tmp_path / "grid.csv"
+    gridio.write_grid_csv(path, *grid())
+    assert path.read_bytes() == reference_grid_csv(*grid())
+
+
 @pytest.mark.parametrize("grid", [noisy_lobe_grid, constant_grid])
 def test_svg_heatmap_matches_the_per_pixel_loop(tmp_path, monkeypatch, grid):
     rasters = []

@@ -482,6 +482,78 @@ def test_levenberg_marquardt_matches_minpack(monkeypatch, centers, case):
 
 
 # ---------------------------------------------------------------------------
+# the joint fit on the peeled lobes' support against the whole grid, the
+# test-side reference
+
+def full_grid_fit(ls, li, grid, n):
+    """The joint stage of ``fit_lobes`` run on every node of the grid:
+    the canonical natural parameters of each lobe, in idler order, and
+    the residual norm."""
+    from fwmpairs import spectrum
+    p0 = np.asarray(spectrum._peel(grid, ls, li, n))
+    p, fvec, _ = spectrum._least_squares(p0, grid, ls[:, None],
+                                         li[None, :], (ls, li))
+    q = spectrum._canonical_params(spectrum._from_log(p)).reshape(-1, 6)
+    return q[np.argsort(q[:, 2])], float(np.linalg.norm(fvec))
+
+
+@pytest.fixture
+def joint_fit_nodes(monkeypatch):
+    """The list of node counts, one per ``_least_squares`` call."""
+    from fwmpairs import spectrum
+    nodes = []
+    least_squares = spectrum._least_squares
+
+    def counted(p0, data, *args):
+        nodes.append(np.size(data))
+        return least_squares(p0, data, *args)
+
+    monkeypatch.setattr(spectrum, "_least_squares", counted)
+    return nodes
+
+
+def assert_matches_full_grid(ls, li, grid, n, nodes):
+    """Fit ``n`` lobes, compare them with the reference and return the
+    joint stage's node counts, from the list ``nodes``."""
+    fit = fit_lobes(ls, li, grid, n)
+    joint = nodes[n:]
+    want, residual_norm = full_grid_fit(ls, li, grid, n)
+    got = np.array([[lb.amplitude, lb.center_s_nm, lb.center_i_nm,
+                     lb.sigma_major_nm, lb.sigma_minor_nm,
+                     lb.orientation_rad] for lb in fit.lobes])
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+    assert fit.residual_norm == pytest.approx(residual_norm, rel=1e-12)
+    return joint
+
+
+@pytest.mark.parametrize("case", ["simulate-jsi", *range(1, 9)])
+def test_supported_fit_matches_the_full_grid(joint_fit_nodes, centers,
+                                             case):
+    if case == "simulate-jsi":
+        from fwmpairs.config import PipelineConfig
+        from fwmpairs.pipeline import Simulation
+        jsi = Simulation(PipelineConfig.parse({})).jsi()
+        ls, li, grid = jsi.lambda_s_axis, jsi.lambda_i_axis, jsi.combined
+    else:
+        ls, li, grid = benchmark_style_lobes(case, centers)
+    (support,) = assert_matches_full_grid(ls, li, grid, 4, joint_fit_nodes)
+    assert support < grid.size
+
+
+def test_leaking_supported_fit_reruns_on_the_full_grid(joint_fit_nodes,
+                                                       monkeypatch,
+                                                       centers):
+    # at radius 3 every lobe still holds 1 % of its amplitude at the
+    # support's edge, so the fit on the support reruns on the whole grid
+    from fwmpairs import spectrum
+    monkeypatch.setattr(spectrum, "SUPPORT_RADIUS", 3.0)
+    ls, li, grid = benchmark_style_lobes(1, centers)
+    support, rerun = assert_matches_full_grid(ls, li, grid, 4,
+                                              joint_fit_nodes)
+    assert support < rerun == grid.size
+
+
+# ---------------------------------------------------------------------------
 # property: separated lobes are recovered
 
 # lobe slots on the synthetic grid, 6 nm apart in signal and 5 nm in idler
