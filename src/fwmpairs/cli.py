@@ -46,7 +46,8 @@ COMMANDS = {
     "sweep-delta": (
         "JSI per parity-dispersion value plus B-C separations",
         pipeline.cmd_sweep_delta,
-        (_flag("--deltas", type=float, nargs="+", check=[float]),)),
+        (_flag("--deltas", type=float, nargs="+",
+                check=["birefringence"]),)),
     "fit-lobes": (
         "fit Gaussian lobes to a JSI CSV",
         pipeline.cmd_fit_lobes,

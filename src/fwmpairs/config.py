@@ -5,9 +5,10 @@ The defaults live on the dataclasses alone, and a key whose field has
 no default is required.  Unknown keys are rejected with their path so a
 typo never silently falls back to a default.  ``convert`` is the one
 place for type and range checks (numbers finite, intervals ascending,
-seeds unsigned 64-bit, counts at least 1, bootstrap samples at most
-``MAX_BOOTSTRAP_SAMPLES``); a dataclass checks only its own constraints,
-such as a positive core radius or a grid of at most ``MAX_GRID_POINTS``.
+birefringences at most 1e-2 in magnitude, seeds unsigned 64-bit, counts
+at least 1, bootstrap samples at most ``MAX_BOOTSTRAP_SAMPLES``); a
+dataclass checks only its own constraints, such as a positive core
+radius or a grid of at most ``MAX_GRID_POINTS``.
 ``PipelineConfig.parse`` accepts the raw dict; ``load_config`` reads a
 file.
 """
@@ -50,7 +51,6 @@ class PipelineConfig:
     windows: list = field(default_factory=list)
     tomography: TomographyConfig = field(default_factory=TomographyConfig)
     output_dir: str = "out"
-    k_nl: float = 0.0
     threads: int = 1
     delta_sweep: list = field(default_factory=lambda: [0.0, 1.5e-5, 3.0e-5])
     center_band_nm: tuple = (540.0, 580.0)
@@ -72,15 +72,16 @@ SCHEMA = {
     PipelineConfig: {
         "fiber": FiberSpec, "pump": PumpSpec, "grid": SpectralGrid,
         "seed_scan": SeedScanConfig, "windows": [SpectralWindow],
-        "tomography": TomographyConfig, "output_dir": str, "k_nl": float,
-        "threads": "count", "delta_sweep": [float],
+        "tomography": TomographyConfig, "output_dir": str,
+        "threads": "count", "delta_sweep": ["birefringence"],
         "center_band_nm": "interval", "expected_lobes": "count",
         "contour_level": "contour",
     },
     FiberSpec: {
         "core_radius_um": float, "numerical_aperture": float,
-        "delta_pol": float, "delta_parity": float,
-        "delta_parity_dispersion": float, "segments": [(float, bool)],
+        "delta_pol": "birefringence", "delta_parity": "birefringence",
+        "delta_parity_dispersion": "birefringence",
+        "segments": [(float, bool)],
         "core_model": str,
     },
     PumpSpec: {"center_wavelength_nm": float, "intensity_fwhm_nm": float,
@@ -102,6 +103,10 @@ KINDS = {
     "samples": ("two_or_more", lambda v: v <= MAX_BOOTSTRAP_SAMPLES,
                 f"must be <= {MAX_BOOTSTRAP_SAMPLES}"),
     "seed": (int, lambda v: 0 <= v < 2**64, "must be in [0, 2^64)"),
+    # about NA^2 / 2n of the default fiber: the core-cladding index step,
+    # which the additive birefringence overlays assume is large next to them
+    "birefringence": (float, lambda v: abs(v) <= 1e-2,
+                      "must be within [-0.01, 0.01]"),
     "counts_scale": (float, lambda v: 0 < v <= MAX_COUNT,
                      "must be in (0, 2^53]"),
     "contour": (str, lambda v: v in CONTOUR_LEVELS,

@@ -76,6 +76,14 @@ def _check_range(lam_um: np.ndarray) -> None:
         )
 
 
+def _geo2_mix(x: float) -> tuple:
+    """Sellmeier terms of a GeO2-silica core at molar GeO2 fraction x,
+    each (B_i, C_i) interpolated linearly between the two endpoints."""
+    return tuple((b + x * (bg - b), c + x * (cg - c))
+                 for (b, c), (bg, cg) in zip(FUSED_SILICA_SELLMEIER,
+                                             GEO2_SELLMEIER))
+
+
 @lru_cache(maxsize=64)
 def _geo2_fraction(numerical_aperture: float, reference_um: float) -> float:
     """Molar GeO2 fraction whose binary-mix core reproduces the nominal
@@ -84,11 +92,7 @@ def _geo2_fraction(numerical_aperture: float, reference_um: float) -> float:
     target = float(np.sqrt(n_cl**2 + numerical_aperture**2))
 
     def core_at(x):
-        mix = tuple(
-            (b + x * (bg - b), c + x * (cg - c))
-            for (b, c), (bg, cg) in zip(FUSED_SILICA_SELLMEIER, GEO2_SELLMEIER)
-        )
-        return float(_sellmeier(np.asarray(reference_um), mix))
+        return float(_sellmeier(np.asarray(reference_um), _geo2_mix(x)))
 
     lo, hi = 0.0, 0.6
     if not core_at(lo) <= target <= core_at(hi):
@@ -175,12 +179,8 @@ class FiberSpec:
         if self.core_model == "na_offset":
             n_cl = _sellmeier(lam, FUSED_SILICA_SELLMEIER)
             return np.sqrt(n_cl**2 + self.numerical_aperture**2)
-        x = _geo2_fraction(self.numerical_aperture, NA_REFERENCE_UM)
-        mix = tuple(
-            (b + x * (bg - b), c + x * (cg - c))
-            for (b, c), (bg, cg) in zip(FUSED_SILICA_SELLMEIER, GEO2_SELLMEIER)
-        )
-        return _sellmeier(lam, mix)
+        return _sellmeier(lam, _geo2_mix(
+            _geo2_fraction(self.numerical_aperture, NA_REFERENCE_UM)))
 
     def v_number(self, lam_um) -> np.ndarray:
         lam = np.asarray(lam_um, dtype=float)
@@ -198,40 +198,6 @@ def check_few_mode(fiber: FiberSpec, lam_um) -> None:
         raise DomainError(
             f"fiber is not few-mode: V = {v[k]:.4g} at {lam[k] * 1e3:g} nm "
             f"is at least {FEW_MODE_V:.4f}, where LP21 and LP02 are guided")
-
-
-@dataclass(frozen=True)
-class ModeSolution:
-    """One root of the LP eigenvalue equation."""
-
-    n_eff: float
-    u: float
-    w: float
-    v_number: float
-    lp_label: str
-
-
-@dataclass(frozen=True)
-class ModeRole:
-    """What a wave does in the cross-polarized scheme.
-
-    parity: 'e', 'o' or 'g'; photon: 'pump', 'signal' or 'idler'.  The
-    polarization axis is implied: the pump rides the slow (x) axis, the
-    signal and idler the fast (y) axis.
-    """
-
-    parity: str
-    photon: str
-
-    def __post_init__(self):
-        if self.parity not in ("e", "o", "g"):
-            raise ConfigError(f"unknown parity label {self.parity!r}")
-        if self.photon not in ("pump", "signal", "idler"):
-            raise ConfigError(f"unknown photon role {self.photon!r}")
-
-    @property
-    def lp_label(self) -> str:
-        return "LP01" if self.parity == "g" else "LP11"
 
 
 # Bessel kernels of integer order n <= 2.  Each is a quadrature on a fixed
@@ -486,11 +452,11 @@ def lp_effective_index(fiber: FiberSpec, lam_um, lp_label: str) -> np.ndarray:
     return n_eff
 
 
-def solve_lp_mode(fiber: FiberSpec, lam_um: float, lp_label: str) -> ModeSolution:
+def solve_lp_mode(fiber: FiberSpec, lam_um: float, lp_label: str) -> tuple:
     """Solve the LP eigenvalue problem at one wavelength.
 
-    Returns the root with the largest effective index for the label;
-    the returned (u, w) satisfy u^2 + w^2 = V^2.
+    Returns (u, w) of the root with the largest effective index for the
+    label; they satisfy u^2 + w^2 = V^2.
     """
     n_eff = float(lp_effective_index(fiber, lam_um, lp_label)[0])
     v = float(fiber.v_number(np.asarray(lam_um, dtype=float)))
@@ -498,44 +464,31 @@ def solve_lp_mode(fiber: FiberSpec, lam_um: float, lp_label: str) -> ModeSolutio
     n_core = float(fiber.core_index(np.asarray(lam_um, dtype=float)))
     u = k * fiber.core_radius_um * np.sqrt(n_core**2 - n_eff**2)
     w = np.sqrt(max(v**2 - u**2, 0.0))
-    return ModeSolution(n_eff=n_eff, u=float(u), w=float(w),
-                        v_number=v, lp_label=lp_label)
+    return float(u), float(w)
 
 
-def parity_birefringence(fiber: FiberSpec, photon: str) -> float:
-    """Parity birefringence seen by one photon role.
-
-    The idler (short-wavelength) side carries the full ``delta_parity``;
-    the signal side is reduced by ``delta_parity_dispersion``, which is
-    the observable difference between the two.  The pump sits at the
-    idler-side reference.
-    """
-    if photon == "signal":
-        return fiber.delta_parity - fiber.delta_parity_dispersion
-    return fiber.delta_parity
-
-
-def birefringence_offset(fiber: FiberSpec, role: ModeRole,
+def birefringence_offset(fiber: FiberSpec, parity: str, photon: str,
                          axis_swapped: bool = False) -> float:
     """Additive index correction of a wave on top of its base LP index.
 
-    In an unswapped segment the pump (slow axis) gains ``delta_pol`` and
-    odd-parity waves gain their role's parity birefringence.  In an
-    axis-swapped (cross-spliced) segment the roles flip: the pump loses
-    the slow-axis term to the signal/idler, and the lab-frame parity is
-    read against rotated stress axes, so 'e' and 'o' exchange their
-    parity terms.
+    ``parity`` is 'e', 'o' or 'g'; ``photon`` is 'pump', 'signal' or
+    'idler'.  In an unswapped segment the pump rides the slow (x) axis
+    and gains ``delta_pol``, and odd-parity waves gain the parity
+    birefringence: ``delta_parity`` on the idler (short-wavelength) side
+    and for the pump, reduced by ``delta_parity_dispersion`` on the
+    signal side.  In an axis-swapped (cross-spliced) segment the roles
+    flip: the pump loses the slow-axis term to the signal/idler, and the
+    lab-frame parity is read against rotated stress axes, so 'e' and 'o'
+    exchange their parity terms.
     """
-    lab_parity = role.parity
-    seg_parity = lab_parity
-    if axis_swapped and lab_parity in ("e", "o"):
-        seg_parity = "o" if lab_parity == "e" else "e"
+    seg_parity = parity
+    if axis_swapped and parity in ("e", "o"):
+        seg_parity = "o" if parity == "e" else "e"
 
     offset = 0.0
-    on_slow_axis = (role.photon == "pump") != axis_swapped
-    if on_slow_axis:
+    if (photon == "pump") != axis_swapped:
         offset += fiber.delta_pol
     if seg_parity == "o":
-        offset += parity_birefringence(fiber, role.photon)
+        offset += (fiber.delta_parity - fiber.delta_parity_dispersion
+                   if photon == "signal" else fiber.delta_parity)
     return offset
-

@@ -67,27 +67,16 @@ def basis_index(t_s: str, t_i: str) -> int:
 # process weights
 
 
-@dataclass
-class ProcessWeights:
-    """Relative complex coefficients c_j of the emitted channels.
+def process_weights(pump: PumpSpec | ModeSuperposition, overlaps: dict,
+                    processes) -> dict:
+    """Relative complex coefficients {label: c_j} of the emitted
+    channels, normalized so that sum |c_j|^2 = 1.
 
     c_j is the product of the two pump-mode amplitudes with the spatial
     coupling O_j (whose mixed-pump exchange doubling already accounts
-    for pump-photon indistinguishability).
-    """
-
-    amplitudes: dict          # label -> c_j, sum |c_j|^2 = 1
-
-    def m(self) -> dict:
-        return {k: float(abs(v) ** 2) for k, v in self.amplitudes.items()}
-
-
-def process_weights(pump: PumpSpec | ModeSuperposition, overlaps: dict,
-                    processes) -> ProcessWeights:
-    """Combine pump-mode amplitudes and overlaps into channel weights.
-
-    Raises when every channel weight vanishes (e.g. a pump state with
-    no support on the required modes).
+    for pump-photon indistinguishability).  Raises when every channel
+    weight vanishes (e.g. a pump state with no support on the required
+    modes).
     """
     state = pump.transverse_state if isinstance(pump, PumpSpec) else pump
     amps = {proc.label: state.amplitude(proc.t_p1)
@@ -97,8 +86,7 @@ def process_weights(pump: PumpSpec | ModeSuperposition, overlaps: dict,
     if total <= 0:
         raise DomainError("all process weights are zero for this pump state")
     scale = 1.0 / np.sqrt(total)
-    amps = {k: v * scale for k, v in amps.items()}
-    return ProcessWeights(amplitudes=amps)
+    return {k: v * scale for k, v in amps.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -147,16 +135,15 @@ def trace_spectral(amplitudes, processes, window: SpectralWindow,
     return 0.5 * (rho + rho.conj().T)
 
 
-def model_amplitudes(processes, fiber, pump: PumpSpec, weights: ProcessWeights,
-                     k_nl: float = 0.0):
+def model_amplitudes(processes, fiber, pump: PumpSpec, weights: dict):
     """Flat-phase amplitude source straight from the physical model.
 
-    a_j = |c_j| * envelope * |phase-matching|, evaluated analytically at
-    the requested wavelengths (no grid interpolation); one index solve
-    per call serves every channel.
+    a_j = |c_j| * envelope * |phase-matching|, with c_j from the
+    {label: c_j} map ``weights``, evaluated analytically at the
+    requested wavelengths (no grid interpolation); one index solve per
+    call serves every channel.
     """
-    mags = {proc: abs(weights.amplitudes.get(proc.label, 0j))
-            for proc in processes}
+    mags = {proc: abs(weights.get(proc.label, 0j)) for proc in processes}
 
     def amplitudes(ls, li):
         shape = np.broadcast_shapes(np.shape(ls), np.shape(li))
@@ -164,7 +151,7 @@ def model_amplitudes(processes, fiber, pump: PumpSpec, weights: ProcessWeights,
                                np.asarray(li) / 1000.0)
         envelope = pump_envelope(ls, li, pump)
         return {proc.label: np.broadcast_to(
-                    mag * envelope * np.abs(cache.phase_matching(proc, k_nl)),
+                    mag * envelope * np.abs(cache.phase_matching(proc)),
                     shape)
                 for proc, mag in mags.items() if mag != 0}
 

@@ -22,7 +22,7 @@ two-even/two-odd ones after normalization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -121,16 +121,18 @@ class FieldGrid:
         return float(np.sum(np.abs(self.values) ** 2) * self.grid.cell_area_um2)
 
 
-def _radial_profile(sol, azimuthal: int, rho: np.ndarray) -> np.ndarray:
-    """LP radial profile R_l at ``rho`` = r / a: Bessel core,
-    modified-Bessel cladding, both equal to 1 at the core boundary."""
+def _radial_profile(u: float, w: float, azimuthal: int,
+                    rho: np.ndarray) -> np.ndarray:
+    """LP radial profile R_l at ``rho`` = r / a for the mode parameters
+    (u, w): Bessel core, modified-Bessel cladding, both equal to 1 at the
+    core boundary."""
     inside = rho <= 1.0
     radial = np.empty_like(rho)
     order = (azimuthal,)
-    radial[inside] = (_bessel_j_orders(order, sol.u * rho[inside])[0]
-                      / _bessel_j_orders(order, sol.u)[0])
-    radial[~inside] = (_bessel_k_orders(order, sol.w * rho[~inside])[0]
-                       / _bessel_k_orders(order, sol.w)[0])
+    radial[inside] = (_bessel_j_orders(order, u * rho[inside])[0]
+                      / _bessel_j_orders(order, u)[0])
+    radial[~inside] = (_bessel_k_orders(order, w * rho[~inside])[0]
+                       / _bessel_k_orders(order, w)[0])
     return radial
 
 
@@ -141,11 +143,11 @@ def _basis_profile(fiber: FiberSpec, lam_um: float, mode: str,
 
     Cached, so the images of one wavelength and grid share the three
     basis profiles instead of rebuilding one per superposed mode."""
-    sol = solve_lp_mode(fiber, lam_um, "LP01" if mode == "g" else "LP11")
+    u, w = solve_lp_mode(fiber, lam_um, "LP01" if mode == "g" else "LP11")
     x, y, _ = grid.axes()
     xx, yy = np.meshgrid(x, y, indexing="xy")
     r = np.hypot(xx, yy)
-    radial = _radial_profile(sol, 0 if mode == "g" else 1,
+    radial = _radial_profile(u, w, 0 if mode == "g" else 1,
                              r / fiber.core_radius_um)
     if mode == "g":
         azim = 1.0
@@ -228,9 +230,9 @@ def process_overlap(fiber: FiberSpec, process, lam_p_nm: float,
     for mode, lam_nm in ((process.t_p1, lam_p_nm), (process.t_p2, lam_p_nm),
                          (process.t_s, lam_s_nm), (process.t_i, lam_i_nm)):
         m, n = _AZIMUTH_POWERS[mode]
-        sol = solve_lp_mode(fiber, lam_nm / 1000.0,
-                            "LP01" if mode == "g" else "LP11")
-        radial = _radial_profile(sol, m + n, rho)
+        u, w = solve_lp_mode(fiber, lam_nm / 1000.0,
+                             "LP01" if mode == "g" else "LP11")
+        radial = _radial_profile(u, w, m + n, rho)
         azimuth_norm = _AZIMUTH_INTEGRALS[(2 * m, 2 * n)]
         norm = np.sqrt(np.dot(weights, radial**2) * azimuth_norm)
         product *= radial / norm

@@ -125,7 +125,7 @@ class Simulation:
         self.unmatched = {}
         found = phasematched_centers(
             self.processes, self.fiber, self.pump.center_wavelength_nm,
-            band_i_nm=cfg.center_band_nm, k_nl=cfg.k_nl)
+            band_i_nm=cfg.center_band_nm)
         for label, center in found.items():
             if isinstance(center, PhaseMatchError):
                 self.unmatched[label] = str(center)
@@ -142,14 +142,12 @@ class Simulation:
         self.weights = process_weights(self.pump, self.overlaps, self.matched)
 
     def jsi(self, grid: SpectralGrid | None = None):
-        return jsa_grid(self.matched, self.fiber, self.pump,
-                        self.weights.amplitudes,
-                        grid if grid is not None else self.cfg.grid,
-                        k_nl=self.cfg.k_nl)
+        return jsa_grid(self.matched, self.fiber, self.pump, self.weights,
+                        grid if grid is not None else self.cfg.grid)
 
     def amplitudes(self):
         return model_amplitudes(self.matched, self.fiber, self.pump,
-                                self.weights, k_nl=self.cfg.k_nl)
+                                self.weights)
 
     def in_band(self) -> list:
         """Processes whose centers fall inside the configured grid."""
@@ -222,7 +220,7 @@ def cmd_simulate_jsi(runner: Runner) -> list:
             "fiber": dataclasses.asdict(cfg.fiber),
             "normalization_raw_integral": grid.normalization,
             "weights": {k: [v.real, v.imag]
-                        for k, v in sim.weights.amplitudes.items()},
+                        for k, v in sim.weights.items()},
             "overlaps_normalized": {k: [v.real, v.imag]
                                     for k, v in sim.overlaps.items()},
             "units": {"wavelengths": "nm",
@@ -538,7 +536,6 @@ def cmd_modes(runner: Runner, wavelength_nm: float | None = None) -> list:
 def cmd_overlaps(runner: Runner) -> list:
     with runner.stage("overlaps"):
         sim = Simulation(runner.cfg)
-        m = sim.weights.m()
         rows = []
         for proc in sim.matched:
             o_j = sim.overlaps[proc.label]
@@ -550,7 +547,7 @@ def cmd_overlaps(runner: Runner) -> list:
                 "overlap_re": float(o_j.real),
                 "overlap_im": float(o_j.imag),
                 "overlap_sq": float(abs(o_j) ** 2),
-                "weight_m": m[proc.label],
+                "weight_m": float(abs(sim.weights[proc.label]) ** 2),
             })
     runner.write("overlaps.csv", _write_csv, rows)
     runner.write("overlaps.json", write_json, {"processes": rows})

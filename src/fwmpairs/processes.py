@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import (FiberSpec, ModeRole, birefringence_offset,
-                         lp_effective_index)
+from .dispersion import FiberSpec, birefringence_offset, lp_effective_index
 from .errors import ConfigError, DomainError, PhaseMatchError
 
 MODE_ORDER = ("g", "e", "o")
@@ -155,27 +154,25 @@ class BaseIndexCache:
                        lam.shape)
             for lam in (self.lam_s, self.lam_i, self.lam_p))
 
-    def delta_k(self, process: FwmProcess, axis_swapped: bool = False,
-                k_nl: float = 0.0) -> np.ndarray:
-        """Signed wavevector mismatch k_p1 + k_p2 - k_s - k_i - k_nl in
-        one segment, rad/m.  LP01 ('g') channels raise DomainError."""
+    def delta_k(self, process: FwmProcess,
+                axis_swapped: bool = False) -> np.ndarray:
+        """Signed wavevector mismatch k_p1 + k_p2 - k_s - k_i in one
+        segment, rad/m.  LP01 ('g') channels raise DomainError."""
         if "g" in process.modes:
             raise DomainError(
                 "phase mismatch supports the LP11 {e, o} channels only")
 
         def k(parity, photon, base, lam_um):
-            role = ModeRole(parity, photon)
-            n = base + birefringence_offset(self.fiber, role, axis_swapped)
+            n = base + birefringence_offset(self.fiber, parity, photon,
+                                            axis_swapped)
             return _TO_RAD_M * n / lam_um
 
         return (k(process.t_p1, "pump", self.base_p, self.lam_p)
                 + k(process.t_p2, "pump", self.base_p, self.lam_p)
                 - k(process.t_s, "signal", self.base_s, self.lam_s)
-                - k(process.t_i, "idler", self.base_i, self.lam_i)
-                - k_nl)
+                - k(process.t_i, "idler", self.base_i, self.lam_i))
 
-    def phase_matching(self, process: FwmProcess,
-                       k_nl: float = 0.0) -> np.ndarray:
+    def phase_matching(self, process: FwmProcess) -> np.ndarray:
         """Complex phase-matching amplitude of the segmented fiber.
 
         One segment gives sinc(L dk / 2) exp(i L dk / 2); cross-spliced
@@ -186,7 +183,7 @@ class BaseIndexCache:
         phi = 0j
         accumulated = 0.0
         for length_m, swapped in self.fiber.segments:
-            dk = self.delta_k(process, swapped, k_nl)
+            dk = self.delta_k(process, swapped)
             x = 0.5 * dk * length_m
             seg = (length_m / total_m) * np.sinc(x / np.pi) * np.exp(1j * x)
             phi = phi + np.exp(1j * accumulated) * seg
@@ -194,13 +191,14 @@ class BaseIndexCache:
         return phi
 
 
+# No caller in the package: kept because perfbench/tracer.py LAYERS wraps it.
 def delta_k_vec(process: FwmProcess, lam_s_um, lam_i_um, fiber: FiberSpec,
-                k_nl: float = 0.0, axis_swapped: bool = False) -> np.ndarray:
+                axis_swapped: bool = False) -> np.ndarray:
     """Vectorized phase mismatch (rad/m) on the frequency-degenerate
     surface, with the pump wavelength from 2/lam_p = 1/lam_s + 1/lam_i."""
     return BaseIndexCache(fiber, np.atleast_1d(lam_s_um),
                           np.atleast_1d(lam_i_um)).delta_k(
-        process, axis_swapped, k_nl)
+        process, axis_swapped)
 
 
 def _energy_partner_nm(lam_p_nm: float, lam_i_nm):
@@ -210,7 +208,6 @@ def _energy_partner_nm(lam_p_nm: float, lam_i_nm):
 
 def phasematched_centers(processes, fiber: FiberSpec, lam_p_nm: float,
                          band_i_nm: tuple = (540.0, 580.0),
-                         k_nl: float = 0.0,
                          scan_step_nm: float = 0.01) -> dict:
     """Locate, per channel, the (lam_s, lam_i) pair in nm where delta_k
     crosses zero.
@@ -233,7 +230,7 @@ def phasematched_centers(processes, fiber: FiberSpec, lam_p_nm: float,
     out = {}
     bracketed, first = [], []
     for process in processes:
-        dk = scan.delta_k(process, k_nl=k_nl)
+        dk = scan.delta_k(process)
         sign = np.sign(dk)
         crossings = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
         exact = np.nonzero(dk == 0.0)[0]
@@ -259,7 +256,7 @@ def phasematched_centers(processes, fiber: FiberSpec, lam_p_nm: float,
         cache = BaseIndexCache(fiber,
                                _energy_partner_nm(lam_p_nm, li_nm) / 1000.0,
                                li_nm / 1000.0)
-        return np.array([cache.delta_k(bracketed[c], k_nl=k_nl)[j]
+        return np.array([cache.delta_k(bracketed[c])[j]
                          for j, c in enumerate(channels)])
 
     first = np.array(first, dtype=int)
@@ -281,10 +278,10 @@ def phasematched_centers(processes, fiber: FiberSpec, lam_p_nm: float,
     return out
 
 
+# No caller in the package: kept because perfbench/tracer.py LAYERS wraps it.
 def phasematched_center(process: FwmProcess, fiber: FiberSpec,
                         lam_p_nm: float,
                         band_i_nm: tuple = (540.0, 580.0),
-                        k_nl: float = 0.0,
                         scan_step_nm: float = 0.01) -> tuple:
     """(lam_s, lam_i) in nm where delta_k of one channel crosses zero;
     see ``phasematched_centers``.
@@ -293,7 +290,7 @@ def phasematched_center(process: FwmProcess, fiber: FiberSpec,
     change exists in the band.
     """
     center = phasematched_centers([process], fiber, lam_p_nm, band_i_nm,
-                                  k_nl, scan_step_nm)[process.label]
+                                  scan_step_nm)[process.label]
     if isinstance(center, PhaseMatchError):
         raise center
     return center

@@ -137,8 +137,7 @@ def combine_intensity(per_process: dict, processes: dict) -> np.ndarray:
 
 
 def jsa_grid(processes, fiber: FiberSpec, pump: PumpSpec, weights: dict,
-             grid: SpectralGrid | None = None,
-             k_nl: float = 0.0) -> JsiGrid:
+             grid: SpectralGrid | None = None) -> JsiGrid:
     """Evaluate weighted per-process JSAs on a wavelength grid.
 
     ``weights`` maps process labels to complex coefficients c_j; any
@@ -161,8 +160,7 @@ def jsa_grid(processes, fiber: FiberSpec, pump: PumpSpec, weights: dict,
         c_j = weights.get(proc.label, 0j)
         if c_j == 0:
             continue
-        per_process[proc.label] = c_j * alpha * cache.phase_matching(
-            proc, k_nl)
+        per_process[proc.label] = c_j * alpha * cache.phase_matching(proc)
         proc_map[proc.label] = proc
     if not per_process:
         raise DomainError("all process weights are zero")

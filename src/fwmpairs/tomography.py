@@ -14,7 +14,7 @@ resamples in one such stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -35,9 +35,6 @@ class ProjectorSet:
 
     names: tuple
     projectors: np.ndarray  # (36, 4, 4)
-
-    def __len__(self) -> int:
-        return len(self.names)
 
 
 def projector_basis() -> ProjectorSet:
@@ -76,7 +73,6 @@ class CountRecord:
     counts: np.ndarray
     n0: float
     seed: int | None = None
-    names: tuple = field(default_factory=lambda: projector_basis().names)
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=float)

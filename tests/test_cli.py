@@ -493,10 +493,11 @@ def test_sweep_delta_monotone(tmp_path, config_path):
     assert (out / "jsi_delta2.svg").exists()
 
 
-@pytest.mark.parametrize("delta", ["0.01", "0.1"])
+@pytest.mark.parametrize("delta", ["0.01", "-0.01"])
 def test_sweep_delta_unmatched_channel_exit_code(tmp_path, config_path,
                                                  capsys, delta):
-    # at these parity dispersions B leaves the searched idler band
+    # at both ends of the birefringence bound B leaves the searched idler
+    # band
     out = tmp_path / "sweep"
     assert run(["sweep-delta", "--config", config_path, "--out", out,
                 "--deltas", delta]) == 3
@@ -516,6 +517,20 @@ def test_non_finite_number_flag_exit_code(tmp_path, config_path, capsys,
                 f"{flag}={bad}"]) == 2
     err = capsys.readouterr().err
     assert flag in err and "must be finite" in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_deltas_flag_past_birefringence_bound_exit_code(tmp_path, config_path,
+                                                       capsys):
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["sweep-delta", "--config", config_path, "--out", out,
+                    "--deltas", "0.0", "1e308"])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "configuration error: --deltas[1]: must be within" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not (out / "manifest.json").exists()
 
 

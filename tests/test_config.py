@@ -46,9 +46,22 @@ PROBES = {
                    "estimate-rho", "config.windows[0].lambda_s_nm[1]"),
     "seed_scan_minus_inf": ({"seed_scan": {"lambda_i_nm": [-INF, 576.0]}},
                             "modes", "config.seed_scan.lambda_i_nm[0]"),
+    # k_nl is no longer a key: rejected as unknown, whatever its value
     "k_nl_nan": ({"k_nl": NAN}, "overlaps", "config.k_nl"),
     "delta_sweep_nan": ({"delta_sweep": [0.0, NAN]}, "sweep-delta",
                         "config.delta_sweep[1]"),
+    # birefringences past 1e-2, about the core-cladding index step
+    "delta_parity_1e308": ({"fiber": {"delta_parity": 1e308}}, "overlaps",
+                           "config.fiber.delta_parity"),
+    "delta_parity_half": ({"fiber": {"delta_parity": 0.5}}, "overlaps",
+                          "config.fiber.delta_parity"),
+    "delta_parity_dispersion_minus_1e308": (
+        {"fiber": {"delta_parity_dispersion": -1e308}}, "overlaps",
+        "config.fiber.delta_parity_dispersion"),
+    "delta_pol_1e308": ({"fiber": {"delta_pol": 1e308}}, "overlaps",
+                        "config.fiber.delta_pol"),
+    "delta_sweep_1e308": ({"delta_sweep": [0.0, 1e308]}, "sweep-delta",
+                          "config.delta_sweep[1]"),
     "center_band_descending": ({"center_band_nm": [580.0, 540.0]},
                                "overlaps", "config.center_band_nm"),
     "center_band_nan": ({"center_band_nm": [NAN, 580.0]}, "overlaps",
@@ -176,6 +189,16 @@ def test_nested_boundary_values_are_config_errors():
                 {"threads": True}):
         with pytest.raises(ConfigError):
             PipelineConfig.parse(doc)
+
+
+def test_birefringence_bound_is_inclusive():
+    fiber = {"delta_pol": -1e-2, "delta_parity": 1e-2,
+             "delta_parity_dispersion": -1e-2}
+    PipelineConfig.parse({"fiber": fiber, "delta_sweep": [-1e-2, 1e-2]})
+    for key in fiber:
+        with pytest.raises(ConfigError, match=f"config.fiber.{key}: must be "
+                                              r"within \[-0\.01, 0\.01\]"):
+            PipelineConfig.parse({"fiber": {key: 0.0100000001}})
 
 
 def test_size_bounds_are_inclusive():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fwmpairs.dispersion import (FiberSpec, ModeRole, birefringence_offset,
+from fwmpairs.dispersion import (FiberSpec, birefringence_offset,
                                  lp_effective_index)
 from fwmpairs.errors import DomainError, PhaseMatchError
 from fwmpairs.processes import (BaseIndexCache, FwmProcess, all_candidates,
@@ -193,8 +193,7 @@ def reference_delta_k(process, lam_s, lam_i, fiber, axis_swapped):
     total = 0.0
     for parity, photon, lam, sign in waves:
         n = (lp_effective_index(fiber, lam, "LP11")
-             + birefringence_offset(fiber, ModeRole(parity, photon),
-                                    axis_swapped))
+             + birefringence_offset(fiber, parity, photon, axis_swapped))
         total = total + sign * 2.0 * np.pi * 1e6 * n / lam
     return total
 
@@ -250,14 +249,13 @@ def test_fundamental_mode_channels_have_no_delta_k(fiber):
 # ---------------------------------------------------------------------------
 # shared scan against the per-channel search it replaced
 
-def reference_center(process, fiber, lam_p_nm, band_i_nm, k_nl=0.0,
+def reference_center(process, fiber, lam_p_nm, band_i_nm,
                      scan_step_nm=0.01):
     """One channel's own scan and scalar bisection."""
     lo_nm, hi_nm = band_i_nm
     grid_i = np.arange(lo_nm, hi_nm + 0.5 * scan_step_nm, scan_step_nm)
     grid_s = 1.0 / (2.0 / lam_p_nm - 1.0 / grid_i)
-    dk = delta_k_vec(process, grid_s / 1000.0, grid_i / 1000.0, fiber,
-                     k_nl=k_nl)
+    dk = delta_k_vec(process, grid_s / 1000.0, grid_i / 1000.0, fiber)
     sign = np.sign(dk)
     crossings = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     exact = np.nonzero(dk == 0.0)[0]
@@ -274,7 +272,7 @@ def reference_center(process, fiber, lam_p_nm, band_i_nm, k_nl=0.0,
     def dk_at(li_nm):
         ls_nm = float(1.0 / (2.0 / lam_p_nm - 1.0 / np.asarray(li_nm)))
         return float(delta_k_vec(process, ls_nm / 1000.0, li_nm / 1000.0,
-                                 fiber, k_nl=k_nl)[0])
+                                 fiber)[0])
 
     lo = float(grid_i[crossings[0]])
     hi = float(grid_i[crossings[0] + 1])

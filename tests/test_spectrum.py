@@ -11,12 +11,12 @@ from fwmpairs.spectrum import (GaussianLobe, PumpSpec, SpectralGrid,
                                fit_lobes, jsa_grid, pump_envelope)
 
 
-def phase_matching_fn(process, lam_s_nm, lam_i_nm, fiber, k_nl=0.0):
+def phase_matching_fn(process, lam_s_nm, lam_i_nm, fiber):
     """Complex phase-matching amplitude of the segmented fiber at
     (lam_s, lam_i) in nm."""
     cache = BaseIndexCache(fiber, np.atleast_1d(lam_s_nm) / 1000.0,
                            np.atleast_1d(lam_i_nm) / 1000.0)
-    return cache.phase_matching(process, k_nl)
+    return cache.phase_matching(process)
 
 
 def surface_partner(lam_i_nm, lam_p_nm=620.0):
@@ -33,7 +33,7 @@ def weights(fiber, pump, processes_eo, overlaps_abcd):
 @pytest.fixture(scope="module")
 def grid_default(fiber, pump, processes_eo, weights):
     procs = [p for p in processes_eo if p.label in "ABCD"]
-    return jsa_grid(procs, fiber, pump, weights.amplitudes,
+    return jsa_grid(procs, fiber, pump, weights,
                     SpectralGrid(points_s=201, points_i=201))
 
 
@@ -152,7 +152,6 @@ def test_energy_concentration_near_surface(grid_default, pump):
 
 def test_halving_length_doubles_antidiagonal_width(pump, overlaps_abcd,
                                                    processes_eo):
-    from fwmpairs.estimation import process_weights
     procs = [p for p in processes_eo if p.label == "C"]
     w = {"C": 1.0 + 0j}
     widths = {}
@@ -397,7 +396,7 @@ def test_grid_refinement_moves_fitted_centers_little(pump, weights,
     procs = [p for p in processes_eo if p.label in "ABCD"]
     results = {}
     for n in (161, 322):
-        grid = jsa_grid(procs, short, pump, weights.amplitudes,
+        grid = jsa_grid(procs, short, pump, weights,
                         SpectralGrid((672.0, 684.0), (566.0, 576.0), n, n))
         fit = fit_lobes(grid.lambda_s_axis, grid.lambda_i_axis,
                         grid.combined, 4)

@@ -31,7 +31,8 @@ def random_pure(rng):
 
 def test_projector_set_size_and_order():
     basis = projector_basis()
-    assert len(basis) == 36
+    assert len(basis.names) == 36
+    assert basis.projectors.shape == (36, 4, 4)
     assert basis.names[0] == "ee"
     assert basis.names[1] == "eo"
     assert basis.names[-1] == "ll"
