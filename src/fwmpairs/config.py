@@ -38,16 +38,10 @@ class TomographyConfig:
 
 
 @dataclass
-class SeedScanConfig:
-    lambda_i_nm: tuple = (567.0, 576.0)
-
-
-@dataclass
 class PipelineConfig:
     fiber: FiberSpec = field(default_factory=FiberSpec)
     pump: PumpSpec = field(default_factory=PumpSpec)
     grid: SpectralGrid = field(default_factory=SpectralGrid)
-    seed_scan: SeedScanConfig = field(default_factory=SeedScanConfig)
     windows: list = field(default_factory=list)
     tomography: TomographyConfig = field(default_factory=TomographyConfig)
     output_dir: str = "out"
@@ -71,8 +65,8 @@ class PipelineConfig:
 SCHEMA = {
     PipelineConfig: {
         "fiber": FiberSpec, "pump": PumpSpec, "grid": SpectralGrid,
-        "seed_scan": SeedScanConfig, "windows": [SpectralWindow],
-        "tomography": TomographyConfig, "output_dir": str,
+        "windows": [SpectralWindow], "tomography": TomographyConfig,
+        "output_dir": str,
         "threads": "count", "delta_sweep": ["birefringence"],
         "center_band_nm": "interval", "expected_lobes": "count",
         "contour_level": "contour",
@@ -82,13 +76,11 @@ SCHEMA = {
         "delta_pol": "birefringence", "delta_parity": "birefringence",
         "delta_parity_dispersion": "birefringence",
         "segments": [(float, bool)],
-        "core_model": str,
     },
     PumpSpec: {"center_wavelength_nm": float, "intensity_fwhm_nm": float,
                "transverse_state": "state"},
     SpectralGrid: {"lambda_s_nm": "interval", "lambda_i_nm": "interval",
                    "points_s": int, "points_i": int},
-    SeedScanConfig: {"lambda_i_nm": "interval"},
     SpectralWindow: {"lambda_s_nm": "interval", "lambda_i_nm": "interval"},
     TomographyConfig: {"counts_scale": "counts_scale",
                        "n_samples": "samples", "seed": "seed"},

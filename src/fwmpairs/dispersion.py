@@ -131,10 +131,6 @@ class FiberSpec:
     segments : tuple of (length_m, axis_swapped)
         Ordered fiber segments; ``axis_swapped`` marks a cross-spliced
         segment whose slow axis is rotated 90 degrees.
-    core_model : str
-        "ge_doped" (default): germania-doped binary Sellmeier core whose
-        doping is calibrated to the NA at ``NA_REFERENCE_UM``.
-        "na_offset": n_core = sqrt(n_clad^2 + NA^2) with constant NA.
     """
 
     core_radius_um: float = 1.74
@@ -143,7 +139,6 @@ class FiberSpec:
     delta_parity: float = 4.41e-4
     delta_parity_dispersion: float = 3.0e-5
     segments: tuple = ((0.10, False),)
-    core_model: str = "ge_doped"
 
     def __post_init__(self):
         if not self.core_radius_um > 0:
@@ -157,8 +152,6 @@ class FiberSpec:
         for length_m, _ in self.segments:
             if not length_m > 0:
                 raise ConfigError("segment lengths must be > 0")
-        if self.core_model not in ("ge_doped", "na_offset"):
-            raise ConfigError(f"unknown core_model {self.core_model!r}")
         object.__setattr__(
             self, "segments",
             tuple((float(L), bool(sw)) for L, sw in self.segments),
@@ -176,9 +169,6 @@ class FiberSpec:
     def core_index(self, lam_um) -> np.ndarray:
         lam = np.asarray(lam_um, dtype=float)
         _check_range(lam)
-        if self.core_model == "na_offset":
-            n_cl = _sellmeier(lam, FUSED_SILICA_SELLMEIER)
-            return np.sqrt(n_cl**2 + self.numerical_aperture**2)
         return _sellmeier(lam, _geo2_mix(
             _geo2_fraction(self.numerical_aperture, NA_REFERENCE_UM)))
 
@@ -363,7 +353,7 @@ def _clenshaw(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
 _PANEL_THETA = np.pi * (np.arange(PANEL_NODES) + 0.5) / PANEL_NODES
 _PANEL_COS = np.cos(np.outer(np.arange(PANEL_NODES), _PANEL_THETA))
 
-# (core_radius_um, numerical_aperture, core_model, azimuthal, panel index)
+# (core_radius_um, numerical_aperture, azimuthal, panel index)
 # -> Chebyshev coefficients or None, least recently used first
 _PANEL_CACHE: OrderedDict = OrderedDict()
 _PANEL_CACHE_SIZE = 1024
@@ -378,8 +368,8 @@ def _panels(fiber: FiberSpec, azimuthal: int, indices) -> list:
     Panels are cached per fiber geometry; the ones missing from the cache
     are built together in one bisection.
     """
-    keys = [(fiber.core_radius_um, fiber.numerical_aperture,
-             fiber.core_model, azimuthal, int(index)) for index in indices]
+    keys = [(fiber.core_radius_um, fiber.numerical_aperture, azimuthal,
+             int(index)) for index in indices]
     missing = [key for key in keys if key not in _PANEL_CACHE]
     if missing:
         bounds = [_panel_bounds(key[-1]) for key in missing]

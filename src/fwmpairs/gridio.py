@@ -1,4 +1,4 @@
-"""File formats: grid CSV, density-matrix JSON, PGM/PPM and SVG.
+"""File formats: grid CSV, density-matrix JSON, PGM and SVG.
 
 Everything here is byte-deterministic for identical inputs: floats are
 serialized with ``repr`` (shortest round-trip form), keys are sorted,
@@ -235,18 +235,6 @@ def write_pgm(path: Path, values: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(pix.tobytes())
-
-
-def write_ppm(path: Path, values: np.ndarray) -> None:
-    """24-bit binary P6 pixmap with the built-in colormap."""
-    v = np.asarray(values, dtype=float)
-    top = v.max()
-    norm = v / top if top > 0 else np.zeros_like(v)
-    rgb = _colormap(norm)
-    h, w = rgb.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(rgb.tobytes())
 
 
 CONTOUR_LEVELS = {"1/e2": 2.0, "1/e3": np.sqrt(6.0)}

@@ -30,8 +30,7 @@ from .fields import (ModeSuperposition, default_grid, intensity_image,
                      normalize_overlaps, process_overlap)
 from .gridio import (density_to_json, document_entries, load_density,
                      load_grid_csv, read_json_document, render_svg_heatmap,
-                     sha256_file, write_grid_csv, write_json, write_pgm,
-                     write_ppm)
+                     sha256_file, write_grid_csv, write_json, write_pgm)
 from .processes import enumerate_processes, phasematched_centers
 from .spectrum import GaussianLobe, SpectralGrid, fit_lobes, jsa_grid
 from .tomography import (MAX_COUNT, CountRecord, bootstrap_metrics,
@@ -245,8 +244,6 @@ def cmd_simulate_jsi(runner: Runner) -> list:
             })
         runner.write("lobes.json", write_json, lobes_to_json(fit))
         runner.write("lobe_centers.csv", _write_csv, report_rows)
-        runner.write("jsi.pgm", write_pgm, grid.combined)
-        runner.write("jsi.ppm", write_ppm, grid.combined)
         runner.write("jsi.svg", render_svg_heatmap, *axes, lobes=fit.lobes,
                      contour_level=cfg.contour_level,
                      title="combined joint spectral intensity")
@@ -499,7 +496,6 @@ def cmd_render(runner: Runner, input_csv: Path,
         lobes = load_lobes(lobes_json) if lobes_json is not None else []
         stem = Path(input_csv).stem
         runner.write(f"{stem}.pgm", write_pgm, intensity)
-        runner.write(f"{stem}.ppm", write_ppm, intensity)
         runner.write(f"{stem}.svg", render_svg_heatmap, lam_s, lam_i,
                      intensity, lobes=lobes,
                      contour_level=runner.cfg.contour_level, title=stem)
@@ -507,12 +503,13 @@ def cmd_render(runner: Runner, input_csv: Path,
 
 
 MODE_IMAGE_STATES = ("g", "e", "o", "d", "a", "r", "l")
+# default wavelength of the mode images, mid-band of the default idler axis
+MODES_WAVELENGTH_NM = 571.5
 
 
 def cmd_modes(runner: Runner, wavelength_nm: float | None = None) -> list:
     cfg = runner.cfg
-    lam_nm = wavelength_nm if wavelength_nm is not None else \
-        0.5 * (cfg.seed_scan.lambda_i_nm[0] + cfg.seed_scan.lambda_i_nm[1])
+    lam_nm = MODES_WAVELENGTH_NM if wavelength_nm is None else wavelength_nm
     check_few_mode(cfg.fiber, lam_nm / 1000.0)
     with runner.stage("modes"):
         grid = default_grid(cfg.fiber)
@@ -550,7 +547,6 @@ def cmd_overlaps(runner: Runner) -> list:
                 "weight_m": float(abs(sim.weights[proc.label]) ** 2),
             })
     runner.write("overlaps.csv", _write_csv, rows)
-    runner.write("overlaps.json", write_json, {"processes": rows})
     return [f"{row['process']} ({row['modes']}): |O|^2 = "
             f"{row['overlap_sq']:.4f}, weight {row['weight_m']:.4f}"
             for row in rows]

@@ -69,12 +69,18 @@ def pump_envelope(lam_s_nm, lam_i_nm, pump: PumpSpec) -> np.ndarray:
     2 sigma^2, i.e. sqrt(2) times the single-pump intensity width.
     """
     nu = _omega(lam_s_nm) + _omega(lam_i_nm) - 2.0 * pump.omega_p
-    return np.exp(-(nu**2) / (8.0 * pump.sigma_omega**2))
+    var = 8.0 * pump.sigma_omega**2
+    if var == 0.0:  # a pump FWHM below about 1e-175 nm: a line at nu = 0
+        return (nu == 0.0).astype(float)
+    # below about 1e-152 nm the quotient overflows on the default grid,
+    # where the envelope is 0
+    with np.errstate(over="ignore"):
+        return np.exp(-(nu**2) / var)
 
 
 # Largest grid a config or a grid CSV may hold.  simulate-jsi, the largest
-# consumer, peaks near 34 MB + 0.31 kB per node (62 MB at 301 x 301,
-# 341 MB at 1001 x 1001), so 2^20 nodes stay near 360 MB
+# consumer, peaks near 38 MB + 0.19 kB per node (VmHWM 55 MB at 301 x 301,
+# 226 MB at 1001 x 1001), so 2^20 nodes stay near 235 MB
 MAX_GRID_POINTS = 2**20
 
 
@@ -103,46 +109,30 @@ class SpectralGrid:
 
 @dataclass
 class JsiGrid:
-    """Per-process complex JSA values plus the combined intensity.
+    """Combined joint spectral intensity on a wavelength grid.
 
-    ``per_process[label][r, c]`` is the weighted amplitude at
-    (lambda_s_axis[r], lambda_i_axis[c]).  ``combined`` sums processes
-    with identical output modes coherently and distinct output modes in
-    intensity, and integrates to 1 over the grid.
+    ``combined[r, c]`` is the intensity at (lambda_s_axis[r],
+    lambda_i_axis[c]); it sums processes with identical output modes
+    coherently and distinct output modes in intensity, and integrates to
+    1 over the grid.
     """
 
     lambda_s_axis: np.ndarray
     lambda_i_axis: np.ndarray
-    per_process: dict
-    processes: dict  # label -> FwmProcess
     combined: np.ndarray
     normalization: float  # raw intensity integral before scaling
 
 
-def combine_intensity(per_process: dict, processes: dict) -> np.ndarray:
-    """Coherent within identical (T_s, T_i), incoherent across."""
-    groups = {}
-    for label, amp in per_process.items():
-        proc = processes[label]
-        key = (proc.t_s, proc.t_i)
-        groups.setdefault(key, []).append(amp)
-    first = next(iter(per_process.values()))
-    total = np.zeros(first.shape, dtype=float)
-    for amps in groups.values():
-        coherent = np.zeros_like(first)
-        for a in amps:
-            coherent = coherent + a
-        total += np.abs(coherent) ** 2
-    return total
-
-
 def jsa_grid(processes, fiber: FiberSpec, pump: PumpSpec, weights: dict,
              grid: SpectralGrid | None = None) -> JsiGrid:
-    """Evaluate weighted per-process JSAs on a wavelength grid.
+    """Combined intensity of the weighted per-process JSAs on a grid.
 
     ``weights`` maps process labels to complex coefficients c_j; any
-    process missing from the map is dropped.  The grid is normalized so
-    the combined intensity integrates to 1.
+    process missing from the map is dropped.  The amplitudes
+    c_j * alpha * phi_j of the processes sharing an output mode pair
+    (T_s, T_i) are summed before squaring, one pair at a time, and the
+    pairs add in intensity.  The grid is normalized so the combined
+    intensity integrates to 1.
     """
     if not processes:
         raise DomainError("jsa_grid needs at least one process")
@@ -154,27 +144,25 @@ def jsa_grid(processes, fiber: FiberSpec, pump: PumpSpec, weights: dict,
     alpha = pump_envelope(mesh_s, mesh_i, pump)
 
     cache = BaseIndexCache(fiber, mesh_s / 1000.0, mesh_i / 1000.0)
-    per_process = {}
-    proc_map = {}
+    groups = {}
     for proc in processes:
         c_j = weights.get(proc.label, 0j)
-        if c_j == 0:
-            continue
-        per_process[proc.label] = c_j * alpha * cache.phase_matching(proc)
-        proc_map[proc.label] = proc
-    if not per_process:
+        if c_j != 0:
+            groups.setdefault((proc.t_s, proc.t_i), []).append((c_j, proc))
+    if not groups:
         raise DomainError("all process weights are zero")
 
-    combined = combine_intensity(per_process, proc_map)
+    combined = np.zeros(alpha.shape)
+    for group in groups.values():
+        coherent = sum(c_j * alpha * cache.phase_matching(proc)
+                       for c_j, proc in group)
+        combined += np.abs(coherent) ** 2
     raw_integral = float(combined.sum()) * (ls[1] - ls[0]) * (li[1] - li[0])
     if raw_integral <= 0:
         raise NumericError("joint spectrum vanishes on the whole grid")
-    scale = 1.0 / np.sqrt(raw_integral)
-    per_process = {k: v * scale for k, v in per_process.items()}
-    combined = combined / raw_integral
-    return JsiGrid(lambda_s_axis=ls, lambda_i_axis=li,
-                   per_process=per_process, processes=proc_map,
-                   combined=combined, normalization=raw_integral)
+    combined /= raw_integral
+    return JsiGrid(lambda_s_axis=ls, lambda_i_axis=li, combined=combined,
+                   normalization=raw_integral)
 
 
 @dataclass
@@ -424,6 +412,10 @@ def _peel(intensity, ls, li, n) -> list:
     return params
 
 
+# The fewest grid nodes inside a lobe's 3-sigma ellipse that its R^2 is
+# taken over.
+_MIN_LOBE_NODES = 8
+
 # The joint fit's support radius around the peeled lobes (Mahalanobis;
 # exp(-R^2 / 2) ~ 1e-14), and the fraction of its amplitude a fitted lobe
 # may keep outside the support before the fit reruns on the whole grid.
@@ -474,7 +466,9 @@ def fit_lobes(lam_s_axis, lam_i_axis, intensity,
     Every fit, of one peeled lobe or of all of them, raises as soon as a
     step it takes centres a lobe off the grid, gives it a sigma wider than
     the wider axis span or drives an amplitude or sigma to 0 or infinity,
-    and when it stalls or exhausts its budget (``_least_squares``).
+    and when it stalls or exhausts its budget (``_least_squares``).  It
+    also raises when a fitted lobe covers fewer than ``_MIN_LOBE_NODES``
+    nodes inside its 3-sigma ellipse, on a grid too coarse for its R^2.
     """
     if expected_lobes < 1:
         raise ConfigError("expected_lobes must be >= 1")
@@ -511,13 +505,17 @@ def fit_lobes(lam_s_axis, lam_i_axis, intensity,
             np.reshape(fitted, (-1, 6)), _distances2(fitted, xs, yi)):
         # local goodness of fit inside the 3-sigma ellipse
         mask = d2 <= 9.0
-        if mask.sum() >= 8:
-            data = intensity[mask]
-            denom = float(((data - data.mean()) ** 2).sum())
-            r2 = 1.0 - float((res_grid[mask] ** 2).sum()) / denom \
-                if denom > 0 else float("nan")
-        else:
-            r2 = float("nan")
+        if mask.sum() < _MIN_LOBE_NODES:
+            raise NumericError(
+                f"lobe at ({x0:.3f}, {y0:.3f}) nm covers {int(mask.sum())} "
+                f"grid nodes inside its 3-sigma ellipse, fewer than the "
+                f"{_MIN_LOBE_NODES} its R^2 needs: the grid steps "
+                f"({ls[1] - ls[0]:.3g}, {li[1] - li[0]:.3g}) nm are too "
+                f"coarse for its minor sigma {sb:.3g} nm")
+        data = intensity[mask]
+        denom = float(((data - data.mean()) ** 2).sum())
+        r2 = 1.0 - float((res_grid[mask] ** 2).sum()) / denom \
+            if denom > 0 else float("nan")
         lobes.append(GaussianLobe(
             center_s_nm=float(x0), center_i_nm=float(y0),
             sigma_major_nm=float(sa), sigma_minor_nm=float(sb),

@@ -131,7 +131,7 @@ def test_simulate_jsi_outputs_and_determinism(tmp_path, config_path):
     assert run(["simulate-jsi", "--config", config_path, "--out", out1]) == 0
     assert run(["simulate-jsi", "--config", config_path, "--out", out2]) == 0
     names = ["jsi.csv", "jsi_meta.json", "lobes.json", "lobe_centers.csv",
-             "jsi.pgm", "jsi.ppm", "jsi.svg", "manifest.json"]
+             "jsi.svg", "manifest.json"]
     for name in names:
         assert (out1 / name).exists(), name
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
@@ -556,6 +556,45 @@ def test_fiber_beyond_few_mode_exit_code(tmp_path, capsys, command, radius,
     assert not (out / "manifest.json").exists()
 
 
+def test_grid_too_coarse_for_lobes_exit_code(tmp_path, capsys):
+    # the 21 x 21 default-band grid steps 1.5 nm and 0.45 nm against minor
+    # sigmas near 0.17 nm: too few nodes inside a lobe for its R^2
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"grid": {"points_s": 21, "points_i": 21}}),
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    code = run(["simulate-jsi", "--config", config, "--out", out])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert "grid nodes inside its 3-sigma ellipse" in err
+    assert "the grid steps (1.5, 0.45) nm are too coarse for its minor " \
+        "sigma 0.171 nm" in err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    ("simulate-jsi", "joint spectrum vanishes on the whole grid"),
+    ("estimate-rho", "window contains no intensity")])
+@pytest.mark.parametrize("fwhm", [1e-30, 1e-160, 1e-300, 1e-320, 5e-324])
+def test_tiny_pump_fwhm_exit_code(tmp_path, capsys, command, message, fwhm):
+    # the pump envelope is 0 at every node; below about 1e-152 nm its
+    # exponent overflows, and below about 1e-175 nm its variance
+    # underflows to 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(
+        BASE_CONFIG, grid={"points_s": 41, "points_i": 41},
+        pump={"intensity_fwhm_nm": fwhm})), encoding="utf-8")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run([command, "--config", config, "--out", out])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert f"error: {message}" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not (out / "manifest.json").exists()
+
+
 def test_estimate_rho_wide_window_metrics(tmp_path, config_path):
     out = tmp_path / "rho"
     assert run(["estimate-rho", "--config", config_path, "--out", out]) == 0
@@ -693,10 +732,10 @@ def test_modes_command_writes_images(tmp_path, config_path):
 def test_overlaps_command(tmp_path, config_path):
     out = tmp_path / "ov"
     assert run(["overlaps", "--config", config_path, "--out", out]) == 0
-    doc = json.loads((out / "overlaps.json").read_text())
-    by = {row["process"]: row for row in doc["processes"]}
-    assert set(by) == {"A", "B", "C", "D", "E"}
-    total = sum(row["overlap_sq"] for row in doc["processes"])
+    header, *lines = (out / "overlaps.csv").read_text().splitlines()
+    rows = [dict(zip(header.split(","), ln.split(","))) for ln in lines]
+    assert {row["process"] for row in rows} == {"A", "B", "C", "D", "E"}
+    total = sum(float(row["overlap_sq"]) for row in rows)
     assert total == pytest.approx(1.0, abs=1e-9)
 
 

@@ -44,10 +44,13 @@ PROBES = {
                       "simulate-jsi", "config.grid.lambda_s_nm[0]"),
     "window_inf": ({"windows": [dict(WINDOW, lambda_s_nm=[673.0, INF])]},
                    "estimate-rho", "config.windows[0].lambda_s_nm[1]"),
-    "seed_scan_minus_inf": ({"seed_scan": {"lambda_i_nm": [-INF, 576.0]}},
-                            "modes", "config.seed_scan.lambda_i_nm[0]"),
-    # k_nl is no longer a key: rejected as unknown, whatever its value
+    # k_nl, seed_scan and fiber.core_model are no longer keys: rejected
+    # as unknown, whatever their value
     "k_nl_nan": ({"k_nl": NAN}, "overlaps", "config.k_nl"),
+    "seed_scan_minus_inf": ({"seed_scan": {"lambda_i_nm": [-INF, 576.0]}},
+                            "modes", "config.seed_scan"),
+    "core_model_ge_doped": ({"fiber": {"core_model": "ge_doped"}},
+                            "overlaps", "config.fiber.core_model"),
     "delta_sweep_nan": ({"delta_sweep": [0.0, NAN]}, "sweep-delta",
                         "config.delta_sweep[1]"),
     # birefringences past 1e-2, about the core-cladding index step

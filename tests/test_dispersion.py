@@ -163,16 +163,6 @@ def test_fiber_spec_validation():
         FiberSpec(segments=())
     with pytest.raises(ConfigError):
         FiberSpec(segments=((0.0, False),))
-    with pytest.raises(ConfigError):
-        FiberSpec(core_model="granite")
-
-
-def test_na_offset_core_model_option():
-    alt = FiberSpec(core_model="na_offset")
-    lam = np.asarray(0.62)
-    n_co = float(alt.core_index(lam))
-    n_cl = float(alt.cladding_index(lam))
-    assert np.sqrt(n_co**2 - n_cl**2) == pytest.approx(0.17, abs=1e-12)
 
 
 def test_ge_doped_core_anchors_na_at_reference(fiber):
@@ -187,7 +177,6 @@ def test_ge_doped_core_anchors_na_at_reference(fiber):
 
 TABLE_FIBERS = {
     "default": FiberSpec(),
-    "na_offset": FiberSpec(core_model="na_offset"),
     "r2.2_na0.14": FiberSpec(core_radius_um=2.2, numerical_aperture=0.14),
 }
 LABEL_AZIMUTHAL = {"LP01": 0, "LP11": 1}
@@ -268,8 +257,7 @@ def test_multi_panel_build_matches_one_panel_builds(fiber, monkeypatch,
 def test_panel_cache_is_bounded_least_recently_used(fiber, monkeypatch):
     monkeypatch.setattr(dispersion, "_PANEL_CACHE", OrderedDict())
     monkeypatch.setattr(dispersion, "_PANEL_CACHE_SIZE", 4)
-    key = (fiber.core_radius_um, fiber.numerical_aperture,
-           fiber.core_model, 0)
+    key = (fiber.core_radius_um, fiber.numerical_aperture, 0)
     dispersion._panels(fiber, 0, [10, 11, 12])
     dispersion._panels(fiber, 0, [10, 13, 14])
     assert list(dispersion._PANEL_CACHE) == [key + (i,)

@@ -6,7 +6,7 @@ from scipy.constants import c as C_LIGHT
 
 from fwmpairs.dispersion import FiberSpec
 from fwmpairs.errors import ConfigError, DomainError, NumericError
-from fwmpairs.processes import BaseIndexCache, FwmProcess
+from fwmpairs.processes import BaseIndexCache, FwmProcess, enumerate_processes
 from fwmpairs.spectrum import (GaussianLobe, PumpSpec, SpectralGrid,
                                fit_lobes, jsa_grid, pump_envelope)
 
@@ -129,12 +129,56 @@ def test_empty_process_list_rejected(fiber, pump):
         jsa_grid([], fiber, pump, {})
 
 
+def channel_amplitudes(fiber, pump, grid, weights):
+    """c_j * alpha * phi_j of each weighted {e, o} channel on ``grid``,
+    from the envelope and the phase matching alone."""
+    ls, li = grid.axes()
+    alpha = pump_envelope(ls[:, None], li[None, :], pump)
+    cache = BaseIndexCache(fiber, ls[:, None] / 1000.0, li[None, :] / 1000.0)
+    procs = {p.label: p for p in enumerate_processes({"e", "o"})}
+    return {label: c_j * alpha * cache.phase_matching(procs[label])
+            for label, c_j in weights.items()}, procs
+
+
+def unit_integral(intensity, grid):
+    ls, li = grid.axes()
+    return intensity / (intensity.sum() * (ls[1] - ls[0]) * (li[1] - li[0]))
+
+
 def test_single_process_combined_equals_squared_amplitude(fiber, pump):
-    proc = FwmProcess("e", "e", "e", "e")
-    grid = jsa_grid([proc], fiber, pump, {"C": 1.0 + 0j},
-                    SpectralGrid(points_s=101, points_i=101))
-    recon = np.abs(grid.per_process["C"]) ** 2
-    assert np.max(np.abs(recon - grid.combined)) < 1e-12 * grid.combined.max()
+    grid = SpectralGrid(points_s=101, points_i=101)
+    amps, procs = channel_amplitudes(fiber, pump, grid, {"C": 1.0 + 0j})
+    combined = jsa_grid([procs["C"]], fiber, pump, {"C": 1.0 + 0j},
+                        grid).combined
+    recon = unit_integral(np.abs(amps["C"]) ** 2, grid)
+    assert np.max(np.abs(recon - combined)) < 1e-12 * combined.max()
+
+
+# C (eeee) and E (ooee) share the output modes (e, e); B (oooo) does not
+CHANNEL_WEIGHTS = {"B": 0.6j, "C": 0.8 + 0.1j, "E": 0.3 - 0.5j}
+COMBINATION_CASES = {
+    "coherent_CE": ("CE", lambda a: np.abs(a["C"] + a["E"]) ** 2,
+                    lambda a: np.abs(a["C"]) ** 2 + np.abs(a["E"]) ** 2),
+    "incoherent_BC": ("BC", lambda a: np.abs(a["B"]) ** 2
+                      + np.abs(a["C"]) ** 2,
+                      lambda a: np.abs(a["B"] + a["C"]) ** 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMBINATION_CASES))
+def test_jsi_combination_rule(fiber, pump, case):
+    # channels with the same output modes add in amplitude, the others in
+    # intensity; the other rule must read visibly different on this grid
+    labels, rule, other_rule = COMBINATION_CASES[case]
+    weights = {label: CHANNEL_WEIGHTS[label] for label in labels}
+    grid = SpectralGrid(points_s=101, points_i=101)
+    amps, procs = channel_amplitudes(fiber, pump, grid, weights)
+    combined = jsa_grid([procs[label] for label in labels], fiber, pump,
+                        weights, grid).combined
+    want = unit_integral(rule(amps), grid)
+    other = unit_integral(other_rule(amps), grid)
+    assert np.max(np.abs(combined - want)) <= 1e-12 * want.max()
+    assert np.max(np.abs(other - want)) > 1e-4 * want.max()
 
 
 def test_energy_concentration_near_surface(grid_default, pump):
