@@ -83,26 +83,25 @@ def load_grid_csv(path: Path):
         raise GridFormatError(
             f"{path}: {rows} x {cols} grid has {rows * cols} cells, more "
             f"than the {MAX_GRID_POINTS} allowed")
+    # numpy parses each cell string as float() does, a row at a time
     try:
-        lam_i = np.array([float(v) for v in header[1:]])
+        lam_i = np.array(header[1:], dtype=float)
     except ValueError:
         raise GridFormatError(f"{path}: row 0: non-numeric axis value")
     ncol = len(header)
-    lam_s = []
-    values = []
+    lam_s = np.empty(rows)
+    values = np.empty((rows, cols))
     for r, line in enumerate(lines[1:], start=1):
         parts = line.split(",")
         if len(parts) != ncol:
             raise GridFormatError(
                 f"{path}: row {r}: expected {ncol} columns, got {len(parts)}")
         try:
-            row = [float(v) for v in parts]
+            row = np.array(parts, dtype=float)
         except ValueError:
             raise GridFormatError(f"{path}: row {r}: non-numeric value")
-        lam_s.append(row[0])
-        values.append(row[1:])
-    lam_s = np.array(lam_s)
-    values = np.array(values)
+        lam_s[r - 1] = row[0]
+        values[r - 1] = row[1:]
     # (row, col) as in the file: row 0 is the header, col 0 the lambda_s axis
     for r0, c0, cells in ((0, 1, lam_i[None, :]), (1, 0, lam_s[:, None]),
                           (1, 1, values)):

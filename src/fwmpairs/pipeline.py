@@ -2,9 +2,9 @@
 
 Every command writes its primary outputs plus ``manifest.json`` listing
 each file with its SHA-256; reruns with identical config and seed are
-byte-identical.  Wall-clock timings go to ``timings.txt``, which is
-deliberately not listed in the manifest so the determinism contract
-covers every listed file.
+byte-identical.  Wall-clock timings and the peak resident set go to
+``timings.txt``, which is deliberately not listed in the manifest so the
+determinism contract covers every listed file.
 """
 
 from __future__ import annotations
@@ -43,6 +43,22 @@ TWO_MODE_SET = frozenset(("e", "o"))
 def config_hash(cfg: PipelineConfig) -> str:
     canon = json.dumps(cfg.raw, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
+def _peak_rss_mb() -> float:
+    """Peak resident set of this process in MB (2^20 bytes): ``VmHWM``
+    from /proc/self/status, or ``ru_maxrss`` where /proc has none."""
+    try:
+        with open("/proc/self/status", encoding="utf-8") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    import resource
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss counts bytes on macOS and kB elsewhere
+    return peak / 2**20 if sys.platform == "darwin" else peak / 1024
 
 
 class Runner:
@@ -98,6 +114,7 @@ class Runner:
         write_json(self.path("manifest.json"), manifest)
         lines = [f"{name}\t{dt:.6f} s" for name, dt in self.timings]
         lines.append(f"total\t{time.perf_counter() - self._t0:.6f} s")
+        lines.append(f"peak_rss_mb\t{_peak_rss_mb():.1f} MB")
         self.path("timings.txt").write_text("\n".join(lines) + "\n",
                                             encoding="utf-8")
         return self.path("manifest.json")

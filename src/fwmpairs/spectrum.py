@@ -79,8 +79,9 @@ def pump_envelope(lam_s_nm, lam_i_nm, pump: PumpSpec) -> np.ndarray:
 
 
 # Largest grid a config or a grid CSV may hold.  simulate-jsi, the largest
-# consumer, peaks near 38 MB + 0.19 kB per node (VmHWM 55 MB at 301 x 301,
-# 226 MB at 1001 x 1001), so 2^20 nodes stay near 235 MB
+# consumer, peaks near 37 MB + 0.13 kB per node (VmHWM 48 MB at 301 x 301,
+# 160 MB at 1001 x 1001, 173 MB at 1024 x 1024 = 2^20 nodes); fit-lobes
+# peaks at 110 MB at 1001 x 1001
 MAX_GRID_POINTS = 2**20
 
 
@@ -260,6 +261,26 @@ def _lobe_jacobian(p: np.ndarray, xs, yi) -> np.ndarray:
     return rows
 
 
+# Nodes per slice of the Jacobian in the normal equations: a step holds
+# one 6 x lobes x _JAC_BLOCK slice at a time, never the rows on all nodes.
+_JAC_BLOCK = 4096
+
+
+def _normal_equations(p: np.ndarray, xs: np.ndarray, yi: np.ndarray,
+                      r: np.ndarray):
+    """J J^T and J r for the rows J of ``_lobe_jacobian`` at the log
+    parameters ``p`` on the 1-D nodes ``xs``, ``yi``, with the residual
+    ``r``, summed over slices of ``_JAC_BLOCK`` nodes."""
+    normal = np.zeros((len(p), len(p)))
+    grad = np.zeros(len(p))
+    for start in range(0, len(xs), _JAC_BLOCK):
+        blk = slice(start, start + _JAC_BLOCK)
+        jac = _lobe_jacobian(p, xs[blk], yi[blk])
+        normal += jac @ jac.T
+        grad += jac @ r[blk]
+    return normal, grad
+
+
 def _check_lobes(p: np.ndarray, ls: np.ndarray, li: np.ndarray) -> None:
     """Raise when a lobe of the log parameters ``p`` has an amplitude or
     sigma at 0 or infinity, is centred off the grid with axes ``ls`` and
@@ -285,7 +306,10 @@ def _least_squares(p0, data, xs, yi, grid):
     parameters (More, Lecture Notes in Mathematics 630, 1978).
 
     Each step solves the normal equations (J J^T + mu diag(J J^T)) s = -J r
-    of the rows J of ``_lobe_jacobian``; a step that lowers the cost is
+    of the rows J of ``_lobe_jacobian``, which ``_normal_equations`` sums
+    over slices of ``_JAC_BLOCK`` nodes of the flattened ``xs``, ``yi``
+    (any shapes that broadcast to the shape of ``data``), so no step holds
+    J on all nodes at once; a step that lowers the cost is
     taken and divides the damping mu by 10, one that does not multiplies
     it by 10.  Converges when the relative cost reduction, actual and
     predicted, the relative scaled step, or the largest cosine between
@@ -296,9 +320,10 @@ def _least_squares(p0, data, xs, yi, grid):
     without lowering the cost, or when ``MAX_EVALS_PER_PARAM`` evaluations
     per parameter do not converge."""
     target = np.ravel(data)
+    xs, yi = (np.ravel(a) for a in np.broadcast_arrays(xs, yi))
 
     def resid(p):
-        return _lobe_model(_from_log(p), xs, yi).ravel() - target
+        return _lobe_model(_from_log(p), xs, yi) - target
 
     budget = MAX_EVALS_PER_PARAM * len(p0)
     # A diverging trial step can overflow exp() or zero a sigma; its cost
@@ -313,9 +338,7 @@ def _least_squares(p0, data, xs, yi, grid):
         damping = _LM_DAMPING0
         converged = cost == 0.0
         while not converged:
-            jac = _lobe_jacobian(p, xs, yi)
-            normal = jac @ jac.T
-            grad = jac @ r
+            normal, grad = _normal_equations(p, xs, yi, r)
             scale = np.diag(normal).copy()
             scale[~(scale > 0)] = 1.0
             if np.max(np.abs(grad) / np.sqrt(scale * cost)) <= _LM_TOL:

@@ -739,6 +739,18 @@ def test_overlaps_command(tmp_path, config_path):
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
+def test_timings_record_the_peak_resident_set(tmp_path, config_path):
+    out = tmp_path / "ov"
+    assert run(["overlaps", "--config", config_path, "--out", out]) == 0
+    lines = (out / "timings.txt").read_text().splitlines()
+    name, value = lines[-1].split("\t")
+    number, unit = value.split(" ")
+    assert (name, unit) == ("peak_rss_mb", "MB")
+    assert float(number) > 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "timings.txt" not in {e["path"] for e in manifest["outputs"]}
+
+
 def test_estimate_rho_from_labeled_lobes(tmp_path, config_path):
     # coincident equal B and C lobes: the estimator must report a
     # maximally entangled state through the lobe-input route

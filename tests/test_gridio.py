@@ -71,6 +71,36 @@ def test_grid_csv_matches_the_per_value_writer(tmp_path, grid):
     assert path.read_bytes() == reference_grid_csv(*grid())
 
 
+def float_parsed_grid_csv(path):
+    """(lam_s, lam_i, intensity) of a grid CSV parsed one ``float()`` per
+    cell, as the reference of the reader's numpy parse."""
+    header, *rows = [ln.split(",") for ln in
+                     path.read_text(encoding="utf-8").split("\n") if ln]
+    return (np.array([float(row[0]) for row in rows]),
+            np.array([float(v) for v in header[1:]]),
+            np.array([[float(v) for v in row[1:]] for row in rows]))
+
+
+def edge_intensity_grid():
+    # subnormals, the largest decade, signed and unsigned zeros, in every
+    # row and column, on increasing axes
+    edges = np.array([0.0, -0.0, 5e-324, 2.2e-308, 1e308,
+                      np.finfo(float).max, 0.1, 1 / 3])
+    return (np.linspace(670.0, 677.0, len(edges)),
+            np.linspace(567.0, 571.0, len(edges)),
+            np.array([np.roll(edges, k) for k in range(len(edges))]))
+
+
+@pytest.mark.parametrize("grid", [edge_intensity_grid, noisy_lobe_grid])
+def test_grid_csv_parse_matches_float(tmp_path, grid):
+    path = tmp_path / "grid.csv"
+    gridio.write_grid_csv(path, *grid())
+    for got, want in zip(gridio.load_grid_csv(path),
+                         float_parsed_grid_csv(path)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("grid", [noisy_lobe_grid, constant_grid])
 def test_svg_heatmap_matches_the_per_pixel_loop(tmp_path, monkeypatch, grid):
     rasters = []

@@ -7,8 +7,9 @@ from scipy.constants import c as C_LIGHT
 from fwmpairs.dispersion import FiberSpec
 from fwmpairs.errors import ConfigError, DomainError, NumericError
 from fwmpairs.processes import BaseIndexCache, FwmProcess, enumerate_processes
-from fwmpairs.spectrum import (GaussianLobe, PumpSpec, SpectralGrid,
-                               fit_lobes, jsa_grid, pump_envelope)
+from fwmpairs.spectrum import (_JAC_BLOCK, GaussianLobe, PumpSpec,
+                               SpectralGrid, fit_lobes, jsa_grid,
+                               pump_envelope)
 
 
 def phase_matching_fn(process, lam_s_nm, lam_i_nm, fiber):
@@ -482,13 +483,14 @@ def minpack_least_squares(p0, data, xs, yi, grid):
     return p, info["fvec"], info["nfev"]
 
 
-def benchmark_style_lobes(seed, centers):
+def benchmark_style_lobes(seed, centers, points=301):
     """Four lobes near the model's A-D centers with 1 % noise on the
-    default 301^2 grid, drawn as the benchmark's lobes are."""
+    default grid span, drawn as the benchmark's lobes are, at 301^2 nodes
+    by default."""
     rng = np.random.default_rng([seed, 1])
-    ls = np.linspace(670.0, 700.0, 301)
-    li = np.linspace(567.0, 576.0, 301)
-    total = np.zeros((301, 301))
+    ls = np.linspace(670.0, 700.0, points)
+    li = np.linspace(567.0, 576.0, points)
+    total = np.zeros((points, points))
     for label in "ABCD":
         cs, ci = centers[label]
         total += GaussianLobe(
@@ -594,6 +596,74 @@ def test_leaking_supported_fit_reruns_on_the_full_grid(joint_fit_nodes,
     support, rerun = assert_matches_full_grid(ls, li, grid, 4,
                                               joint_fit_nodes)
     assert support < rerun == grid.size
+
+
+# ---------------------------------------------------------------------------
+# the normal equations summed over node blocks against the whole Jacobian,
+# the test-side reference
+
+def whole_jacobian_normal_equations(p, xs, yi, data):
+    """J J^T and J r from the rows J of ``_lobe_jacobian`` on all nodes at
+    once, at the residual r of the log parameters ``p``."""
+    from fwmpairs import spectrum
+    r = (spectrum._lobe_model(spectrum._from_log(p), xs, yi)
+         - data).ravel()
+    jac = spectrum._lobe_jacobian(p, xs, yi)
+    return jac @ jac.T, jac @ r
+
+
+def lobe_nodes(case, ls, li, grid, p):
+    """The nodes (xs, yi) and data of one kind of fit on ``grid``, in the
+    shapes ``_least_squares`` receives them."""
+    from fwmpairs import spectrum
+    if case == "peel crop":
+        rows, cols = slice(118, 181), slice(40, 101)
+        return ls[rows, None], li[None, cols], grid[rows, cols]
+    if case == "whole grid":
+        return ls[:, None], li[None, :], grid
+    xs, yi = np.meshgrid(ls, li, indexing="ij")
+    support = np.zeros(grid.shape, dtype=bool)
+    for d2 in spectrum._distances2(spectrum._from_log(p), xs, yi):
+        support |= d2 <= spectrum.SUPPORT_RADIUS**2
+    if case == "support":
+        return xs[support], yi[support], grid[support]
+    # the first ``case`` nodes of the support
+    return xs[support][:case], yi[support][:case], grid[support][:case]
+
+
+@pytest.mark.parametrize("case", [1, _JAC_BLOCK - 1, _JAC_BLOCK,
+                                  _JAC_BLOCK + 1, "peel crop", "support",
+                                  "whole grid"])
+def test_normal_equations_match_the_whole_jacobian(centers, case):
+    from fwmpairs import spectrum
+    ls, li, grid = benchmark_style_lobes(1, centers)
+    p = np.asarray(spectrum._peel(grid, ls, li, 4))
+    xs, yi, data = lobe_nodes(case, ls, li, grid, p)
+    want_normal, want_grad = whole_jacobian_normal_equations(p, xs, yi, data)
+    flat_xs, flat_yi = (np.ravel(a) for a in np.broadcast_arrays(xs, yi))
+    r = (spectrum._lobe_model(spectrum._from_log(p), flat_xs, flat_yi)
+         - np.ravel(data))
+    normal, grad = spectrum._normal_equations(p, flat_xs, flat_yi, r)
+    assert np.max(np.abs(normal - want_normal)) <= 1e-12 * np.max(
+        np.abs(want_normal))
+    assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(
+        np.abs(want_grad))
+
+
+@pytest.mark.parametrize("points", [301, 451])
+def test_lobe_fit_memory_stays_within_ten_grids(centers, points):
+    # numpy reports its buffers to tracemalloc; a fit that held the whole
+    # 24 x n Jacobian of the support peaked above 30 grids
+    import tracemalloc
+    ls, li, grid = benchmark_style_lobes(1, centers, points)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        fit_lobes(ls, li, grid, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 10 * grid.nbytes
 
 
 # ---------------------------------------------------------------------------
