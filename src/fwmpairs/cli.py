@@ -33,7 +33,7 @@ COMMON = (
           help="output directory (default: config output_dir)"),
     _flag("--seed", type=int, check="seed",
           help="master RNG seed (default: config tomography.seed)"),
-    _flag("--threads", type=int, check="count",
+    _flag("--threads", type=int, default=1, check="count",
           help="recorded in the manifest; no stage reads it"),
 )
 
@@ -57,16 +57,16 @@ COMMANDS = {
         "trace the spectral DOF out of the joint spectrum per configured "
         "window",
         pipeline.cmd_estimate_rho,
-        (_flag("--jsi-csv", type=Path,
-               help="measured JSI grid (Gaussian-lobe route)"),
-         _flag("--lobes-json", type=Path,
-               help="pre-fitted labeled lobes (lobe route)"))),
+        (_flag("--lobes-json", type=Path,
+               help="labeled lobes, such as fit-lobes' lobes.json "
+                    "(default: model amplitudes)"),)),
     "qst-simulate": (
         "expected counts and Poisson samples for the 36-projector "
         "tomography",
         pipeline.cmd_qst_simulate,
-        (_flag("--rho", dest="rho_json", type=Path,
-               help="density-matrix JSON (default: first-window rho_se)"),)),
+        (_flag("--rho", dest="rho_json", required=True, type=Path,
+               help="density-matrix JSON, such as estimate-rho's "
+                    "rho_se_w0.json"),)),
     "qst-reconstruct": (
         "maximum-likelihood reconstruction with bootstrap error bars",
         pipeline.cmd_qst_reconstruct,

@@ -6,9 +6,10 @@ no default is required.  Unknown keys are rejected with their path so a
 typo never silently falls back to a default.  ``convert`` is the one
 place for type and range checks (numbers finite, intervals ascending,
 birefringences at most 1e-2 in magnitude, seeds unsigned 64-bit, counts
-at least 1, bootstrap samples at most ``MAX_BOOTSTRAP_SAMPLES``); a
-dataclass checks only its own constraints, such as a positive core
-radius or a grid of at most ``MAX_GRID_POINTS``.
+at least 1, bootstrap samples at most ``MAX_BOOTSTRAP_SAMPLES``, and
+the lobe values that ``pipeline.load_lobes`` reads); a dataclass checks
+only its own constraints, such as a positive core radius or a grid of
+at most ``MAX_GRID_POINTS``.
 ``PipelineConfig.parse`` accepts the raw dict; ``load_config`` reads a
 file.
 """
@@ -45,7 +46,6 @@ class PipelineConfig:
     windows: list = field(default_factory=list)
     tomography: TomographyConfig = field(default_factory=TomographyConfig)
     output_dir: str = "out"
-    threads: int = 1
     delta_sweep: list = field(default_factory=lambda: [0.0, 1.5e-5, 3.0e-5])
     center_band_nm: tuple = (540.0, 580.0)
     expected_lobes: int = 4
@@ -66,8 +66,7 @@ SCHEMA = {
     PipelineConfig: {
         "fiber": FiberSpec, "pump": PumpSpec, "grid": SpectralGrid,
         "windows": [SpectralWindow], "tomography": TomographyConfig,
-        "output_dir": str,
-        "threads": "count", "delta_sweep": ["birefringence"],
+        "output_dir": str, "delta_sweep": ["birefringence"],
         "center_band_nm": "interval", "expected_lobes": "count",
         "contour_level": "contour",
     },
@@ -99,6 +98,10 @@ KINDS = {
     # which the additive birefringence overlays assume is large next to them
     "birefringence": (float, lambda v: abs(v) <= 1e-2,
                       "must be within [-0.01, 0.01]"),
+    "positive": (float, lambda v: v > 0, "must be > 0"),
+    # a lobe width: its square divides the Gaussian's exponent
+    "sigma": ("positive", lambda v: 0 < v * v < math.inf,
+              "must have a finite, nonzero square"),
     "counts_scale": (float, lambda v: 0 < v <= MAX_COUNT,
                      "must be in (0, 2^53]"),
     "contour": (str, lambda v: v in CONTOUR_LEVELS,

@@ -237,6 +237,7 @@ def write_pgm(path: Path, values: np.ndarray) -> None:
 
 
 CONTOUR_LEVELS = {"1/e2": 2.0, "1/e3": np.sqrt(6.0)}
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def render_svg_heatmap(path: Path, lam_s_nm, lam_i_nm, intensity,
@@ -325,7 +326,6 @@ def render_svg_heatmap(path: Path, lam_s_nm, lam_i_nm, intensity,
                                   np.cos(lobe.orientation_rad) * sy)
         rpy = rx_minor * np.hypot(np.cos(lobe.orientation_rad) * sx,
                                   np.sin(lobe.orientation_rad) * sy)
-        label = f" ({lobe.process_label})" if lobe.process_label else ""
         parts.append(
             f'<g transform="translate({cx:.2f},{cy:.2f}) rotate({ang:.2f})">'
             f'<ellipse rx="{rpx:.2f}" ry="{rpy:.2f}" fill="none" '
@@ -334,7 +334,7 @@ def render_svg_heatmap(path: Path, lam_s_nm, lam_i_nm, intensity,
             parts.append(
                 f'<text x="{cx:.2f}" y="{cy - rpy - 4:.2f}" fill="white" '
                 f'font-size="12" text-anchor="middle">'
-                f'{lobe.process_label}</text>')
+                f'{lobe.process_label.translate(_XML_TEXT)}</text>')
 
     parts.append(
         f'<rect x="{margin:.0f}" y="{margin:.0f}" width="{pw:.0f}" '
@@ -361,7 +361,8 @@ def render_svg_heatmap(path: Path, lam_s_nm, lam_i_nm, intensity,
         f'{margin + ph / 2:.0f})">signal wavelength (nm)</text>')
     if title:
         parts.append(f'<text x="{margin + pw / 2:.0f}" y="30" '
-                     f'font-size="14" text-anchor="middle">{title}</text>')
+                     f'font-size="14" text-anchor="middle">'
+                     f'{title.translate(_XML_TEXT)}</text>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8",
                           newline="\n")

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import PipelineConfig
+from .config import PipelineConfig, convert
 from .dispersion import FiberSpec, check_few_mode
 from .errors import ConfigError, GridFormatError, NumericError, PhaseMatchError
 from .estimation import (SpectralWindow, lobe_amplitudes, metrics_block,
@@ -32,7 +32,7 @@ from .gridio import (density_to_json, document_entries, load_density,
                      load_grid_csv, read_json_document, render_svg_heatmap,
                      sha256_file, write_grid_csv, write_json, write_pgm)
 from .processes import enumerate_processes, phasematched_centers
-from .spectrum import GaussianLobe, SpectralGrid, fit_lobes, jsa_grid
+from .spectrum import GaussianLobe, fit_lobes, jsa_grid
 from .tomography import (MAX_COUNT, CountRecord, bootstrap_metrics,
                          expected_counts, mle_reconstruct, projector_basis,
                          sample_counts)
@@ -66,11 +66,11 @@ class Runner:
 
     def __init__(self, cfg: PipelineConfig, command: str,
                  out_dir: str | None = None, seed: int | None = None,
-                 threads: int | None = None):
+                 threads: int = 1):
         self.cfg = cfg
         self.command = command
         self.seed = cfg.tomography.seed if seed is None else seed
-        self.threads = cfg.threads if threads is None else threads
+        self.threads = threads
         self.out = Path(out_dir if out_dir is not None else cfg.output_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         self.files: list = []
@@ -92,7 +92,7 @@ class Runner:
         writer(self.path(name), *args, **kw)
         self.files.append(name)
 
-    def finish(self) -> Path:
+    def finish(self) -> None:
         manifest = {
             "command": self.command,
             "config_sha256": config_hash(self.cfg),
@@ -117,7 +117,6 @@ class Runner:
         lines.append(f"peak_rss_mb\t{_peak_rss_mb():.1f} MB")
         self.path("timings.txt").write_text("\n".join(lines) + "\n",
                                             encoding="utf-8")
-        return self.path("manifest.json")
 
 
 # ---------------------------------------------------------------------------
@@ -157,32 +156,25 @@ class Simulation:
         self.overlaps = normalize_overlaps(raw)
         self.weights = process_weights(self.pump, self.overlaps, self.matched)
 
-    def jsi(self, grid: SpectralGrid | None = None):
+    def jsi(self):
         return jsa_grid(self.matched, self.fiber, self.pump, self.weights,
-                        grid if grid is not None else self.cfg.grid)
+                        self.cfg.grid)
 
     def amplitudes(self):
         return model_amplitudes(self.matched, self.fiber, self.pump,
                                 self.weights)
 
-    def in_band(self) -> list:
-        """Processes whose centers fall inside the configured grid."""
-        (s0, s1), (i0, i1) = (self.cfg.grid.lambda_s_nm,
-                              self.cfg.grid.lambda_i_nm)
-        out = []
-        for proc in self.matched:
-            ls, li = self.centers[proc.label]
-            if s0 <= ls <= s1 and i0 <= li <= i1:
-                out.append(proc)
-        return out
-
 
 def _fit_in_band_lobes(sim: Simulation, lam_s, lam_i, intensity,
                        n_lobes: int | None = None):
     """Fit ``n_lobes`` lobes (default: ``expected_lobes``, at most one per
-    in-band process) and label them with the in-band processes, both
-    taken in idler order."""
-    in_band = sorted(sim.in_band(), key=lambda p: sim.centers[p.label][1])
+    in-band process, whose center lies inside the configured grid) and
+    label them with the in-band processes, both taken in idler order."""
+    (s0, s1), (i0, i1) = sim.cfg.grid.lambda_s_nm, sim.cfg.grid.lambda_i_nm
+    in_band = sorted((p for p in sim.matched
+                      if s0 <= sim.centers[p.label][0] <= s1
+                      and i0 <= sim.centers[p.label][1] <= i1),
+                     key=lambda p: sim.centers[p.label][1])
     if not in_band:
         raise NumericError("no phase-matched lobe inside the grid band")
     if n_lobes is None:
@@ -201,13 +193,35 @@ def lobes_to_json(fit) -> dict:
     }
 
 
+# the ``config.convert`` type of each lobes JSON field; a null
+# ``r_squared`` reads as not measured
+LOBE_TYPES = {"center_s_nm": float, "center_i_nm": float,
+              "sigma_major_nm": "sigma", "sigma_minor_nm": "sigma",
+              "orientation_rad": float, "amplitude": "positive",
+              "r_squared": float, "process_label": str}
+
+
 def load_lobes(path: Path) -> list:
+    """The lobes of a lobes JSON, each value checked against
+    ``LOBE_TYPES``; a bad value raises GridFormatError naming the file
+    and the entry."""
     fields = dataclasses.fields(GaussianLobe)
     entries = document_entries(
         path, read_json_document(path, ("lobes",)), "lobes",
         [f.name for f in fields if f.default is dataclasses.MISSING],
         [f.name for f in fields if f.default is not dataclasses.MISSING])
-    return [GaussianLobe(**entry) for entry in entries]
+    lobes = []
+    for j, entry in enumerate(entries):
+        where = f"{path}: lobes[{j}]"
+        try:
+            lobe = GaussianLobe(**{
+                name: convert(value, LOBE_TYPES[name], f"{where}: {name}")
+                for name, value in entry.items()
+                if value is not None or name != "r_squared"})
+        except ConfigError as exc:
+            raise GridFormatError(str(exc)) from None
+        lobes.append(lobe)
+    return lobes
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +243,8 @@ def cmd_simulate_jsi(runner: Runner) -> list:
                 "center_wavelength_nm": cfg.pump.center_wavelength_nm,
                 "intensity_fwhm_nm": cfg.pump.intensity_fwhm_nm,
                 "transverse_state": {
-                    k: v for k, v in
-                    ((m, [a.real, a.imag]) for m, a in
-                     cfg.pump.transverse_state.amplitudes.items())},
+                    m: [a.real, a.imag] for m, a in
+                    cfg.pump.transverse_state.amplitudes.items()},
             },
             "fiber": dataclasses.asdict(cfg.fiber),
             "normalization_raw_integral": grid.normalization,
@@ -261,9 +274,6 @@ def cmd_simulate_jsi(runner: Runner) -> list:
             })
         runner.write("lobes.json", write_json, lobes_to_json(fit))
         runner.write("lobe_centers.csv", _write_csv, report_rows)
-        runner.write("jsi.svg", render_svg_heatmap, *axes, lobes=fit.lobes,
-                     contour_level=cfg.contour_level,
-                     title="combined joint spectral intensity")
     return [f"{row['process']}: fitted center "
             f"({row['fitted_lambda_s_nm']:.3f}, "
             f"{row['fitted_lambda_i_nm']:.3f}) nm, "
@@ -271,9 +281,6 @@ def cmd_simulate_jsi(runner: Runner) -> list:
 
 
 def _write_csv(path: Path, rows: list) -> None:
-    if not rows:
-        path.write_text("", encoding="utf-8")
-        return
     cols = list(rows[0].keys())
     lines = [",".join(cols)]
     for row in rows:
@@ -301,10 +308,8 @@ def cmd_sweep_delta(runner: Runner, deltas=None) -> list:
                     raise NumericError(f"delta = {delta:g}: "
                                        f"{sim.unmatched[label]}")
             grid = sim.jsi()
-            axes = (grid.lambda_s_axis, grid.lambda_i_axis, grid.combined)
-            runner.write(f"jsi_delta{k}.csv", write_grid_csv, *axes)
-            runner.write(f"jsi_delta{k}.svg", render_svg_heatmap, *axes,
-                         title=f"parity dispersion {delta:g}")
+            runner.write(f"jsi_delta{k}.csv", write_grid_csv,
+                         grid.lambda_s_axis, grid.lambda_i_axis, grid.combined)
             (bs, bi) = sim.centers["B"]
             (cs, ci) = sim.centers["C"]
             rows.append({
@@ -320,40 +325,35 @@ def cmd_sweep_delta(runner: Runner, deltas=None) -> list:
 
 def cmd_fit_lobes(runner: Runner, input_csv: Path,
                   n_lobes: int | None = None) -> list:
-    cfg = runner.cfg
     with runner.stage("load"):
         grid = load_grid_csv(input_csv)
     with runner.stage("fit"):
-        fit = _fit_in_band_lobes(Simulation(cfg), *grid, n_lobes)
+        fit = _fit_in_band_lobes(Simulation(runner.cfg), *grid, n_lobes)
     runner.write("lobes.json", write_json, lobes_to_json(fit))
-    runner.write("lobes.svg", render_svg_heatmap, *grid, lobes=fit.lobes,
-                 contour_level=cfg.contour_level, title="fitted lobes")
     return [f"global R^2 = {fit.r_squared:.4f}"]
 
 
-def _windows(cfg: PipelineConfig) -> list:
-    """The configured windows, or one window over the whole grid."""
-    return list(cfg.windows) or [
-        SpectralWindow(cfg.grid.lambda_s_nm, cfg.grid.lambda_i_nm)]
-
-
-def cmd_estimate_rho(runner: Runner, jsi_csv: Path | None = None,
-                     lobes_json: Path | None = None) -> list:
+def cmd_estimate_rho(runner: Runner, lobes_json: Path | None = None) -> list:
     cfg = runner.cfg
     with runner.stage("prepare"):
         sim = Simulation(cfg)
-        if jsi_csv is not None:
-            fit = _fit_in_band_lobes(sim, *load_grid_csv(jsi_csv))
-            amps = lobe_amplitudes(fit.lobes)
-            source = "jsi_csv"
-        elif lobes_json is not None:
-            amps = lobe_amplitudes(load_lobes(lobes_json))
+        if lobes_json is not None:
+            lobes = load_lobes(lobes_json)
+            for j, lobe in enumerate(lobes):
+                if lobe.process_label not in sim.centers:
+                    raise GridFormatError(
+                        f"{lobes_json}: lobes[{j}]: process_label "
+                        f"{lobe.process_label!r} names no phase-matched "
+                        "process")
+            amps = lobe_amplitudes(lobes)
             source = "lobes_json"
         else:
             amps = sim.amplitudes()
             source = "simulation"
     rows = []
-    for k, window in enumerate(_windows(cfg)):
+    # the configured windows, or one window over the whole grid
+    for k, window in enumerate(list(cfg.windows) or [
+            SpectralWindow(cfg.grid.lambda_s_nm, cfg.grid.lambda_i_nm)]):
         with runner.stage(f"window_{k}"):
             rho = trace_spectral(amps, sim.matched, window)
             metrics = metrics_block(rho)
@@ -382,15 +382,10 @@ def cmd_estimate_rho(runner: Runner, jsi_csv: Path | None = None,
             f"{row['purity']:.4f}" for row in rows]
 
 
-def cmd_qst_simulate(runner: Runner, rho_json: Path | None = None) -> list:
+def cmd_qst_simulate(runner: Runner, rho_json: Path) -> list:
     cfg = runner.cfg
     with runner.stage("state"):
-        if rho_json is not None:
-            rho = validate_density(load_density(rho_json))
-        else:
-            sim = Simulation(cfg)
-            rho = trace_spectral(sim.amplitudes(), sim.matched,
-                                 _windows(cfg)[0])
+        rho = validate_density(load_density(rho_json))
     with runner.stage("counts"):
         basis = projector_basis()
         rates = expected_counts(rho, cfg.tomography.counts_scale, basis)

@@ -1,5 +1,6 @@
 import json
 import warnings
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -131,7 +132,7 @@ def test_simulate_jsi_outputs_and_determinism(tmp_path, config_path):
     assert run(["simulate-jsi", "--config", config_path, "--out", out1]) == 0
     assert run(["simulate-jsi", "--config", config_path, "--out", out2]) == 0
     names = ["jsi.csv", "jsi_meta.json", "lobes.json", "lobe_centers.csv",
-             "jsi.svg", "manifest.json"]
+             "manifest.json"]
     for name in names:
         assert (out1 / name).exists(), name
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
@@ -155,10 +156,18 @@ def test_simulate_jsi_lobe_ordering(tmp_path, config_path):
     assert all(a[1] < b[1] for a, b in zip(order, order[1:]))
 
 
-def test_config_error_exit_code(tmp_path):
+def test_config_error_exit_code(tmp_path, config_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"fiber": {"radius": 2}}', encoding="utf-8")
     assert run(["simulate-jsi", "--config", bad, "--out", tmp_path]) == 2
+    # the removed routes: estimate-rho fits no grid, and qst-simulate
+    # needs a density matrix
+    for argv in (["estimate-rho", "--jsi-csv", tmp_path / "jsi.csv"],
+                 ["qst-simulate"]):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--config", config_path, "--out", tmp_path / "o"])
+        assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_input_exit_code(tmp_path, config_path):
@@ -381,6 +390,83 @@ def test_lobe_with_unknown_field_exit_code(tmp_path, config_path, capsys):
         capsys.readouterr().err)
 
 
+def write_lobes(path, **changes):
+    """A lobes JSON of two good lobes, labeled B and C, with ``changes``
+    made to the second."""
+    good = {"center_s_nm": 677.0, "center_i_nm": 571.0,
+            "sigma_major_nm": 1.0, "sigma_minor_nm": 0.3,
+            "orientation_rad": 0.4, "amplitude": 1.0, "r_squared": None,
+            "process_label": "B"}
+    lobes = [good, {**good, "process_label": "C", **changes}]
+    path.write_text(json.dumps({"lobes": lobes}), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("center_s_nm", "abc", "center_s_nm: expected a number"),
+    ("center_i_nm", None, "center_i_nm: expected a number"),
+    ("orientation_rad", True, "orientation_rad: expected a number"),
+    ("center_s_nm", float("inf"), "center_s_nm: must be finite"),
+    ("sigma_major_nm", 1e308,
+     "sigma_major_nm: must have a finite, nonzero square"),
+    ("sigma_minor_nm", 1e-170,
+     "sigma_minor_nm: must have a finite, nonzero square"),
+    ("sigma_minor_nm", 0, "sigma_minor_nm: must be > 0"),
+    ("sigma_major_nm", -1.0, "sigma_major_nm: must be > 0"),
+    ("amplitude", -1.0, "amplitude: must be > 0"),
+    ("r_squared", "high", "r_squared: expected a number"),
+    ("process_label", 5, "process_label: expected a string")])
+@pytest.mark.parametrize("command", ["estimate-rho", "render"])
+def test_lobe_bad_value_exit_code(tmp_path, config_path, capsys, command,
+                                  field, value, message):
+    lobes = write_lobes(tmp_path / "lobes.json", **{field: value})
+    grid = tmp_path / "grid.csv"
+    write_grid_csv(grid, [670.0, 671.0], [567.0, 568.0], np.ones((2, 2)))
+    args = ["--input", grid] if command == "render" else []
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run([command, "--config", config_path, "--out", out,
+                    "--lobes-json", lobes, *args])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert f"lobes.json: lobes[1]: {message}" in err
+    assert "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("label", ["X", "5", ""])
+def test_lobe_label_naming_no_process_exit_code(tmp_path, config_path,
+                                                capsys, label):
+    lobes = write_lobes(tmp_path / "lobes.json", process_label=label)
+    out = tmp_path / "out"
+    assert run(["estimate-rho", "--config", config_path, "--out", out,
+                "--lobes-json", lobes]) == 3
+    err = capsys.readouterr().err
+    assert (f"lobes.json: lobes[1]: process_label {label!r} names no "
+            "phase-matched process") in err
+    assert not (out / "manifest.json").exists()
+    # render draws any label
+    grid = tmp_path / "grid.csv"
+    write_grid_csv(grid, [670.0, 671.0], [567.0, 568.0], np.ones((2, 2)))
+    assert run(["render", "--config", config_path, "--out", out,
+                "--input", grid, "--lobes-json", lobes]) == 0
+
+
+def test_render_escapes_markup_in_labels_and_title(tmp_path, config_path):
+    lobes = write_lobes(tmp_path / "lobes.json", process_label="A&<B>")
+    grid = tmp_path / "a&b.csv"
+    write_grid_csv(grid, np.linspace(670.0, 690.0, 21),
+                   np.linspace(565.0, 577.0, 13), np.ones((21, 13)))
+    out = tmp_path / "img"
+    assert run(["render", "--config", config_path, "--out", out,
+                "--input", grid, "--lobes-json", lobes]) == 0
+    root = ElementTree.parse(out / "a&b.svg").getroot()
+    texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert {"B", "A&<B>", "a&b"} <= set(texts)
+
+
 def test_fit_lobes_leaving_the_grid_exit_code(tmp_path, config_path,
                                                centers, capsys):
     # one lobe at the model's D center plus 1 % noise, fitted as two: the
@@ -430,8 +516,7 @@ def test_fit_lobes_recovers_lobes_at_reference_centers(tmp_path,
         assert lb["amplitude"] > 0
 
 
-@pytest.mark.parametrize("command, flag", [("fit-lobes", "--input"),
-                                           ("estimate-rho", "--jsi-csv")])
+@pytest.mark.parametrize("command, flag", [("fit-lobes", "--input")])
 def test_lobe_fit_with_no_center_in_band_exit_code(tmp_path, capsys,
                                                    command, flag):
     cfg = dict(BASE_CONFIG, grid={"lambda_s_nm": [670.0, 672.0],
@@ -490,7 +575,7 @@ def test_sweep_delta_monotone(tmp_path, config_path):
     seps = [float(r.split(",")[-1]) for r in rows]
     assert seps[0] < seps[1] < seps[2]
     assert (out / "jsi_delta0.csv").exists()
-    assert (out / "jsi_delta2.svg").exists()
+    assert (out / "jsi_delta2.csv").exists()
 
 
 @pytest.mark.parametrize("delta", ["0.01", "-0.01"])
@@ -611,14 +696,21 @@ def test_estimate_rho_wide_window_metrics(tmp_path, config_path):
 
 
 def test_estimate_rho_from_exported_grid(tmp_path, config_path):
+    # fit-lobes on the exported grid, then estimate-rho on its lobes
     sim_out = tmp_path / "sim"
     assert run(["simulate-jsi", "--config", config_path,
                 "--out", sim_out]) == 0
+    fit_out = tmp_path / "fit"
+    assert run(["fit-lobes", "--config", config_path, "--out", fit_out,
+                "--input", sim_out / "jsi.csv"]) == 0
+    assert (fit_out / "lobes.json").read_bytes() == (
+        sim_out / "lobes.json").read_bytes()
     out = tmp_path / "rho2"
     assert run(["estimate-rho", "--config", config_path, "--out", out,
-                "--jsi-csv", sim_out / "jsi.csv"]) == 0
+                "--lobes-json", fit_out / "lobes.json"]) == 0
     doc = json.loads((out / "rho_se_w0.json").read_text())
-    assert doc["source"] == "jsi_csv"
+    assert doc["source"] == "lobes_json"
+    assert 0.0 <= doc["metrics"]["purity"] <= 1.0
 
 
 def test_qst_pipeline_end_to_end(tmp_path, config_path):

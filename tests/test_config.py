@@ -44,9 +44,10 @@ PROBES = {
                       "simulate-jsi", "config.grid.lambda_s_nm[0]"),
     "window_inf": ({"windows": [dict(WINDOW, lambda_s_nm=[673.0, INF])]},
                    "estimate-rho", "config.windows[0].lambda_s_nm[1]"),
-    # k_nl, seed_scan and fiber.core_model are no longer keys: rejected
-    # as unknown, whatever their value
+    # k_nl, seed_scan, fiber.core_model and threads are no longer keys:
+    # rejected as unknown, whatever their value
     "k_nl_nan": ({"k_nl": NAN}, "overlaps", "config.k_nl"),
+    "threads_one": ({"threads": 1}, "overlaps", "config.threads"),
     "seed_scan_minus_inf": ({"seed_scan": {"lambda_i_nm": [-INF, 576.0]}},
                             "modes", "config.seed_scan"),
     "core_model_ge_doped": ({"fiber": {"core_model": "ge_doped"}},
@@ -189,7 +190,7 @@ def test_nested_boundary_values_are_config_errors():
                 {"grid": {"points_s": 2.0}},
                 {"tomography": {"counts_scale": 2**1100}},
                 {"expected_lobes": 0},
-                {"threads": True}):
+                {"expected_lobes": True}):
         with pytest.raises(ConfigError):
             PipelineConfig.parse(doc)
 

@@ -82,14 +82,15 @@ def test_import_cli_loads_no_heavy_scipy():
 
 
 def command_argv(inputs, tmp_path, command):
-    """``command`` with the inputs that send it down its heaviest path;
-    ``qst-simulate`` without ``--rho`` runs on model amplitudes."""
+    """``command`` with the inputs that send it down its heaviest path."""
     root, common = inputs
     jsi = root / "jsi" / "jsi.csv"
     extra = {
         "sweep-delta": ["--deltas", "0", "3e-5"],
         "fit-lobes": ["--input", jsi],
-        "estimate-rho --jsi-csv": ["--jsi-csv", jsi],
+        "estimate-rho --lobes-json": ["--lobes-json",
+                                      root / "jsi" / "lobes.json"],
+        "qst-simulate": ["--rho", root / "rho.json"],
         "qst-reconstruct": ["--counts", root / "sim" / "counts.json"],
         "compare": ["--rho-a", root / "rho.json",
                     "--rho-b", root / "qst" / "rho_qst.json"],
@@ -105,10 +106,10 @@ def test_tomography_and_render_load_no_heavy_scipy(inputs, tmp_path,
     assert probe(command_argv(inputs, tmp_path, command)) == (0, set())
 
 
-# estimate-rho without --jsi-csv or --lobes-json uses model amplitudes
+# estimate-rho without --lobes-json uses model amplitudes
 @pytest.mark.parametrize("command", [
     "simulate-jsi", "sweep-delta", "fit-lobes", "estimate-rho",
-    "estimate-rho --jsi-csv", "modes", "overlaps"])
+    "estimate-rho --lobes-json", "modes", "overlaps"])
 def test_command_loads_no_heavy_scipy(inputs, tmp_path, command):
     assert probe(command_argv(inputs, tmp_path, command)) == (0, set())
 
