@@ -264,7 +264,7 @@ def _bessel_k_orders(orders: tuple, x) -> tuple:
     weights = [_K_WEIGHTS * np.cosh(n * _K_T) for n in orders]
     band = np.searchsorted(_K_BAND_LOW, flat, side="right") - 1
     band[~(flat <= _K_ASYMPTOTIC_X)] = -1
-    for b in np.unique(band[band >= 0]):
+    for b in np.flatnonzero(np.bincount(band[band >= 0])):
         at = np.flatnonzero(band == b)
         nodes = _K_BAND_NODES[b]
         for s in range(0, at.size, _BESSEL_CHUNK):
@@ -427,7 +427,7 @@ def lp_effective_index(fiber: FiberSpec, lam_um, lp_label: str) -> np.ndarray:
     lo, hi = SELLMEIER_RANGE_UM
     last = int((hi - lo) // PANEL_WIDTH_UM)
     panel = np.minimum(((lam - lo) // PANEL_WIDTH_UM).astype(int), last)
-    indices = np.unique(panel)
+    indices = np.flatnonzero(np.bincount(panel.ravel()))
     n_eff = np.empty_like(lam)
     bisect = np.zeros(lam.shape, dtype=bool)
     for index, coef in zip(indices, _panels(fiber, l, indices)):

@@ -127,6 +127,13 @@ def trace_spectral(amplitudes, processes, window: SpectralWindow,
         proc = by_label[label]
         comp[basis_index(proc.t_s, proc.t_i)] += amp
     flat = comp.reshape(4, -1)
+    peak = float(np.max(np.abs(flat)))
+    if not np.isfinite(peak):
+        raise DomainError("window amplitudes overflow")
+    # an exact power of two (at most 2^1023, the largest finite one)
+    # brings the largest magnitude to [0.5, 1), so the products cannot
+    # overflow; rho is renormalized below
+    flat = flat * 2.0 ** min(-np.frexp(peak)[1], 1023)
     rho = flat @ flat.conj().T
     tr = float(np.trace(rho).real)
     if tr <= 0:
@@ -176,8 +183,11 @@ def lobe_amplitudes(lobes):
         out = {}
         for label, group in groups.items():
             total = np.zeros(shape)
-            for lobe in group:
-                total += np.maximum(lobe.evaluate(ls, li), 0.0)
+            # lobes of one label can overflow their sum to inf, which
+            # trace_spectral rejects
+            with np.errstate(over="ignore"):
+                for lobe in group:
+                    total += np.maximum(lobe.evaluate(ls, li), 0.0)
             out[label] = np.sqrt(total)
         return out
 

@@ -61,47 +61,64 @@ def write_grid_csv(path: Path, lam_s_nm, lam_i_nm, intensity) -> None:
     lam_s = np.asarray(lam_s_nm, dtype=float)
     lam_i = np.asarray(lam_i_nm, dtype=float)
     values = np.asarray(intensity, dtype=float)
-    rows = [CSV_CORNER + "," + ",".join(map(repr, lam_i.tolist()))]
-    # a row's Python floats at a time, never the whole grid's
-    for ls, row in zip(lam_s.tolist(), values):
-        rows.append(",".join(map(repr, [ls, *row.tolist()])))
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8",
-                          newline="\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(CSV_CORNER + "," + ",".join(map(repr, lam_i.tolist()))
+                 + "\n")
+        # a row's Python floats and text at a time, never the whole grid's
+        for ls, row in zip(lam_s.tolist(), values):
+            fh.write(",".join(map(repr, [ls, *row.tolist()])) + "\n")
+
+
+def _data_lines(fh):
+    """The non-blank lines of the text file ``fh``, each without its line
+    break (a CRLF or a lone CR reads as one)."""
+    for line in fh:
+        if line.strip():
+            yield line[:-1] if line.endswith("\n") else line
 
 
 def load_grid_csv(path: Path):
     """Parse and validate a grid CSV; returns (lam_s, lam_i, intensity).
-    A grid of more than ``MAX_GRID_POINTS`` cells is rejected before any
-    value is parsed."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    if len(lines) < 2:
-        raise GridFormatError(f"{path}: needs a header row and data rows")
-    header = lines[0].split(",")
-    rows, cols = len(lines) - 1, len(header) - 1
-    if rows * cols > MAX_GRID_POINTS:
-        raise GridFormatError(
-            f"{path}: {rows} x {cols} grid has {rows * cols} cells, more "
-            f"than the {MAX_GRID_POINTS} allowed")
-    # numpy parses each cell string as float() does, a row at a time
-    try:
-        lam_i = np.array(header[1:], dtype=float)
-    except ValueError:
-        raise GridFormatError(f"{path}: row 0: non-numeric axis value")
-    ncol = len(header)
-    lam_s = np.empty(rows)
-    values = np.empty((rows, cols))
-    for r, line in enumerate(lines[1:], start=1):
-        parts = line.split(",")
-        if len(parts) != ncol:
+
+    Blank lines are skipped.  The file is read line by line, twice: the
+    first pass counts the rows, so a grid of more than
+    ``MAX_GRID_POINTS`` cells is rejected before any value is parsed; the
+    second parses one row at a time into the preallocated arrays, so the
+    file's text is never held whole."""
+    with open(path, encoding="utf-8") as fh:
+        lines = _data_lines(fh)
+        header = next(lines, "").split(",")
+        rows = sum(1 for _ in lines)
+        if rows < 1:
             raise GridFormatError(
-                f"{path}: row {r}: expected {ncol} columns, got {len(parts)}")
+                f"{path}: needs a header row and data rows")
+        cols = len(header) - 1
+        if rows * cols > MAX_GRID_POINTS:
+            raise GridFormatError(
+                f"{path}: {rows} x {cols} grid has {rows * cols} cells, "
+                f"more than the {MAX_GRID_POINTS} allowed")
+        # numpy parses each cell string as float() does, a row at a time
         try:
-            row = np.array(parts, dtype=float)
+            lam_i = np.array(header[1:], dtype=float)
         except ValueError:
-            raise GridFormatError(f"{path}: row {r}: non-numeric value")
-        lam_s[r - 1] = row[0]
-        values[r - 1] = row[1:]
+            raise GridFormatError(f"{path}: row 0: non-numeric axis value")
+        ncol = len(header)
+        lam_s = np.empty(rows)
+        values = np.empty((rows, cols))
+        fh.seek(0)
+        lines = _data_lines(fh)
+        next(lines)
+        for r, line in enumerate(lines, start=1):
+            parts = line.split(",")
+            if len(parts) != ncol:
+                raise GridFormatError(f"{path}: row {r}: expected {ncol} "
+                                      f"columns, got {len(parts)}")
+            try:
+                row = np.array(parts, dtype=float)
+            except ValueError:
+                raise GridFormatError(f"{path}: row {r}: non-numeric value")
+            lam_s[r - 1] = row[0]
+            values[r - 1] = row[1:]
     # (row, col) as in the file: row 0 is the header, col 0 the lambda_s axis
     for r0, c0, cells in ((0, 1, lam_i[None, :]), (1, 0, lam_s[:, None]),
                           (1, 1, values)):

@@ -78,10 +78,11 @@ def pump_envelope(lam_s_nm, lam_i_nm, pump: PumpSpec) -> np.ndarray:
         return np.exp(-(nu**2) / var)
 
 
-# Largest grid a config or a grid CSV may hold.  simulate-jsi, the largest
-# consumer, peaks near 37 MB + 0.13 kB per node (VmHWM 48 MB at 301 x 301,
-# 160 MB at 1001 x 1001, 173 MB at 1024 x 1024 = 2^20 nodes); fit-lobes
-# peaks at 110 MB at 1001 x 1001
+# Largest grid a config or a grid CSV may hold.  simulate-jsi and
+# fit-lobes, the largest consumers, peak in their lobe fit near 36 MB +
+# 0.07 kB per node (simulate-jsi: VmHWM 42 MB at 301 x 301, 100 MB at
+# 1001 x 1001, 102 MB at 1024 x 1024 = 2^20 nodes; fit-lobes: 102 MB at
+# 1001 x 1001)
 MAX_GRID_POINTS = 2**20
 
 
@@ -124,6 +125,12 @@ class JsiGrid:
     normalization: float  # raw intensity integral before scaling
 
 
+# Nodes per row block of jsa_grid (at least one row): a block holds the
+# pump envelope, the index solve and the complex channel sums of its own
+# nodes only, never of the whole grid.
+_JSA_BLOCK = 8192
+
+
 def jsa_grid(processes, fiber: FiberSpec, pump: PumpSpec, weights: dict,
              grid: SpectralGrid | None = None) -> JsiGrid:
     """Combined intensity of the weighted per-process JSAs on a grid.
@@ -132,19 +139,17 @@ def jsa_grid(processes, fiber: FiberSpec, pump: PumpSpec, weights: dict,
     process missing from the map is dropped.  The amplitudes
     c_j * alpha * phi_j of the processes sharing an output mode pair
     (T_s, T_i) are summed before squaring, one pair at a time, and the
-    pairs add in intensity.  The grid is normalized so the combined
-    intensity integrates to 1.
+    pairs add in intensity.  The grid is filled one block of rows of at
+    most ``_JSA_BLOCK`` nodes at a time, each with its own pump envelope
+    and index solve, so no whole-grid temporary is held beside the result;
+    a node's value does not depend on the block it falls in.  The grid is
+    normalized so the combined intensity integrates to 1.
     """
     if not processes:
         raise DomainError("jsa_grid needs at least one process")
     if grid is None:
         grid = SpectralGrid()
     ls, li = grid.axes()
-    mesh_s = ls[:, None]
-    mesh_i = li[None, :]
-    alpha = pump_envelope(mesh_s, mesh_i, pump)
-
-    cache = BaseIndexCache(fiber, mesh_s / 1000.0, mesh_i / 1000.0)
     groups = {}
     for proc in processes:
         c_j = weights.get(proc.label, 0j)
@@ -153,11 +158,19 @@ def jsa_grid(processes, fiber: FiberSpec, pump: PumpSpec, weights: dict,
     if not groups:
         raise DomainError("all process weights are zero")
 
-    combined = np.zeros(alpha.shape)
-    for group in groups.values():
-        coherent = sum(c_j * alpha * cache.phase_matching(proc)
-                       for c_j, proc in group)
-        combined += np.abs(coherent) ** 2
+    combined = np.zeros((len(ls), len(li)))
+    mesh_i = li[None, :]
+    rows = max(1, _JSA_BLOCK // len(li))
+    for start in range(0, len(ls), rows):
+        mesh_s = ls[start:start + rows, None]
+        alpha = pump_envelope(mesh_s, mesh_i, pump)
+        cache = BaseIndexCache(fiber, mesh_s / 1000.0, mesh_i / 1000.0)
+        block = combined[start:start + rows]
+        for group in groups.values():
+            coherent = sum(c_j * alpha * cache.phase_matching(proc)
+                           for c_j, proc in group)
+            block += np.abs(coherent) ** 2
+    # summed over the whole grid, in numpy's pairwise order
     raw_integral = float(combined.sum()) * (ls[1] - ls[0]) * (li[1] - li[0])
     if raw_integral <= 0:
         raise NumericError("joint spectrum vanishes on the whole grid")
@@ -185,9 +198,12 @@ class GaussianLobe:
         ct, st = np.cos(self.orientation_rad), np.sin(self.orientation_rad)
         u = ct * dx + st * dy
         v = -st * dx + ct * dy
-        return self.amplitude * np.exp(
-            -0.5 * (u**2 / self.sigma_major_nm**2
-                    + v**2 / self.sigma_minor_nm**2))
+        # a sigma whose square is subnormal overflows the quotient to inf,
+        # where the Gaussian's limit, 0, is the value
+        with np.errstate(over="ignore"):
+            exponent = -0.5 * (u**2 / self.sigma_major_nm**2
+                               + v**2 / self.sigma_minor_nm**2)
+        return self.amplitude * np.exp(exponent)
 
 
 @dataclass

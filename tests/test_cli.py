@@ -436,6 +436,31 @@ def test_lobe_bad_value_exit_code(tmp_path, config_path, capsys, command,
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("first, second, want", [
+    # the projector products overflowed: a LinAlgError traceback
+    ({"amplitude": 1e308}, {"amplitude": 1e308}, 0),
+    # one label's sum of intensities overflows to inf
+    ({"amplitude": 1e308}, {"amplitude": 1e308, "process_label": "B"}, 3),
+    # a subnormal sigma square overflowed the Gaussian's exponent
+    ({}, {"sigma_minor_nm": 1e-160}, 0)])
+def test_extreme_lobe_values_end_without_traceback_or_warning(
+        tmp_path, config_path, capsys, first, second, want):
+    lobes = write_lobes(tmp_path / "lobes.json", **second)
+    doc = json.loads(lobes.read_text(encoding="utf-8"))
+    doc["lobes"][0].update(first)
+    lobes.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["estimate-rho", "--config", config_path,
+                    "--out", tmp_path / "out", "--lobes-json", lobes])
+    err = capsys.readouterr().err
+    assert code == want, err
+    assert "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if code == 3:
+        assert "error: window amplitudes overflow" in err
+
+
 @pytest.mark.parametrize("label", ["X", "5", ""])
 def test_lobe_label_naming_no_process_exit_code(tmp_path, config_path,
                                                 capsys, label):

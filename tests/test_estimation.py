@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from fwmpairs.errors import ConfigError, DomainError
-from fwmpairs.estimation import (BELL_PHI_PLUS, SpectralWindow, bell_fidelity,
-                                 concurrence, fidelity, lobe_amplitudes,
-                                 metrics_block, model_amplitudes,
-                                 process_weights, purity,
+from fwmpairs.estimation import (BELL_PHI_PLUS, SpectralWindow, basis_index,
+                                 bell_fidelity, concurrence, fidelity,
+                                 lobe_amplitudes, metrics_block,
+                                 model_amplitudes, process_weights, purity,
                                  trace_spectral, validate_density)
 from fwmpairs.fields import ModeSuperposition
 from fwmpairs.processes import FwmProcess
@@ -187,6 +187,53 @@ def test_quadrature_doubling_converged(fiber, pump, processes_eo,
     c1 = concurrence(trace_spectral(amps, procs, win, nodes=101))
     c2 = concurrence(trace_spectral(amps, procs, win, nodes=202))
     assert abs(c1 - c2) < 1e-3
+
+
+def unscaled_trace_spectral(amplitudes, processes, window, nodes=101):
+    """``trace_spectral`` without the power-of-two scaling of the
+    amplitudes, the reference that ordinary windows must match."""
+    by_label = {p.label: p for p in processes}
+    ls, li, _ = window.quadrature(nodes)
+    comp = np.zeros((4, nodes, nodes), dtype=complex)
+    for label, amp in amplitudes(ls[:, None], li[None, :]).items():
+        proc = by_label[label]
+        comp[basis_index(proc.t_s, proc.t_i)] += amp
+    flat = comp.reshape(4, -1)
+    rho = flat @ flat.conj().T
+    rho = rho / float(np.trace(rho).real)
+    return 0.5 * (rho + rho.conj().T)
+
+
+@pytest.mark.parametrize("amp", [1e-200, 0.3, 1.0, 7.0, 1e200])
+def test_scaled_trace_matches_the_unscaled_one(fiber, pump, processes_eo,
+                                               overlaps_abcd, amp):
+    # a power-of-two scaling is exact, and rho is renormalized
+    procs = [p for p in processes_eo if p.label in "ABCD"]
+    weights = process_weights(pump, overlaps_abcd, procs)
+    lobes = [bc_lobe(570.2, amp=amp, label="B"),
+             bc_lobe(571.4, amp=amp, label="C"),
+             bc_lobe(568.4, amp=0.4 * amp, label="A")]
+    win = SpectralWindow((672.0, 684.0), (566.0, 576.0))
+    for source in (lobe_amplitudes(lobes),
+                   model_amplitudes(procs, fiber, pump, weights)):
+        got = trace_spectral(source, ABCD, win)
+        assert got.tobytes() == unscaled_trace_spectral(source, ABCD,
+                                                        win).tobytes()
+
+
+def test_overflowing_amplitudes_trace_without_warnings():
+    lobes = [bc_lobe(570.2, amp=1e308, label="B"),
+             bc_lobe(571.4, amp=1e308, label="C")]
+    win = SpectralWindow((672.0, 684.0), (566.0, 576.0))
+    with np.errstate(all="raise"):
+        rho = trace_spectral(lobe_amplitudes(lobes), ABCD, win)
+    want = trace_spectral(lobe_amplitudes(
+        [bc_lobe(570.2, label="B"), bc_lobe(571.4, label="C")]), ABCD, win)
+    assert np.max(np.abs(rho - want)) <= 1e-15
+    # lobes of one label whose intensities sum to inf
+    same = [bc_lobe(570.2, amp=1e308, label="B")] * 2
+    with pytest.raises(DomainError, match="window amplitudes overflow"):
+        trace_spectral(lobe_amplitudes(same), ABCD, win)
 
 
 def test_trace_spectral_output_is_physical():

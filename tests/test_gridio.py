@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from fwmpairs import gridio
-from fwmpairs.spectrum import GaussianLobe
+from fwmpairs.errors import GridFormatError
+from fwmpairs.spectrum import MAX_GRID_POINTS, GaussianLobe
 
 
 def reference_heatmap_rects(rgb):
@@ -48,7 +49,8 @@ def constant_grid():
 
 def reference_grid_csv(lam_s, lam_i, intensity) -> bytes:
     """Grid CSV bytes from the per-value writer the module used before,
-    one ``repr(float)`` per cell, as the reference of its row writer."""
+    one ``repr(float)`` per cell and the whole text at once, as the
+    reference of its row writer."""
     rows = [gridio.CSV_CORNER + ","
             + ",".join(repr(float(v)) for v in lam_i)]
     for r, ls in enumerate(lam_s):
@@ -99,6 +101,122 @@ def test_grid_csv_parse_matches_float(tmp_path, grid):
                          float_parsed_grid_csv(path)):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def whole_text_load_grid_csv(path):
+    """``load_grid_csv`` on the whole text of the file at once, the
+    reference of the line-by-line reader."""
+    text = path.read_text(encoding="utf-8")
+    lines = [ln for ln in text.split("\n") if ln.strip()]
+    if len(lines) < 2:
+        raise GridFormatError(f"{path}: needs a header row and data rows")
+    header = lines[0].split(",")
+    rows, cols = len(lines) - 1, len(header) - 1
+    if rows * cols > MAX_GRID_POINTS:
+        raise GridFormatError(
+            f"{path}: {rows} x {cols} grid has {rows * cols} cells, more "
+            f"than the {MAX_GRID_POINTS} allowed")
+    try:
+        lam_i = np.array(header[1:], dtype=float)
+    except ValueError:
+        raise GridFormatError(f"{path}: row 0: non-numeric axis value")
+    ncol = len(header)
+    lam_s = np.empty(rows)
+    values = np.empty((rows, cols))
+    for r, line in enumerate(lines[1:], start=1):
+        parts = line.split(",")
+        if len(parts) != ncol:
+            raise GridFormatError(
+                f"{path}: row {r}: expected {ncol} columns, got {len(parts)}")
+        try:
+            row = np.array(parts, dtype=float)
+        except ValueError:
+            raise GridFormatError(f"{path}: row {r}: non-numeric value")
+        lam_s[r - 1] = row[0]
+        values[r - 1] = row[1:]
+    for r0, c0, cells in ((0, 1, lam_i[None, :]), (1, 0, lam_s[:, None]),
+                          (1, 1, values)):
+        for r, c in np.argwhere(~np.isfinite(cells))[:1]:
+            raise GridFormatError(
+                f"{path}: non-finite value at (row {r + r0}, col {c + c0})")
+    for r, c in np.argwhere(values < 0)[:1]:
+        raise GridFormatError(
+            f"{path}: negative intensity at (row {r + 1}, col {c + 1})")
+    gridio._check_axis(lam_i, f"{path}: lambda_i axis")
+    gridio._check_axis(lam_s, f"{path}: lambda_s axis")
+    return lam_s, lam_i, values
+
+
+GOOD_CSV = "c,567.0,568.0,569.0\n670.0,1.0,2.0,3.0\n671.0,4.0,5.0,6.0\n"
+# more than MAX_GRID_POINTS cells, rejected before a value is parsed
+TOO_LARGE_CSV = ("c" + ",1" * 1024 + "\n" + "x\n" * 1025)
+CSV_CASES = {
+    "good": GOOD_CSV,
+    "crlf": GOOD_CSV.replace("\n", "\r\n"),
+    "lone cr": GOOD_CSV.replace("\n", "\r"),
+    "blank lines": "\n \n" + GOOD_CSV.replace("\n", "\n\t\n", 1) + "\n\n",
+    "no final newline": GOOD_CSV[:-1],
+    "spaces and float spellings": (
+        "c, 567 ,5.68e2,+569.0\n670,1_0,.5,1E0\n671,-0.0,1e-320,0.25\n"),
+    "case-blind nan": GOOD_CSV.replace("5.0", "NaN"),
+    "empty": "",
+    "blank only": "\n  \n",
+    "header only": "c,567.0,568.0\n",
+    "ragged row": GOOD_CSV + "672.0,1.0\n",
+    "non-numeric axis": "c,567.0,x,569.0\n670.0,1.0,2.0,3.0\n",
+    "non-numeric value": GOOD_CSV.replace("5.0", "five"),
+    "hex value": GOOD_CSV.replace("5.0", "0x5p0"),
+    "non-finite value": GOOD_CSV.replace("5.0", "inf"),
+    "overflowing value": GOOD_CSV.replace("5.0", "1e999"),
+    "non-finite axis": GOOD_CSV.replace("671.0", "nan"),
+    "negative value": GOOD_CSV.replace("6.0", "-6.0"),
+    "one idler value": "c,567.0\n670.0,1.0\n671.0,2.0\n",
+    "decreasing axis": GOOD_CSV.replace("671.0", "669.0"),
+    "non-uniform axis": GOOD_CSV.replace("569.0", "569.5"),
+    "too large": TOO_LARGE_CSV,
+    "too large but ragged": TOO_LARGE_CSV.replace("\nx\n", "\nx,y\n", 1),
+}
+
+
+def outcome(load, path):
+    try:
+        return [a.tobytes() for a in load(path)]
+    except GridFormatError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_line_reader_matches_the_whole_text_reader(tmp_path, case):
+    path = tmp_path / "grid.csv"
+    path.write_bytes(CSV_CASES[case].encode("utf-8"))
+    want = outcome(whole_text_load_grid_csv, path)
+    assert outcome(gridio.load_grid_csv, path) == want
+    if case == "too large":
+        assert "1025 x 1024 grid has 1049600 cells" in want
+
+
+def test_grid_csv_io_memory_stays_within_bounds(tmp_path):
+    # numpy reports its buffers to tracemalloc; the whole-text writer
+    # peaked at 7.3 grids and the whole-text reader at 6.2
+    import tracemalloc
+    path = tmp_path / "grid.csv"
+    for points in (301, 451):
+        values = np.random.default_rng(points).random((points, points))
+        axes = (np.linspace(670.0, 700.0, points),
+                np.linspace(567.0, 576.0, points))
+        peaks = []
+        for call in (lambda: gridio.write_grid_csv(path, *axes, values),
+                     lambda: gridio.load_grid_csv(path)):
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append((peak - before) / values.nbytes)
+        assert peaks[0] <= 0.5, peaks
+        assert peaks[1] <= 2.0, peaks
 
 
 @pytest.mark.parametrize("grid", [noisy_lobe_grid, constant_grid])

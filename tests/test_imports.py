@@ -1,9 +1,11 @@
-"""No command loads ``scipy.special`` or ``scipy.optimize``.
+"""No command loads ``scipy.special``, ``scipy.optimize`` or ``numpy.ma``.
 
-Every CLI call is a fresh process, so a scipy submodule import is paid by
+Every CLI call is a fresh process, so a heavy submodule import is paid by
 every command.  The Bessel functions and the lobe fit's optimizer are
-numpy code, and scipy is a test-side reference only; these tests run
-commands in fresh interpreters and read ``sys.modules`` afterwards.
+numpy code, and scipy is a test-side reference only; ``np.unique``
+imports ``numpy.ma``, so the package finds its distinct band and panel
+indices with ``np.bincount``.  These tests run commands in fresh
+interpreters and read ``sys.modules`` afterwards.
 """
 
 import json
@@ -22,10 +24,10 @@ from fwmpairs.estimation import BELL_PHI_PLUS
 from fwmpairs.gridio import density_to_json, write_grid_csv, write_json
 from fwmpairs.spectrum import C_LIGHT
 
-HEAVY = ("scipy.special", "scipy.optimize")
+HEAVY = ("scipy.special", "scipy.optimize", "numpy.ma")
 
 # Runs its argv through cli.main in a fresh interpreter and prints the
-# exit code and the heavy scipy submodules that were loaded.
+# exit code and the heavy submodules that were loaded.
 _PROBE = (
     "import json, sys\n"
     "from fwmpairs.cli import main\n"

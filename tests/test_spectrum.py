@@ -7,8 +7,8 @@ from scipy.constants import c as C_LIGHT
 from fwmpairs.dispersion import FiberSpec
 from fwmpairs.errors import ConfigError, DomainError, NumericError
 from fwmpairs.processes import BaseIndexCache, FwmProcess, enumerate_processes
-from fwmpairs.spectrum import (_JAC_BLOCK, GaussianLobe, PumpSpec,
-                               SpectralGrid, fit_lobes, jsa_grid,
+from fwmpairs.spectrum import (_JAC_BLOCK, _JSA_BLOCK, GaussianLobe,
+                               PumpSpec, SpectralGrid, fit_lobes, jsa_grid,
                                pump_envelope)
 
 
@@ -243,6 +243,17 @@ def synthetic_lobe_grid(params, noise=0.0, seed=0):
         total = np.abs(total + noise * total.max()
                        * rng.standard_normal(total.shape))
     return ls, li, total
+
+
+def test_lobe_with_subnormal_sigma_square_evaluates_without_warning():
+    # sigma^2 = 1e-320 overflows the exponent's quotient to inf off the
+    # major axis, where the Gaussian's limit is 0
+    lobe = GaussianLobe(center_s_nm=678.0, center_i_nm=571.0,
+                        sigma_major_nm=1.0, sigma_minor_nm=1e-160,
+                        orientation_rad=0.0, amplitude=2.0)
+    with np.errstate(over="raise"):
+        values = lobe.evaluate(678.0, np.array([571.0, 571.5]))
+    assert values.tolist() == [2.0, 0.0]
 
 
 def test_fit_exact_single_gaussian():
@@ -664,6 +675,76 @@ def test_lobe_fit_memory_stays_within_ten_grids(centers, points):
     finally:
         tracemalloc.stop()
     assert peak - before <= 10 * grid.nbytes
+
+
+# ---------------------------------------------------------------------------
+# the JSI filled in row blocks against the whole grid at once, the
+# test-side reference
+
+def whole_grid_jsa(processes, fiber, pump, weights, grid):
+    """(combined, normalization) of ``jsa_grid`` with the pump envelope,
+    the index solve and the channel sums on the whole mesh at once."""
+    ls, li = grid.axes()
+    mesh_s, mesh_i = ls[:, None], li[None, :]
+    alpha = pump_envelope(mesh_s, mesh_i, pump)
+    cache = BaseIndexCache(fiber, mesh_s / 1000.0, mesh_i / 1000.0)
+    groups = {}
+    for proc in processes:
+        c_j = weights.get(proc.label, 0j)
+        if c_j != 0:
+            groups.setdefault((proc.t_s, proc.t_i), []).append((c_j, proc))
+    combined = np.zeros(alpha.shape)
+    for group in groups.values():
+        coherent = sum(c_j * alpha * cache.phase_matching(proc)
+                       for c_j, proc in group)
+        combined += np.abs(coherent) ** 2
+    raw = float(combined.sum()) * (ls[1] - ls[0]) * (li[1] - li[0])
+    return combined / raw, raw
+
+
+# idler points of the block tests, and the rows of one block there
+_BLOCK_COLS = 64
+_BLOCK_ROWS = _JSA_BLOCK // _BLOCK_COLS
+BLOCK_FIBERS = {"single": ((0.10, False),),
+                "cross-spliced": ((0.015, False), (0.015, True))}
+
+
+@pytest.mark.parametrize("fiber_name", sorted(BLOCK_FIBERS))
+@pytest.mark.parametrize("rows, block", [
+    (7, 1),  # blocks of one row: a block narrower than a row
+    (_BLOCK_ROWS - 1, _JSA_BLOCK), (_BLOCK_ROWS, _JSA_BLOCK),
+    (_BLOCK_ROWS + 1, _JSA_BLOCK), (2 * _BLOCK_ROWS + 7, _JSA_BLOCK)])
+def test_row_blocks_match_the_whole_grid(monkeypatch, pump, processes_eo,
+                                         fiber_name, rows, block):
+    from fwmpairs import spectrum
+    monkeypatch.setattr(spectrum, "_JSA_BLOCK", block)
+    f = FiberSpec(segments=BLOCK_FIBERS[fiber_name])
+    # C and E share the output pair (e, e), so one group is coherent
+    weights = {**CHANNEL_WEIGHTS, "A": 0.2 + 0.3j, "D": -0.4}
+    grid = SpectralGrid((674.0, 684.0), (566.0, 576.0), rows, _BLOCK_COLS)
+    got = jsa_grid(processes_eo, f, pump, weights, grid)
+    want, raw = whole_grid_jsa(processes_eo, f, pump, weights, grid)
+    assert got.combined.tobytes() == want.tobytes()
+    assert got.normalization == raw
+
+
+@pytest.mark.parametrize("points", [301, 451])
+def test_jsa_grid_memory_stays_within_three_grids(fiber, pump, processes_eo,
+                                                  weights, points):
+    # numpy reports its buffers to tracemalloc; the whole-grid version
+    # peaked at 15 grids
+    import tracemalloc
+    procs = [p for p in processes_eo if p.label in "ABCD"]
+    grid = SpectralGrid(points_s=points, points_i=points)
+    jsa_grid(procs, fiber, pump, weights, grid)  # builds the index table
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        combined = jsa_grid(procs, fiber, pump, weights, grid).combined
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 3 * combined.nbytes
 
 
 # ---------------------------------------------------------------------------
