@@ -1,17 +1,20 @@
-"""Pipeline configuration: strict JSON with location-aware errors.
+"""The input contract: strict JSON, one reader and one checker.
 
-``SCHEMA`` gives the JSON type of every key of every config section.
-The defaults live on the dataclasses alone, and a key whose field has
-no default is required.  Unknown keys are rejected with their path so a
-typo never silently falls back to a default.  ``convert`` is the one
-place for type and range checks (numbers finite, intervals ascending,
-birefringences at most 1e-2 in magnitude, seeds unsigned 64-bit, counts
-at least 1, bootstrap samples at most ``MAX_BOOTSTRAP_SAMPLES``, and
-the lobe values that ``pipeline.load_lobes`` reads); a dataclass checks
-only its own constraints, such as a positive core radius or a grid of
-at most ``MAX_GRID_POINTS``.
-``PipelineConfig.parse`` accepts the raw dict; ``load_config`` reads a
-file.
+``read_json_document`` reads every JSON input, the config and the
+documents that commands pass on (lobes, density matrices, counts), and
+``convert`` checks every value of them.  ``SCHEMA`` gives the JSON type
+of every key of every config section and ``DOCUMENT_SCHEMA`` that of
+every document entry, in the same notation.  The defaults live on the
+dataclasses alone, and a key whose field has no default is required.
+Unknown keys are rejected with their path so a typo never silently falls
+back to a default.  ``convert`` is the one place for type and range
+checks (numbers finite, intervals ascending, birefringences at most 1e-2
+in magnitude, seeds unsigned 64-bit, counts at least 1, bootstrap
+samples at most ``MAX_BOOTSTRAP_SAMPLES``, coincidence counts and count
+scales at most 2^53, and the lobe values); a dataclass checks only its
+own constraints, such as a positive core radius or a grid of at most
+``MAX_GRID_POINTS``.  ``PipelineConfig.parse`` accepts the raw dict;
+``load_config`` reads a file, and a config error exits with code 2.
 """
 
 from __future__ import annotations
@@ -24,11 +27,13 @@ from pathlib import Path
 
 from .dispersion import FiberSpec
 from .errors import ConfigError
-from .estimation import SpectralWindow
+from .estimation import BASIS_LABELS, SpectralWindow
 from .fields import ModeSuperposition
-from .gridio import CONTOUR_LEVELS
-from .spectrum import PumpSpec, SpectralGrid
-from .tomography import MAX_BOOTSTRAP_SAMPLES, MAX_COUNT
+from .spectrum import GaussianLobe, PumpSpec, SpectralGrid
+from .tomography import MAX_BOOTSTRAP_SAMPLES, MAX_COUNT, CountEntry
+
+# contour level name -> the lobe's contour radius in sigmas
+CONTOUR_LEVELS = {"1/e2": 2.0, "1/e3": math.sqrt(6.0)}
 
 
 @dataclass
@@ -85,6 +90,16 @@ SCHEMA = {
                        "n_samples": "samples", "seed": "seed"},
 }
 
+# The entries of the input documents, in SCHEMA's notation
+DOCUMENT_SCHEMA = {
+    GaussianLobe: {"center_s_nm": float, "center_i_nm": float,
+                   "sigma_major_nm": "sigma", "sigma_minor_nm": "sigma",
+                   "orientation_rad": float, "amplitude": "positive",
+                   "r_squared": "measured", "process_label": str},
+    CountEntry: {"signal_basis": str, "idler_basis": str,
+                 "counts": "coincidences"},
+}
+
 # named kind -> (JSON type or kind, test, rule stated when the test fails)
 KINDS = {
     "interval": ((float, float), lambda v: v[0] < v[1],
@@ -104,6 +119,10 @@ KINDS = {
               "must have a finite, nonzero square"),
     "counts_scale": (float, lambda v: 0 < v <= MAX_COUNT,
                      "must be in (0, 2^53]"),
+    "coincidences": (float, lambda v: 0 <= v <= MAX_COUNT,
+                     "must be in [0, 2^53]"),
+    "basis": ((str,) * 4, lambda v: v == BASIS_LABELS,
+              f"must be {list(BASIS_LABELS)}"),
     "contour": (str, lambda v: v in CONTOUR_LEVELS,
                 f"must be one of {sorted(CONTOUR_LEVELS)}"),
 }
@@ -135,6 +154,8 @@ def convert(value, typ, where: str):
         return value
     if typ == "state":
         return _state(value, where)
+    if typ == "measured":  # a number, or null where none was measured
+        return math.nan if value is None else convert(value, float, where)
     if isinstance(value, bool) != (typ is bool) or not isinstance(
             value, (int, float) if typ is float else typ):
         raise ConfigError(f"{where}: expected {_EXPECTED[typ]}")
@@ -153,7 +174,7 @@ def _section(cls, value, where: str):
     defaults, and a field without a default is a required key."""
     if not isinstance(value, dict):
         raise ConfigError(f"{where}: expected an object")
-    types = SCHEMA[cls]
+    types = SCHEMA[cls] if cls in SCHEMA else DOCUMENT_SCHEMA[cls]
     for key in value:
         if key not in types:
             raise ConfigError(f"{where}.{key}: unknown key")
@@ -185,14 +206,18 @@ def _state(value, where: str) -> ModeSuperposition:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def load_config(path: str | Path) -> PipelineConfig:
-    path = Path(path)
+def read_json_document(path: str | Path):
+    """The JSON value in file ``path``; a ConfigError names the file when
+    its text is not UTF-8 JSON, and an OSError passes through."""
     try:
-        text = path.read_text(encoding="utf-8")
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # syntax, encoding, depth
+        raise ConfigError(f"{path}: not a JSON document ({exc})") from None
+
+
+def load_config(path: str | Path) -> PipelineConfig:
+    try:
+        data = read_json_document(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     return PipelineConfig.parse(data)

@@ -39,4 +39,5 @@ class PhaseMatchError(NumericError):
 
 
 class GridFormatError(FwmPairsError, ValueError):
-    """Malformed grid file (ragged rows, bad axes, negative cells)."""
+    """Malformed grid file or input document (ragged rows, bad axes,
+    negative cells, a document value that breaks its rule)."""

@@ -1,8 +1,12 @@
 """File formats: grid CSV, density-matrix JSON, PGM and SVG.
 
-Everything here is byte-deterministic for identical inputs: floats are
-serialized with ``repr`` (shortest round-trip form), keys are sorted,
-no timestamps are embedded.
+Everything written here is byte-deterministic for identical inputs:
+floats are serialized with ``repr`` (shortest round-trip form), keys are
+sorted, no timestamps are embedded.  Input JSON documents are read by
+``read_document``: ``config.read_json_document`` parses them and
+``config.convert`` checks each value, and a malformed grid CSV or
+document raises GridFormatError (exit code 3) naming the file, the entry
+and the rule.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GridFormatError
+from .config import CONTOUR_LEVELS, convert, read_json_document
+from .errors import ConfigError, GridFormatError
 from .estimation import BASIS_LABELS
 from .spectrum import MAX_GRID_POINTS
 
@@ -72,9 +77,12 @@ def write_grid_csv(path: Path, lam_s_nm, lam_i_nm, intensity) -> None:
 def _data_lines(fh):
     """The non-blank lines of the text file ``fh``, each without its line
     break (a CRLF or a lone CR reads as one)."""
-    for line in fh:
-        if line.strip():
-            yield line[:-1] if line.endswith("\n") else line
+    try:
+        for line in fh:
+            if line.strip():
+                yield line[:-1] if line.endswith("\n") else line
+    except UnicodeDecodeError as exc:
+        raise GridFormatError(f"{fh.name}: not UTF-8 text ({exc.reason})")
 
 
 def load_grid_csv(path: Path):
@@ -145,19 +153,22 @@ def _check_axis(axis: np.ndarray, what: str) -> None:
             f"{what}: non-uniform spacing ({rel:.2e} relative)")
 
 
-def read_json_document(path: Path, keys) -> dict:
-    """Parse a JSON input document that must be an object holding
-    ``keys``; raises GridFormatError naming the file otherwise."""
+def read_document(path: Path, types: dict) -> dict:
+    """The value of each key of ``types`` in the JSON object of file
+    ``path``, checked by ``config.convert`` against the key's type; the
+    document's other keys are not read.  Raises GridFormatError naming
+    the file, the entry and the rule broken."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSON syntax or text encoding
-        raise GridFormatError(f"{path}: not a JSON document ({exc})")
-    if not isinstance(doc, dict):
-        raise GridFormatError(f"{path}: expected a JSON object")
-    for key in keys:
-        if key not in doc:
-            raise GridFormatError(f"{path}: missing key {key!r}")
-    return doc
+        doc = read_json_document(path)
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path}: expected an object")
+        for key in types:
+            if key not in doc:
+                raise ConfigError(f"{path}: {key}: missing required key")
+        return {key: convert(doc[key], typ, f"{path}: {key}")
+                for key, typ in types.items()}
+    except ConfigError as exc:
+        raise GridFormatError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -178,48 +189,11 @@ def density_to_json(rho: np.ndarray, metrics: dict | None = None,
     return doc
 
 
-def document_entries(path: Path, doc: dict, key: str, required,
-                     optional=()) -> list:
-    """The list ``doc[key]``, each entry checked to be an object holding
-    the ``required`` keys and no key outside ``required`` and
-    ``optional``; raises GridFormatError naming the file and the entry."""
-    entries = doc[key]
-    if not isinstance(entries, list):
-        raise GridFormatError(f"{path}: {key!r} must be a list")
-    for j, entry in enumerate(entries):
-        where = f"{path}: {key}[{j}]"
-        if not isinstance(entry, dict):
-            raise GridFormatError(f"{where}: expected a JSON object")
-        for name in required:
-            if name not in entry:
-                raise GridFormatError(f"{where}: missing key {name!r}")
-        for name in entry:
-            if name not in required and name not in optional:
-                raise GridFormatError(f"{where}: unknown key {name!r}")
-    return entries
-
-
 def load_density(path: Path) -> np.ndarray:
-    doc = read_json_document(path, ("basis", "matrix"))
-    if doc["basis"] != list(BASIS_LABELS):
-        raise GridFormatError(
-            f"{path}: density matrix must use basis {list(BASIS_LABELS)}")
-    mat = doc["matrix"]
-    if not (isinstance(mat, list) and len(mat) == 4
-            and all(isinstance(row, list) and len(row) == 4 for row in mat)):
-        raise GridFormatError(f"{path}: 'matrix' must be 4 rows of 4 entries")
-    rho = np.zeros((4, 4), dtype=complex)
-    for r, c in np.ndindex(4, 4):
-        try:
-            re, im = mat[r][c]
-            rho[r, c] = complex(float(re), float(im))
-        except (TypeError, ValueError):
-            raise GridFormatError(
-                f"{path}: matrix[{r}][{c}]: expected a [re, im] pair of "
-                "numbers") from None
-    for r, c in np.argwhere(~np.isfinite(rho))[:1]:
-        raise GridFormatError(f"{path}: matrix[{r}][{c}]: non-finite value")
-    return rho
+    doc = read_document(path, {"basis": "basis",
+                               "matrix": (((float, float),) * 4,) * 4})
+    return np.array([[complex(*pair) for pair in row]
+                     for row in doc["matrix"]])
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +227,6 @@ def write_pgm(path: Path, values: np.ndarray) -> None:
         fh.write(pix.tobytes())
 
 
-CONTOUR_LEVELS = {"1/e2": 2.0, "1/e3": np.sqrt(6.0)}
 _XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 

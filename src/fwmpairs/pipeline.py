@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import PipelineConfig, convert
+from .config import PipelineConfig
 from .dispersion import FiberSpec, check_few_mode
 from .errors import ConfigError, GridFormatError, NumericError, PhaseMatchError
 from .estimation import (SpectralWindow, lobe_amplitudes, metrics_block,
@@ -28,12 +28,12 @@ from .estimation import (SpectralWindow, lobe_amplitudes, metrics_block,
                          validate_density, fidelity)
 from .fields import (ModeSuperposition, default_grid, intensity_image,
                      normalize_overlaps, process_overlap)
-from .gridio import (density_to_json, document_entries, load_density,
-                     load_grid_csv, read_json_document, render_svg_heatmap,
-                     sha256_file, write_grid_csv, write_json, write_pgm)
+from .gridio import (density_to_json, load_density, load_grid_csv,
+                     read_document, render_svg_heatmap, sha256_file,
+                     write_grid_csv, write_json, write_pgm)
 from .processes import enumerate_processes, phasematched_centers
 from .spectrum import GaussianLobe, fit_lobes, jsa_grid
-from .tomography import (MAX_COUNT, CountRecord, bootstrap_metrics,
+from .tomography import (CountEntry, CountRecord, bootstrap_metrics,
                          expected_counts, mle_reconstruct, projector_basis,
                          sample_counts)
 
@@ -193,35 +193,11 @@ def lobes_to_json(fit) -> dict:
     }
 
 
-# the ``config.convert`` type of each lobes JSON field; a null
-# ``r_squared`` reads as not measured
-LOBE_TYPES = {"center_s_nm": float, "center_i_nm": float,
-              "sigma_major_nm": "sigma", "sigma_minor_nm": "sigma",
-              "orientation_rad": float, "amplitude": "positive",
-              "r_squared": float, "process_label": str}
-
-
 def load_lobes(path: Path) -> list:
-    """The lobes of a lobes JSON, each value checked against
-    ``LOBE_TYPES``; a bad value raises GridFormatError naming the file
-    and the entry."""
-    fields = dataclasses.fields(GaussianLobe)
-    entries = document_entries(
-        path, read_json_document(path, ("lobes",)), "lobes",
-        [f.name for f in fields if f.default is dataclasses.MISSING],
-        [f.name for f in fields if f.default is not dataclasses.MISSING])
-    lobes = []
-    for j, entry in enumerate(entries):
-        where = f"{path}: lobes[{j}]"
-        try:
-            lobe = GaussianLobe(**{
-                name: convert(value, LOBE_TYPES[name], f"{where}: {name}")
-                for name, value in entry.items()
-                if value is not None or name != "r_squared"})
-        except ConfigError as exc:
-            raise GridFormatError(str(exc)) from None
-        lobes.append(lobe)
-    return lobes
+    """The lobes of a lobes JSON, each checked against
+    ``config.DOCUMENT_SCHEMA``; a null ``r_squared`` reads as not
+    measured."""
+    return read_document(path, {"lobes": [GaussianLobe]})["lobes"]
 
 
 # ---------------------------------------------------------------------------
@@ -409,33 +385,15 @@ def cmd_qst_simulate(runner: Runner, rho_json: Path) -> list:
 
 
 def load_counts(path: Path) -> CountRecord:
-    doc = read_json_document(path, ("records", "n0"))
-    basis = projector_basis()
-    records = document_entries(path, doc, "records",
-                               ("signal_basis", "idler_basis", "counts"))
-    by_name = {}
-    for j, rec in enumerate(records):
-        try:
-            count = float(rec["counts"])
-        except (TypeError, ValueError):
-            raise GridFormatError(
-                f"{path}: records[{j}]: counts must be a number") from None
-        if not 0.0 <= count <= MAX_COUNT:
-            raise GridFormatError(
-                f"{path}: records[{j}]: counts must be finite, nonnegative "
-                f"and at most 2^53, got {count!r}")
-        by_name[str(rec["signal_basis"]) + str(rec["idler_basis"])] = count
-    missing = [name for name in basis.names if name not in by_name]
+    doc = read_document(path, {"records": [CountEntry], "n0": "counts_scale"})
+    by_name = {rec.signal_basis + rec.idler_basis: rec.counts
+               for rec in doc["records"]}
+    names = projector_basis().names
+    missing = [name for name in names if name not in by_name]
     if missing:
         raise GridFormatError(f"{path}: no counts for projector {missing[0]}")
-    try:
-        n0 = float(doc["n0"])
-    except (TypeError, ValueError):
-        raise GridFormatError(f"{path}: n0 must be a number") from None
-    if not 0.0 < n0 < np.inf:
-        raise GridFormatError(f"{path}: n0 must be finite and > 0, got {n0!r}")
-    counts = np.array([by_name[name] for name in basis.names])
-    return CountRecord(counts=counts, n0=n0, seed=doc.get("seed"))
+    return CountRecord(counts=np.array([by_name[name] for name in names]),
+                       n0=doc["n0"])
 
 
 def cmd_qst_reconstruct(runner: Runner, counts: Path) -> list:
@@ -506,6 +464,12 @@ def cmd_render(runner: Runner, input_csv: Path,
     with runner.stage("render"):
         lam_s, lam_i, intensity = load_grid_csv(input_csv)
         lobes = load_lobes(lobes_json) if lobes_json is not None else []
+        for j, lobe in enumerate(lobes):
+            if not (lam_s[0] <= lobe.center_s_nm <= lam_s[-1]
+                    and lam_i[0] <= lobe.center_i_nm <= lam_i[-1]):
+                raise GridFormatError(
+                    f"{lobes_json}: lobes[{j}]: center ({lobe.center_s_nm!r}, "
+                    f"{lobe.center_i_nm!r}) nm lies outside the grid")
         stem = Path(input_csv).stem
         runner.write(f"{stem}.pgm", write_pgm, intensity)
         runner.write(f"{stem}.svg", render_svg_heatmap, lam_s, lam_i,

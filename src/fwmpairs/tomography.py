@@ -66,6 +66,15 @@ MAX_COUNT = 2.0**53  # float64 holds every integer count up to here exactly
 MAX_BOOTSTRAP_SAMPLES = 10_000
 
 
+@dataclass(frozen=True)
+class CountEntry:
+    """One projector's coincidences, as a counts document lists them."""
+
+    signal_basis: str
+    idler_basis: str
+    counts: float
+
+
 @dataclass
 class CountRecord:
     """Observed (or resampled) coincidence counts for the 36 projectors."""
@@ -215,7 +224,8 @@ def _solve(counts: np.ndarray, n0: np.ndarray,
     acts on each record alone, so a record's result does not depend on
     the rest of the batch.
 
-    Returns (rho, log-likelihood, steps, KKT residual) per record.  Given
+    Returns rho, the log-likelihood, the steps and the ``_kkt`` residual,
+    dual gap and converged flag, each per record.  Given
     a list, ``ll_trace`` gets the log-likelihoods at I/4 and at every
     centred point, where they do not fall along the path: one record's
     trace when a single record is solved.
@@ -227,6 +237,8 @@ def _solve(counts: np.ndarray, n0: np.ndarray,
     out_ll = np.empty(n_rec)
     out_steps = np.empty(n_rec, dtype=int)
     out_res = np.empty(n_rec)
+    out_gap = np.empty(n_rec)
+    out_conv = np.empty(n_rec, dtype=bool)
     # state of the records still iterating; rows are dropped as they stop
     live = np.arange(n_rec)
     weights = counts / counts.sum(axis=1, keepdims=True)
@@ -274,7 +286,8 @@ def _solve(counts: np.ndarray, n0: np.ndarray,
             done = live[stop]
             out_rho[done], out_ll[done], out_steps[done] = \
                 rho[stop], ll[stop], it
-            out_res[done] = _kkt(rho[stop], counts[stop])[0]
+            out_res[done], out_gap[done], out_conv[done] = _kkt(
+                rho[stop], counts[stop])
             keep = ~stop
             live, x, tau, counts, n0, weights = (
                 live[keep], x[keep], tau[keep], counts[keep], n0[keep],
@@ -285,7 +298,7 @@ def _solve(counts: np.ndarray, n0: np.ndarray,
             mu = np.linalg.eigvalsh((d[:, None, :] @ m).reshape(-1, 4, 4))
             x += _step_length(dp, mu, weights, tau, dec)[:, None] * d
         it += 1
-    return out_rho, out_ll, out_steps, out_res
+    return out_rho, out_ll, out_steps, out_res, out_gap, out_conv
 
 
 def mle_reconstruct(record: CountRecord) -> MleResult:
@@ -300,9 +313,8 @@ def mle_reconstruct(record: CountRecord) -> MleResult:
     if record.counts.sum() <= 0:
         raise DomainError("cannot reconstruct from all-zero counts")
     trace: list = []
-    counts = record.counts[None, :]
-    rho, ll, steps, _ = _solve(counts, np.array([record.n0]), trace)
-    residual, gap, converged = _kkt(rho, counts)
+    rho, ll, steps, residual, gap, converged = _solve(
+        record.counts[None, :], np.array([record.n0]), trace)
     return MleResult(rho=rho[0], log_likelihood=float(ll[0]),
                      iterations=int(steps[0]), converged=bool(converged[0]),
                      kkt_residual=float(residual[0]), dual_gap=float(gap[0]),
@@ -331,8 +343,9 @@ def bootstrap_metrics(record: CountRecord, n_samples: int = 100,
 
     Each resample draws from its own child of one master seed; an
     all-zero draw is redrawn up to 3 times and otherwise counted as a
-    failure.  Resamples whose solve stopped short of KKT_TOL stay in the
-    statistics and are counted as ``unconverged``.
+    failure, and fewer than 2 surviving resamples raise NumericError.
+    Resamples whose solve stopped short of KKT_TOL stay in the statistics
+    and are counted as ``unconverged``.
     """
     if n_samples < 2:
         raise DomainError("bootstrap needs n_samples >= 2")
@@ -344,11 +357,11 @@ def bootstrap_metrics(record: CountRecord, n_samples: int = 100,
             if counts.sum() > 0:
                 draws.append(counts)
                 break
-    if not draws:
-        raise NumericError("every bootstrap resample failed to reconstruct")
+    if len(draws) < 2:
+        raise NumericError(f"{len(draws)} of {n_samples} bootstrap resamples "
+                           "drew any counts; their spread needs at least 2")
     draws = np.array(draws)
-    rhos = _solve(draws, np.full(len(draws), record.n0))[0]
-    converged = _kkt(rhos, draws)[2]
+    rhos, *_, converged = _solve(draws, np.full(len(draws), record.n0))
     means = {}
     stds = {}
     for name, metric in (("concurrence", concurrence),

@@ -192,6 +192,26 @@ def test_non_json_document_exit_code(tmp_path, config_path, capsys):
     assert "garbage.json: not a JSON document" in capsys.readouterr().err
 
 
+def test_undecodable_input_exit_code(tmp_path, config_path, capsys):
+    # a byte that is not UTF-8, and JSON nested past the parser's depth
+    grid = tmp_path / "grid.csv"
+    write_grid_csv(grid, [670.0, 671.0], [567.0, 568.0], np.ones((2, 2)))
+    grid.write_bytes(grid.read_bytes().replace(b"1.0\n", b"1.0\xff\n", 1))
+    assert run(["render", "--config", config_path, "--out", tmp_path / "o",
+                "--input", grid]) == 3
+    assert "grid.csv: not UTF-8 text (invalid start byte)" in (
+        capsys.readouterr().err)
+    bad = tmp_path / "bad.json"
+    for text in (b'{"grid": "\xff"}', b"[" * 100_000 + b"]" * 100_000):
+        bad.write_bytes(text)
+        assert run(["modes", "--config", bad, "--out", tmp_path / "o"]) == 2
+        assert "bad.json: not a JSON document" in capsys.readouterr().err
+        assert run(["compare", "--config", config_path, "--out",
+                    tmp_path / "o", "--rho-a", bad, "--rho-b", bad]) == 3
+        assert "bad.json: not a JSON document" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 def test_counts_missing_projector_exit_code(tmp_path, config_path, capsys):
     counts = tmp_path / "counts.json"
     counts.write_text(json.dumps({
@@ -211,7 +231,8 @@ def test_lobes_json_without_lobes_key_exit_code(tmp_path, config_path,
     lobes.write_text(json.dumps({"r_squared": 1.0}), encoding="utf-8")
     assert run(["render", "--config", config_path, "--out", tmp_path,
                 "--input", grid, "--lobes-json", lobes]) == 3
-    assert "lobes.json: missing key 'lobes'" in capsys.readouterr().err
+    assert "lobes.json: lobes: missing required key" in (
+        capsys.readouterr().err)
 
 
 def test_grid_csv_non_finite_cells_named(tmp_path):
@@ -261,7 +282,7 @@ def test_density_matrix_entry_exit_code(tmp_path, config_path, capsys):
                                "matrix": [[1, 0]]}), encoding="utf-8")
     assert run(["compare", "--config", config_path, "--out", tmp_path,
                 "--rho-a", rho, "--rho-b", rho]) == 3
-    assert "rho.json: 'matrix' must be 4 rows of 4 entries" in (
+    assert "rho.json: matrix: expected a list of 4 items" in (
         capsys.readouterr().err)
     rows = [[[0.25, 0.0]] * 4 for _ in range(4)]
     rows[2][1] = 7
@@ -269,14 +290,14 @@ def test_density_matrix_entry_exit_code(tmp_path, config_path, capsys):
                                "matrix": rows}), encoding="utf-8")
     assert run(["compare", "--config", config_path, "--out", tmp_path,
                 "--rho-a", rho, "--rho-b", rho]) == 3
-    assert "rho.json: matrix[2][1]: expected a [re, im] pair" in (
+    assert "rho.json: matrix[2][1]: expected a list of 2 items" in (
         capsys.readouterr().err)
     rows[2][1] = [float("nan"), 0.0]
     rho.write_text(json.dumps({"basis": ["ee", "eo", "oe", "oo"],
                                "matrix": rows}), encoding="utf-8")
     assert run(["compare", "--config", config_path, "--out", tmp_path,
                 "--rho-a", rho, "--rho-b", rho]) == 3
-    assert "rho.json: matrix[2][1]: non-finite value" in (
+    assert "rho.json: matrix[2][1][0]: must be finite, got nan" in (
         capsys.readouterr().err)
 
 
@@ -291,7 +312,8 @@ def test_counts_record_without_basis_exit_code(tmp_path, config_path,
     assert run(["qst-reconstruct", "--config", config_path, "--out",
                 tmp_path, "--counts", counts]) == 3
     err = capsys.readouterr().err
-    assert "counts.json: records[1]: missing key 'signal_basis'" in err
+    assert ("counts.json: records[1].signal_basis: missing required key"
+            in err)
     records = [{"signal_basis": s, "idler_basis": i, "counts": "many"}
                for s in "eodarl" for i in "eodarl"]
     counts.write_text(json.dumps({"n0": 100, "records": records}),
@@ -299,14 +321,14 @@ def test_counts_record_without_basis_exit_code(tmp_path, config_path,
     assert run(["qst-reconstruct", "--config", config_path, "--out",
                 tmp_path, "--counts", counts]) == 3
     err = capsys.readouterr().err
-    assert "counts.json: records[0]: counts must be a number" in err
+    assert "counts.json: records[0].counts: expected a number" in err
     for rec in records:
         rec["counts"] = 5
     counts.write_text(json.dumps({"n0": "lots", "records": records}),
                       encoding="utf-8")
     assert run(["qst-reconstruct", "--config", config_path, "--out",
                 tmp_path, "--counts", counts]) == 3
-    assert "counts.json: n0 must be a number" in capsys.readouterr().err
+    assert "counts.json: n0: expected a number" in capsys.readouterr().err
 
 
 def all_projector_records(counts):
@@ -325,8 +347,8 @@ def test_counts_bad_number_exit_code(tmp_path, config_path, capsys, bad):
     assert run(["qst-reconstruct", "--config", config_path, "--out",
                 tmp_path, "--counts", counts]) == 3
     err = capsys.readouterr().err
-    assert ("counts.json: records[7]: counts must be finite, nonnegative "
-            "and at most 2^53") in err
+    rule = "must be in [0, 2^53]" if bad == 1e308 else "must be finite"
+    assert f"counts.json: records[7].counts: {rule}, got {bad!r}" in err
     assert "Traceback" not in err
 
 
@@ -338,7 +360,7 @@ def test_counts_non_finite_n0_exit_code(tmp_path, config_path, capsys, bad):
                       encoding="utf-8")
     assert run(["qst-reconstruct", "--config", config_path, "--out",
                 tmp_path, "--counts", counts]) == 3
-    assert "counts.json: n0 must be finite and > 0" in (
+    assert f"counts.json: n0: must be finite, got {bad!r}" in (
         capsys.readouterr().err)
 
 
@@ -386,7 +408,7 @@ def test_lobe_with_unknown_field_exit_code(tmp_path, config_path, capsys):
     lobes.write_text(json.dumps({"lobes": [lobe]}), encoding="utf-8")
     assert run(["render", "--config", config_path, "--out", tmp_path,
                 "--input", grid, "--lobes-json", lobes]) == 3
-    assert "lobes.json: lobes[0]: unknown key 'colour'" in (
+    assert "lobes.json: lobes[0].colour: unknown key" in (
         capsys.readouterr().err)
 
 
@@ -430,10 +452,32 @@ def test_lobe_bad_value_exit_code(tmp_path, config_path, capsys, command,
                     "--lobes-json", lobes, *args])
     err = capsys.readouterr().err
     assert code == 3, err
-    assert f"lobes.json: lobes[1]: {message}" in err
+    assert f"lobes.json: lobes[1].{message}" in err
     assert "Traceback" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not (out / "manifest.json").exists()
+
+
+def test_render_lobe_off_the_grid_exit_code(tmp_path, config_path, capsys):
+    # the rule the lobe fit keeps: a center on the grid, bounds included
+    grid = tmp_path / "grid.csv"
+    write_grid_csv(grid, [670.0, 680.0], [567.0, 575.0], np.ones((2, 2)))
+    out = tmp_path / "out"
+    for center in (1e308, 680.0000000000001):
+        lobes = write_lobes(tmp_path / "lobes.json", center_s_nm=center)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["render", "--config", config_path, "--out", out,
+                        "--input", grid, "--lobes-json", lobes])
+        assert code == 3
+        assert (f"lobes.json: lobes[1]: center ({center!r}, 571.0) nm lies "
+                "outside the grid") in capsys.readouterr().err
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+    assert not (out / "manifest.json").exists()
+    lobes = write_lobes(tmp_path / "lobes.json", center_s_nm=680.0)
+    assert run(["render", "--config", config_path, "--out", out,
+                "--input", grid, "--lobes-json", lobes]) == 0
 
 
 @pytest.mark.parametrize("first, second, want", [
@@ -474,7 +518,7 @@ def test_lobe_label_naming_no_process_exit_code(tmp_path, config_path,
     assert not (out / "manifest.json").exists()
     # render draws any label
     grid = tmp_path / "grid.csv"
-    write_grid_csv(grid, [670.0, 671.0], [567.0, 568.0], np.ones((2, 2)))
+    write_grid_csv(grid, [670.0, 680.0], [567.0, 575.0], np.ones((2, 2)))
     assert run(["render", "--config", config_path, "--out", out,
                 "--input", grid, "--lobes-json", lobes]) == 0
 

@@ -1,10 +1,13 @@
-"""The config schema: defaults stated once, every value checked in one
-converter, and every malformed number ending in exit code 2."""
+"""The input contract: defaults stated once, every value of the config
+and of the input documents checked in one converter, and every malformed
+number ending in exit code 2 (config) or 3 (document)."""
 
+import copy
 import dataclasses
 import json
 import math
 import re
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -145,8 +148,9 @@ def _nest(cls, key, value):
 
 
 KEYS = [(cls, key) for cls, keys in SCHEMA.items() for key in keys]
-BOUNDARY = st.sampled_from([0, -1, 0.5, NAN, INF, -INF, 1e308, 2**64, True,
-                            False, "", "d", "1/e3", None])
+BOUNDARY_VALUES = [0, -1, 0.5, NAN, INF, -INF, 1e308, 2**64, True, False,
+                   "", "d", "1/e3", None]
+BOUNDARY = st.sampled_from(BOUNDARY_VALUES)
 VALUES = st.recursive(
     BOUNDARY,
     lambda inner: (st.lists(inner, max_size=3)
@@ -222,6 +226,96 @@ def test_extreme_amplitudes_normalize():
                             cfg.pump.transverse_state.amplitudes.values()
                             for x in (v.real, v.imag)))
         assert norm == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# every input document field under boundary values
+
+LOBE = {"center_s_nm": 677.0, "center_i_nm": 571.0, "sigma_major_nm": 1.0,
+        "sigma_minor_nm": 0.3, "orientation_rad": 0.4, "amplitude": 1.0,
+        "r_squared": None, "process_label": "B"}
+# document -> (command, its flag, a valid document)
+DOCUMENTS = {
+    "counts": ("qst-reconstruct", "--counts", {"n0": 100, "records": [
+        {"signal_basis": s, "idler_basis": i, "counts": 5}
+        for s in "eodarl" for i in "eodarl"]}),
+    "density": ("compare", "--rho-a",
+                density_to_json(np.diag([0.5, 0.0, 0.0, 0.5]))),
+    "lobes": ("render", "--lobes-json",
+              {"lobes": [LOBE, dict(LOBE, center_i_nm=573.0,
+                                    process_label="C")]}),
+}
+# (document, path of the field set to the boundary value)
+FIELDS = [("counts", ()), ("counts", ("n0",)), ("counts", ("records",)),
+          ("counts", ("records", 0)), ("counts", ("records", 35, "counts")),
+          ("counts", ("records", 7, "counts")),
+          ("counts", ("records", 7, "signal_basis")),
+          ("counts", ("records", 7, "idler_basis")),
+          ("density", ()), ("density", ("basis",)), ("density", ("basis", 2)),
+          ("density", ("matrix",)), ("density", ("matrix", 1)),
+          ("density", ("matrix", 0, 3)), ("density", ("matrix", 0, 0, 0)),
+          ("density", ("matrix", 3, 0, 1)), ("density", ("matrix", 2, 2, 0)),
+          ("lobes", ()), ("lobes", ("lobes",)), ("lobes", ("lobes", 1)),
+          *(("lobes", ("lobes", 1, key)) for key in LOBE)]
+DOCUMENT_VALUES = st.sampled_from(BOUNDARY_VALUES + [5e-324, 2.0**53])
+
+
+def _set(doc, path, value):
+    """A copy of ``doc`` with the field at ``path`` set to ``value``."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _finite_values(obj):
+    if isinstance(obj, dict):
+        return all(_finite_values(v) for v in obj.values())
+    if isinstance(obj, list):
+        return all(_finite_values(v) for v in obj)
+    return obj is not None and (not isinstance(obj, float)
+                                or math.isfinite(obj))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(FIELDS), DOCUMENT_VALUES, st.sampled_from([2, 3]))
+def test_document_boundary_values_exit_0_or_3(field, value, n_samples):
+    name, path = field
+    command, flag, valid = DOCUMENTS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config = tmp / "config.json"
+        config.write_text(json.dumps(
+            {"tomography": {"n_samples": n_samples}}), encoding="utf-8")
+        doc = tmp / f"{name}.json"
+        doc.write_text(json.dumps(_set(valid, path, value)),
+                       encoding="utf-8")
+        grid = tmp / "grid.csv"
+        write_grid_csv(grid, np.linspace(670.0, 700.0, 31),
+                       np.linspace(567.0, 576.0, 31), np.ones((31, 31)))
+        rho_b = tmp / "rho_b.json"
+        write_json(rho_b, DOCUMENTS["density"][2])
+        out = tmp / "out"
+        extra = {"render": ["--input", grid],
+                 "compare": ["--rho-b", rho_b]}.get(command, [])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([str(a) for a in [command, "--config", config,
+                                          "--out", out, flag, doc, *extra]])
+        assert code in (0, 3)
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+        if code == 0:
+            for output in out.iterdir():
+                text = output.read_text(encoding="utf-8", errors="replace")
+                if output.suffix == ".json":
+                    assert _finite_values(json.loads(text)), output.name
+                elif output.suffix == ".svg":
+                    assert not re.search(r"\b(nan|inf)\b", text), output.name
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fwmpairs import tomography
-from fwmpairs.errors import DomainError
+from fwmpairs.errors import DomainError, NumericError
 from fwmpairs.estimation import (BELL_PHI_PLUS, bell_fidelity, concurrence,
                                  fidelity, purity, validate_density)
 from fwmpairs.tomography import (KKT_TOL, CountRecord, bootstrap_metrics,
@@ -194,10 +194,10 @@ def test_mle_satisfies_kkt_conditions():
     records = kkt_records()
     # one batched solve; test_batched_solve_matches_single_records ties
     # each row to mle_reconstruct
-    rhos, _, _, residual = tomography._solve(
+    rhos, _, _, residual, _, converged = tomography._solve(
         np.array([r.counts for r in records]),
         np.array([r.n0 for r in records]))
-    assert np.all(residual <= KKT_TOL)
+    assert np.all(residual <= KKT_TOL) and np.all(converged)
     for rec, rho in zip(records, rhos):
         r_op = r_operator(rho, rec.counts)
         assert np.linalg.norm(r_op @ rho - rho) <= 1e-8
@@ -278,8 +278,7 @@ def test_mle_within_dual_gap_of_rrhor_reference():
     records = kkt_records()
     counts = np.array([r.counts for r in records])
     n0 = np.array([r.n0 for r in records])
-    rho, ll, _, _ = tomography._solve(counts, n0)
-    gap = tomography._kkt(rho, counts)[1]
+    rho, ll, _, _, gap, _ = tomography._solve(counts, n0)
     ref = rrhor_reference(counts)
     ll_ref = tomography._log_likelihood(
         tomography._probabilities(
@@ -297,7 +296,7 @@ def test_batched_solve_matches_single_records():
     records = [sample_counts(expected_counts(random_mixed(rng, rank=2),
                                              300.0 * (k + 1), basis),
                              seed=k, n0=300.0 * (k + 1)) for k in range(8)]
-    rho, ll, steps, residual = tomography._solve(
+    rho, ll, steps, residual, _, converged = tomography._solve(
         np.array([r.counts for r in records]),
         np.array([r.n0 for r in records]))
     for k, rec in enumerate(records):
@@ -306,6 +305,7 @@ def test_batched_solve_matches_single_records():
         assert res.log_likelihood == pytest.approx(ll[k], abs=1e-14, rel=0)
         assert res.iterations == steps[k]
         assert res.kkt_residual == pytest.approx(residual[k], abs=1e-14)
+        assert res.converged == converged[k]
 
 
 def test_mle_reports_iteration_cap(monkeypatch):
@@ -392,6 +392,13 @@ def test_bootstrap_needs_two_samples():
     rec = CountRecord(counts=np.ones(36), n0=10.0)
     with pytest.raises(DomainError):
         bootstrap_metrics(rec, n_samples=1, seed=0)
+    # one count in all: under seed 9 one of two resamples draws only zeros
+    # three times, and one survivor has no spread
+    counts = np.zeros(36)
+    counts[0] = 1.0
+    with pytest.raises(NumericError, match="1 of 2 bootstrap resamples"):
+        bootstrap_metrics(CountRecord(counts=counts, n0=100.0), n_samples=2,
+                          seed=9)
 
 
 # ---------------------------------------------------------------------------
