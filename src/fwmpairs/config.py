@@ -1,10 +1,17 @@
-"""The input contract: strict JSON, one reader and one checker.
+"""The input contract and its records: strict JSON, one reader and one
+checker.
+
+The records a config or an input document describes live here: the fiber
+(``FiberSpec``), the pump (``PumpSpec``) and its transverse state
+(``ModeSuperposition``), the spectral grid and windows, the fitted lobes
+(``GaussianLobe``) and the count entries (``CountEntry``), with the
+limits on them.  They are plain data: the physics that reads them lives
+in the model modules, and this module imports none of them.
 
 ``read_json_document`` reads every JSON input, the config and the
 documents that commands pass on (lobes, density matrices, counts), and
 ``convert`` checks every value of them.  ``SCHEMA`` gives the JSON type
-of every key of every config section and ``DOCUMENT_SCHEMA`` that of
-every document entry, in the same notation.  The defaults live on the
+of every key of every record, in one notation.  The defaults live on the
 dataclasses alone, and a key whose field has no default is required.
 Unknown keys are rejected with their path so a typo never silently falls
 back to a default.  ``convert`` is the one place for type and range
@@ -25,15 +32,260 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dispersion import FiberSpec
+import numpy as np
+
 from .errors import ConfigError
-from .estimation import BASIS_LABELS, SpectralWindow
-from .fields import ModeSuperposition
-from .spectrum import GaussianLobe, PumpSpec, SpectralGrid
-from .tomography import MAX_BOOTSTRAP_SAMPLES, MAX_COUNT, CountEntry
+
+_TWO_PI = 2.0 * np.pi
+# speed of light in vacuum, m/s (exact SI value)
+C_LIGHT = 299_792_458.0
+
+# ---------------------------------------------------------------------------
+# transverse states
+
+_BASIS = ("g", "e", "o")
+
+NAMED_STATES = {
+    "g": {"g": 1.0},
+    "e": {"e": 1.0},
+    "o": {"o": 1.0},
+    "d": {"e": 1.0 / np.sqrt(2.0), "o": 1.0 / np.sqrt(2.0)},
+    "a": {"e": 1.0 / np.sqrt(2.0), "o": -1.0 / np.sqrt(2.0)},
+    "r": {"e": 1.0 / np.sqrt(2.0), "o": 1j / np.sqrt(2.0)},
+    "l": {"e": 1.0 / np.sqrt(2.0), "o": -1j / np.sqrt(2.0)},
+}
+
+
+@dataclass(frozen=True)
+class ModeSuperposition:
+    """Unit-norm complex superposition over the LP basis {g, e, o}."""
+
+    amplitudes: dict
+    name: str = ""
+
+    def __post_init__(self):
+        amps = {k: complex(v) for k, v in self.amplitudes.items() if v != 0}
+        if not amps:
+            raise ConfigError("empty mode superposition")
+        for k in amps:
+            if k not in _BASIS:
+                raise ConfigError(f"unknown basis mode {k!r}")
+        # hypot of the parts: no overflow or underflow at extreme scales
+        norm = math.hypot(*(x for v in amps.values()
+                            for x in (v.real, v.imag)))
+        if abs(norm - 1.0) > 1e-9:
+            amps = {k: v / norm for k, v in amps.items()}
+        object.__setattr__(self, "amplitudes", amps)
+
+    @classmethod
+    def named(cls, name: str) -> "ModeSuperposition":
+        if name not in NAMED_STATES:
+            raise ConfigError(
+                f"unknown state name {name!r}; expected one of "
+                f"{sorted(NAMED_STATES)}"
+            )
+        return cls(dict(NAMED_STATES[name]), name=name)
+
+    def amplitude(self, mode: str) -> complex:
+        return self.amplitudes.get(mode, 0j)
+
+
+# ---------------------------------------------------------------------------
+# fiber and pump
+
+
+@dataclass(frozen=True)
+class FiberSpec:
+    """Geometry, birefringence and segment layout of the fiber.
+
+    Parameters
+    ----------
+    core_radius_um : float
+        Step-index core radius, > 0.
+    numerical_aperture : float
+        Nominal NA in (0, 1); anchors the core index model at
+        ``dispersion.NA_REFERENCE_UM``.
+    delta_pol : float
+        Polarization birefringence, slow (x) minus fast (y) index.
+    delta_parity : float
+        Parity birefringence, odd minus even LP11 index (>= 0).
+    delta_parity_dispersion : float
+        Difference between the short-wavelength (idler) and
+        long-wavelength (signal) parity birefringences; the signal-side
+        parity term is ``delta_parity - delta_parity_dispersion``.
+    segments : tuple of (length_m, axis_swapped)
+        Ordered fiber segments; ``axis_swapped`` marks a cross-spliced
+        segment whose slow axis is rotated 90 degrees.
+
+    The material indices and the V number are ``dispersion.cladding_index``,
+    ``dispersion.core_index`` and ``dispersion.v_number``.
+    """
+
+    core_radius_um: float = 1.74
+    numerical_aperture: float = 0.17
+    delta_pol: float = 2.37e-4
+    delta_parity: float = 4.41e-4
+    delta_parity_dispersion: float = 3.0e-5
+    segments: tuple = ((0.10, False),)
+
+    def __post_init__(self):
+        if not self.core_radius_um > 0:
+            raise ConfigError("core_radius_um must be > 0")
+        if not 0 < self.numerical_aperture < 1:
+            raise ConfigError("numerical_aperture must be in (0, 1)")
+        if self.delta_parity < 0:
+            raise ConfigError("delta_parity must be >= 0 (odd is slower)")
+        if len(self.segments) < 1:
+            raise ConfigError("at least one fiber segment is required")
+        for length_m, _ in self.segments:
+            if not length_m > 0:
+                raise ConfigError("segment lengths must be > 0")
+        object.__setattr__(
+            self, "segments",
+            tuple((float(L), bool(sw)) for L, sw in self.segments),
+        )
+
+    @property
+    def total_length_m(self) -> float:
+        return sum(L for L, _ in self.segments)
+
+
+@dataclass(frozen=True)
+class PumpSpec:
+    """Frequency-degenerate pump pair from one laser.
+
+    ``intensity_fwhm_nm`` is the single-pump intensity FWHM; the
+    two-photon envelope in the summed detuning has twice the variance.
+    """
+
+    center_wavelength_nm: float = 620.0
+    intensity_fwhm_nm: float = 2.0
+    transverse_state: ModeSuperposition = field(
+        default_factory=lambda: ModeSuperposition.named("d"))
+
+    def __post_init__(self):
+        if self.intensity_fwhm_nm <= 0:
+            raise ConfigError("pump intensity FWHM must be > 0")
+        if self.center_wavelength_nm <= 0:
+            raise ConfigError("pump wavelength must be > 0")
+
+    @property
+    def omega_p(self) -> float:
+        return _TWO_PI * C_LIGHT / (self.center_wavelength_nm * 1e-9)
+
+    @property
+    def sigma_omega(self) -> float:
+        """Std of the single-pump intensity spectrum, rad/s."""
+        lam_m = self.center_wavelength_nm * 1e-9
+        fwhm_omega = _TWO_PI * C_LIGHT * self.intensity_fwhm_nm * 1e-9 / lam_m**2
+        return fwhm_omega / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+
+
+# ---------------------------------------------------------------------------
+# spectral grids, windows and lobes
+
+# Largest grid a config or a grid CSV may hold.  simulate-jsi and
+# fit-lobes, the largest consumers, peak in their lobe fit near 36 MB +
+# 0.07 kB per node (simulate-jsi: VmHWM 42 MB at 301 x 301, 100 MB at
+# 1001 x 1001, 102 MB at 1024 x 1024 = 2^20 nodes; fit-lobes: 102 MB at
+# 1001 x 1001)
+MAX_GRID_POINTS = 2**20
+
+
+@dataclass(frozen=True)
+class SpectralGrid:
+    """Rectangular uniform (lambda_s, lambda_i) grid specification."""
+
+    lambda_s_nm: tuple = (670.0, 700.0)
+    lambda_i_nm: tuple = (567.0, 576.0)
+    points_s: int = 301
+    points_i: int = 301
+
+    def __post_init__(self):
+        if self.points_s < 2 or self.points_i < 2:
+            raise ConfigError("grids need at least 2 points per axis")
+        if self.points_s * self.points_i > MAX_GRID_POINTS:
+            raise ConfigError(
+                f"points_s * points_i must be at most {MAX_GRID_POINTS}, "
+                f"got {self.points_s * self.points_i}")
+
+    def axes(self):
+        ls = np.linspace(*self.lambda_s_nm, self.points_s)
+        li = np.linspace(*self.lambda_i_nm, self.points_i)
+        return ls, li
+
+
+@dataclass(frozen=True)
+class SpectralWindow:
+    """Rectangular integration window in the (lambda_s, lambda_i) plane."""
+
+    lambda_s_nm: tuple
+    lambda_i_nm: tuple
+
+    def quadrature(self, nodes: int = 101):
+        """Midpoint nodes and the cell area."""
+        s0, s1 = self.lambda_s_nm
+        i0, i1 = self.lambda_i_nm
+        hs = (s1 - s0) / nodes
+        hi = (i1 - i0) / nodes
+        ls = s0 + hs * (np.arange(nodes) + 0.5)
+        li = i0 + hi * (np.arange(nodes) + 0.5)
+        return ls, li, hs * hi
+
+
+@dataclass
+class GaussianLobe:
+    """Elliptical 2-D Gaussian fitted to one JSI lobe."""
+
+    center_s_nm: float
+    center_i_nm: float
+    sigma_major_nm: float
+    sigma_minor_nm: float
+    orientation_rad: float
+    amplitude: float
+    r_squared: float = float("nan")
+    process_label: str = ""
+
+    def evaluate(self, lam_s_nm, lam_i_nm) -> np.ndarray:
+        dx = np.asarray(lam_s_nm, dtype=float) - self.center_s_nm
+        dy = np.asarray(lam_i_nm, dtype=float) - self.center_i_nm
+        ct, st = np.cos(self.orientation_rad), np.sin(self.orientation_rad)
+        u = ct * dx + st * dy
+        v = -st * dx + ct * dy
+        # a sigma whose square is subnormal overflows the quotient to inf,
+        # where the Gaussian's limit, 0, is the value
+        with np.errstate(over="ignore"):
+            exponent = -0.5 * (u**2 / self.sigma_major_nm**2
+                               + v**2 / self.sigma_minor_nm**2)
+        return self.amplitude * np.exp(exponent)
+
 
 # contour level name -> the lobe's contour radius in sigmas
 CONTOUR_LEVELS = {"1/e2": 2.0, "1/e3": math.sqrt(6.0)}
+
+# ---------------------------------------------------------------------------
+# two-qubit states and counts
+
+# basis order of every density matrix: (signal, idler) modes
+BASIS_LABELS = ("ee", "eo", "oe", "oo")
+
+MAX_COUNT = 2.0**53  # float64 holds every integer count up to here exactly
+# Largest bootstrap a config may ask for: each resample adds about 28 kB
+# to the batched solve, so 10 000 of them peak near 330 MB
+MAX_BOOTSTRAP_SAMPLES = 10_000
+
+
+@dataclass(frozen=True)
+class CountEntry:
+    """One projector's coincidences, as a counts document lists them."""
+
+    signal_basis: str
+    idler_basis: str
+    counts: float
+
+
+# ---------------------------------------------------------------------------
+# the config
 
 
 @dataclass
@@ -64,9 +316,9 @@ class PipelineConfig:
         return cfg
 
 
-# The JSON type of each key: a scalar type, a section (dataclass), a
-# fixed-length array (tuple of types), an array of one type (one-element
-# list) or a named kind from ``KINDS``.
+# The JSON type of each key of each record: a scalar type, a record
+# (dataclass), a fixed-length array (tuple of types), an array of one type
+# (one-element list) or a named kind from ``KINDS``.
 SCHEMA = {
     PipelineConfig: {
         "fiber": FiberSpec, "pump": PumpSpec, "grid": SpectralGrid,
@@ -88,10 +340,7 @@ SCHEMA = {
     SpectralWindow: {"lambda_s_nm": "interval", "lambda_i_nm": "interval"},
     TomographyConfig: {"counts_scale": "counts_scale",
                        "n_samples": "samples", "seed": "seed"},
-}
-
-# The entries of the input documents, in SCHEMA's notation
-DOCUMENT_SCHEMA = {
+    # the entries of the input documents
     GaussianLobe: {"center_s_nm": float, "center_i_nm": float,
                    "sigma_major_nm": "sigma", "sigma_minor_nm": "sigma",
                    "orientation_rad": float, "amplitude": "positive",
@@ -174,7 +423,7 @@ def _section(cls, value, where: str):
     defaults, and a field without a default is a required key."""
     if not isinstance(value, dict):
         raise ConfigError(f"{where}: expected an object")
-    types = SCHEMA[cls] if cls in SCHEMA else DOCUMENT_SCHEMA[cls]
+    types = SCHEMA[cls]
     for key in value:
         if key not in types:
             raise ConfigError(f"{where}.{key}: unknown key")

@@ -21,11 +21,11 @@ All wavelengths in this module are in micrometres.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .config import FiberSpec
 from .errors import ConfigError, DomainError, ModeNotGuidedError
 
 # Malitson-form 3-term Sellmeier, (B_i, C_i) with C_i in um
@@ -109,80 +109,32 @@ def _geo2_fraction(numerical_aperture: float, reference_um: float) -> float:
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class FiberSpec:
-    """Geometry, birefringence and segment layout of the fiber.
+def cladding_index(lam_um) -> np.ndarray:
+    """Fused-silica cladding index."""
+    lam = np.asarray(lam_um, dtype=float)
+    _check_range(lam)
+    return _sellmeier(lam, FUSED_SILICA_SELLMEIER)
 
-    Parameters
-    ----------
-    core_radius_um : float
-        Step-index core radius, > 0.
-    numerical_aperture : float
-        Nominal NA in (0, 1); anchors the core index model at
-        ``NA_REFERENCE_UM``.
-    delta_pol : float
-        Polarization birefringence, slow (x) minus fast (y) index.
-    delta_parity : float
-        Parity birefringence, odd minus even LP11 index (>= 0).
-    delta_parity_dispersion : float
-        Difference between the short-wavelength (idler) and
-        long-wavelength (signal) parity birefringences; the signal-side
-        parity term is ``delta_parity - delta_parity_dispersion``.
-    segments : tuple of (length_m, axis_swapped)
-        Ordered fiber segments; ``axis_swapped`` marks a cross-spliced
-        segment whose slow axis is rotated 90 degrees.
-    """
 
-    core_radius_um: float = 1.74
-    numerical_aperture: float = 0.17
-    delta_pol: float = 2.37e-4
-    delta_parity: float = 4.41e-4
-    delta_parity_dispersion: float = 3.0e-5
-    segments: tuple = ((0.10, False),)
+def core_index(fiber: FiberSpec, lam_um) -> np.ndarray:
+    """GeO2-doped core index, calibrated to the fiber's nominal NA."""
+    lam = np.asarray(lam_um, dtype=float)
+    _check_range(lam)
+    return _sellmeier(lam, _geo2_mix(
+        _geo2_fraction(fiber.numerical_aperture, NA_REFERENCE_UM)))
 
-    def __post_init__(self):
-        if not self.core_radius_um > 0:
-            raise ConfigError("core_radius_um must be > 0")
-        if not 0 < self.numerical_aperture < 1:
-            raise ConfigError("numerical_aperture must be in (0, 1)")
-        if self.delta_parity < 0:
-            raise ConfigError("delta_parity must be >= 0 (odd is slower)")
-        if len(self.segments) < 1:
-            raise ConfigError("at least one fiber segment is required")
-        for length_m, _ in self.segments:
-            if not length_m > 0:
-                raise ConfigError("segment lengths must be > 0")
-        object.__setattr__(
-            self, "segments",
-            tuple((float(L), bool(sw)) for L, sw in self.segments),
-        )
 
-    @property
-    def total_length_m(self) -> float:
-        return sum(L for L, _ in self.segments)
-
-    def cladding_index(self, lam_um) -> np.ndarray:
-        lam = np.asarray(lam_um, dtype=float)
-        _check_range(lam)
-        return _sellmeier(lam, FUSED_SILICA_SELLMEIER)
-
-    def core_index(self, lam_um) -> np.ndarray:
-        lam = np.asarray(lam_um, dtype=float)
-        _check_range(lam)
-        return _sellmeier(lam, _geo2_mix(
-            _geo2_fraction(self.numerical_aperture, NA_REFERENCE_UM)))
-
-    def v_number(self, lam_um) -> np.ndarray:
-        lam = np.asarray(lam_um, dtype=float)
-        na = np.sqrt(self.core_index(lam) ** 2 - self.cladding_index(lam) ** 2)
-        return 2.0 * np.pi * self.core_radius_um * na / lam
+def v_number(fiber: FiberSpec, lam_um) -> np.ndarray:
+    lam = np.asarray(lam_um, dtype=float)
+    na = np.sqrt(core_index(fiber, lam) ** 2 - cladding_index(lam) ** 2)
+    return 2.0 * np.pi * fiber.core_radius_um * na / lam
 
 
 def check_few_mode(fiber: FiberSpec, lam_um) -> None:
     """Raise DomainError where V reaches FEW_MODE_V at one of the
     wavelengths ``lam_um``, naming the largest V and its wavelength."""
     lam = np.atleast_1d(np.asarray(lam_um, dtype=float))
-    v = fiber.v_number(lam)
+    v = v_number(fiber, lam)
     k = int(np.argmax(v))
     if v[k] >= FEW_MODE_V:
         raise DomainError(
@@ -315,9 +267,9 @@ def _solve_u_array(v: np.ndarray, azimuthal: int) -> np.ndarray:
 def _bisect_n_eff(fiber: FiberSpec, lam: np.ndarray, azimuthal: int):
     """Effective index from the bisection root; the table's builder and
     reference."""
-    u = _solve_u_array(fiber.v_number(lam), azimuthal)
+    u = _solve_u_array(v_number(fiber, lam), azimuthal)
     k = 2.0 * np.pi / lam
-    return np.sqrt(fiber.core_index(lam) ** 2
+    return np.sqrt(core_index(fiber, lam) ** 2
                    - (u / (k * fiber.core_radius_um)) ** 2)
 
 
@@ -378,7 +330,7 @@ def _panels(fiber: FiberSpec, azimuthal: int, indices) -> list:
             0.5 * (a + b) + 0.5 * (b - a) * np.cos(_PANEL_THETA),
             [a, 0.5 * (a + b), b]]) for a, b in bounds])
         guided = ((azimuthal == 0)
-                  | np.all(fiber.v_number(lam) > LP11_CUTOFF_V, axis=1))
+                  | np.all(v_number(fiber, lam) > LP11_CUTOFF_V, axis=1))
         n = np.full_like(lam, np.nan)
         if guided.any():
             n[guided] = _bisect_n_eff(fiber, lam[guided].ravel(),
@@ -415,7 +367,7 @@ def lp_effective_index(fiber: FiberSpec, lam_um, lp_label: str) -> np.ndarray:
         raise ConfigError(f"unknown LP label {lp_label!r}")
     lam = np.atleast_1d(np.asarray(lam_um, dtype=float))
     _check_range(lam)
-    v = fiber.v_number(lam)
+    v = v_number(fiber, lam)
     l = _LP_AZIMUTHAL[lp_label]
     if l == 1 and np.any(v <= LP11_CUTOFF_V):
         v_bad = float(np.min(v))
@@ -449,9 +401,9 @@ def solve_lp_mode(fiber: FiberSpec, lam_um: float, lp_label: str) -> tuple:
     label; they satisfy u^2 + w^2 = V^2.
     """
     n_eff = float(lp_effective_index(fiber, lam_um, lp_label)[0])
-    v = float(fiber.v_number(np.asarray(lam_um, dtype=float)))
+    v = float(v_number(fiber, np.asarray(lam_um, dtype=float)))
     k = 2.0 * np.pi / lam_um
-    n_core = float(fiber.core_index(np.asarray(lam_um, dtype=float)))
+    n_core = float(core_index(fiber, np.asarray(lam_um, dtype=float)))
     u = k * fiber.core_radius_um * np.sqrt(n_core**2 - n_eff**2)
     w = np.sqrt(max(v**2 - u**2, 0.0))
     return float(u), float(w)

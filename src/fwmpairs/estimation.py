@@ -1,58 +1,28 @@
-"""Two-photon transverse-mode density matrices from spectral data.
+"""Two-photon transverse-mode density matrices from spectral data: the
+spectral trace-out.
 
 Under the flat joint-spectral-phase assumption, each point of the
 joint spectrum carries a pure two-qubit state whose components are the
 per-process magnitudes; tracing the spectral degree of freedom out of
 the intensity-weighted projectors produces the estimated density
 matrix.  Spectral overlap between channels turns into off-diagonal
-coherence, spectral separation into an incoherent mixture.
+coherence, spectral separation into an incoherent mixture.  The
+metrics of the result are in ``tomography``.
 
-Basis order everywhere: (ee, eo, oe, oo) on (signal, idler).
+Basis order everywhere: ``config.BASIS_LABELS`` = (ee, eo, oe, oo) on
+(signal, idler).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .config import ModeSuperposition, PumpSpec, SpectralWindow
 from .errors import ConfigError, DomainError
-from .fields import ModeSuperposition
 from .processes import BaseIndexCache
-from .spectrum import PumpSpec, pump_envelope
+from .spectrum import pump_envelope
 
-BASIS_LABELS = ("ee", "eo", "oe", "oo")
 _BASIS_INDEX = {("e", "e"): 0, ("e", "o"): 1, ("o", "e"): 2, ("o", "o"): 3}
-
-BELL_PHI_PLUS = np.zeros(4, dtype=complex)
-BELL_PHI_PLUS[0] = BELL_PHI_PLUS[3] = 1.0 / np.sqrt(2.0)
-
-HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-PSD_TOL = 1e-9
-
-
-def validate_density(rho: np.ndarray) -> np.ndarray:
-    """Check entry magnitudes, Hermiticity, unit trace and positivity;
-    returns the input."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise DomainError(f"expected a 4x4 matrix, got {rho.shape}")
-    # |rho_rc| <= 1 holds for every density matrix; larger entries would
-    # also overflow the checks below
-    if np.max(np.abs(rho)) > 1.0 + TRACE_TOL:
-        raise DomainError(
-            f"matrix entry of magnitude {np.max(np.abs(rho)):.3e} exceeds 1")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
-        raise DomainError("matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > TRACE_TOL or \
-            abs(np.trace(rho).imag) > TRACE_TOL:
-        raise DomainError("matrix trace differs from 1")
-    eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if eigs.min() < -PSD_TOL:
-        raise DomainError(
-            f"matrix has negative eigenvalue {eigs.min():.3e}")
-    return rho
 
 
 def basis_index(t_s: str, t_i: str) -> int:
@@ -91,24 +61,6 @@ def process_weights(pump: PumpSpec | ModeSuperposition, overlaps: dict,
 
 # ---------------------------------------------------------------------------
 # spectral tracing
-
-
-@dataclass(frozen=True)
-class SpectralWindow:
-    """Rectangular integration window in the (lambda_s, lambda_i) plane."""
-
-    lambda_s_nm: tuple
-    lambda_i_nm: tuple
-
-    def quadrature(self, nodes: int = 101):
-        """Midpoint nodes and the cell area."""
-        s0, s1 = self.lambda_s_nm
-        i0, i1 = self.lambda_i_nm
-        hs = (s1 - s0) / nodes
-        hi = (i1 - i0) / nodes
-        ls = s0 + hs * (np.arange(nodes) + 0.5)
-        li = i0 + hi * (np.arange(nodes) + 0.5)
-        return ls, li, hs * hi
 
 
 def trace_spectral(amplitudes, processes, window: SpectralWindow,
@@ -192,65 +144,3 @@ def lobe_amplitudes(lobes):
         return out
 
     return amplitudes
-
-
-# ---------------------------------------------------------------------------
-# two-qubit metrics
-
-
-_SIGMA_Y_PAIR = np.array([
-    [0, 0, 0, -1],
-    [0, 0, 1, 0],
-    [0, 1, 0, 0],
-    [-1, 0, 0, 0],
-], dtype=complex)
-
-
-def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence of a two-qubit density matrix."""
-    rho = validate_density(rho)
-    tilde = _SIGMA_Y_PAIR @ rho.conj() @ _SIGMA_Y_PAIR
-    eigs = np.linalg.eigvals(rho @ tilde)
-    lam = np.sqrt(np.clip(eigs.real, 0.0, None))
-    lam.sort()
-    return float(max(0.0, lam[3] - lam[2] - lam[1] - lam[0]))
-
-
-def purity(rho: np.ndarray) -> float:
-    rho = validate_density(rho)
-    return float(np.trace(rho @ rho).real)
-
-
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(0.5 * (mat + mat.conj().T))
-    vals = np.clip(vals, 0.0, None)
-    # rank-deficient inputs: sqrt amplifies eigenvalue noise, drop it
-    vals[vals < 1e-12 * max(vals.max(), 1e-300)] = 0.0
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity, squared convention: (tr sqrt(sqrt(r) s sqrt(r)))^2."""
-    rho = validate_density(rho)
-    sigma = validate_density(sigma)
-    root = _psd_sqrt(rho)
-    inner = _psd_sqrt(root @ sigma @ root)
-    val = float(np.trace(inner).real) ** 2
-    return float(min(max(val, 0.0), 1.0))
-
-
-def bell_fidelity(rho: np.ndarray) -> float:
-    """Overlap with the (|ee> + |oo>)/sqrt(2) Bell state."""
-    rho = validate_density(rho)
-    return float((BELL_PHI_PLUS.conj() @ rho @ BELL_PHI_PLUS).real)
-
-
-def metrics_block(rho: np.ndarray) -> dict:
-    """Standard metrics bundle reported with every density matrix."""
-    bf = bell_fidelity(rho)
-    return {
-        "concurrence": concurrence(rho),
-        "bell_fidelity": bf,
-        "bell_fidelity_unsquared": float(np.sqrt(max(bf, 0.0))),
-        "purity": purity(rho),
-    }

@@ -21,62 +21,14 @@ two-even/two-odd ones after normalization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .dispersion import (FiberSpec, _bessel_j_orders, _bessel_k_orders,
-                         solve_lp_mode)
+from .config import FiberSpec, ModeSuperposition
+from .dispersion import _bessel_j_orders, _bessel_k_orders, solve_lp_mode
 from .errors import ConfigError, DomainError
-
-_BASIS = ("g", "e", "o")
-
-NAMED_STATES = {
-    "g": {"g": 1.0},
-    "e": {"e": 1.0},
-    "o": {"o": 1.0},
-    "d": {"e": 1.0 / np.sqrt(2.0), "o": 1.0 / np.sqrt(2.0)},
-    "a": {"e": 1.0 / np.sqrt(2.0), "o": -1.0 / np.sqrt(2.0)},
-    "r": {"e": 1.0 / np.sqrt(2.0), "o": 1j / np.sqrt(2.0)},
-    "l": {"e": 1.0 / np.sqrt(2.0), "o": -1j / np.sqrt(2.0)},
-}
-
-
-@dataclass(frozen=True)
-class ModeSuperposition:
-    """Unit-norm complex superposition over the LP basis {g, e, o}."""
-
-    amplitudes: dict
-    name: str = ""
-
-    def __post_init__(self):
-        amps = {k: complex(v) for k, v in self.amplitudes.items() if v != 0}
-        if not amps:
-            raise ConfigError("empty mode superposition")
-        for k in amps:
-            if k not in _BASIS:
-                raise ConfigError(f"unknown basis mode {k!r}")
-        # hypot of the parts: no overflow or underflow at extreme scales
-        norm = math.hypot(*(x for v in amps.values()
-                            for x in (v.real, v.imag)))
-        if abs(norm - 1.0) > 1e-9:
-            amps = {k: v / norm for k, v in amps.items()}
-        object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def named(cls, name: str) -> "ModeSuperposition":
-        if name not in NAMED_STATES:
-            raise ConfigError(
-                f"unknown state name {name!r}; expected one of "
-                f"{sorted(NAMED_STATES)}"
-            )
-        return cls(dict(NAMED_STATES[name]), name=name)
-
-    def amplitude(self, mode: str) -> complex:
-        return self.amplitudes.get(mode, 0j)
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -136,7 +88,7 @@ def _radial_profile(u: float, w: float, azimuthal: int,
     return radial
 
 
-@lru_cache(maxsize=len(_BASIS))
+@lru_cache(maxsize=3)  # one per basis mode g, e, o
 def _basis_profile(fiber: FiberSpec, lam_um: float, mode: str,
                    grid: GridSpec) -> np.ndarray:
     """Un-normalized LP mode profile sampled on ``grid``; read-only.

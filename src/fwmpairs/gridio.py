@@ -18,10 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import CONTOUR_LEVELS, convert, read_json_document
-from .errors import ConfigError, GridFormatError
-from .estimation import BASIS_LABELS
-from .spectrum import MAX_GRID_POINTS
+from .config import (BASIS_LABELS, CONTOUR_LEVELS, MAX_GRID_POINTS, convert,
+                     read_json_document)
+from .errors import ConfigError, DomainError, GridFormatError
+from .tomography import validate_density
 
 CSV_CORNER = "lambda_s_nm\\lambda_i_nm"
 
@@ -144,9 +144,19 @@ def load_grid_csv(path: Path):
 def _check_axis(axis: np.ndarray, what: str) -> None:
     if len(axis) < 2:
         raise GridFormatError(f"{what}: needs at least 2 values")
-    steps = np.diff(axis)
+    with np.errstate(over="ignore"):  # past the float range: inf
+        steps = np.diff(axis)
+        span = axis[-1] - axis[0]
     if np.any(steps <= 0):
         raise GridFormatError(f"{what}: not strictly increasing")
+    # the plot scale divides by the span and the spacing check by the
+    # steps' mean: a subnormal step or an infinite span overflows them
+    normal = (steps >= np.finfo(float).tiny) & (steps < np.inf)
+    for step in steps[~normal][:1].tolist():
+        raise GridFormatError(f"{what}: step {step!r} is not a normal float")
+    if span == np.inf:
+        raise GridFormatError(f"{what}: span from {float(axis[0])!r} to "
+                              f"{float(axis[-1])!r} exceeds the float range")
     rel = (steps.max() - steps.min()) / steps.mean()
     if rel > 1e-6:
         raise GridFormatError(
@@ -190,10 +200,17 @@ def density_to_json(rho: np.ndarray, metrics: dict | None = None,
 
 
 def load_density(path: Path) -> np.ndarray:
+    """The density matrix of file ``path``, checked by
+    ``tomography.validate_density``; raises GridFormatError naming the
+    file and the rule broken."""
     doc = read_document(path, {"basis": "basis",
                                "matrix": (((float, float),) * 4,) * 4})
-    return np.array([[complex(*pair) for pair in row]
-                     for row in doc["matrix"]])
+    rho = np.array([[complex(*pair) for pair in row]
+                    for row in doc["matrix"]])
+    try:
+        return validate_density(rho)
+    except DomainError as exc:
+        raise GridFormatError(f"{path}: matrix: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

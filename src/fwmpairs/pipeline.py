@@ -20,22 +20,22 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import PipelineConfig
-from .dispersion import FiberSpec, check_few_mode
+from .config import (CountEntry, FiberSpec, GaussianLobe, ModeSuperposition,
+                     PipelineConfig, SpectralWindow)
+from .dispersion import check_few_mode
 from .errors import ConfigError, GridFormatError, NumericError, PhaseMatchError
-from .estimation import (SpectralWindow, lobe_amplitudes, metrics_block,
-                         model_amplitudes, process_weights, trace_spectral,
-                         validate_density, fidelity)
-from .fields import (ModeSuperposition, default_grid, intensity_image,
-                     normalize_overlaps, process_overlap)
+from .estimation import (lobe_amplitudes, model_amplitudes, process_weights,
+                         trace_spectral)
+from .fields import (default_grid, intensity_image, normalize_overlaps,
+                     process_overlap)
 from .gridio import (density_to_json, load_density, load_grid_csv,
                      read_document, render_svg_heatmap, sha256_file,
                      write_grid_csv, write_json, write_pgm)
 from .processes import enumerate_processes, phasematched_centers
-from .spectrum import GaussianLobe, fit_lobes, jsa_grid
-from .tomography import (CountEntry, CountRecord, bootstrap_metrics,
-                         expected_counts, mle_reconstruct, projector_basis,
-                         sample_counts)
+from .spectrum import fit_lobes, jsa_grid
+from .tomography import (CountRecord, bootstrap_metrics, expected_counts,
+                         fidelity, metrics_block, mle_reconstruct,
+                         projector_basis, sample_counts)
 
 TWO_MODE_SET = frozenset(("e", "o"))
 
@@ -195,7 +195,7 @@ def lobes_to_json(fit) -> dict:
 
 def load_lobes(path: Path) -> list:
     """The lobes of a lobes JSON, each checked against
-    ``config.DOCUMENT_SCHEMA``; a null ``r_squared`` reads as not
+    ``config.SCHEMA``; a null ``r_squared`` reads as not
     measured."""
     return read_document(path, {"lobes": [GaussianLobe]})["lobes"]
 
@@ -361,7 +361,7 @@ def cmd_estimate_rho(runner: Runner, lobes_json: Path | None = None) -> list:
 def cmd_qst_simulate(runner: Runner, rho_json: Path) -> list:
     cfg = runner.cfg
     with runner.stage("state"):
-        rho = validate_density(load_density(rho_json))
+        rho = load_density(rho_json)
     with runner.stage("counts"):
         basis = projector_basis()
         rates = expected_counts(rho, cfg.tomography.counts_scale, basis)
@@ -429,8 +429,8 @@ def cmd_qst_reconstruct(runner: Runner, counts: Path) -> list:
 
 def cmd_compare(runner: Runner, rho_a: Path, rho_b: Path) -> list:
     with runner.stage("compare"):
-        a = validate_density(load_density(rho_a))
-        b = validate_density(load_density(rho_b))
+        a = load_density(rho_a)
+        b = load_density(rho_b)
         f_sq = fidelity(a, b)
         f_abs = fidelity(_nearest_density(np.abs(a)), b)
         doc = {

@@ -16,6 +16,8 @@ labelled A-E; adding the fundamental mode g admits five more.
 ``phasematched_centers`` finds the phase-matched centers of a set of
 channels from one shared scan of the idler band and one bisection of
 all their bracketing intervals.
+
+Every ``fiber`` argument is a ``config.FiberSpec``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import FiberSpec, birefringence_offset, lp_effective_index
+from .dispersion import birefringence_offset, lp_effective_index
 from .errors import ConfigError, DomainError, PhaseMatchError
 
 MODE_ORDER = ("g", "e", "o")
@@ -144,7 +146,7 @@ class BaseIndexCache:
     varies across the whole mesh, costs a full-size solve.
     """
 
-    def __init__(self, fiber: FiberSpec, lam_s_um, lam_i_um):
+    def __init__(self, fiber, lam_s_um, lam_i_um):
         self.fiber = fiber
         self.lam_s = np.asarray(lam_s_um, dtype=float)
         self.lam_i = np.asarray(lam_i_um, dtype=float)
@@ -192,7 +194,7 @@ class BaseIndexCache:
 
 
 # No caller in the package: kept because perfbench/tracer.py LAYERS wraps it.
-def delta_k_vec(process: FwmProcess, lam_s_um, lam_i_um, fiber: FiberSpec,
+def delta_k_vec(process: FwmProcess, lam_s_um, lam_i_um, fiber,
                 axis_swapped: bool = False) -> np.ndarray:
     """Vectorized phase mismatch (rad/m) on the frequency-degenerate
     surface, with the pump wavelength from 2/lam_p = 1/lam_s + 1/lam_i."""
@@ -206,7 +208,7 @@ def _energy_partner_nm(lam_p_nm: float, lam_i_nm):
     return 1.0 / (2.0 / lam_p_nm - 1.0 / np.asarray(lam_i_nm, dtype=float))
 
 
-def phasematched_centers(processes, fiber: FiberSpec, lam_p_nm: float,
+def phasematched_centers(processes, fiber, lam_p_nm: float,
                          band_i_nm: tuple = (540.0, 580.0),
                          scan_step_nm: float = 0.01) -> dict:
     """Locate, per channel, the (lam_s, lam_i) pair in nm where delta_k
@@ -279,7 +281,7 @@ def phasematched_centers(processes, fiber: FiberSpec, lam_p_nm: float,
 
 
 # No caller in the package: kept because perfbench/tracer.py LAYERS wraps it.
-def phasematched_center(process: FwmProcess, fiber: FiberSpec,
+def phasematched_center(process: FwmProcess, fiber,
                         lam_p_nm: float,
                         band_i_nm: tuple = (540.0, 580.0),
                         scan_step_nm: float = 0.01) -> tuple:

@@ -12,49 +12,16 @@ Levenberg-Marquardt iteration on the analytic Jacobian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import FiberSpec
+from .config import (C_LIGHT, FiberSpec, GaussianLobe, PumpSpec,
+                     SpectralGrid)
 from .errors import ConfigError, DomainError, NumericError
-from .fields import ModeSuperposition
 from .processes import BaseIndexCache
 
 _TWO_PI = 2.0 * np.pi
-# speed of light in vacuum, m/s (exact SI value)
-C_LIGHT = 299_792_458.0
-
-
-@dataclass(frozen=True)
-class PumpSpec:
-    """Frequency-degenerate pump pair from one laser.
-
-    ``intensity_fwhm_nm`` is the single-pump intensity FWHM; the
-    two-photon envelope in the summed detuning has twice the variance.
-    """
-
-    center_wavelength_nm: float = 620.0
-    intensity_fwhm_nm: float = 2.0
-    transverse_state: ModeSuperposition = field(
-        default_factory=lambda: ModeSuperposition.named("d"))
-
-    def __post_init__(self):
-        if self.intensity_fwhm_nm <= 0:
-            raise ConfigError("pump intensity FWHM must be > 0")
-        if self.center_wavelength_nm <= 0:
-            raise ConfigError("pump wavelength must be > 0")
-
-    @property
-    def omega_p(self) -> float:
-        return _TWO_PI * C_LIGHT / (self.center_wavelength_nm * 1e-9)
-
-    @property
-    def sigma_omega(self) -> float:
-        """Std of the single-pump intensity spectrum, rad/s."""
-        lam_m = self.center_wavelength_nm * 1e-9
-        fwhm_omega = _TWO_PI * C_LIGHT * self.intensity_fwhm_nm * 1e-9 / lam_m**2
-        return fwhm_omega / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 
 
 def _omega(lam_nm):
@@ -76,37 +43,6 @@ def pump_envelope(lam_s_nm, lam_i_nm, pump: PumpSpec) -> np.ndarray:
     # where the envelope is 0
     with np.errstate(over="ignore"):
         return np.exp(-(nu**2) / var)
-
-
-# Largest grid a config or a grid CSV may hold.  simulate-jsi and
-# fit-lobes, the largest consumers, peak in their lobe fit near 36 MB +
-# 0.07 kB per node (simulate-jsi: VmHWM 42 MB at 301 x 301, 100 MB at
-# 1001 x 1001, 102 MB at 1024 x 1024 = 2^20 nodes; fit-lobes: 102 MB at
-# 1001 x 1001)
-MAX_GRID_POINTS = 2**20
-
-
-@dataclass(frozen=True)
-class SpectralGrid:
-    """Rectangular uniform (lambda_s, lambda_i) grid specification."""
-
-    lambda_s_nm: tuple = (670.0, 700.0)
-    lambda_i_nm: tuple = (567.0, 576.0)
-    points_s: int = 301
-    points_i: int = 301
-
-    def __post_init__(self):
-        if self.points_s < 2 or self.points_i < 2:
-            raise ConfigError("grids need at least 2 points per axis")
-        if self.points_s * self.points_i > MAX_GRID_POINTS:
-            raise ConfigError(
-                f"points_s * points_i must be at most {MAX_GRID_POINTS}, "
-                f"got {self.points_s * self.points_i}")
-
-    def axes(self):
-        ls = np.linspace(*self.lambda_s_nm, self.points_s)
-        li = np.linspace(*self.lambda_i_nm, self.points_i)
-        return ls, li
 
 
 @dataclass
@@ -177,33 +113,6 @@ def jsa_grid(processes, fiber: FiberSpec, pump: PumpSpec, weights: dict,
     combined /= raw_integral
     return JsiGrid(lambda_s_axis=ls, lambda_i_axis=li, combined=combined,
                    normalization=raw_integral)
-
-
-@dataclass
-class GaussianLobe:
-    """Elliptical 2-D Gaussian fitted to one JSI lobe."""
-
-    center_s_nm: float
-    center_i_nm: float
-    sigma_major_nm: float
-    sigma_minor_nm: float
-    orientation_rad: float
-    amplitude: float
-    r_squared: float = float("nan")
-    process_label: str = ""
-
-    def evaluate(self, lam_s_nm, lam_i_nm) -> np.ndarray:
-        dx = np.asarray(lam_s_nm, dtype=float) - self.center_s_nm
-        dy = np.asarray(lam_i_nm, dtype=float) - self.center_i_nm
-        ct, st = np.cos(self.orientation_rad), np.sin(self.orientation_rad)
-        u = ct * dx + st * dy
-        v = -st * dx + ct * dy
-        # a sigma whose square is subnormal overflows the quotient to inf,
-        # where the Gaussian's limit, 0, is the value
-        with np.errstate(over="ignore"):
-            exponent = -0.5 * (u**2 / self.sigma_major_nm**2
-                               + v**2 / self.sigma_minor_nm**2)
-        return self.amplitude * np.exp(exponent)
 
 
 @dataclass

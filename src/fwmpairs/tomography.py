@@ -1,4 +1,9 @@
-"""Simulated 36-projector quantum state tomography with Poisson MLE.
+"""Two-qubit metrics and simulated 36-projector quantum state tomography
+with Poisson MLE.
+
+Every density matrix, estimated or reconstructed, is checked by
+``validate_density`` and reported through ``metrics_block``: Wootters
+concurrence, Bell-state fidelity and purity.
 
 Projective coincidence measurements use all products of the six
 single-photon states {e, o, d, a, r, l} (three mutually unbiased bases)
@@ -19,9 +24,103 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import MAX_COUNT, NAMED_STATES
 from .errors import DomainError, NumericError
-from .estimation import bell_fidelity, concurrence, purity, validate_density
-from .fields import NAMED_STATES
+
+# ---------------------------------------------------------------------------
+# two-qubit states and metrics
+
+BELL_PHI_PLUS = np.zeros(4, dtype=complex)
+BELL_PHI_PLUS[0] = BELL_PHI_PLUS[3] = 1.0 / np.sqrt(2.0)
+
+HERMITICITY_TOL = 1e-10
+TRACE_TOL = 1e-10
+PSD_TOL = 1e-9
+
+
+def validate_density(rho: np.ndarray) -> np.ndarray:
+    """Check entry magnitudes, Hermiticity, unit trace and positivity;
+    returns the input."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise DomainError(f"expected a 4x4 matrix, got {rho.shape}")
+    # |rho_rc| <= 1 holds for every density matrix; larger entries would
+    # also overflow the checks below
+    if np.max(np.abs(rho)) > 1.0 + TRACE_TOL:
+        raise DomainError(
+            f"matrix entry of magnitude {np.max(np.abs(rho)):.3e} exceeds 1")
+    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
+        raise DomainError("matrix is not Hermitian within tolerance")
+    if abs(np.trace(rho).real - 1.0) > TRACE_TOL or \
+            abs(np.trace(rho).imag) > TRACE_TOL:
+        raise DomainError("matrix trace differs from 1")
+    eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
+    if eigs.min() < -PSD_TOL:
+        raise DomainError(
+            f"matrix has negative eigenvalue {eigs.min():.3e}")
+    return rho
+
+
+_SIGMA_Y_PAIR = np.array([
+    [0, 0, 0, -1],
+    [0, 0, 1, 0],
+    [0, 1, 0, 0],
+    [-1, 0, 0, 0],
+], dtype=complex)
+
+
+def concurrence(rho: np.ndarray) -> float:
+    """Wootters concurrence of a two-qubit density matrix."""
+    rho = validate_density(rho)
+    tilde = _SIGMA_Y_PAIR @ rho.conj() @ _SIGMA_Y_PAIR
+    eigs = np.linalg.eigvals(rho @ tilde)
+    lam = np.sqrt(np.clip(eigs.real, 0.0, None))
+    lam.sort()
+    return float(max(0.0, lam[3] - lam[2] - lam[1] - lam[0]))
+
+
+def purity(rho: np.ndarray) -> float:
+    rho = validate_density(rho)
+    return float(np.trace(rho @ rho).real)
+
+
+def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
+    vals, vecs = np.linalg.eigh(0.5 * (mat + mat.conj().T))
+    vals = np.clip(vals, 0.0, None)
+    # rank-deficient inputs: sqrt amplifies eigenvalue noise, drop it
+    vals[vals < 1e-12 * max(vals.max(), 1e-300)] = 0.0
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+
+
+def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """Uhlmann fidelity, squared convention: (tr sqrt(sqrt(r) s sqrt(r)))^2."""
+    rho = validate_density(rho)
+    sigma = validate_density(sigma)
+    root = _psd_sqrt(rho)
+    inner = _psd_sqrt(root @ sigma @ root)
+    val = float(np.trace(inner).real) ** 2
+    return float(min(max(val, 0.0), 1.0))
+
+
+def bell_fidelity(rho: np.ndarray) -> float:
+    """Overlap with the (|ee> + |oo>)/sqrt(2) Bell state."""
+    rho = validate_density(rho)
+    return float((BELL_PHI_PLUS.conj() @ rho @ BELL_PHI_PLUS).real)
+
+
+def metrics_block(rho: np.ndarray) -> dict:
+    """Standard metrics bundle reported with every density matrix."""
+    bf = bell_fidelity(rho)
+    return {
+        "concurrence": concurrence(rho),
+        "bell_fidelity": bf,
+        "bell_fidelity_unsquared": float(np.sqrt(max(bf, 0.0))),
+        "purity": purity(rho),
+    }
+
+
+# ---------------------------------------------------------------------------
+# projective measurements
 
 STATE_ORDER = ("e", "o", "d", "a", "r", "l")
 # the named single-photon states as (e, o) kets
@@ -58,21 +157,6 @@ def expected_counts(rho: np.ndarray, n0: float,
         basis = projector_basis()
     probs = np.einsum("kij,ji->k", basis.projectors, rho).real
     return n0 * np.clip(probs, 0.0, None)
-
-
-MAX_COUNT = 2.0**53  # float64 holds every integer count up to here exactly
-# Largest bootstrap a config may ask for: each resample adds about 28 kB
-# to the batched solve, so 10 000 of them peak near 330 MB
-MAX_BOOTSTRAP_SAMPLES = 10_000
-
-
-@dataclass(frozen=True)
-class CountEntry:
-    """One projector's coincidences, as a counts document lists them."""
-
-    signal_basis: str
-    idler_basis: str
-    counts: float
 
 
 @dataclass

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from fwmpairs.dispersion import FiberSpec
+from fwmpairs.config import FiberSpec, PumpSpec
 from fwmpairs.fields import normalize_overlaps, process_overlap
 from fwmpairs.processes import enumerate_processes, phasematched_center
-from fwmpairs.spectrum import PumpSpec
 
 # measured lobe centers (lambda_s, lambda_i) in nm used as references
 MEASURED_CENTERS = {

@@ -12,20 +12,17 @@ import numpy as np
 import pytest
 
 from fwmpairs.cli import main as cli_main
-from fwmpairs.config import PipelineConfig
-from fwmpairs.dispersion import FiberSpec
-from fwmpairs.estimation import (SpectralWindow, concurrence, fidelity,
-                                 lobe_amplitudes, metrics_block,
-                                 trace_spectral, validate_density)
+from fwmpairs.config import (FiberSpec, GaussianLobe, ModeSuperposition,
+                             PipelineConfig, SpectralWindow)
+from fwmpairs.estimation import lobe_amplitudes, trace_spectral
 from fwmpairs import fields
-from fwmpairs.fields import (ModeSuperposition, default_grid,
-                             intensity_image, normalize_overlaps,
-                             process_overlap)
+from fwmpairs.fields import (default_grid, intensity_image,
+                             normalize_overlaps, process_overlap)
 from fwmpairs.pipeline import Simulation
 from fwmpairs.processes import enumerate_processes
-from fwmpairs.spectrum import GaussianLobe
-from fwmpairs.tomography import (CountRecord, expected_counts,
-                                 mle_reconstruct, projector_basis)
+from fwmpairs.tomography import (CountRecord, concurrence, expected_counts,
+                                 fidelity, metrics_block, mle_reconstruct,
+                                 projector_basis, validate_density)
 
 MEASURED = {"A": (680.7, 568.1), "B": (678.7, 570.0),
             "C": (677.2, 571.6), "D": (675.3, 573.3)}

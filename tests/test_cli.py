@@ -9,7 +9,7 @@ from fwmpairs.cli import main
 from fwmpairs.config import PipelineConfig, load_config
 from fwmpairs.errors import ConfigError, GridFormatError
 from fwmpairs.gridio import load_grid_csv, write_grid_csv, load_density
-from fwmpairs.spectrum import GaussianLobe
+from fwmpairs.config import GaussianLobe
 
 from conftest import MEASURED_CENTERS
 
@@ -636,6 +636,53 @@ def test_density_entry_above_one_exit_code(tmp_path, config_path, capsys,
     assert "matrix entry of magnitude 1.000e+308 exceeds 1" in err
 
 
+@pytest.mark.parametrize("flag", ["--rho", "--rho-a", "--rho-b"])
+@pytest.mark.parametrize("fault, message", [
+    ("trace", "matrix trace differs from 1"),
+    ("hermitian", "matrix is not Hermitian within tolerance")])
+def test_invalid_density_names_its_file(tmp_path, config_path, capsys, flag,
+                                        fault, message):
+    from fwmpairs.gridio import density_to_json, write_json
+
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    write_json(good, density_to_json(np.eye(4, dtype=complex) / 4.0))
+    rho = np.eye(4, dtype=complex) / (2.0 if fault == "trace" else 4.0)
+    if fault == "hermitian":
+        rho[0, 1] = 0.1
+    write_json(bad, density_to_json(rho))
+    args = {"--rho": ["qst-simulate", "--rho", bad],
+            "--rho-a": ["compare", "--rho-a", bad, "--rho-b", good],
+            "--rho-b": ["compare", "--rho-a", good, "--rho-b", bad]}[flag]
+    out = tmp_path / "out"
+    assert run([*args, "--config", config_path, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert f"error: {bad}: matrix: {message}" in err
+    assert str(good) not in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_render_subnormal_axis_step_exit_code(tmp_path, config_path, capsys):
+    # the plot scale, pixels over the axis span, overflowed: RuntimeWarnings
+    # from the lobe contour, then exit 0
+    grid = tmp_path / "grid.csv"
+    write_grid_csv(grid, [0.0, 5e-324], [0.0, 5e-324], np.ones((2, 2)))
+    lobes = write_lobes(tmp_path / "lobes.json", center_s_nm=0.0,
+                        center_i_nm=0.0)
+    doc = json.loads(lobes.read_text(encoding="utf-8"))
+    lobes.write_text(json.dumps({"lobes": doc["lobes"][1:]}),
+                     encoding="utf-8")
+    out = tmp_path / "img"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["render", "--config", config_path, "--out", out,
+                    "--input", grid, "--lobes-json", lobes])
+    assert code == 3
+    assert "grid.csv: lambda_i axis: step 5e-324 is not a normal float" in (
+        capsys.readouterr().err)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not (out / "manifest.json").exists()
+
+
 def test_sweep_delta_monotone(tmp_path, config_path):
     out = tmp_path / "sweep"
     assert run(["sweep-delta", "--config", config_path, "--out", out]) == 0
@@ -810,7 +857,7 @@ def test_qst_pipeline_end_to_end(tmp_path, config_path):
 
 
 def test_qst_reconstruct_same_on_one_and_two_threads(tmp_path, config_path):
-    from fwmpairs.estimation import BELL_PHI_PLUS
+    from fwmpairs.tomography import BELL_PHI_PLUS
     from fwmpairs.gridio import density_to_json, write_json
     from fwmpairs.tomography import DUAL_TOL, KKT_TOL
     bell = np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS.conj())
@@ -952,7 +999,7 @@ def test_estimate_rho_from_labeled_lobes(tmp_path, config_path):
 
 
 def _degenerate_densities():
-    from fwmpairs.estimation import PSD_TOL
+    from fwmpairs.tomography import PSD_TOL
 
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4))
@@ -989,7 +1036,7 @@ def test_compare_degenerate_densities(tmp_path, config_path, name_a):
 
 def test_compare_phase_blind_uses_entrywise_magnitudes(tmp_path, config_path):
     from fwmpairs.gridio import density_to_json, write_json
-    from fwmpairs.estimation import fidelity
+    from fwmpairs.tomography import fidelity
 
     # rho_a carries a negative coherence; |rho_a| flips it positive
     rho_a = np.zeros((4, 4), dtype=complex)

@@ -17,11 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fwmpairs.cli import main
-from fwmpairs.config import SCHEMA, PipelineConfig
+from fwmpairs.config import (MAX_BOOTSTRAP_SAMPLES, MAX_GRID_POINTS, SCHEMA,
+                             PipelineConfig)
 from fwmpairs.errors import ConfigError
 from fwmpairs.gridio import density_to_json, write_grid_csv, write_json
-from fwmpairs.spectrum import MAX_GRID_POINTS
-from fwmpairs.tomography import MAX_BOOTSTRAP_SAMPLES
 
 NAN, INF = float("nan"), float("inf")
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -147,7 +146,13 @@ def _nest(cls, key, value):
     raise AssertionError(cls)
 
 
-KEYS = [(cls, key) for cls, keys in SCHEMA.items() for key in keys]
+# the config's records: PipelineConfig and the sections it holds, not the
+# document entries that SCHEMA also lists
+CONFIG_RECORDS = {PipelineConfig} | {
+    typ[0] if isinstance(typ, list) else typ
+    for typ in SCHEMA[PipelineConfig].values()}
+KEYS = [(cls, key) for cls, keys in SCHEMA.items() for key in keys
+        if cls in CONFIG_RECORDS]
 BOUNDARY_VALUES = [0, -1, 0.5, NAN, INF, -INF, 1e308, 2**64, True, False,
                    "", "d", "1/e3", None]
 BOUNDARY = st.sampled_from(BOUNDARY_VALUES)

@@ -7,10 +7,10 @@ import scipy.special
 from scipy.optimize import brentq
 
 from fwmpairs import dispersion, processes
-from fwmpairs.config import PipelineConfig
-from fwmpairs.dispersion import (FiberSpec, LP11_CUTOFF_V,
-                                 birefringence_offset, lp_effective_index,
-                                 solve_lp_mode)
+from fwmpairs.config import FiberSpec, PipelineConfig
+from fwmpairs.dispersion import (LP11_CUTOFF_V, birefringence_offset,
+                                 cladding_index, core_index,
+                                 lp_effective_index, solve_lp_mode, v_number)
 from fwmpairs.errors import ConfigError, DomainError, ModeNotGuidedError
 from fwmpairs.pipeline import Simulation
 from fwmpairs.processes import BaseIndexCache, FwmProcess
@@ -26,33 +26,32 @@ def n_eff(fiber, lam_um, label):
     return float(lp_effective_index(fiber, lam_um, label)[0])
 
 
-def test_material_index_sodium_d_line(fiber):
+def test_material_index_sodium_d_line():
     # fused silica at the helium d line, standard catalog value
-    assert float(fiber.cladding_index(0.5876)) == pytest.approx(1.4585,
-                                                                abs=1e-3)
+    assert float(cladding_index(0.5876)) == pytest.approx(1.4585, abs=1e-3)
 
 
-def test_material_index_normal_dispersion(fiber):
-    assert fiber.cladding_index(0.620) > fiber.cladding_index(0.680)
+def test_material_index_normal_dispersion():
+    assert cladding_index(0.620) > cladding_index(0.680)
 
 
-def test_material_index_out_of_range(fiber):
+def test_material_index_out_of_range():
     with pytest.raises(DomainError, match=r"\[0.21, 3.7\]"):
-        fiber.cladding_index(0.1)
+        cladding_index(0.1)
     with pytest.raises(DomainError):
-        fiber.cladding_index(5.0)
+        cladding_index(5.0)
 
 
 def test_v_number_at_620(fiber):
     # direct formula 2 pi r NA / lambda with the nominal NA
     expected = 2 * np.pi * 1.74 * 0.17 / 0.620
     assert expected == pytest.approx(2.998, abs=2e-3)
-    assert float(fiber.v_number(np.asarray(0.620))) == pytest.approx(
+    assert float(v_number(fiber, np.asarray(0.620))) == pytest.approx(
         expected, abs=1e-6)
 
 
 def test_lp11_guided_at_680(fiber):
-    v = float(fiber.v_number(np.asarray(0.680)))
+    v = float(v_number(fiber, np.asarray(0.680)))
     assert v > LP11_CUTOFF_V
     # close to the constant-NA direct evaluation 2.733
     assert v == pytest.approx(2 * np.pi * 1.74 * 0.17 / 0.680, abs=0.02)
@@ -64,14 +63,14 @@ def test_lp11_guided_at_680(fiber):
 @pytest.mark.parametrize("lam_um", [0.56, 0.62, 0.70])
 @pytest.mark.parametrize("label", ["LP01", "LP11"])
 def test_guided_mode_bounds(fiber, lam_um, label):
-    n_cl = float(fiber.cladding_index(np.asarray(lam_um)))
-    n_co = float(fiber.core_index(np.asarray(lam_um)))
+    n_cl = float(cladding_index(np.asarray(lam_um)))
+    n_co = float(core_index(fiber, np.asarray(lam_um)))
     assert n_cl < n_eff(fiber, lam_um, label) < n_co
 
 
 @pytest.mark.parametrize("lam_um", [0.56, 0.59, 0.62, 0.65, 0.68, 0.70])
 def test_u_w_consistency(fiber, lam_um):
-    v = float(fiber.v_number(np.asarray(lam_um)))
+    v = float(v_number(fiber, np.asarray(lam_um)))
     for label in ("LP01", "LP11"):
         u, w = solve_lp_mode(fiber, lam_um, label)
         assert u**2 + w**2 == pytest.approx(v**2, rel=1e-9)
@@ -90,7 +89,7 @@ def test_lp11_below_cutoff_error(fiber):
 
 def test_lp11_guided_across_operating_band(fiber):
     lam = np.linspace(0.560, 0.700, 141)
-    v = fiber.v_number(lam)
+    v = v_number(fiber, lam)
     assert np.all(v > LP11_CUTOFF_V)
     # solving must succeed over the whole band
     n = lp_effective_index(fiber, lam, "LP11")
@@ -167,8 +166,8 @@ def test_fiber_spec_validation():
 
 def test_ge_doped_core_anchors_na_at_reference(fiber):
     lam = np.asarray(0.62)
-    n_co = float(fiber.core_index(lam))
-    n_cl = float(fiber.cladding_index(lam))
+    n_co = float(core_index(fiber, lam))
+    n_cl = float(cladding_index(lam))
     assert np.sqrt(n_co**2 - n_cl**2) == pytest.approx(0.17, abs=1e-9)
 
 
@@ -184,7 +183,7 @@ LABEL_AZIMUTHAL = {"LP01": 0, "LP11": 1}
 
 def lp11_cutoff_um(fiber):
     """Wavelength at which V falls to the LP11 cutoff."""
-    return brentq(lambda lam: float(fiber.v_number(lam)) - LP11_CUTOFF_V,
+    return brentq(lambda lam: float(v_number(fiber, lam)) - LP11_CUTOFF_V,
                   0.3, 3.0, xtol=1e-15)
 
 
@@ -201,7 +200,7 @@ def test_index_table_matches_bisection(name, label):
     lo, hi = dispersion.SELLMEIER_RANGE_UM
     lam = np.random.default_rng(2024).uniform(lo, hi, 3000)
     if label == "LP11":
-        lam = lam[fiber.v_number(lam) > LP11_CUTOFF_V]
+        lam = lam[v_number(fiber, lam) > LP11_CUTOFF_V]
     assert len(lam) > 300
     assert_matches_bisection(fiber, lam, label)
 
@@ -211,7 +210,7 @@ def test_index_table_matches_bisection_below_lp11_cutoff(name):
     fiber = TABLE_FIBERS[name]
     cutoff = lp11_cutoff_um(fiber)
     lam = cutoff - np.random.default_rng(7).uniform(0.0, 0.002, 400)
-    lam = lam[fiber.v_number(lam) > LP11_CUTOFF_V]
+    lam = lam[v_number(fiber, lam) > LP11_CUTOFF_V]
     assert_matches_bisection(fiber, lam, "LP11")
 
 
@@ -331,7 +330,7 @@ def test_index_table_keeps_the_error_contract(fiber):
     lam = np.array([0.62, 0.70, 0.80, 0.90])
     with pytest.raises(ModeNotGuidedError, match="got V = ") as err:
         lp_effective_index(fiber, lam, "LP11")
-    assert err.value.v_number == float(np.min(fiber.v_number(lam)))
+    assert err.value.v_number == float(np.min(v_number(fiber, lam)))
     assert err.value.v_number < LP11_CUTOFF_V
     # LP01 has no cutoff
     assert np.all(np.isfinite(lp_effective_index(fiber, lam, "LP01")))
@@ -380,7 +379,7 @@ def test_bisection_matches_scipy_bessel_bisection(monkeypatch, name, label):
     lo, hi = dispersion.SELLMEIER_RANGE_UM
     lam = np.random.default_rng(2025).uniform(lo, hi, 600)
     if label == "LP11":
-        lam = lam[fiber.v_number(lam) > LP11_CUTOFF_V]
+        lam = lam[v_number(fiber, lam) > LP11_CUTOFF_V]
     ours = dispersion._bisect_n_eff(fiber, lam, LABEL_AZIMUTHAL[label])
     monkeypatch.setattr(dispersion, "_bessel_j_orders", lambda orders, x: tuple(
         scipy.special.jv(n, x) for n in orders))

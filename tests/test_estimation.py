@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from fwmpairs.errors import ConfigError, DomainError
-from fwmpairs.estimation import (BELL_PHI_PLUS, SpectralWindow, basis_index,
-                                 bell_fidelity, concurrence, fidelity,
-                                 lobe_amplitudes, metrics_block,
-                                 model_amplitudes, process_weights, purity,
-                                 trace_spectral, validate_density)
-from fwmpairs.fields import ModeSuperposition
+from fwmpairs.config import GaussianLobe, ModeSuperposition, SpectralWindow
+from fwmpairs.estimation import (basis_index, lobe_amplitudes,
+                                 model_amplitudes, process_weights,
+                                 trace_spectral)
 from fwmpairs.processes import FwmProcess
-from fwmpairs.spectrum import GaussianLobe
+from fwmpairs.tomography import (BELL_PHI_PLUS, bell_fidelity, concurrence,
+                                 fidelity, metrics_block, purity,
+                                 validate_density)
 
 BELL = np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS.conj())
 MIXED4 = np.eye(4, dtype=complex) / 4.0

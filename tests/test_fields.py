@@ -3,9 +3,10 @@ import pytest
 
 from fwmpairs import fields
 from fwmpairs.errors import ConfigError, DomainError
-from fwmpairs.fields import (FieldGrid, GridSpec, ModeSuperposition,
-                             default_grid, intensity_image, mode_field,
-                             normalize_overlaps, process_overlap)
+from fwmpairs.config import ModeSuperposition
+from fwmpairs.fields import (FieldGrid, GridSpec, default_grid,
+                             intensity_image, mode_field, normalize_overlaps,
+                             process_overlap)
 from fwmpairs.processes import FwmProcess, all_candidates
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from fwmpairs import gridio
 from fwmpairs.errors import GridFormatError
-from fwmpairs.spectrum import MAX_GRID_POINTS, GaussianLobe
+from fwmpairs.config import MAX_GRID_POINTS, GaussianLobe
 
 
 def reference_heatmap_rects(rgb):
@@ -217,6 +217,25 @@ def test_grid_csv_io_memory_stays_within_bounds(tmp_path):
             peaks.append((peak - before) / values.nbytes)
         assert peaks[0] <= 0.5, peaks
         assert peaks[1] <= 2.0, peaks
+
+
+@pytest.mark.parametrize("axis, message", [
+    # subnormal: the plot scale, pixels over the span, overflows
+    ([0.0, 5e-324], "step 5e-324 is not a normal float"),
+    # the difference of two finite values overflows
+    ([-1e308, 1e308], "step inf is not a normal float"),
+    ([-1e308, 0.0, 1e308], "span from -1e+308 to 1e+308 exceeds the float "
+                           "range"),
+    # the smallest steps of an axis near 1 are normal
+    ([1.0, 1.0 + 2**-52, 1.0 + 2**-51], None)])
+def test_axis_step_and_span_stay_in_the_normal_floats(axis, message):
+    axis = np.array(axis)
+    if message is None:
+        gridio._check_axis(axis, "axis")
+        return
+    with pytest.raises(GridFormatError) as err:
+        gridio._check_axis(axis, "axis")
+    assert str(err.value) == f"axis: {message}"
 
 
 @pytest.mark.parametrize("grid", [noisy_lobe_grid, constant_grid])

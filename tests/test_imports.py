@@ -1,11 +1,15 @@
-"""No command loads ``scipy.special``, ``scipy.optimize`` or ``numpy.ma``.
+"""No command loads ``scipy.special``, ``scipy.optimize`` or ``numpy.ma``,
+and the package's import graph keeps its layers apart.
 
 Every CLI call is a fresh process, so a heavy submodule import is paid by
 every command.  The Bessel functions and the lobe fit's optimizer are
 numpy code, and scipy is a test-side reference only; ``np.unique``
 imports ``numpy.ma``, so the package finds its distinct band and panel
-indices with ``np.bincount``.  These tests run commands in fresh
-interpreters and read ``sys.modules`` afterwards.
+indices with ``np.bincount``.  ``config``, the input records, loads no
+other fwmpairs module but ``errors``, and the two-qubit side
+(``tomography``, ``gridio``) loads no fiber-model module.  These tests
+run commands and imports in fresh interpreters and read ``sys.modules``
+afterwards.
 """
 
 import json
@@ -20,9 +24,11 @@ import scipy.constants
 
 import fwmpairs
 from fwmpairs.cli import main
-from fwmpairs.estimation import BELL_PHI_PLUS
+from fwmpairs.config import C_LIGHT
 from fwmpairs.gridio import density_to_json, write_grid_csv, write_json
-from fwmpairs.spectrum import C_LIGHT
+from fwmpairs.tomography import BELL_PHI_PLUS
+
+from test_tracer_guard import LAYERS
 
 HEAVY = ("scipy.special", "scipy.optimize", "numpy.ma")
 
@@ -37,18 +43,23 @@ _PROBE = (
 )
 
 
-def probe(argv):
-    """(exit code, loaded heavy submodules) of ``argv`` in a fresh
-    interpreter; an empty ``argv`` only imports ``fwmpairs.cli``."""
+def fresh_json(code: str, *args):
+    """The JSON value that ``code`` prints last, run with ``args`` in a
+    fresh interpreter that imports this checkout's fwmpairs."""
     src = str(Path(fwmpairs.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=src + (os.pathsep + path if path else ""))
-    proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps([str(a) for a in argv])],
-        capture_output=True, text=True, env=env, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    rc, loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def probe(argv):
+    """(exit code, loaded heavy submodules) of ``argv`` in a fresh
+    interpreter; an empty ``argv`` only imports ``fwmpairs.cli``."""
+    rc, loaded = fresh_json(_PROBE, json.dumps([str(a) for a in argv]))
     return rc, set(loaded)
 
 
@@ -81,6 +92,37 @@ def inputs(tmp_path_factory):
 
 def test_import_cli_loads_no_heavy_scipy():
     assert probe([]) == (0, set())
+
+
+def loaded_by(module: str) -> set:
+    """The fwmpairs modules that ``import module`` loads in a fresh
+    interpreter."""
+    return set(fresh_json(
+        f"import json, sys, {module}\n"
+        "print(json.dumps([m for m in sys.modules\n"
+        "                  if m.split('.')[0] == 'fwmpairs']))\n"))
+
+
+MODEL = ("dispersion", "fields", "processes", "spectrum", "estimation")
+
+
+def test_config_loads_no_other_fwmpairs_module():
+    assert loaded_by("fwmpairs.config") == {
+        "fwmpairs", "fwmpairs.config", "fwmpairs.errors"}
+
+
+@pytest.mark.parametrize("module", ["tomography", "gridio"])
+def test_two_qubit_side_loads_no_model_module(module):
+    loaded = loaded_by(f"fwmpairs.{module}")
+    assert f"fwmpairs.{module}" in loaded
+    assert not loaded & {f"fwmpairs.{name}" for name in MODEL}
+
+
+def test_import_cli_loads_every_traced_layer():
+    # the benchmark tracer imports fwmpairs.cli and then reads each
+    # layer's module from sys.modules
+    layers = {f"fwmpairs.{mod_name}" for mod_name, _, _ in LAYERS.values()}
+    assert layers <= loaded_by("fwmpairs.cli")
 
 
 def command_argv(inputs, tmp_path, command):

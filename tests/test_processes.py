@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fwmpairs.dispersion import (FiberSpec, birefringence_offset,
-                                 lp_effective_index)
+from fwmpairs.config import FiberSpec
+from fwmpairs.dispersion import birefringence_offset, lp_effective_index
 from fwmpairs.errors import DomainError, PhaseMatchError
 from fwmpairs.processes import (BaseIndexCache, FwmProcess, all_candidates,
                                 delta_k_vec, enumerate_processes,

@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.constants import c as C_LIGHT
 
-from fwmpairs.dispersion import FiberSpec
+from fwmpairs.config import FiberSpec, GaussianLobe, PumpSpec, SpectralGrid
 from fwmpairs.errors import ConfigError, DomainError, NumericError
 from fwmpairs.processes import BaseIndexCache, FwmProcess, enumerate_processes
-from fwmpairs.spectrum import (_JAC_BLOCK, _JSA_BLOCK, GaussianLobe,
-                               PumpSpec, SpectralGrid, fit_lobes, jsa_grid,
+from fwmpairs.spectrum import (_JAC_BLOCK, _JSA_BLOCK, fit_lobes, jsa_grid,
                                pump_envelope)
 
 

@@ -3,11 +3,11 @@ import pytest
 
 from fwmpairs import tomography
 from fwmpairs.errors import DomainError, NumericError
-from fwmpairs.estimation import (BELL_PHI_PLUS, bell_fidelity, concurrence,
-                                 fidelity, purity, validate_density)
-from fwmpairs.tomography import (KKT_TOL, CountRecord, bootstrap_metrics,
-                                 expected_counts, mle_reconstruct,
-                                 projector_basis, sample_counts,
+from fwmpairs.tomography import (BELL_PHI_PLUS, KKT_TOL, CountRecord,
+                                 bell_fidelity, bootstrap_metrics,
+                                 concurrence, expected_counts, fidelity,
+                                 mle_reconstruct, projector_basis, purity,
+                                 sample_counts, validate_density,
                                  SINGLE_STATES)
 
 BELL = np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS.conj())
