@@ -43,7 +43,8 @@ C_LIGHT = 299_792_458.0
 # ---------------------------------------------------------------------------
 # transverse states
 
-_BASIS = ("g", "e", "o")
+# the LP mode basis {g, e, o}: LP01, even and odd LP11, in canonical order
+MODE_ORDER = ("g", "e", "o")
 
 NAMED_STATES = {
     "g": {"g": 1.0},
@@ -68,7 +69,7 @@ class ModeSuperposition:
         if not amps:
             raise ConfigError("empty mode superposition")
         for k in amps:
-            if k not in _BASIS:
+            if k not in MODE_ORDER:
                 raise ConfigError(f"unknown basis mode {k!r}")
         # hypot of the parts: no overflow or underflow at extreme scales
         norm = math.hypot(*(x for v in amps.values()

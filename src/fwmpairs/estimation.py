@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import ModeSuperposition, PumpSpec, SpectralWindow
+from .config import (BASIS_LABELS, ModeSuperposition, PumpSpec,
+                     SpectralWindow)
 from .errors import ConfigError, DomainError
 from .processes import BaseIndexCache
 from .spectrum import pump_envelope
 
-_BASIS_INDEX = {("e", "e"): 0, ("e", "o"): 1, ("o", "e"): 2, ("o", "o"): 3}
+_BASIS_INDEX = {tuple(label): k for k, label in enumerate(BASIS_LABELS)}
 
 
 def basis_index(t_s: str, t_i: str) -> int:

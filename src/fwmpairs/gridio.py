@@ -318,21 +318,28 @@ def render_svg_heatmap(path: Path, lam_s_nm, lam_i_nm, intensity,
                 f'fill="rgb({color[0]},{color[1]},{color[2]})"/>')
 
     scale = CONTOUR_LEVELS[contour_level]
-    for lobe in lobes:
+    for j, lobe in enumerate(lobes):
         cx = px(lobe.center_i_nm)
         cy = py(lobe.center_s_nm)
         # ellipse axes in plot pixels; orientation measured in data space
         rx_major = scale * lobe.sigma_major_nm
         rx_minor = scale * lobe.sigma_minor_nm
-        sx = pw / (i1 - i0)
-        sy = ph / (s1 - s0)
-        # major axis direction in (lambda_s, lambda_i) = (cos t, sin t)
-        ang = np.degrees(np.arctan2(-np.cos(lobe.orientation_rad) * sy,
-                                    np.sin(lobe.orientation_rad) * sx))
-        rpx = rx_major * np.hypot(np.sin(lobe.orientation_rad) * sx,
-                                  np.cos(lobe.orientation_rad) * sy)
-        rpy = rx_minor * np.hypot(np.cos(lobe.orientation_rad) * sx,
-                                  np.sin(lobe.orientation_rad) * sy)
+        # a tiny axis span or a huge lobe overflows these: refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            sx = pw / (i1 - i0)
+            sy = ph / (s1 - s0)
+            # major axis direction in (lambda_s, lambda_i) = (cos t, sin t)
+            ang = np.degrees(np.arctan2(-np.cos(lobe.orientation_rad) * sy,
+                                        np.sin(lobe.orientation_rad) * sx))
+            rpx = rx_major * np.hypot(np.sin(lobe.orientation_rad) * sx,
+                                      np.cos(lobe.orientation_rad) * sy)
+            rpy = rx_minor * np.hypot(np.cos(lobe.orientation_rad) * sx,
+                                      np.sin(lobe.orientation_rad) * sy)
+        if not np.isfinite([sx, sy, ang, rpx, rpy]).all():
+            raise DomainError(
+                f"lobes[{j}]: {contour_level} contour is not finite in plot "
+                f"pixels (scale {sx:.3g} x {sy:.3g} px/nm, radii "
+                f"{rpx:.3g} x {rpy:.3g} px)")
         parts.append(
             f'<g transform="translate({cx:.2f},{cy:.2f}) rotate({ang:.2f})">'
             f'<ellipse rx="{rpx:.2f}" ry="{rpy:.2f}" fill="none" '

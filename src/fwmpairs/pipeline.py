@@ -23,7 +23,8 @@ from . import __version__
 from .config import (CountEntry, FiberSpec, GaussianLobe, ModeSuperposition,
                      PipelineConfig, SpectralWindow)
 from .dispersion import check_few_mode
-from .errors import ConfigError, GridFormatError, NumericError, PhaseMatchError
+from .errors import (ConfigError, DomainError, GridFormatError, NumericError,
+                     PhaseMatchError)
 from .estimation import (lobe_amplitudes, model_amplitudes, process_weights,
                          trace_spectral)
 from .fields import (default_grid, intensity_image, normalize_overlaps,
@@ -33,9 +34,9 @@ from .gridio import (density_to_json, load_density, load_grid_csv,
                      write_grid_csv, write_json, write_pgm)
 from .processes import enumerate_processes, phasematched_centers
 from .spectrum import fit_lobes, jsa_grid
-from .tomography import (CountRecord, bootstrap_metrics, expected_counts,
-                         fidelity, metrics_block, mle_reconstruct,
-                         projector_basis, sample_counts)
+from .tomography import (PROJECTOR_NAMES, CountRecord, bootstrap_metrics,
+                         expected_counts, fidelity, metrics_block,
+                         mle_reconstruct, sample_counts)
 
 TWO_MODE_SET = frozenset(("e", "o"))
 
@@ -363,8 +364,7 @@ def cmd_qst_simulate(runner: Runner, rho_json: Path) -> list:
     with runner.stage("state"):
         rho = load_density(rho_json)
     with runner.stage("counts"):
-        basis = projector_basis()
-        rates = expected_counts(rho, cfg.tomography.counts_scale, basis)
+        rates = expected_counts(rho, cfg.tomography.counts_scale)
         record = sample_counts(rates, runner.seed,
                                cfg.tomography.counts_scale)
         counts = [int(c) for c in record.counts]
@@ -374,12 +374,12 @@ def cmd_qst_simulate(runner: Runner, rho_json: Path) -> list:
             "records": [
                 {"signal_basis": name[0], "idler_basis": name[1],
                  "counts": c}
-                for name, c in zip(basis.names, counts)
+                for name, c in zip(PROJECTOR_NAMES, counts)
             ],
         })
         runner.write("expected_rates.json", write_json, {
             "n0": cfg.tomography.counts_scale,
-            "rates": {name: float(r) for name, r in zip(basis.names, rates)},
+            "rates": dict(zip(PROJECTOR_NAMES, rates.tolist())),
         })
     return [f"sampled {len(counts)} projectors, total counts {sum(counts)}"]
 
@@ -388,12 +388,11 @@ def load_counts(path: Path) -> CountRecord:
     doc = read_document(path, {"records": [CountEntry], "n0": "counts_scale"})
     by_name = {rec.signal_basis + rec.idler_basis: rec.counts
                for rec in doc["records"]}
-    names = projector_basis().names
-    missing = [name for name in names if name not in by_name]
+    missing = [name for name in PROJECTOR_NAMES if name not in by_name]
     if missing:
         raise GridFormatError(f"{path}: no counts for projector {missing[0]}")
-    return CountRecord(counts=np.array([by_name[name] for name in names]),
-                       n0=doc["n0"])
+    counts = [by_name[name] for name in PROJECTOR_NAMES]
+    return CountRecord(counts=np.array(counts), n0=doc["n0"])
 
 
 def cmd_qst_reconstruct(runner: Runner, counts: Path) -> list:
@@ -471,10 +470,15 @@ def cmd_render(runner: Runner, input_csv: Path,
                     f"{lobes_json}: lobes[{j}]: center ({lobe.center_s_nm!r}, "
                     f"{lobe.center_i_nm!r}) nm lies outside the grid")
         stem = Path(input_csv).stem
+        # the SVG first: a lobe it cannot draw stops before any output
+        try:
+            runner.write(f"{stem}.svg", render_svg_heatmap, lam_s, lam_i,
+                         intensity, lobes=lobes,
+                         contour_level=runner.cfg.contour_level, title=stem)
+        except DomainError as exc:
+            raise GridFormatError(
+                f"{lobes_json}: {exc} on the grid of {input_csv}") from None
         runner.write(f"{stem}.pgm", write_pgm, intensity)
-        runner.write(f"{stem}.svg", render_svg_heatmap, lam_s, lam_i,
-                     intensity, lobes=lobes,
-                     contour_level=runner.cfg.contour_level, title=stem)
     return []
 
 

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MODE_ORDER
 from .dispersion import birefringence_offset, lp_effective_index
 from .errors import ConfigError, DomainError, PhaseMatchError
 
-MODE_ORDER = ("g", "e", "o")
 _AZIMUTHAL = {"g": 0, "e": 1, "o": 1}
 _PARITY_SIGN = {"g": 1, "e": 1, "o": -1}
 _TO_RAD_M = 2.0 * np.pi * 1e6  # 2 pi n / lambda[um] -> rad/m

@@ -124,15 +124,11 @@ class LobeFit:
 
 
 def _lobe_model(params: np.ndarray, xs, yi) -> np.ndarray:
-    """Sum of elliptical Gaussians; six natural parameters per lobe."""
+    """Sum of elliptical Gaussians (``GaussianLobe.evaluate``); six
+    natural parameters per lobe."""
     out = np.zeros(np.broadcast_shapes(xs.shape, yi.shape))
     for amp, x0, y0, sa, sb, th in np.reshape(params, (-1, 6)):
-        ct, st = np.cos(th), np.sin(th)
-        dx = xs - x0
-        dy = yi - y0
-        u = ct * dx + st * dy
-        v = -st * dx + ct * dy
-        out += amp * np.exp(-0.5 * (u**2 / sa**2 + v**2 / sb**2))
+        out += GaussianLobe(x0, y0, sa, sb, th, amp).evaluate(xs, yi)
     return out
 
 

@@ -3,7 +3,9 @@ with Poisson MLE.
 
 Every density matrix, estimated or reconstructed, is checked by
 ``validate_density`` and reported through ``metrics_block``: Wootters
-concurrence, Bell-state fidelity and purity.
+concurrence, Bell-state fidelity and purity.  Each takes one (4, 4) matrix
+or a (..., 4, 4) stack, and a stacked value equals the one-matrix value
+bitwise.
 
 Projective coincidence measurements use all products of the six
 single-photon states {e, o, d, a, r, l} (three mutually unbiased bases)
@@ -14,7 +16,8 @@ density matrix, each step one batched linear solve.  Every iterate is
 positive definite, and a record stops only where the KKT conditions
 R rho = rho and R <= I (Hradil, PRA 55, R1561, 1997) both hold within
 their bounds, or at the step cap.  The bootstrap solves all of its
-resamples in one such stack.
+resamples in one such stack and scores them with one ``metrics_block``
+call.
 """
 
 from __future__ import annotations
@@ -39,22 +42,23 @@ PSD_TOL = 1e-9
 
 
 def validate_density(rho: np.ndarray) -> np.ndarray:
-    """Check entry magnitudes, Hermiticity, unit trace and positivity;
-    returns the input."""
+    """Check entry magnitudes, Hermiticity, unit trace and positivity of
+    a matrix or of every matrix of a stack; returns the input."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise DomainError(f"expected a 4x4 matrix, got {rho.shape}")
     # |rho_rc| <= 1 holds for every density matrix; larger entries would
     # also overflow the checks below
     if np.max(np.abs(rho)) > 1.0 + TRACE_TOL:
         raise DomainError(
             f"matrix entry of magnitude {np.max(np.abs(rho)):.3e} exceeds 1")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
+    adjoint = rho.conj().swapaxes(-1, -2)
+    if np.max(np.abs(rho - adjoint)) > HERMITICITY_TOL:
         raise DomainError("matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > TRACE_TOL or \
-            abs(np.trace(rho).imag) > TRACE_TOL:
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    if (np.abs([trace.real - 1.0, trace.imag]) > TRACE_TOL).any():
         raise DomainError("matrix trace differs from 1")
-    eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
+    eigs = np.linalg.eigvalsh(0.5 * (rho + adjoint))
     if eigs.min() < -PSD_TOL:
         raise DomainError(
             f"matrix has negative eigenvalue {eigs.min():.3e}")
@@ -69,19 +73,20 @@ _SIGMA_Y_PAIR = np.array([
 ], dtype=complex)
 
 
-def concurrence(rho: np.ndarray) -> float:
+
+def concurrence(rho: np.ndarray):
     """Wootters concurrence of a two-qubit density matrix."""
     rho = validate_density(rho)
     tilde = _SIGMA_Y_PAIR @ rho.conj() @ _SIGMA_Y_PAIR
     eigs = np.linalg.eigvals(rho @ tilde)
-    lam = np.sqrt(np.clip(eigs.real, 0.0, None))
-    lam.sort()
-    return float(max(0.0, lam[3] - lam[2] - lam[1] - lam[0]))
+    lam = np.sort(np.sqrt(np.clip(eigs.real, 0.0, None)), axis=-1)
+    return np.maximum(
+        0.0, lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0])
 
 
-def purity(rho: np.ndarray) -> float:
+def purity(rho: np.ndarray):
     rho = validate_density(rho)
-    return float(np.trace(rho @ rho).real)
+    return np.trace(rho @ rho, axis1=-2, axis2=-1).real
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -102,10 +107,12 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(min(max(val, 0.0), 1.0))
 
 
-def bell_fidelity(rho: np.ndarray) -> float:
+def bell_fidelity(rho: np.ndarray):
     """Overlap with the (|ee> + |oo>)/sqrt(2) Bell state."""
     rho = validate_density(rho)
-    return float((BELL_PHI_PLUS.conj() @ rho @ BELL_PHI_PLUS).real)
+    # (1, 4) @ rho @ (4, 1) rounds a stack as one matrix; [()] unwraps 0-d
+    val = BELL_PHI_PLUS.conj()[None, :] @ rho @ BELL_PHI_PLUS[:, None]
+    return val[..., 0, 0].real[()]
 
 
 def metrics_block(rho: np.ndarray) -> dict:
@@ -114,7 +121,7 @@ def metrics_block(rho: np.ndarray) -> dict:
     return {
         "concurrence": concurrence(rho),
         "bell_fidelity": bf,
-        "bell_fidelity_unsquared": float(np.sqrt(max(bf, 0.0))),
+        "bell_fidelity_unsquared": np.sqrt(np.maximum(bf, 0.0)),
         "purity": purity(rho),
     }
 
@@ -126,36 +133,21 @@ STATE_ORDER = ("e", "o", "d", "a", "r", "l")
 # the named single-photon states as (e, o) kets
 SINGLE_STATES = {s: np.array([NAMED_STATES[s].get(m, 0.0) for m in "eo"],
                              dtype=complex) for s in STATE_ORDER}
+# The 36 rank-1 two-photon projectors |s i><s i| in canonical order, the
+# signal state major, and their names "si"; read-only.
+PROJECTOR_NAMES = tuple(s + i for s in STATE_ORDER for i in STATE_ORDER)
+_KETS = np.array([np.kron(SINGLE_STATES[s], SINGLE_STATES[i])
+                  for s, i in PROJECTOR_NAMES])
+PROJECTORS = _KETS[:, :, None] * _KETS[:, None, :].conj()
+PROJECTORS.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class ProjectorSet:
-    """The 36 rank-1 two-photon projectors in canonical order."""
-
-    names: tuple
-    projectors: np.ndarray  # (36, 4, 4)
-
-
-def projector_basis() -> ProjectorSet:
-    names = []
-    mats = []
-    for s in STATE_ORDER:
-        for i in STATE_ORDER:
-            ket = np.kron(SINGLE_STATES[s], SINGLE_STATES[i])
-            names.append(s + i)
-            mats.append(np.outer(ket, ket.conj()))
-    return ProjectorSet(names=tuple(names), projectors=np.array(mats))
-
-
-def expected_counts(rho: np.ndarray, n0: float,
-                    basis: ProjectorSet | None = None) -> np.ndarray:
+def expected_counts(rho: np.ndarray, n0: float) -> np.ndarray:
     """Expected coincidence rates N0 * tr(Pi_k rho)."""
     rho = validate_density(rho)
     if n0 <= 0:
         raise DomainError("acquisition scale N0 must be > 0")
-    if basis is None:
-        basis = projector_basis()
-    probs = np.einsum("kij,ji->k", basis.projectors, rho).real
+    probs = np.einsum("kij,ji->k", PROJECTORS, rho).real
     return n0 * np.clip(probs, 0.0, None)
 
 
@@ -165,7 +157,6 @@ class CountRecord:
 
     counts: np.ndarray
     n0: float
-    seed: int | None = None
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=float)
@@ -185,7 +176,7 @@ def sample_counts(rates: np.ndarray, seed: int, n0: float) -> CountRecord:
         raise DomainError("rates must be nonnegative")
     rng = np.random.default_rng(seed)
     counts = rng.poisson(rates).astype(float)
-    return CountRecord(counts=counts, n0=n0, seed=seed)
+    return CountRecord(counts=counts, n0=n0)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +213,8 @@ def _operators():
               np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
     gens = np.array([np.kron(a, b) / 2.0 for a in paulis for b in paulis][1:],
                     dtype=complex)
-    projectors = projector_basis().projectors
-    amat = np.einsum("kij,aji->ka", projectors, gens).real
-    out = (amat, gens, projectors.reshape(36, 16))
+    amat = np.einsum("kij,aji->ka", PROJECTORS, gens).real
+    out = (amat, gens, PROJECTORS.reshape(36, 16))
     for arr in out:
         arr.setflags(write=False)
     return out
@@ -446,15 +436,11 @@ def bootstrap_metrics(record: CountRecord, n_samples: int = 100,
                            "drew any counts; their spread needs at least 2")
     draws = np.array(draws)
     rhos, *_, converged = _solve(draws, np.full(len(draws), record.n0))
-    means = {}
-    stds = {}
-    for name, metric in (("concurrence", concurrence),
-                         ("bell_fidelity", bell_fidelity),
-                         ("purity", purity)):
-        vals = np.array([metric(rho) for rho in rhos])
-        means[name] = float(vals.mean())
-        stds[name] = float(vals.std(ddof=1))
-    return BootstrapResult(means=means, stds=stds, n_samples=n_samples,
-                           failures=n_samples - len(draws),
-                           unconverged=int(np.sum(~converged)),
-                           seed=seed)
+    block = metrics_block(rhos)
+    # the bootstrap reports the squared-convention Bell fidelity only
+    del block["bell_fidelity_unsquared"]
+    return BootstrapResult(
+        means={k: float(v.mean()) for k, v in block.items()},
+        stds={k: float(v.std(ddof=1)) for k, v in block.items()},
+        n_samples=n_samples, failures=n_samples - len(draws),
+        unconverged=int(np.sum(~converged)), seed=seed)

@@ -662,25 +662,35 @@ def test_invalid_density_names_its_file(tmp_path, config_path, capsys, flag,
 
 
 def test_render_subnormal_axis_step_exit_code(tmp_path, config_path, capsys):
-    # the plot scale, pixels over the axis span, overflowed: RuntimeWarnings
-    # from the lobe contour, then exit 0
+    # the plot scale, pixels over the axis span, or a contour radius in
+    # pixels overflowed: RuntimeWarnings from the lobe contour, then exit 0
     grid = tmp_path / "grid.csv"
-    write_grid_csv(grid, [0.0, 5e-324], [0.0, 5e-324], np.ones((2, 2)))
-    lobes = write_lobes(tmp_path / "lobes.json", center_s_nm=0.0,
-                        center_i_nm=0.0)
-    doc = json.loads(lobes.read_text(encoding="utf-8"))
-    lobes.write_text(json.dumps({"lobes": doc["lobes"][1:]}),
-                     encoding="utf-8")
-    out = tmp_path / "img"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = run(["render", "--config", config_path, "--out", out,
-                    "--input", grid, "--lobes-json", lobes])
-    assert code == 3
-    assert "grid.csv: lambda_i axis: step 5e-324 is not a normal float" in (
-        capsys.readouterr().err)
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert not (out / "manifest.json").exists()
+    lobes = tmp_path / "lobes.json"
+    for step, sigma, message in (
+            (5e-324, 1.0, "grid.csv: lambda_i axis: step 5e-324 is not a "
+             "normal float"),
+            # the smallest normal step
+            (2.2250738585072014e-308, 1.0, "lobes.json: lobes[0]: 1/e2 "
+             "contour is not finite in plot pixels (scale inf x inf px/nm"),
+            (1e-200, 1e150, "lobes.json: lobes[0]: 1/e2 contour is not "
+             "finite in plot pixels (scale 5.2e+202 x 4e+202 px/nm, radii "
+             "inf x ")):
+        write_grid_csv(grid, [0.0, step], [0.0, step], np.ones((2, 2)))
+        write_lobes(lobes, center_s_nm=0.0, center_i_nm=0.0,
+                    sigma_major_nm=sigma)
+        doc = json.loads(lobes.read_text(encoding="utf-8"))
+        lobes.write_text(json.dumps({"lobes": doc["lobes"][1:]}),
+                         encoding="utf-8")
+        out = tmp_path / "img"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["render", "--config", config_path, "--out", out,
+                        "--input", grid, "--lobes-json", lobes])
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists() or not list(out.iterdir())
 
 
 def test_sweep_delta_monotone(tmp_path, config_path):

@@ -330,3 +330,11 @@ def test_validate_density_rejects_bad_matrices():
         validate_density(neg)
     with pytest.raises(DomainError):
         concurrence(np.eye(4, dtype=complex))  # trace 4
+    # one bad matrix fails a whole stack, in the check and in the metrics
+    for one in (np.eye(4) * 0.5, bad, neg):
+        stack = np.array([MIXED4, one, BELL])
+        for check in (validate_density, metrics_block):
+            with pytest.raises(DomainError):
+                check(stack)
+    with pytest.raises(DomainError):
+        validate_density(np.zeros((2, 3, 3)))

@@ -3,12 +3,12 @@ import pytest
 
 from fwmpairs import tomography
 from fwmpairs.errors import DomainError, NumericError
-from fwmpairs.tomography import (BELL_PHI_PLUS, KKT_TOL, CountRecord,
+from fwmpairs.tomography import (BELL_PHI_PLUS, KKT_TOL, PROJECTOR_NAMES,
+                                 PROJECTORS, SINGLE_STATES, CountRecord,
                                  bell_fidelity, bootstrap_metrics,
                                  concurrence, expected_counts, fidelity,
-                                 mle_reconstruct, projector_basis, purity,
-                                 sample_counts, validate_density,
-                                 SINGLE_STATES)
+                                 metrics_block, mle_reconstruct, purity,
+                                 sample_counts, validate_density)
 
 BELL = np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS.conj())
 
@@ -25,17 +25,33 @@ def random_pure(rng):
     return np.outer(psi, psi.conj())
 
 
+SIGMA_YY = np.fliplr(np.diag([-1, 1, 1, -1])).astype(complex)  # sy (x) sy
+
+
+def per_matrix_metrics(rho):
+    """The reference for the stacked metrics: each metric of one matrix
+    from its own per-matrix formula."""
+    tilde = SIGMA_YY @ rho.conj() @ SIGMA_YY
+    lam = np.sqrt(np.clip(np.linalg.eigvals(rho @ tilde).real, 0.0, None))
+    lam.sort()
+    bf = float((BELL_PHI_PLUS.conj() @ rho @ BELL_PHI_PLUS).real)
+    return {"concurrence": float(max(0.0, lam[3] - lam[2] - lam[1] - lam[0])),
+            "bell_fidelity": bf,
+            "bell_fidelity_unsquared": float(np.sqrt(max(bf, 0.0))),
+            "purity": float(np.trace(rho @ rho).real)}
+
+
 # ---------------------------------------------------------------------------
 # projectors
 
 
 def test_projector_set_size_and_order():
-    basis = projector_basis()
-    assert len(basis.names) == 36
-    assert basis.projectors.shape == (36, 4, 4)
-    assert basis.names[0] == "ee"
-    assert basis.names[1] == "eo"
-    assert basis.names[-1] == "ll"
+    assert len(PROJECTOR_NAMES) == 36
+    assert PROJECTORS.shape == (36, 4, 4)
+    assert PROJECTOR_NAMES[0] == "ee"
+    assert PROJECTOR_NAMES[1] == "eo"
+    assert PROJECTOR_NAMES[-1] == "ll"
+    assert not PROJECTORS.flags.writeable
 
 
 def test_mutually_unbiased_structure():
@@ -54,14 +70,13 @@ def test_mutually_unbiased_structure():
 
 
 def test_projector_completeness_over_product_basis(rng):
-    basis = projector_basis()
     rho = random_mixed(rng)
     for pair in (("e", "o"), ("d", "a"), ("r", "l")):
         total = 0.0
         for s in pair:
             for i in pair:
-                k = basis.names.index(s + i)
-                total += np.einsum("ij,ji->", basis.projectors[k], rho).real
+                k = PROJECTOR_NAMES.index(s + i)
+                total += np.einsum("ij,ji->", PROJECTORS[k], rho).real
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -72,25 +87,22 @@ def test_projector_completeness_over_product_basis(rng):
 def test_expected_counts_for_computational_state():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0  # |ee><ee|
-    basis = projector_basis()
-    rates = expected_counts(rho, 1000.0, basis)
-    by = dict(zip(basis.names, rates))
+    rates = expected_counts(rho, 1000.0)
+    by = dict(zip(PROJECTOR_NAMES, rates))
     assert by["ee"] == pytest.approx(1000.0)
     assert by["oo"] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_expected_counts_bell_diagonal_correlations():
-    basis = projector_basis()
-    rates = dict(zip(basis.names, expected_counts(BELL, 1000.0, basis)))
+    rates = dict(zip(PROJECTOR_NAMES, expected_counts(BELL, 1000.0)))
     assert rates["dd"] == pytest.approx(500.0)
     assert rates["aa"] == pytest.approx(500.0)
     assert rates["da"] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_expected_counts_basis_sums(rng):
-    basis = projector_basis()
     rho = random_mixed(rng)
-    rates = dict(zip(basis.names, expected_counts(rho, 1234.5, basis)))
+    rates = dict(zip(PROJECTOR_NAMES, expected_counts(rho, 1234.5)))
     for pair in (("e", "o"), ("d", "a"), ("r", "l")):
         total = sum(rates[s + i] for s in pair for i in pair)
         assert total == pytest.approx(1234.5, rel=1e-9)
@@ -120,19 +132,17 @@ def test_sample_mean_matches_rate():
 
 
 def test_mle_round_trip_on_exact_rates(rng):
-    basis = projector_basis()
     for _ in range(5):
         rho = random_mixed(rng)
-        rates = expected_counts(rho, 5000.0, basis)
+        rates = expected_counts(rho, 5000.0)
         res = mle_reconstruct(CountRecord(counts=rates, n0=5000.0))
         assert fidelity(rho, res.rho) >= 0.999
         validate_density(res.rho)
 
 
 def test_mle_output_physical_under_noise(rng):
-    basis = projector_basis()
     rho = 0.7 * BELL + 0.3 * np.eye(4) / 4
-    rates = expected_counts(rho, 200.0, basis)
+    rates = expected_counts(rho, 200.0)
     rec = sample_counts(rates, seed=5, n0=200.0)
     res = mle_reconstruct(rec)
     validate_density(res.rho)
@@ -140,9 +150,8 @@ def test_mle_output_physical_under_noise(rng):
 
 
 def test_mle_likelihood_trace_monotone(rng):
-    basis = projector_basis()
     rho = random_mixed(rng)
-    rates = expected_counts(rho, 300.0, basis)
+    rates = expected_counts(rho, 300.0)
     rec = sample_counts(rates, seed=17, n0=300.0)
     res = mle_reconstruct(rec)
     diffs = np.diff(res.ll_trace)
@@ -152,10 +161,9 @@ def test_mle_likelihood_trace_monotone(rng):
 def r_operator(rho, counts):
     """R = sum_k (c_k / p_k) Pi_k / sum_k c_k over the observed projectors,
     built independently of the solver."""
-    basis = projector_basis()
-    p = np.array([np.trace(pi @ rho).real for pi in basis.projectors])
+    p = np.array([np.trace(pi @ rho).real for pi in PROJECTORS])
     r_op = np.zeros((4, 4), dtype=complex)
-    for c, pk, pi in zip(counts, p, basis.projectors):
+    for c, pk, pi in zip(counts, p, PROJECTORS):
         if c > 0:
             r_op += c / pk * pi
     return r_op / counts.sum()
@@ -176,14 +184,13 @@ def criterion_7_pure_states():
 def kkt_records():
     """The criterion-7 pure states at exact rates, then Poisson records of
     random rank-2 states at n0 = 1000, 5000 and 20 000."""
-    basis = projector_basis()
-    records = [CountRecord(counts=expected_counts(rho, 10000.0, basis),
+    records = [CountRecord(counts=expected_counts(rho, 10000.0),
                            n0=10000.0) for rho in criterion_7_pure_states()]
     for n0, size in ((1000.0, 10), (5000.0, 60), (20000.0, 60)):
         rng = np.random.default_rng(31)
         for k in range(size):
             rho = random_mixed(rng, rank=2)
-            records.append(sample_counts(expected_counts(rho, n0, basis),
+            records.append(sample_counts(expected_counts(rho, n0),
                                          seed=k, n0=n0))
     return records
 
@@ -206,10 +213,9 @@ def test_mle_satisfies_kkt_conditions():
 
 def test_stop_requires_both_kkt_conditions(monkeypatch):
     # with either bound loosened to 1, the other alone must still hold
-    basis = projector_basis()
     rng = np.random.default_rng(5)
     records = [sample_counts(expected_counts(random_mixed(rng, rank=2),
-                                             5000.0, basis),
+                                             5000.0),
                              seed=k, n0=5000.0) for k in range(6)]
     for loose in ("KKT_TOL", "DUAL_TOL"):
         with monkeypatch.context() as patch:
@@ -232,7 +238,7 @@ def rrhor_reference(counts, tol=1e-8, max_steps=20_000):
     eps = 1, 0.1, 0.01 that does not lower its likelihood, until
     ||R rho - rho||_F <= tol, max_steps, or no step keeps the likelihood.
     """
-    pflat = projector_basis().projectors.reshape(36, 16)
+    pflat = PROJECTORS.reshape(36, 16)
     eye = np.eye(4)
     out = np.empty((len(counts), 4, 4), dtype=complex)
     live = np.arange(len(counts))
@@ -282,7 +288,7 @@ def test_mle_within_dual_gap_of_rrhor_reference():
     ref = rrhor_reference(counts)
     ll_ref = tomography._log_likelihood(
         tomography._probabilities(
-            ref, projector_basis().projectors.reshape(36, 16).conj()),
+            ref, PROJECTORS.reshape(36, 16).conj()),
         counts, n0)
     gap_ref = tomography._kkt(ref, counts)[1]
     assert np.all(gap <= 1e-6 * counts.sum(axis=1))
@@ -291,10 +297,9 @@ def test_mle_within_dual_gap_of_rrhor_reference():
 
 
 def test_batched_solve_matches_single_records():
-    basis = projector_basis()
     rng = np.random.default_rng(8)
     records = [sample_counts(expected_counts(random_mixed(rng, rank=2),
-                                             300.0 * (k + 1), basis),
+                                             300.0 * (k + 1)),
                              seed=k, n0=300.0 * (k + 1)) for k in range(8)]
     rho, ll, steps, residual, _, converged = tomography._solve(
         np.array([r.counts for r in records]),
@@ -309,8 +314,7 @@ def test_batched_solve_matches_single_records():
 
 
 def test_mle_reports_iteration_cap(monkeypatch):
-    basis = projector_basis()
-    rates = expected_counts(0.7 * BELL + 0.3 * np.eye(4) / 4, 500.0, basis)
+    rates = expected_counts(0.7 * BELL + 0.3 * np.eye(4) / 4, 500.0)
     rec = CountRecord(counts=np.round(rates), n0=500.0)
     uncapped = mle_reconstruct(rec)
     monkeypatch.setattr(tomography, "MAX_ITER", 5)
@@ -352,12 +356,29 @@ def test_count_record_validation():
 # bootstrap
 
 
-def test_bootstrap_defaults_and_determinism():
-    basis = projector_basis()
+def test_bootstrap_defaults_and_determinism(monkeypatch):
     rho = 0.8 * BELL + 0.2 * np.eye(4) / 4
-    rates = expected_counts(rho, 500.0, basis)
+    rates = expected_counts(rho, 500.0)
     rec = sample_counts(rates, seed=3, n0=500.0)
-    a = bootstrap_metrics(rec, n_samples=25, seed=7)
+    solve, solved = tomography._solve, []
+
+    def keep_states(*args):
+        out = solve(*args)
+        solved.append(out[0])
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tomography, "_solve", keep_states)
+        a = bootstrap_metrics(rec, n_samples=25, seed=7)
+    # the stacked metrics give the statistics of a per-matrix loop, bitwise
+    assert len(solved) == 1 and len(solved[0]) == 25
+    ref = [per_matrix_metrics(r) for r in solved[0]]
+    assert set(a.means) == set(a.stds) == {"concurrence", "bell_fidelity",
+                                           "purity"}
+    for name in a.means:
+        vals = np.array([m[name] for m in ref])
+        assert a.means[name] == float(vals.mean())
+        assert a.stds[name] == float(vals.std(ddof=1))
     b = bootstrap_metrics(rec, n_samples=25, seed=7)
     assert a.means == b.means and a.stds == b.stds
     assert a.failures == 0
@@ -366,11 +387,10 @@ def test_bootstrap_defaults_and_determinism():
 
 
 def test_bootstrap_std_shrinks_with_counts():
-    basis = projector_basis()
     rho = 0.7 * BELL + 0.3 * np.eye(4) / 4
     stds = {}
     for n0 in (200.0, 20000.0):
-        rates = expected_counts(rho, n0, basis)
+        rates = expected_counts(rho, n0)
         rec = CountRecord(counts=np.round(rates), n0=n0)
         stds[n0] = bootstrap_metrics(rec, n_samples=40, seed=11).stds
     for key in ("concurrence", "bell_fidelity", "purity"):
@@ -378,10 +398,9 @@ def test_bootstrap_std_shrinks_with_counts():
 
 
 def test_bootstrap_nearly_deterministic_at_huge_counts():
-    basis = projector_basis()
     rho = 0.7 * BELL + 0.3 * np.eye(4) / 4
     n0 = 2e6
-    rates = expected_counts(rho, n0, basis)
+    rates = expected_counts(rho, n0)
     rec = CountRecord(counts=rates, n0=n0)
     boot = bootstrap_metrics(rec, n_samples=20, seed=13)
     for key, std in boot.stds.items():
@@ -425,6 +444,27 @@ def reported_qst_like_state():
     return rho
 
 
+def test_stacked_metrics_match_per_matrix_loop(rng):
+    # random states of every rank, rank-1 Bell and product states and the
+    # maximally mixed state, scored as one stack and one matrix at a time
+    ket = np.kron(SINGLE_STATES["d"], SINGLE_STATES["r"])
+    states = np.array([random_mixed(rng, rank=1 + k % 4) for k in range(40)]
+                      + [random_pure(rng) for _ in range(4)]
+                      + [BELL, np.outer(ket, ket.conj()),
+                         np.diag([0, 1, 0, 0]).astype(complex),
+                         np.eye(4, dtype=complex) / 4])
+    stacked = metrics_block(states)
+    ref = [per_matrix_metrics(rho) for rho in states]
+    for name, values in stacked.items():
+        assert values.shape == (len(states),)
+        assert values.tobytes() == np.array([m[name] for m in ref]).tobytes()
+        for rho, m in zip(states, ref):
+            one = metrics_block(rho)[name]
+            assert type(one) is np.float64 and one == m[name]
+    grid = metrics_block(states[:6].reshape(2, 3, 4, 4))
+    assert np.array_equal(grid["purity"], stacked["purity"][:6].reshape(2, 3))
+
+
 def test_reported_metrics_fixture():
     rho = reported_qst_like_state()
     validate_density(rho)
@@ -435,8 +475,7 @@ def test_reported_metrics_fixture():
 
 def test_reported_metrics_survive_tomography_round_trip():
     rho = reported_qst_like_state()
-    basis = projector_basis()
-    rates = expected_counts(rho, 10000.0, basis)
+    rates = expected_counts(rho, 10000.0)
     res = mle_reconstruct(CountRecord(counts=rates, n0=10000.0))
     assert concurrence(res.rho) == pytest.approx(0.27, abs=0.03)
     assert bell_fidelity(res.rho) == pytest.approx(0.48, abs=0.02)
