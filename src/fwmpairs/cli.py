@@ -51,8 +51,7 @@ COMMANDS = {
     "fit-lobes": (
         "fit Gaussian lobes to a JSI CSV",
         pipeline.cmd_fit_lobes,
-        (_flag("--input", dest="input_csv", required=True, type=Path),
-         _flag("--lobes", dest="n_lobes", type=int, check="count"))),
+        (_flag("--input", dest="input_csv", required=True, type=Path),)),
     "estimate-rho": (
         "trace the spectral DOF out of the joint spectrum per configured "
         "window",

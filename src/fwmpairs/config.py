@@ -306,7 +306,6 @@ class PipelineConfig:
     output_dir: str = "out"
     delta_sweep: list = field(default_factory=lambda: [0.0, 1.5e-5, 3.0e-5])
     center_band_nm: tuple = (540.0, 580.0)
-    expected_lobes: int = 4
     contour_level: str = "1/e2"
     raw: dict = field(default_factory=dict)
 
@@ -325,8 +324,7 @@ SCHEMA = {
         "fiber": FiberSpec, "pump": PumpSpec, "grid": SpectralGrid,
         "windows": [SpectralWindow], "tomography": TomographyConfig,
         "output_dir": str, "delta_sweep": ["birefringence"],
-        "center_band_nm": "interval", "expected_lobes": "count",
-        "contour_level": "contour",
+        "center_band_nm": "interval", "contour_level": "contour",
     },
     FiberSpec: {
         "core_radius_um": float, "numerical_aperture": float,

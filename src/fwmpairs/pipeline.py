@@ -166,22 +166,20 @@ class Simulation:
                                 self.weights)
 
 
-def _fit_in_band_lobes(sim: Simulation, lam_s, lam_i, intensity,
-                       n_lobes: int | None = None):
-    """Fit ``n_lobes`` lobes (default: ``expected_lobes``, at most one per
-    in-band process, whose center lies inside the configured grid) and
-    label them with the in-band processes, both taken in idler order."""
-    (s0, s1), (i0, i1) = sim.cfg.grid.lambda_s_nm, sim.cfg.grid.lambda_i_nm
-    in_band = sorted((p for p in sim.matched
-                      if s0 <= sim.centers[p.label][0] <= s1
-                      and i0 <= sim.centers[p.label][1] <= i1),
+def _fit_in_band_lobes(sim: Simulation, lam_s, lam_i, intensity):
+    """Fit one lobe per process on the grid and label the lobes with them,
+    both in idler order: the matched processes of nonzero weight whose
+    predicted center lies within the axes ``lam_s``, ``lam_i``, bounds
+    included (the rule ``cmd_render`` keeps)."""
+    on_grid = sorted((p for p in sim.matched
+                      if sim.weights[p.label] != 0
+                      and lam_s[0] <= sim.centers[p.label][0] <= lam_s[-1]
+                      and lam_i[0] <= sim.centers[p.label][1] <= lam_i[-1]),
                      key=lambda p: sim.centers[p.label][1])
-    if not in_band:
+    if not on_grid:
         raise NumericError("no phase-matched lobe inside the grid band")
-    if n_lobes is None:
-        n_lobes = min(sim.cfg.expected_lobes, len(in_band))
-    fit = fit_lobes(lam_s, lam_i, intensity, n_lobes)
-    for lobe, proc in zip(fit.lobes, in_band):
+    fit = fit_lobes(lam_s, lam_i, intensity, len(on_grid))
+    for lobe, proc in zip(fit.lobes, on_grid):
         lobe.process_label = proc.label
     return fit
 
@@ -300,12 +298,11 @@ def cmd_sweep_delta(runner: Runner, deltas=None) -> list:
             f"{row['separation_i_nm']:.4f} nm" for row in rows]
 
 
-def cmd_fit_lobes(runner: Runner, input_csv: Path,
-                  n_lobes: int | None = None) -> list:
+def cmd_fit_lobes(runner: Runner, input_csv: Path) -> list:
     with runner.stage("load"):
         grid = load_grid_csv(input_csv)
     with runner.stage("fit"):
-        fit = _fit_in_band_lobes(Simulation(runner.cfg), *grid, n_lobes)
+        fit = _fit_in_band_lobes(Simulation(runner.cfg), *grid)
     runner.write("lobes.json", write_json, lobes_to_json(fit))
     return [f"global R^2 = {fit.r_squared:.4f}"]
 
@@ -463,12 +460,19 @@ def cmd_render(runner: Runner, input_csv: Path,
     with runner.stage("render"):
         lam_s, lam_i, intensity = load_grid_csv(input_csv)
         lobes = load_lobes(lobes_json) if lobes_json is not None else []
+        # the lobe fit's rules: centered on the grid, no sigma past its span
+        span = float(max(lam_s[-1] - lam_s[0], lam_i[-1] - lam_i[0]))
         for j, lobe in enumerate(lobes):
             if not (lam_s[0] <= lobe.center_s_nm <= lam_s[-1]
                     and lam_i[0] <= lobe.center_i_nm <= lam_i[-1]):
                 raise GridFormatError(
                     f"{lobes_json}: lobes[{j}]: center ({lobe.center_s_nm!r}, "
                     f"{lobe.center_i_nm!r}) nm lies outside the grid")
+            sigma = max(lobe.sigma_major_nm, lobe.sigma_minor_nm)
+            if sigma > span:
+                raise GridFormatError(
+                    f"{lobes_json}: lobes[{j}]: sigma {sigma!r} nm is wider "
+                    f"than the grid span {span!r} nm")
         stem = Path(input_csv).stem
         # the SVG first: a lobe it cannot draw stops before any output
         try:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import (C_LIGHT, FiberSpec, GaussianLobe, PumpSpec,
                      SpectralGrid)
-from .errors import ConfigError, DomainError, NumericError
+from .errors import DomainError, NumericError
 from .processes import BaseIndexCache
 
 _TWO_PI = 2.0 * np.pi
@@ -381,8 +381,7 @@ def _distances2(q: np.ndarray, xs, yi):
                    + ((-st * dx + ct * dy) / sb) ** 2)
 
 
-def fit_lobes(lam_s_axis, lam_i_axis, intensity,
-              expected_lobes: int) -> LobeFit:
+def fit_lobes(lam_s_axis, lam_i_axis, intensity, n_lobes: int) -> LobeFit:
     """Nonlinear least squares of a sum of elliptical Gaussians.
 
     Seeding: the lobes are peeled off one at a time.  The maximum of the
@@ -405,8 +404,8 @@ def fit_lobes(lam_s_axis, lam_i_axis, intensity,
     returned amplitude and sigma is positive and finite.
 
     Deterministic given the same input; lobes are returned in ascending
-    idler center.  Raises on a zero grid or one with fewer nodes than
-    parameters, and when fewer positive maxima than lobes remain to seed.
+    idler center.  Raises on ``n_lobes`` below 1, a zero grid, fewer nodes
+    than parameters, or fewer positive maxima than lobes left to seed.
     Every fit, of one peeled lobe or of all of them, raises as soon as a
     step it takes centres a lobe off the grid, gives it a sigma wider than
     the wider axis span or drives an amplitude or sigma to 0 or infinity,
@@ -414,20 +413,20 @@ def fit_lobes(lam_s_axis, lam_i_axis, intensity,
     also raises when a fitted lobe covers fewer than ``_MIN_LOBE_NODES``
     nodes inside its 3-sigma ellipse, on a grid too coarse for its R^2.
     """
-    if expected_lobes < 1:
-        raise ConfigError("expected_lobes must be >= 1")
+    if n_lobes < 1:
+        raise DomainError(f"n_lobes must be >= 1, got {n_lobes}")
     intensity = np.asarray(intensity, dtype=float)
     if not np.any(intensity > 0):
         raise DomainError("cannot fit lobes on a non-positive grid")
-    if intensity.size < 6 * expected_lobes:
+    if intensity.size < 6 * n_lobes:
         raise DomainError(f"{intensity.size} grid nodes are too few to fit "
-                          f"{expected_lobes} lobes of 6 parameters each")
+                          f"{n_lobes} lobes of 6 parameters each")
     ls = np.asarray(lam_s_axis, dtype=float)
     li = np.asarray(lam_i_axis, dtype=float)
     xs = ls[:, None]
     yi = li[None, :]
 
-    p = np.asarray(_peel(intensity, ls, li, expected_lobes))
+    p = np.asarray(_peel(intensity, ls, li, n_lobes))
     shape = intensity.shape
     support = np.zeros(shape, dtype=bool)
     for d2 in _distances2(_from_log(p), xs, yi):

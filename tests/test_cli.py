@@ -143,6 +143,39 @@ def test_simulate_jsi_outputs_and_determinism(tmp_path, config_path):
     assert listed == produced
 
 
+def test_single_mode_pump_fits_one_lobe(tmp_path):
+    # a pump in mode e excites C (e,e,e,e) alone: one lobe, labelled C
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "grid": {"points_s": 121, "points_i": 121},
+        "pump": {"transverse_state": "e"}}), encoding="utf-8")
+    out = tmp_path / "o"
+    assert run(["simulate-jsi", "--config", config, "--out", out]) == 0
+    rows = (out / "lobe_centers.csv").read_text().strip().split("\n")
+    assert [row.split(",")[0] for row in rows[1:]] == ["C"]
+    lobes = json.loads((out / "lobes.json").read_text())["lobes"]
+    assert [lb["process_label"] for lb in lobes] == ["C"]
+
+
+def test_fit_lobes_labels_the_predicted_centers_on_its_grid(tmp_path):
+    # the default JSI cropped to idler >= 570.6 nm holds the predicted C
+    # and D centers alone, not those of A and B
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"grid": {"points_s": 121,
+                                           "points_i": 121}}),
+                      encoding="utf-8")
+    assert run(["simulate-jsi", "--config", config,
+                "--out", tmp_path / "sim"]) == 0
+    ls, li, values = load_grid_csv(tmp_path / "sim" / "jsi.csv")
+    keep = li >= 570.6
+    write_grid_csv(tmp_path / "crop.csv", ls, li[keep], values[:, keep])
+    out = tmp_path / "fit"
+    assert run(["fit-lobes", "--config", config, "--out", out,
+                "--input", tmp_path / "crop.csv"]) == 0
+    lobes = json.loads((out / "lobes.json").read_text())["lobes"]
+    assert [lb["process_label"] for lb in lobes] == ["C", "D"]
+
+
 def test_simulate_jsi_lobe_ordering(tmp_path, config_path):
     out = tmp_path / "o"
     assert run(["simulate-jsi", "--config", config_path, "--out", out]) == 0
@@ -156,14 +189,20 @@ def test_simulate_jsi_lobe_ordering(tmp_path, config_path):
     assert all(a[1] < b[1] for a, b in zip(order, order[1:]))
 
 
-def test_config_error_exit_code(tmp_path, config_path):
+def test_config_error_exit_code(tmp_path, config_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"fiber": {"radius": 2}}', encoding="utf-8")
     assert run(["simulate-jsi", "--config", bad, "--out", tmp_path]) == 2
-    # the removed routes: estimate-rho fits no grid, and qst-simulate
-    # needs a density matrix
+    # the lobe count follows from the model and the grid
+    bad.write_text('{"expected_lobes": 4}', encoding="utf-8")
+    assert run(["simulate-jsi", "--config", bad, "--out", tmp_path]) == 2
+    assert "config.expected_lobes: unknown key" in capsys.readouterr().err
+    # the removed routes: estimate-rho fits no grid, qst-simulate needs a
+    # density matrix, and fit-lobes takes no lobe count
     for argv in (["estimate-rho", "--jsi-csv", tmp_path / "jsi.csv"],
-                 ["qst-simulate"]):
+                 ["qst-simulate"],
+                 ["fit-lobes", "--input", tmp_path / "jsi.csv",
+                  "--lobes", 2]):
         with pytest.raises(SystemExit) as exc:
             run([*argv, "--config", config_path, "--out", tmp_path / "o"])
         assert exc.value.code == 2
@@ -480,6 +519,24 @@ def test_render_lobe_off_the_grid_exit_code(tmp_path, config_path, capsys):
                 "--input", grid, "--lobes-json", lobes]) == 0
 
 
+def test_render_lobe_wider_than_the_grid_exit_code(tmp_path, config_path,
+                                                   capsys):
+    # the other rule the lobe fit keeps: no sigma wider than the wider axis
+    # span; a 1e150 nm sigma drew an ellipse radius of about 155 digits
+    grid = tmp_path / "grid.csv"
+    write_grid_csv(grid, [670.0, 680.0], [567.0, 575.0], np.ones((2, 2)))
+    out = tmp_path / "out"
+    lobes = write_lobes(tmp_path / "lobes.json", sigma_major_nm=1e150)
+    assert run(["render", "--config", config_path, "--out", out,
+                "--input", grid, "--lobes-json", lobes]) == 3
+    assert ("lobes.json: lobes[1]: sigma 1e+150 nm is wider than the grid "
+            "span 10.0 nm") in capsys.readouterr().err
+    assert not list(out.iterdir())
+    lobes = write_lobes(tmp_path / "lobes.json", sigma_major_nm=10.0)
+    assert run(["render", "--config", config_path, "--out", out,
+                "--input", grid, "--lobes-json", lobes]) == 0
+
+
 @pytest.mark.parametrize("first, second, want", [
     # the projector products overflowed: a LinAlgError traceback
     ({"amplitude": 1e308}, {"amplitude": 1e308}, 0),
@@ -538,11 +595,11 @@ def test_render_escapes_markup_in_labels_and_title(tmp_path, config_path):
 
 def test_fit_lobes_leaving_the_grid_exit_code(tmp_path, config_path,
                                                centers, capsys):
-    # one lobe at the model's D center plus 1 % noise, fitted as two: the
-    # peel seeds the second lobe on noise, and that lobe leaves the grid,
-    # to (675.345, 562.945) nm
+    # one lobe at the model's D center plus 1 % noise on axes that hold the
+    # predicted C and D centers, so fitted as two: the peel seeds the
+    # second lobe on noise, and that lobe leaves the grid
     ls = np.linspace(670.0, 690.0, 81)
-    li = np.linspace(565.0, 577.0, 61)
+    li = np.linspace(571.0, 577.0, 31)
     cs, ci = centers["D"]
     lobe = GaussianLobe(center_s_nm=cs, center_i_nm=ci, sigma_major_nm=1.0,
                         sigma_minor_nm=0.4, orientation_rad=0.45,
@@ -551,9 +608,9 @@ def test_fit_lobes_leaving_the_grid_exit_code(tmp_path, config_path,
     grid = tmp_path / "jsi.csv"
     write_grid_csv(grid, ls, li,
                    np.abs(lobe.evaluate(ls[:, None], li[None, :])
-                          + 0.01 * rng.standard_normal((81, 61))))
+                          + 0.01 * rng.standard_normal((81, 31))))
     assert run(["fit-lobes", "--config", config_path, "--out", tmp_path,
-                "--input", grid, "--lobes", 2]) == 3
+                "--input", grid]) == 3
     assert "moved a center off the grid" in capsys.readouterr().err
 
 
@@ -601,7 +658,7 @@ def test_lobe_fit_with_no_center_in_band_exit_code(tmp_path, capsys,
         capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("flag", ["--threads", "--lobes"])
+@pytest.mark.parametrize("flag", ["--threads"])
 @pytest.mark.parametrize("value", [0, -3])
 def test_count_flag_below_one_exit_code(tmp_path, config_path, capsys,
                                         flag, value):
@@ -663,19 +720,21 @@ def test_invalid_density_names_its_file(tmp_path, config_path, capsys, flag,
 
 def test_render_subnormal_axis_step_exit_code(tmp_path, config_path, capsys):
     # the plot scale, pixels over the axis span, or a contour radius in
-    # pixels overflowed: RuntimeWarnings from the lobe contour, then exit 0
+    # pixels overflowed: RuntimeWarnings from the lobe contour, then exit 0.
+    # The signal span keeps each sigma within the wider axis span.
     grid = tmp_path / "grid.csv"
     lobes = tmp_path / "lobes.json"
-    for step, sigma, message in (
-            (5e-324, 1.0, "grid.csv: lambda_i axis: step 5e-324 is not a "
-             "normal float"),
+    for span_s, step, sigma, message in (
+            (1.0, 5e-324, 1.0, "grid.csv: lambda_i axis: step 5e-324 is "
+             "not a normal float"),
             # the smallest normal step
-            (2.2250738585072014e-308, 1.0, "lobes.json: lobes[0]: 1/e2 "
-             "contour is not finite in plot pixels (scale inf x inf px/nm"),
-            (1e-200, 1e150, "lobes.json: lobes[0]: 1/e2 contour is not "
-             "finite in plot pixels (scale 5.2e+202 x 4e+202 px/nm, radii "
-             "inf x ")):
-        write_grid_csv(grid, [0.0, step], [0.0, step], np.ones((2, 2)))
+            (1.0, 2.2250738585072014e-308, 1.0, "lobes.json: lobes[0]: "
+             "1/e2 contour is not finite in plot pixels (scale inf x 400 "
+             "px/nm"),
+            (1e150, 1e-200, 1e150, "lobes.json: lobes[0]: 1/e2 contour is "
+             "not finite in plot pixels (scale 5.2e+202 x 4e-148 px/nm, "
+             "radii inf x ")):
+        write_grid_csv(grid, [0.0, span_s], [0.0, step], np.ones((2, 2)))
         write_lobes(lobes, center_s_nm=0.0, center_i_nm=0.0,
                     sigma_major_nm=sigma)
         doc = json.loads(lobes.read_text(encoding="utf-8"))

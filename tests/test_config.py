@@ -197,9 +197,7 @@ def test_parse_gives_finite_config_or_config_error(key, value):
 def test_nested_boundary_values_are_config_errors():
     for doc in ({"fiber": {"segments": [[1e308, False], [NAN, True]]}},
                 {"grid": {"points_s": 2.0}},
-                {"tomography": {"counts_scale": 2**1100}},
-                {"expected_lobes": 0},
-                {"expected_lobes": True}):
+                {"tomography": {"counts_scale": 2**1100}}):
         with pytest.raises(ConfigError):
             PipelineConfig.parse(doc)
 

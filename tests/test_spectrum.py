@@ -425,6 +425,8 @@ def test_fit_rejects_zero_grid():
     ls = np.linspace(0, 1, 32)
     with pytest.raises(DomainError):
         fit_lobes(ls, ls, np.zeros((32, 32)), 1)
+    with pytest.raises(DomainError, match="n_lobes must be >= 1, got 0"):
+        fit_lobes(ls, ls, np.ones((32, 32)), 0)
 
 
 def test_fit_rejects_grid_with_fewer_nodes_than_parameters():
