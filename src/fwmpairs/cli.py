@@ -29,10 +29,10 @@ def _flag(*names, check=None, **options):
 COMMON = (
     _flag("--config", required=True, type=Path,
           help="pipeline configuration JSON"),
-    _flag("--out", type=Path,
-          help="output directory (default: config output_dir)"),
-    _flag("--seed", type=int, check="seed",
-          help="master RNG seed (default: config tomography.seed)"),
+    _flag("--out", type=Path, default=Path("out"),
+          help="output directory (default: out)"),
+    _flag("--seed", type=int, default=20240620, check="seed",
+          help="master RNG seed (default: 20240620)"),
     _flag("--threads", type=int, default=1, check="count",
           help="recorded in the manifest; no stage reads it"),
 )
@@ -47,7 +47,8 @@ COMMANDS = {
         "JSI per parity-dispersion value plus B-C separations",
         pipeline.cmd_sweep_delta,
         (_flag("--deltas", type=float, nargs="+",
-                check=["birefringence"]),)),
+               default=[0.0, 1.5e-5, 3.0e-5], check=["birefringence"],
+               help="parity-dispersion values (default: 0 1.5e-5 3e-5)"),)),
     "fit-lobes": (
         "fit Gaussian lobes to a JSI CSV",
         pipeline.cmd_fit_lobes,

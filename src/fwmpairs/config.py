@@ -261,9 +261,6 @@ class GaussianLobe:
         return self.amplitude * np.exp(exponent)
 
 
-# contour level name -> the lobe's contour radius in sigmas
-CONTOUR_LEVELS = {"1/e2": 2.0, "1/e3": math.sqrt(6.0)}
-
 # ---------------------------------------------------------------------------
 # two-qubit states and counts
 
@@ -293,7 +290,6 @@ class CountEntry:
 class TomographyConfig:
     counts_scale: float = 1000.0
     n_samples: int = 100
-    seed: int = 20240620
 
 
 @dataclass
@@ -303,10 +299,7 @@ class PipelineConfig:
     grid: SpectralGrid = field(default_factory=SpectralGrid)
     windows: list = field(default_factory=list)
     tomography: TomographyConfig = field(default_factory=TomographyConfig)
-    output_dir: str = "out"
-    delta_sweep: list = field(default_factory=lambda: [0.0, 1.5e-5, 3.0e-5])
     center_band_nm: tuple = (540.0, 580.0)
-    contour_level: str = "1/e2"
     raw: dict = field(default_factory=dict)
 
     @classmethod
@@ -323,8 +316,7 @@ SCHEMA = {
     PipelineConfig: {
         "fiber": FiberSpec, "pump": PumpSpec, "grid": SpectralGrid,
         "windows": [SpectralWindow], "tomography": TomographyConfig,
-        "output_dir": str, "delta_sweep": ["birefringence"],
-        "center_band_nm": "interval", "contour_level": "contour",
+        "center_band_nm": "interval",
     },
     FiberSpec: {
         "core_radius_um": float, "numerical_aperture": float,
@@ -338,7 +330,7 @@ SCHEMA = {
                    "points_s": int, "points_i": int},
     SpectralWindow: {"lambda_s_nm": "interval", "lambda_i_nm": "interval"},
     TomographyConfig: {"counts_scale": "counts_scale",
-                       "n_samples": "samples", "seed": "seed"},
+                       "n_samples": "samples"},
     # the entries of the input documents
     GaussianLobe: {"center_s_nm": float, "center_i_nm": float,
                    "sigma_major_nm": "sigma", "sigma_minor_nm": "sigma",
@@ -371,8 +363,6 @@ KINDS = {
                      "must be in [0, 2^53]"),
     "basis": ((str,) * 4, lambda v: v == BASIS_LABELS,
               f"must be {list(BASIS_LABELS)}"),
-    "contour": (str, lambda v: v in CONTOUR_LEVELS,
-                f"must be one of {sorted(CONTOUR_LEVELS)}"),
 }
 
 _EXPECTED = {float: "a number", int: "an integer", bool: "true/false",

@@ -53,11 +53,10 @@ class GridSpec:
         return step * step
 
 
-def default_grid(fiber: FiberSpec, extent_factor: float = 3.0,
-                 resolution: int = 257) -> GridSpec:
-    """Default field grid: 3 core radii half-width, 257 x 257 nodes."""
-    return GridSpec(extent_um=extent_factor * fiber.core_radius_um,
-                    resolution=resolution)
+def default_grid(fiber: FiberSpec) -> GridSpec:
+    """Default field grid: 3 core radii half-width, ``GridSpec``'s
+    default resolution."""
+    return GridSpec(extent_um=3.0 * fiber.core_radius_um)
 
 
 @dataclass

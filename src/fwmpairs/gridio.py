@@ -18,8 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (BASIS_LABELS, CONTOUR_LEVELS, MAX_GRID_POINTS, convert,
-                     read_json_document)
+from .config import BASIS_LABELS, MAX_GRID_POINTS, convert, read_json_document
 from .errors import ConfigError, DomainError, GridFormatError
 from .tomography import validate_density
 
@@ -246,16 +245,19 @@ def write_pgm(path: Path, values: np.ndarray) -> None:
 
 _XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
+# radius of a lobe's drawn contour, in sigmas: the 1/e^2 level
+CONTOUR_SIGMAS = 2.0
+
 
 def render_svg_heatmap(path: Path, lam_s_nm, lam_i_nm, intensity,
-                       lobes=(), contour_level: str = "1/e2",
-                       title: str = "", max_cells: int = 180) -> None:
+                       lobes=(), title: str = "",
+                       max_cells: int = 180) -> None:
     """Publication-style SVG: colormapped heatmap, axis ticks, optional
     Gaussian-lobe contour ellipses.
 
     The intensity raster is box-downsampled to at most ``max_cells``
-    per axis; the 1/e^2 contour of a lobe is the ellipse at 2 sigma
-    (1/e^3 at sqrt(6) sigma).
+    per axis; each lobe is drawn as its 1/e^2 contour, the ellipse at
+    ``CONTOUR_SIGMAS`` sigma.
     """
     lam_s = np.asarray(lam_s_nm, dtype=float)
     lam_i = np.asarray(lam_i_nm, dtype=float)
@@ -317,13 +319,12 @@ def render_svg_heatmap(path: Path, lam_s_nm, lam_i_nm, intensity,
                 f'height="{cell_h + 0.5:.2f}" '
                 f'fill="rgb({color[0]},{color[1]},{color[2]})"/>')
 
-    scale = CONTOUR_LEVELS[contour_level]
     for j, lobe in enumerate(lobes):
         cx = px(lobe.center_i_nm)
         cy = py(lobe.center_s_nm)
         # ellipse axes in plot pixels; orientation measured in data space
-        rx_major = scale * lobe.sigma_major_nm
-        rx_minor = scale * lobe.sigma_minor_nm
+        rx_major = CONTOUR_SIGMAS * lobe.sigma_major_nm
+        rx_minor = CONTOUR_SIGMAS * lobe.sigma_minor_nm
         # a tiny axis span or a huge lobe overflows these: refused below
         with np.errstate(over="ignore", invalid="ignore"):
             sx = pw / (i1 - i0)
@@ -337,8 +338,8 @@ def render_svg_heatmap(path: Path, lam_s_nm, lam_i_nm, intensity,
                                       np.sin(lobe.orientation_rad) * sy)
         if not np.isfinite([sx, sy, ang, rpx, rpy]).all():
             raise DomainError(
-                f"lobes[{j}]: {contour_level} contour is not finite in plot "
-                f"pixels (scale {sx:.3g} x {sy:.3g} px/nm, radii "
+                f"lobes[{j}]: 1/e2 contour is not finite in plot pixels "
+                f"(scale {sx:.3g} x {sy:.3g} px/nm, radii "
                 f"{rpx:.3g} x {rpy:.3g} px)")
         parts.append(
             f'<g transform="translate({cx:.2f},{cy:.2f}) rotate({ang:.2f})">'

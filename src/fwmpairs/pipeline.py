@@ -23,8 +23,7 @@ from . import __version__
 from .config import (CountEntry, FiberSpec, GaussianLobe, ModeSuperposition,
                      PipelineConfig, SpectralWindow)
 from .dispersion import check_few_mode
-from .errors import (ConfigError, DomainError, GridFormatError, NumericError,
-                     PhaseMatchError)
+from .errors import DomainError, GridFormatError, NumericError, PhaseMatchError
 from .estimation import (lobe_amplitudes, model_amplitudes, process_weights,
                          trace_spectral)
 from .fields import (default_grid, intensity_image, normalize_overlaps,
@@ -63,16 +62,17 @@ def _peak_rss_mb() -> float:
 
 
 class Runner:
-    """Output directory, timing capture and manifest assembly."""
+    """Output directory, timing capture and manifest assembly.  The
+    output directory, seed and thread count are run values that the CLI
+    flags set; ``config_sha256`` covers the config alone."""
 
     def __init__(self, cfg: PipelineConfig, command: str,
-                 out_dir: str | None = None, seed: int | None = None,
-                 threads: int = 1):
+                 out_dir: str | Path, seed: int, threads: int = 1):
         self.cfg = cfg
         self.command = command
-        self.seed = cfg.tomography.seed if seed is None else seed
+        self.seed = seed
         self.threads = threads
-        self.out = Path(out_dir if out_dir is not None else cfg.output_dir)
+        self.out = Path(out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         self.files: list = []
         self.timings: list = []
@@ -166,15 +166,20 @@ class Simulation:
                                 self.weights)
 
 
+def _on_grid(lam_s, lam_i, center_s, center_i) -> bool:
+    """Whether the point (``center_s``, ``center_i``) lies within the axes
+    ``lam_s``, ``lam_i``, bounds included."""
+    return (lam_s[0] <= center_s <= lam_s[-1]
+            and lam_i[0] <= center_i <= lam_i[-1])
+
+
 def _fit_in_band_lobes(sim: Simulation, lam_s, lam_i, intensity):
     """Fit one lobe per process on the grid and label the lobes with them,
     both in idler order: the matched processes of nonzero weight whose
-    predicted center lies within the axes ``lam_s``, ``lam_i``, bounds
-    included (the rule ``cmd_render`` keeps)."""
+    predicted center lies ``_on_grid``."""
     on_grid = sorted((p for p in sim.matched
                       if sim.weights[p.label] != 0
-                      and lam_s[0] <= sim.centers[p.label][0] <= lam_s[-1]
-                      and lam_i[0] <= sim.centers[p.label][1] <= lam_i[-1]),
+                      and _on_grid(lam_s, lam_i, *sim.centers[p.label])),
                      key=lambda p: sim.centers[p.label][1])
     if not on_grid:
         raise NumericError("no phase-matched lobe inside the grid band")
@@ -267,11 +272,8 @@ def _write_csv(path: Path, rows: list) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def cmd_sweep_delta(runner: Runner, deltas=None) -> list:
+def cmd_sweep_delta(runner: Runner, deltas: list) -> list:
     cfg = runner.cfg
-    deltas = list(cfg.delta_sweep if deltas is None else deltas)
-    if not deltas:
-        raise ConfigError("delta sweep needs at least one value")
     rows = []
     for k, delta in enumerate(deltas):
         with runner.stage(f"delta_{k}"):
@@ -463,8 +465,8 @@ def cmd_render(runner: Runner, input_csv: Path,
         # the lobe fit's rules: centered on the grid, no sigma past its span
         span = float(max(lam_s[-1] - lam_s[0], lam_i[-1] - lam_i[0]))
         for j, lobe in enumerate(lobes):
-            if not (lam_s[0] <= lobe.center_s_nm <= lam_s[-1]
-                    and lam_i[0] <= lobe.center_i_nm <= lam_i[-1]):
+            if not _on_grid(lam_s, lam_i, lobe.center_s_nm,
+                            lobe.center_i_nm):
                 raise GridFormatError(
                     f"{lobes_json}: lobes[{j}]: center ({lobe.center_s_nm!r}, "
                     f"{lobe.center_i_nm!r}) nm lies outside the grid")
@@ -477,8 +479,7 @@ def cmd_render(runner: Runner, input_csv: Path,
         # the SVG first: a lobe it cannot draw stops before any output
         try:
             runner.write(f"{stem}.svg", render_svg_heatmap, lam_s, lam_i,
-                         intensity, lobes=lobes,
-                         contour_level=runner.cfg.contour_level, title=stem)
+                         intensity, lobes=lobes, title=stem)
         except DomainError as exc:
             raise GridFormatError(
                 f"{lobes_json}: {exc} on the grid of {input_csv}") from None

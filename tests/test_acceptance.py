@@ -54,9 +54,7 @@ class Criterion:
 
 @pytest.fixture(scope="module")
 def base_config():
-    return PipelineConfig.parse({
-        "tomography": {"seed": 20240620},
-    })
+    return PipelineConfig.parse({})
 
 
 @pytest.fixture(scope="module")
@@ -269,8 +267,7 @@ def test_criterion_10_determinism(tmp_path):
         "grid": {"points_s": 121, "points_i": 121},
         "windows": [{"lambda_s_nm": [673.0, 681.0],
                      "lambda_i_nm": [567.5, 574.5]}],
-        "tomography": {"counts_scale": 500, "n_samples": 8, "seed": 31},
-        "output_dir": str(tmp_path / "unused"),
+        "tomography": {"counts_scale": 500, "n_samples": 8},
     }
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")

@@ -19,17 +19,14 @@ BASE_CONFIG = {
     "grid": {"points_s": 161, "points_i": 161},
     "windows": [{"lambda_s_nm": [673.0, 681.0],
                  "lambda_i_nm": [567.5, 574.5]}],
-    "tomography": {"counts_scale": 2000, "n_samples": 12, "seed": 42},
-    "output_dir": "out",
+    "tomography": {"counts_scale": 2000, "n_samples": 12},
 }
 
 
 @pytest.fixture()
 def config_path(tmp_path):
     path = tmp_path / "config.json"
-    cfg = dict(BASE_CONFIG)
-    cfg["output_dir"] = str(tmp_path / "out")
-    path.write_text(json.dumps(cfg), encoding="utf-8")
+    path.write_text(json.dumps(BASE_CONFIG), encoding="utf-8")
     return path
 
 
@@ -198,11 +195,13 @@ def test_config_error_exit_code(tmp_path, config_path, capsys):
     assert run(["simulate-jsi", "--config", bad, "--out", tmp_path]) == 2
     assert "config.expected_lobes: unknown key" in capsys.readouterr().err
     # the removed routes: estimate-rho fits no grid, qst-simulate needs a
-    # density matrix, and fit-lobes takes no lobe count
+    # density matrix, fit-lobes takes no lobe count, and a sweep needs a
+    # delta
     for argv in (["estimate-rho", "--jsi-csv", tmp_path / "jsi.csv"],
                  ["qst-simulate"],
                  ["fit-lobes", "--input", tmp_path / "jsi.csv",
-                  "--lobes", 2]):
+                  "--lobes", 2],
+                 ["sweep-delta", "--deltas"]):
         with pytest.raises(SystemExit) as exc:
             run([*argv, "--config", config_path, "--out", tmp_path / "o"])
         assert exc.value.code == 2
@@ -419,22 +418,23 @@ def test_seed_flag_outside_u64_exit_code(tmp_path, config_path, capsys,
     assert not (tmp_path / "qst" / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64])
-def test_config_seed_outside_u64_exit_code(tmp_path, capsys, seed):
-    cfg = dict(BASE_CONFIG, tomography={"seed": seed},
-               output_dir=str(tmp_path / "out"))
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg), encoding="utf-8")
-    assert qst_simulate_mixture(tmp_path, path) == 2
-    assert "config.tomography.seed: must be in [0, 2^64)" in (
-        capsys.readouterr().err)
-
-
 def test_seed_u64_bounds_accepted(tmp_path, config_path):
     for seed in (0, 2**64 - 1):
         assert qst_simulate_mixture(tmp_path, config_path, "--seed", seed) == 0
         doc = json.loads((tmp_path / "qst" / "counts.json").read_text())
         assert doc["seed"] == seed
+
+
+def test_config_hash_ignores_output_dir_and_seed(tmp_path, config_path):
+    # the output directory and the seed are run values, not config
+    hashes = set()
+    for out, seed in (("a", "1"), ("b", "2")):
+        assert run(["overlaps", "--config", config_path,
+                    "--out", tmp_path / out, "--seed", seed]) == 0
+        doc = json.loads((tmp_path / out / "manifest.json").read_text())
+        assert doc["seed"] == int(seed)
+        hashes.add(doc["config_sha256"])
+    assert len(hashes) == 1
 
 
 def test_lobe_with_unknown_field_exit_code(tmp_path, config_path, capsys):

@@ -17,7 +17,7 @@ CONFIG = {
     "grid": {"points_s": 41, "points_i": 41},
     "windows": [{"lambda_s_nm": [673.0, 681.0],
                  "lambda_i_nm": [567.5, 574.5]}],
-    "tomography": {"counts_scale": 2000, "n_samples": 5, "seed": 42},
+    "tomography": {"counts_scale": 2000, "n_samples": 5},
 }
 
 # (argv after --config, with paths relative to the run directory; the
@@ -33,6 +33,13 @@ RUNS = [
         "delta = 0: B-C separation 0.0000 nm",
         "delta = 3e-05: B-C separation 1.2661 nm"],
      {"jsi_delta0.csv", "jsi_delta1.csv", "separations.csv"}),
+    # without --deltas: the default sweep
+    (["sweep-delta", "--out", "sweep_default"], [
+        "delta = 0: B-C separation 0.0000 nm",
+        "delta = 1.5e-05: B-C separation 0.6392 nm",
+        "delta = 3e-05: B-C separation 1.2661 nm"],
+     {"jsi_delta0.csv", "jsi_delta1.csv", "jsi_delta2.csv",
+      "separations.csv"}),
     (["fit-lobes", "--out", "fit", "--input", "jsi/jsi.csv"], [
         "global R^2 = 0.9956"],
      {"lobes.json"}),
@@ -40,10 +47,12 @@ RUNS = [
         "window 0: concurrence 0.0718, bell fidelity 0.4626 "
         "(unsquared 0.6802), purity 0.3742"],
      {"rho_se_w0.json", "windows.csv"}),
-    (["qst-simulate", "--out", "qst", "--rho", "rho/rho_se_w0.json"], [
+    (["qst-simulate", "--out", "qst", "--rho", "rho/rho_se_w0.json",
+      "--seed", "42"], [
         "sampled 36 projectors, total counts 17960"],
      {"counts.json", "expected_rates.json"}),
-    (["qst-reconstruct", "--out", "qstr", "--counts", "qst/counts.json"], [
+    (["qst-reconstruct", "--out", "qstr", "--counts", "qst/counts.json",
+      "--seed", "42"], [
         "concurrence: 0.0688 (bootstrap 0.0726 +/- 0.0189)",
         "bell_fidelity: 0.4561 (bootstrap 0.4509 +/- 0.0102)",
         "purity: 0.3726 (bootstrap 0.3734 +/- 0.0037)"],
@@ -88,7 +97,8 @@ def test_every_command_prints_its_summary_lines(tmp_path, capsys):
     # manifest, and nothing else
     config = tmp_path / "config.json"
     config.write_text(json.dumps(CONFIG), encoding="utf-8")
-    assert [argv[0] for argv, _, _ in RUNS] == list(COMMANDS)
+    assert list(dict.fromkeys(argv[0] for argv, _, _ in RUNS)) == list(
+        COMMANDS)
     for argv, lines, files in RUNS:
         # every value after --out and every path names a file in tmp_path
         args = [str(tmp_path / a) if "/" in a or prev == "--out" else a

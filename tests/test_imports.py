@@ -72,8 +72,7 @@ def inputs(tmp_path_factory):
     cfg.write_text(json.dumps({
         "fiber": {"segments": [[0.10, False]]},
         "grid": {"points_s": 61, "points_i": 61},
-        "tomography": {"counts_scale": 500, "n_samples": 4, "seed": 7},
-        "output_dir": str(root / "unused"),
+        "tomography": {"counts_scale": 500, "n_samples": 4},
     }), encoding="utf-8")
     bell = np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS.conj())
     write_json(root / "rho.json",
