@@ -16,12 +16,13 @@ dataclasses alone, and a key whose field has no default is required.
 Unknown keys are rejected with their path so a typo never silently falls
 back to a default.  ``convert`` is the one place for type and range
 checks (numbers finite, intervals ascending, birefringences at most 1e-2
-in magnitude, seeds unsigned 64-bit, counts at least 1, bootstrap
-samples at most ``MAX_BOOTSTRAP_SAMPLES``, coincidence counts and count
-scales at most 2^53, and the lobe values); a dataclass checks only its
-own constraints, such as a positive core radius or a grid of at most
-``MAX_GRID_POINTS``.  ``PipelineConfig.parse`` accepts the raw dict;
-``load_config`` reads a file, and a config error exits with code 2.
+in magnitude, fiber segments in (0, 1000] m, seeds unsigned 64-bit,
+counts at least 1, bootstrap samples at most ``MAX_BOOTSTRAP_SAMPLES``,
+coincidence counts and count scales at most 2^53, and the lobe values);
+a dataclass checks only its own constraints, such as a positive core
+radius or a grid of at most ``MAX_GRID_POINTS``.  ``PipelineConfig.parse``
+accepts the raw dict; ``load_config`` reads a file, and a config error
+exits with code 2.
 """
 
 from __future__ import annotations
@@ -115,7 +116,8 @@ class FiberSpec:
         long-wavelength (signal) parity birefringences; the signal-side
         parity term is ``delta_parity - delta_parity_dispersion``.
     segments : tuple of (length_m, axis_swapped)
-        Ordered fiber segments; ``axis_swapped`` marks a cross-spliced
+        Ordered fiber segments, each in (0, 1000] m (the config's
+        ``segment_length`` kind); ``axis_swapped`` marks a cross-spliced
         segment whose slow axis is rotated 90 degrees.
 
     The material indices and the V number are ``dispersion.cladding_index``,
@@ -138,9 +140,6 @@ class FiberSpec:
             raise ConfigError("delta_parity must be >= 0 (odd is slower)")
         if len(self.segments) < 1:
             raise ConfigError("at least one fiber segment is required")
-        for length_m, _ in self.segments:
-            if not length_m > 0:
-                raise ConfigError("segment lengths must be > 0")
         object.__setattr__(
             self, "segments",
             tuple((float(L), bool(sw)) for L, sw in self.segments),
@@ -186,10 +185,10 @@ class PumpSpec:
 # spectral grids, windows and lobes
 
 # Largest grid a config or a grid CSV may hold.  simulate-jsi and
-# fit-lobes, the largest consumers, peak in their lobe fit near 36 MB +
-# 0.07 kB per node (simulate-jsi: VmHWM 42 MB at 301 x 301, 100 MB at
-# 1001 x 1001, 102 MB at 1024 x 1024 = 2^20 nodes; fit-lobes: 102 MB at
-# 1001 x 1001)
+# fit-lobes, the largest consumers, peak in their lobe fit near 37 MB +
+# 0.06 kB per node (fit-lobes: VmHWM 42 MB at 301 x 301, 97 MB at
+# 1001 x 1001, 100 MB at 1024 x 1024 = 2^20 nodes; simulate-jsi: 85 MB
+# at 1001 x 1001)
 MAX_GRID_POINTS = 2**20
 
 
@@ -322,7 +321,7 @@ SCHEMA = {
         "core_radius_um": float, "numerical_aperture": float,
         "delta_pol": "birefringence", "delta_parity": "birefringence",
         "delta_parity_dispersion": "birefringence",
-        "segments": [(float, bool)],
+        "segments": [("segment_length", bool)],
     },
     PumpSpec: {"center_wavelength_nm": float, "intensity_fwhm_nm": float,
                "transverse_state": "state"},
@@ -354,6 +353,11 @@ KINDS = {
     "birefringence": (float, lambda v: abs(v) <= 1e-2,
                       "must be within [-0.01, 0.01]"),
     "positive": (float, lambda v: v > 0, "must be > 0"),
+    # a fiber segment, in m: 1 km is four orders of magnitude above the
+    # paper's 10 cm and covers every length a sweep would probe, while
+    # 0.5 dk L, the phase of a segment, stays far below where it overflows
+    "segment_length": (float, lambda v: 0 < v <= 1000.0,
+                       "must be in (0, 1000] m"),
     # a lobe width: its square divides the Gaussian's exponent
     "sigma": ("positive", lambda v: 0 < v * v < math.inf,
               "must have a finite, nonzero square"),

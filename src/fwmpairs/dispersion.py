@@ -11,9 +11,13 @@ Effective indices are built in two layers:
    dispersion ``delta_parity_dispersion`` which lowers the parity term
    seen by the long-wavelength (signal) photon.
 
-The LP solver and the mode fields evaluate the Bessel functions J_n and
-K_n (n = 0, 1, 2) through the fixed-node quadratures ``_bessel_j_orders``
-and ``_bessel_k_orders`` below, in numpy alone.
+The LP solver is a safeguarded Newton iteration on the characteristic
+equation, with its slope from the same Bessel values (``_solve_u_array``);
+it builds a Chebyshev table of n_eff over fixed wavelength panels, which
+``lp_effective_index`` evaluates.  The LP solver and the mode fields
+evaluate the Bessel functions J_n and K_n (n = 0, 1, 2) through the
+fixed-node quadratures ``_bessel_j_orders`` and ``_bessel_k_orders``
+below, in numpy alone.
 
 All wavelengths in this module are in micrometres.
 """
@@ -229,14 +233,25 @@ def _bessel_k_orders(orders: tuple, x) -> tuple:
 
 
 def _solve_u_array(v: np.ndarray, azimuthal: int) -> np.ndarray:
-    """Bracketed bisection for the LP characteristic equation.
+    """Safeguarded Newton iteration for the LP characteristic equation
+    (rtsafe: Press et al., Numerical Recipes, 3rd ed., sec. 9.4).
 
-    Solves u * J_{l+1}(u)/J_l(u) = w * K_{l+1}(w)/K_l(w) with
-    w = sqrt(V^2 - u^2), on the fundamental branch of each label.  Each
-    point stops once its own bracket is narrower than 1e-13, so a root
-    does not depend on the other points of the batch.
+    Solves f(u) = u J_{l+1}(u) K_l(w) - w K_{l+1}(w) J_l(u) = 0 with
+    w = sqrt(V^2 - u^2) on the fundamental branch of each label: the
+    equation u J_{l+1}/J_l = w K_{l+1}/K_l times J_l K_l, which is
+    positive there, so f has the same root and none of the poles, and
+    f < 0 below the root and f > 0 above it.  Its slope is
+    f'(u) = (V^2/w) [J_{l+1} K_{l+1} - l (J_{l+1} K_l / w + J_l K_{l+1} / u)].
+    Each point starts at the midpoint of its bracket and takes the Newton
+    step when it lands inside the bracket and |f| falls fast enough,
+    and bisects otherwise; the bracket shrinks around the root at every
+    evaluation.  Each point stops after its own step shorter than 1e-13,
+    so a root does not depend on the other points of the batch.
     """
     l = azimuthal
+    shape = np.shape(v)
+    v = np.ravel(v)
+    v2 = v**2
     if l == 0:
         lo = np.full_like(v, 1e-9)
         hi = np.minimum(v, _J0_ZERO) * (1 - 1e-12) - 1e-12
@@ -244,29 +259,43 @@ def _solve_u_array(v: np.ndarray, azimuthal: int) -> np.ndarray:
         lo = np.full_like(v, _J0_ZERO + 1e-12)
         hi = np.minimum(v, _J1_ZERO) - 1e-12
 
-    def resid(u):
-        w = np.sqrt(np.maximum(v**2 - u**2, 1e-300))
+    def f_and_slope(u, v2):
+        w = np.sqrt(np.maximum(v2 - u**2, 1e-300))
         j_l, j_next = _bessel_j_orders((l, l + 1), u)
         k_l, k_next = _bessel_k_orders((l, l + 1), w)
-        return u * j_next / j_l - w * k_next / k_l
+        f = u * j_next * k_l - w * k_next * j_l
+        slope = v2 / w * (j_next * k_next
+                          - l * (j_next * k_l / w + j_l * k_next / u))
+        return f, slope
 
-    f_lo = resid(lo)
+    u = 0.5 * (lo + hi)
+    step = step_before = hi - lo
+    f, slope = f_and_slope(u, v2)
+    todo = np.arange(u.size)  # the points still iterating
     for _ in range(120):
-        open_ = hi - lo >= 1e-13
-        if not np.any(open_):
+        # rtsafe's tests: the Newton point falls outside the bracket, or
+        # the step would not be below half the one before last
+        a, b, x = lo[todo], hi[todo], u[todo]
+        bisect = (((x - b) * slope - f) * ((x - a) * slope - f) > 0) | (
+            np.abs(2.0 * f) > np.abs(step_before * slope))
+        step_before = step
+        step = np.where(bisect, 0.5 * (b - a),
+                        f / np.where(bisect, 1.0, slope))
+        u[todo] = np.where(bisect, a + step, x - step)
+        going = np.abs(step) >= 1e-13
+        todo, step, step_before = todo[going], step[going], step_before[going]
+        if not todo.size:
             break
-        mid = 0.5 * (lo + hi)
-        f_mid = resid(mid)
-        same = np.signbit(f_mid) == np.signbit(f_lo)
-        lo = np.where(open_ & same, mid, lo)
-        f_lo = np.where(open_ & same, f_mid, f_lo)
-        hi = np.where(open_ & ~same, mid, hi)
-    return 0.5 * (lo + hi)
+        f, slope = f_and_slope(u[todo], v2[todo])
+        below = f < 0
+        lo[todo[below]] = u[todo[below]]
+        hi[todo[~below]] = u[todo[~below]]
+    return u.reshape(shape)
 
 
-def _bisect_n_eff(fiber: FiberSpec, lam: np.ndarray, azimuthal: int):
-    """Effective index from the bisection root; the table's builder and
-    reference."""
+def _solve_n_eff(fiber: FiberSpec, lam: np.ndarray, azimuthal: int):
+    """Effective index from the root of the characteristic equation; the
+    table's builder, and the solver of the panel it cannot fit."""
     u = _solve_u_array(v_number(fiber, lam), azimuthal)
     k = 2.0 * np.pi / lam
     return np.sqrt(core_index(fiber, lam) ** 2
@@ -313,12 +342,12 @@ _PANEL_CACHE_SIZE = 1024
 
 def _panels(fiber: FiberSpec, azimuthal: int, indices) -> list:
     """Chebyshev coefficients of n_eff on each panel in ``indices``, or
-    None for a panel whose interpolant misses the bisection at its ends
-    or centre (the panel holding the LP11 cutoff); that panel is bisected
+    None for a panel whose interpolant misses the root solve at its ends
+    or centre (the panel holding the LP11 cutoff); that panel is solved
     point by point.
 
     Panels are cached per fiber geometry; the ones missing from the cache
-    are built together in one bisection.
+    are built together in one root solve.
     """
     keys = [(fiber.core_radius_um, fiber.numerical_aperture, azimuthal,
              int(index)) for index in indices]
@@ -333,8 +362,8 @@ def _panels(fiber: FiberSpec, azimuthal: int, indices) -> list:
                   | np.all(v_number(fiber, lam) > LP11_CUTOFF_V, axis=1))
         n = np.full_like(lam, np.nan)
         if guided.any():
-            n[guided] = _bisect_n_eff(fiber, lam[guided].ravel(),
-                                      azimuthal).reshape(-1, lam.shape[1])
+            n[guided] = _solve_n_eff(fiber, lam[guided].ravel(),
+                                     azimuthal).reshape(-1, lam.shape[1])
         for key, (a, b), ok, check, n_row in zip(missing, bounds, guided,
                                                   lam[:, PANEL_NODES:], n):
             coef = None
@@ -359,7 +388,7 @@ def lp_effective_index(fiber: FiberSpec, lam_um, lp_label: str) -> np.ndarray:
     """Vectorized base effective index of an LP mode (no birefringence).
 
     Values come from a Chebyshev table of fixed panels, built lazily by
-    the bisection and cached per fiber geometry, so a value depends on
+    the root solve and cached per fiber geometry, so a value depends on
     the fiber and the wavelength only.  Raises ModeNotGuidedError if
     LP11 is below cutoff anywhere in ``lam_um``.
     """
@@ -381,16 +410,16 @@ def lp_effective_index(fiber: FiberSpec, lam_um, lp_label: str) -> np.ndarray:
     panel = np.minimum(((lam - lo) // PANEL_WIDTH_UM).astype(int), last)
     indices = np.flatnonzero(np.bincount(panel.ravel()))
     n_eff = np.empty_like(lam)
-    bisect = np.zeros(lam.shape, dtype=bool)
+    pointwise = np.zeros(lam.shape, dtype=bool)
     for index, coef in zip(indices, _panels(fiber, l, indices)):
         at = panel == index
         if coef is None:
-            bisect |= at
+            pointwise |= at
         else:
             n_eff[at] = _clenshaw(coef, _panel_x(lam[at],
                                                  *_panel_bounds(index)))
-    if bisect.any():
-        n_eff[bisect] = _bisect_n_eff(fiber, lam[bisect], l)
+    if pointwise.any():
+        n_eff[pointwise] = _solve_n_eff(fiber, lam[pointwise], l)
     return n_eff
 
 

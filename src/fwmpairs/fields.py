@@ -87,19 +87,33 @@ def _radial_profile(u: float, w: float, azimuthal: int,
     return radial
 
 
+@lru_cache(maxsize=1)  # the e and o profiles, built in turn, share it
+def _radial_on_grid(fiber: FiberSpec, lam_um: float, lp_label: str,
+                    grid: GridSpec) -> tuple:
+    """The grid's x (one row) and y (one column), the radius r and the LP
+    radial profile at r; read-only."""
+    u, w = solve_lp_mode(fiber, lam_um, lp_label)
+    x, y, _ = grid.axes()
+    xx, yy = np.meshgrid(x, y, indexing="xy", sparse=True)
+    r = np.hypot(xx, yy)
+    radial = _radial_profile(u, w, 0 if lp_label == "LP01" else 1,
+                             r / fiber.core_radius_um)
+    for array in (xx, yy, r, radial):
+        array.flags.writeable = False
+    return xx, yy, r, radial
+
+
 @lru_cache(maxsize=3)  # one per basis mode g, e, o
 def _basis_profile(fiber: FiberSpec, lam_um: float, mode: str,
                    grid: GridSpec) -> np.ndarray:
     """Un-normalized LP mode profile sampled on ``grid``; read-only.
 
     Cached, so the images of one wavelength and grid share the three
-    basis profiles instead of rebuilding one per superposed mode."""
-    u, w = solve_lp_mode(fiber, lam_um, "LP01" if mode == "g" else "LP11")
-    x, y, _ = grid.axes()
-    xx, yy = np.meshgrid(x, y, indexing="xy")
-    r = np.hypot(xx, yy)
-    radial = _radial_profile(u, w, 0 if mode == "g" else 1,
-                             r / fiber.core_radius_um)
+    basis profiles instead of rebuilding one per superposed mode; the
+    even and odd LP11 profiles share one radial profile."""
+    xx, yy, r, radial = _radial_on_grid(fiber, lam_um,
+                                        "LP01" if mode == "g" else "LP11",
+                                        grid)
     if mode == "g":
         azim = 1.0
     elif mode == "e":

@@ -14,8 +14,8 @@ For the two-mode set {e, o} these rules leave exactly the five channels
 labelled A-E; adding the fundamental mode g admits five more.
 
 ``phasematched_centers`` finds the phase-matched centers of a set of
-channels from one shared scan of the idler band and one bisection of
-all their bracketing intervals.
+channels from one shared scan of the idler band and one shared index
+solve on the dyadic points of all their bracketing intervals.
 
 Every ``fiber`` argument is a ``config.FiberSpec``.
 """
@@ -217,9 +217,14 @@ def phasematched_centers(processes, fiber, lam_p_nm: float,
     All channels share one scan of the idler band (one BaseIndexCache,
     with per-channel birefringence overlays).  Each channel takes the
     first scan point where delta_k is exactly zero or else the first
-    bracketing interval, and the brackets are bisected together, each
-    until it is at most 1e-5 nm wide.  A returned pair satisfies the
-    energy constraint 2/lam_p = 1/lam_s + 1/lam_i exactly.
+    bracketing interval.  Each bracket is cut into the dyadic parts, at
+    most 1e-5 nm wide, that bisecting it would reach (1 024 parts of the
+    default 0.01 nm step), delta_k is evaluated at all their ends of all
+    brackets in one index solve, and the channel takes the midpoint of
+    its first part across which delta_k leaves the sign of the bracket's
+    low end: the point a bisection returns when the bracket holds one
+    zero.  A returned pair satisfies the energy constraint
+    2/lam_p = 1/lam_s + 1/lam_i exactly.
 
     Returns {label: (lam_s, lam_i)} with a PhaseMatchError (carrying the
     scanned extrema) in place of the pair for a channel with no sign
@@ -253,28 +258,25 @@ def phasematched_centers(processes, fiber, lam_p_nm: float,
     if not bracketed:
         return out
 
-    def dk_at(channels, li_nm):
-        """delta_k of bracketed channel channels[j] at idler li_nm[j]."""
-        cache = BaseIndexCache(fiber,
-                               _energy_partner_nm(lam_p_nm, li_nm) / 1000.0,
-                               li_nm / 1000.0)
-        return np.array([cache.delta_k(bracketed[c])[j]
-                         for j, c in enumerate(channels)])
-
+    # Each bracket's dyadic points: its ends and the midpoints of halving
+    # it until every part is at most 1e-5 nm wide, each midpoint taken
+    # from its two neighbours exactly as a bisection takes it.  Their
+    # Delta k comes from one shared index solve.
     first = np.array(first, dtype=int)
-    lo, hi = grid_i[first], grid_i[first + 1]
-    f_lo = dk_at(range(len(bracketed)), lo)
-    while True:
-        open_ = np.flatnonzero(hi - lo > 1e-5)
-        if not open_.size:
-            break
-        mid = 0.5 * (lo[open_] + hi[open_])
-        f_mid = dk_at(open_, mid)
-        same = np.sign(f_mid) == np.sign(f_lo[open_])
-        lo[open_[same]] = mid[same]
-        f_lo[open_[same]] = f_mid[same]
-        hi[open_[~same]] = mid[~same]
-    for process, lam_i in zip(bracketed, 0.5 * (lo + hi)):
+    points = np.stack([grid_i[first], grid_i[first + 1]], axis=1)
+    while np.max(np.diff(points, axis=1)) > 1e-5:
+        finer = np.empty((len(points), 2 * points.shape[1] - 1))
+        finer[:, ::2] = points
+        finer[:, 1::2] = 0.5 * (points[:, :-1] + points[:, 1:])
+        points = finer
+    cache = BaseIndexCache(fiber,
+                           _energy_partner_nm(lam_p_nm, points) / 1000.0,
+                           points / 1000.0)
+    for c, (process, li) in enumerate(zip(bracketed, points)):
+        sign = np.sign(cache.delta_k(process)[c])
+        # the first part whose upper end leaves the sign of the low end
+        j = int(np.argmax(sign[1:] != sign[0]))
+        lam_i = 0.5 * (li[j] + li[j + 1])
         lam_s = float(_energy_partner_nm(lam_p_nm, lam_i))
         out[process.label] = lam_s, float(lam_i)
     return out

@@ -7,7 +7,10 @@ segmented fiber.  Processes with the same output mode pair add
 coherently before squaring; distinct output pairs add in intensity.
 
 Lobes are fitted as sums of elliptical Gaussians by a numpy
-Levenberg-Marquardt iteration on the analytic Jacobian.
+Levenberg-Marquardt iteration on the analytic Jacobian.  The lobes are
+peeled off the grid one at a time and then fitted jointly, each lobe on
+its own nodes only: those within ``SUPPORT_RADIUS`` of it, outside which
+it is below about 1e-14 of its amplitude.
 """
 
 from __future__ import annotations
@@ -123,12 +126,19 @@ class LobeFit:
     iterations: int
 
 
-def _lobe_model(params: np.ndarray, xs, yi) -> np.ndarray:
+def _lobe_model(params: np.ndarray, xs, yi, groups=None) -> np.ndarray:
     """Sum of elliptical Gaussians (``GaussianLobe.evaluate``); six
-    natural parameters per lobe."""
+    natural parameters per lobe.  With ``groups``, pairs of a slice of
+    the 1-D nodes ``xs``, ``yi`` and the indices of the lobes that live
+    there, each lobe is evaluated on its own groups only."""
+    q = np.reshape(params, (-1, 6))
     out = np.zeros(np.broadcast_shapes(xs.shape, yi.shape))
-    for amp, x0, y0, sa, sb, th in np.reshape(params, (-1, 6)):
-        out += GaussianLobe(x0, y0, sa, sb, th, amp).evaluate(xs, yi)
+    if groups is None:
+        groups = [(slice(None), np.arange(len(q)))]
+    for at, lobes in groups:
+        for amp, x0, y0, sa, sb, th in q[lobes]:
+            out[at] += GaussianLobe(x0, y0, sa, sb, th, amp).evaluate(
+                xs[at], yi[at])
     return out
 
 
@@ -159,13 +169,15 @@ def _to_log(q: np.ndarray) -> np.ndarray:
     return p.ravel()
 
 
-def _lobe_jacobian(p: np.ndarray, xs, yi) -> np.ndarray:
+def _lobe_jacobian(p: np.ndarray, xs, yi, lobes=None) -> np.ndarray:
     """Analytic Jacobian of the lobe-sum model in the log parameters,
-    one row per parameter."""
+    one row per parameter of the ``lobes`` given (default all)."""
+    q = np.reshape(_from_log(p), (-1, 6))
+    if lobes is None:
+        lobes = np.arange(len(q))
     shape = np.broadcast_shapes(xs.shape, yi.shape)
-    rows = np.empty((len(p), int(np.prod(shape))))
-    for k, (amp, x0, y0, sa, sb, th) in enumerate(
-            np.reshape(_from_log(p), (-1, 6))):
+    rows = np.empty((6 * len(lobes), int(np.prod(shape))))
+    for k, (amp, x0, y0, sa, sb, th) in enumerate(q[lobes]):
         ct, st = np.cos(th), np.sin(th)
         dx = xs - x0
         dy = yi - y0
@@ -188,17 +200,23 @@ _JAC_BLOCK = 4096
 
 
 def _normal_equations(p: np.ndarray, xs: np.ndarray, yi: np.ndarray,
-                      r: np.ndarray):
+                      r: np.ndarray, groups=None):
     """J J^T and J r for the rows J of ``_lobe_jacobian`` at the log
     parameters ``p`` on the 1-D nodes ``xs``, ``yi``, with the residual
-    ``r``, summed over slices of ``_JAC_BLOCK`` nodes."""
+    ``r``: every lobe on every node, or each on its own ``groups`` (see
+    ``_lobe_model``), summed over slices of at most ``_JAC_BLOCK`` nodes
+    of a group."""
     normal = np.zeros((len(p), len(p)))
     grad = np.zeros(len(p))
-    for start in range(0, len(xs), _JAC_BLOCK):
-        blk = slice(start, start + _JAC_BLOCK)
-        jac = _lobe_jacobian(p, xs[blk], yi[blk])
-        normal += jac @ jac.T
-        grad += jac @ r[blk]
+    if groups is None:
+        groups = [(slice(0, len(xs)), np.arange(len(p) // 6))]
+    for at, lobes in groups:
+        rows = (6 * np.asarray(lobes)[:, None] + np.arange(6)).ravel()
+        for start in range(at.start, at.stop, _JAC_BLOCK):
+            blk = slice(start, min(start + _JAC_BLOCK, at.stop))
+            jac = _lobe_jacobian(p, xs[blk], yi[blk], lobes)
+            normal[np.ix_(rows, rows)] += jac @ jac.T
+            grad[rows] += jac @ r[blk]
     return normal, grad
 
 
@@ -222,7 +240,7 @@ def _check_lobes(p: np.ndarray, ls: np.ndarray, li: np.ndarray) -> None:
                                f"wider than the grid span {span:.3f} nm")
 
 
-def _least_squares(p0, data, xs, yi, grid):
+def _least_squares(p0, data, xs, yi, grid, groups=None, stays=None):
     """Levenberg-Marquardt fit of the lobe sum to ``data``, in the log
     parameters (More, Lecture Notes in Mathematics 630, 1978).
 
@@ -230,7 +248,11 @@ def _least_squares(p0, data, xs, yi, grid):
     of the rows J of ``_lobe_jacobian``, which ``_normal_equations`` sums
     over slices of ``_JAC_BLOCK`` nodes of the flattened ``xs``, ``yi``
     (any shapes that broadcast to the shape of ``data``), so no step holds
-    J on all nodes at once; a step that lowers the cost is
+    J on all nodes at once.  With ``groups`` (see ``_lobe_model``) each
+    lobe of the model and of J lives on its own groups of the flattened
+    nodes only, as long as the test ``stays`` holds for the parameters;
+    from the first ones it fails for, every lobe lives on every node.  A
+    step that lowers the cost is
     taken and divides the damping mu by 10, one that does not multiplies
     it by 10.  Converges when the relative cost reduction, actual and
     predicted, the relative scaled step, or the largest cosine between
@@ -244,7 +266,7 @@ def _least_squares(p0, data, xs, yi, grid):
     xs, yi = (np.ravel(a) for a in np.broadcast_arrays(xs, yi))
 
     def resid(p):
-        return _lobe_model(_from_log(p), xs, yi) - target
+        return _lobe_model(_from_log(p), xs, yi, groups) - target
 
     budget = MAX_EVALS_PER_PARAM * len(p0)
     # A diverging trial step can overflow exp() or zero a sigma; its cost
@@ -253,13 +275,15 @@ def _least_squares(p0, data, xs, yi, grid):
     # warning.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         p = np.asarray(p0, dtype=float)
+        if groups is not None and not stays(p):
+            groups = None
         r = resid(p)
         cost = float(r @ r)
         nfev = 1
         damping = _LM_DAMPING0
         converged = cost == 0.0
         while not converged:
-            normal, grad = _normal_equations(p, xs, yi, r)
+            normal, grad = _normal_equations(p, xs, yi, r, groups)
             scale = np.diag(normal).copy()
             scale[~(scale > 0)] = 1.0
             if np.max(np.abs(grad) / np.sqrt(scale * cost)) <= _LM_TOL:
@@ -293,6 +317,12 @@ def _least_squares(p0, data, xs, yi, grid):
                         p @ (scale * p))
                     p, r, cost = p + step, r_trial, cost_trial
                     _check_lobes(p, *grid)
+                    if groups is not None and not stays(p):
+                        groups = None
+                        r = resid(p)
+                        cost = float(r @ r)
+                        nfev += 1
+                        converged = False
                     damping = max(damping / 10.0, _LM_DAMPING_FLOOR)
                     break
                 if converged:
@@ -301,22 +331,26 @@ def _least_squares(p0, data, xs, yi, grid):
     return p, r, nfev
 
 
-def _half_widths(image: np.ndarray, r: int, col: int):
+def _half_widths(profile_s: np.ndarray, profile_i: np.ndarray, r: int,
+                 col: int):
     """Nodes from (r, col) to the nearest node at or below half its value,
-    along the row axis and along the column axis (at least 1 each)."""
-    half = 0.5 * image[r, col]
+    along its signal profile (its column, where it sits at ``r``) and its
+    idler profile (its row, where it sits at ``col``), at least 1 each."""
+    half = 0.5 * profile_s[r]
     widths = []
-    for profile, at in ((image[:, col], r), (image[r, :], col)):
+    for profile, at in ((profile_s, r), (profile_i, col)):
         dist = np.abs(np.flatnonzero(profile <= half) - at)
         widths.append(max(int(dist.min()), 1) if dist.size else len(profile))
     return widths
 
 
-def _seed_at(image, ls, li, r, col) -> list:
-    """Natural parameters of one lobe at node (r, col): its value, with
-    widths and orientation from the second moments about that node of the
-    grid within two half-maximum widths of it."""
-    hw_s, hw_i = _half_widths(image, r, col)
+def _seed_at(image, ls, li, r, col, widths, floor) -> list:
+    """Natural parameters of one lobe at node (r, col) of ``image``, the
+    largest value of a crop that holds two half-maximum ``widths`` around
+    it, on the crop's axes ``ls``, ``li``: its value, with widths and
+    orientation from the second moments about that node within two
+    half-maximum widths of it, and sigmas at least ``floor``."""
+    hw_s, hw_i = widths
     rows = slice(max(0, r - 2 * hw_s), r + 2 * hw_s + 1)
     cols = slice(max(0, col - 2 * hw_i), col + 2 * hw_i + 1)
     w = np.maximum(image[rows, cols], 0.0)
@@ -329,40 +363,15 @@ def _seed_at(image, ls, li, r, col) -> list:
     ct, st = np.cos(th), np.sin(th)
     var_a = ct * ct * cxx + 2.0 * ct * st * cxy + st * st * cyy
     var_b = st * st * cxx - 2.0 * ct * st * cxy + ct * ct * cyy
-    floor = min(ls[1] - ls[0], li[1] - li[0])
-    amp = max(float(image[r, col]), 1e-12 * float(image.max()))
-    return [amp, float(ls[r]), float(li[col]), max(np.sqrt(var_a), floor),
-            max(np.sqrt(max(var_b, 0.0)), floor), float(th)]
+    return [float(image[r, col]), float(ls[r]), float(li[col]),
+            max(np.sqrt(var_a), floor), max(np.sqrt(max(var_b, 0.0)), floor),
+            float(th)]
 
 
-def _peel(intensity, ls, li, n) -> list:
-    """Seed ``n`` lobes one at a time: fit one lobe on a crop around the
-    maximum of what earlier lobes leave unexplained, then subtract it."""
-    residual = intensity.copy()
-    params = []
-    for k in range(n):
-        r, col = np.unravel_index(int(np.argmax(residual)), residual.shape)
-        if residual[r, col] <= 0:
-            raise NumericError(
-                f"found only {k} positive maxima for {n} requested lobes")
-        hw_s, hw_i = _half_widths(residual, r, col)
-        rows = slice(max(0, r - 3 * hw_s), r + 3 * hw_s + 1)
-        cols = slice(max(0, col - 3 * hw_i), col + 3 * hw_i + 1)
-        seed = _seed_at(residual, ls, li, r, col)
-        p, _, _ = _least_squares(_to_log(seed), residual[rows, cols],
-                                 ls[rows, None], li[None, cols], (ls, li))
-        params += list(p)
-        residual -= _lobe_model(_from_log(p), ls[:, None], li[None, :])
-    return params
-
-
-# The fewest grid nodes inside a lobe's 3-sigma ellipse that its R^2 is
-# taken over.
-_MIN_LOBE_NODES = 8
-
-# The joint fit's support radius around the peeled lobes (Mahalanobis;
-# exp(-R^2 / 2) ~ 1e-14), and the fraction of its amplitude a fitted lobe
-# may keep outside the support before the fit reruns on the whole grid.
+# Each lobe's own nodes: those within this Mahalanobis radius of it,
+# where it is above exp(-R^2 / 2) ~ 1e-14 of its amplitude; and the
+# fraction of its amplitude a fitted lobe may keep outside the nodes it
+# is fitted on.
 SUPPORT_RADIUS = 8.0
 _LEAK_FRACTION = 1e-12
 
@@ -381,6 +390,149 @@ def _distances2(q: np.ndarray, xs, yi):
                    + ((-st * dx + ct * dy) / sb) ** 2)
 
 
+def _window(q: np.ndarray, ls: np.ndarray, li: np.ndarray,
+            d2_max: float) -> np.ndarray:
+    """Ascending flat indices of the nodes of the grid on the ascending
+    axes ``ls``, ``li`` at squared Mahalanobis distance at most ``d2_max``
+    from the one lobe of natural parameters ``q``.  Only the lobe's
+    bounding box, widened by a node on each side, is searched."""
+    amp, x0, y0, sa, sb, th = q
+    ct, st = np.cos(th), np.sin(th)
+    radius = np.sqrt(d2_max)
+    box = []
+    for axis, center, half in ((ls, x0, np.hypot(sa * ct, sb * st)),
+                               (li, y0, np.hypot(sa * st, sb * ct))):
+        low, high = np.searchsorted(axis, (center - radius * half,
+                                           center + radius * half))
+        box.append(np.arange(max(low - 1, 0), min(high + 1, len(axis))))
+    rows, cols = box
+    d2 = next(_distances2(q, ls[rows, None], li[None, cols]))
+    return (rows[:, None] * len(li) + cols)[d2 <= d2_max]
+
+
+def _shape_matrix(q: np.ndarray, power: float) -> np.ndarray:
+    """R^T diag(sa^power, sb^power) R for the lobe of natural parameters
+    ``q``, with R its rotation: with ``power`` -2 the matrix M of its
+    squared Mahalanobis distance (x - c)^T M (x - c), with 2 its
+    inverse."""
+    amp, x0, y0, sa, sb, th = q
+    ct, st = np.cos(th), np.sin(th)
+    rot = np.array([[ct, st], [-st, ct]])
+    return rot.T @ np.diag([sa**power, sb**power]) @ rot
+
+
+def _stays(p: np.ndarray, anchors: np.ndarray) -> bool:
+    """Whether every lobe of the log parameters ``p`` stays below
+    ``_LEAK_FRACTION`` of its amplitude outside its own nodes, those
+    within ``SUPPORT_RADIUS`` of its anchor (the lobe of natural
+    parameters in ``anchors`` they were drawn around).  A sufficient
+    test, in the anchor's metric: the distance between the centers plus
+    the lobe's longest semi-axis at that level is at most
+    ``SUPPORT_RADIUS``, so the lobe's ellipse at that level lies inside
+    the anchor's ellipse at ``SUPPORT_RADIUS``."""
+    leak = np.sqrt(-2.0 * np.log(_LEAK_FRACTION))
+    # a sigma near 0 or infinity overflows the matrices, and a nan
+    # fails the test
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for q, anchor in zip(np.reshape(_from_log(p), (-1, 6)), anchors):
+            metric = _shape_matrix(anchor, -2.0)
+            shift = q[1:3] - anchor[1:3]
+            stretch = _shape_matrix(q, 2.0) @ metric
+            half = 0.5 * np.trace(stretch)
+            longest = half + np.sqrt(max(half**2 - np.linalg.det(stretch),
+                                         0.0))
+            if not (np.sqrt(shift @ metric @ shift)
+                    + leak * np.sqrt(longest) <= SUPPORT_RADIUS):
+                return False
+    return True
+
+
+# Nodes per block of rows in which the peel looks for the next maximum
+_PEEL_BLOCK = 8192
+
+
+def _peel(intensity, ls, li, n) -> tuple:
+    """Seed ``n`` lobes one at a time: fit one lobe on a crop around the
+    maximum of what earlier lobes leave unexplained, then subtract it on
+    its own nodes, those within ``SUPPORT_RADIUS`` of it.
+
+    The unexplained grid is formed only where it is read: in blocks of
+    rows of at most ``_PEEL_BLOCK`` nodes for its maximum, and on the
+    column, the row and the crop through that maximum.  Returns the log
+    parameters and the ascending flat indices of each lobe's own nodes."""
+    n_s, n_i = intensity.shape
+    params, windows, peeled = [], [], []  # peeled: each lobe on its nodes
+
+    def unexplained(rows, cols):
+        """The unexplained grid on ``rows`` x ``cols``, slices whose
+        start and stop lie on the grid."""
+        out = intensity[rows, cols].copy()
+        for nodes, values in zip(windows, peeled):
+            a, b = np.searchsorted(nodes, (rows.start * n_i, rows.stop * n_i))
+            r, c = np.divmod(nodes[a:b], n_i)
+            keep = (cols.start <= c) & (c < cols.stop)
+            out[r[keep] - rows.start, c[keep] - cols.start] -= \
+                values[a:b][keep]
+        return out
+
+    def around(at, half, size):
+        return slice(max(0, at - half), min(size, at + half + 1))
+
+    floor = min(ls[1] - ls[0], li[1] - li[0])
+    step = max(1, _PEEL_BLOCK // n_i)
+    for k in range(n):
+        peak, r, col = -np.inf, 0, 0
+        for start in range(0, n_s, step):
+            block = unexplained(slice(start, min(n_s, start + step)),
+                                slice(0, n_i))
+            j = int(np.argmax(block))
+            if block.flat[j] > peak:
+                peak = block.flat[j]
+                r, col = divmod(start * n_i + j, n_i)
+        if peak <= 0:
+            raise NumericError(
+                f"found only {k} positive maxima for {n} requested lobes")
+        widths = _half_widths(
+            unexplained(slice(0, n_s), slice(col, col + 1))[:, 0],
+            unexplained(slice(r, r + 1), slice(0, n_i))[0], r, col)
+        rows = around(r, 3 * widths[0], n_s)
+        cols = around(col, 3 * widths[1], n_i)
+        crop = unexplained(rows, cols)
+        seed = _seed_at(crop, ls[rows], li[cols], r - rows.start,
+                        col - cols.start, widths, floor)
+        p, _, _ = _least_squares(_to_log(seed), crop, ls[rows, None],
+                                 li[None, cols], (ls, li))
+        params += list(p)
+        nodes = _window(_from_log(p), ls, li, SUPPORT_RADIUS**2)
+        windows.append(nodes)
+        peeled.append(_lobe_model(_from_log(p), ls[nodes // n_i],
+                                  li[nodes % n_i]))
+    return params, windows
+
+
+def _joint_nodes(windows: list, size: int) -> tuple:
+    """The joint fit's nodes, every lobe's own of the flat ``windows``
+    on a grid of ``size`` nodes, grouped by the lobes they belong to and
+    ascending within a group, and the groups (see ``_lobe_model``): each
+    lobe lives on whole groups."""
+    member = np.zeros((len(windows), size), dtype=bool)
+    for k, w in enumerate(windows):
+        member[k, w] = True
+    nodes = np.flatnonzero(member.any(axis=0))
+    member = member[:, nodes]
+    order = np.lexsort(member)
+    nodes, member = nodes[order], member[:, order]
+    edges = [0, *(np.flatnonzero(np.any(member[:, 1:] != member[:, :-1],
+                                        axis=0)) + 1), len(nodes)]
+    return nodes, [(slice(a, b), np.flatnonzero(member[:, a]))
+                   for a, b in zip(edges[:-1], edges[1:]) if a < b]
+
+
+# The fewest grid nodes inside a lobe's 3-sigma ellipse that its R^2 is
+# taken over.
+_MIN_LOBE_NODES = 8
+
+
 def fit_lobes(lam_s_axis, lam_i_axis, intensity, n_lobes: int) -> LobeFit:
     """Nonlinear least squares of a sum of elliptical Gaussians.
 
@@ -391,14 +543,19 @@ def fit_lobes(lam_s_axis, lam_i_axis, intensity, n_lobes: int) -> LobeFit:
     and subtracted before the next maximum is taken.  Predicted centers
     play no part.
 
-    Joint fit: all lobes are then fitted jointly on the support of the
-    peeled lobes, the nodes within Mahalanobis radius ``SUPPORT_RADIUS``
-    of any of them.  Outside it every peeled lobe is below about 1e-14 of
-    its amplitude, so the fit equals the one on the whole grid.  When a
-    fitted lobe exceeds ``_LEAK_FRACTION`` of its amplitude at a node
-    outside the support, the fit is run once more on the whole grid,
-    started from the supported result.  The global and per-lobe R^2 and
-    ``residual_norm`` are taken over the whole grid.
+    Joint fit: all lobes are then fitted jointly, each lobe on its own
+    nodes only: those within Mahalanobis radius ``SUPPORT_RADIUS`` of it
+    as peeled, outside which it is below about 1e-14 of its amplitude.
+    The fit stays there while every fitted lobe stays below
+    ``_LEAK_FRACTION`` of its amplitude outside its own nodes
+    (``_stays``), and then equals the fit of every lobe on the whole
+    grid.  Once a lobe leaves them, the fit goes on with every lobe on
+    all the peeled lobes' nodes; if a fitted lobe then exceeds
+    ``_LEAK_FRACTION`` of its amplitude at a node outside those, the fit
+    is run once more on the whole grid, started from that result.  The
+    global and per-lobe R^2 and ``residual_norm`` are taken over the
+    whole grid, with each lobe of the model on the nodes it was fitted
+    on.
 
     Positivity: amplitudes and sigmas are fitted as logarithms, so every
     returned amplitude and sigma is positive and finite.
@@ -426,38 +583,51 @@ def fit_lobes(lam_s_axis, lam_i_axis, intensity, n_lobes: int) -> LobeFit:
     xs = ls[:, None]
     yi = li[None, :]
 
-    p = np.asarray(_peel(intensity, ls, li, n_lobes))
-    shape = intensity.shape
-    support = np.zeros(shape, dtype=bool)
-    for d2 in _distances2(_from_log(p), xs, yi):
-        support |= d2 <= SUPPORT_RADIUS**2
-    p, _, nfev = _least_squares(
-        p, intensity[support], np.broadcast_to(xs, shape)[support],
-        np.broadcast_to(yi, shape)[support], (ls, li))
-    leak = -2.0 * np.log(_LEAK_FRACTION)
-    if any(np.any(d2[~support] < leak)
-           for d2 in _distances2(_from_log(p), xs, yi)):
-        p, _, more = _least_squares(p, intensity, xs, yi, (ls, li))
-        nfev += more
+    p, windows = _peel(intensity, ls, li, n_lobes)
+    anchors = np.reshape(_from_log(np.asarray(p)), (-1, 6))
+    nodes, groups = _joint_nodes(windows, intensity.size)
+    xs_n, yi_n = ls[nodes // len(li)], li[nodes % len(li)]
+    p, _, nfev = _least_squares(np.asarray(p), intensity.ravel()[nodes],
+                                xs_n, yi_n, (ls, li), groups,
+                                lambda p: _stays(p, anchors))
+    if not _stays(p, anchors):
+        # a lobe left its own nodes, and the fit went on with every lobe
+        # on all the joint nodes
+        groups = None
+        joint = np.zeros(intensity.size, dtype=bool)
+        joint[nodes] = True
+        leak = -2.0 * np.log(_LEAK_FRACTION)
+        if any(not np.all(joint[_window(q, ls, li, leak)])
+               for q in np.reshape(_from_log(p), (-1, 6))):
+            p, _, more = _least_squares(p, intensity, xs, yi, (ls, li))
+            nfev += more
+            nodes = None
 
     lobes = []
     denom_total = float(((intensity - intensity.mean()) ** 2).sum())
-    fitted = _canonical_params(_from_log(p))
-    res_grid = _lobe_model(fitted, xs, yi) - intensity
-    for (amp, x0, y0, sa, sb, th), d2 in zip(
-            np.reshape(fitted, (-1, 6)), _distances2(fitted, xs, yi)):
+    fitted = np.reshape(_canonical_params(_from_log(p)), (-1, 6))
+    # the fitted model, each lobe on the nodes it was fitted on, less the
+    # data
+    if nodes is None:
+        res_grid = _lobe_model(fitted, xs, yi)
+    else:
+        res_grid = np.zeros(intensity.shape)
+        res_grid.ravel()[nodes] = _lobe_model(fitted, xs_n, yi_n, groups)
+    res_grid -= intensity
+    for q in fitted:
+        amp, x0, y0, sa, sb, th = q
         # local goodness of fit inside the 3-sigma ellipse
-        mask = d2 <= 9.0
-        if mask.sum() < _MIN_LOBE_NODES:
+        inside = _window(q, ls, li, 9.0)
+        if inside.size < _MIN_LOBE_NODES:
             raise NumericError(
-                f"lobe at ({x0:.3f}, {y0:.3f}) nm covers {int(mask.sum())} "
+                f"lobe at ({x0:.3f}, {y0:.3f}) nm covers {inside.size} "
                 f"grid nodes inside its 3-sigma ellipse, fewer than the "
                 f"{_MIN_LOBE_NODES} its R^2 needs: the grid steps "
                 f"({ls[1] - ls[0]:.3g}, {li[1] - li[0]:.3g}) nm are too "
                 f"coarse for its minor sigma {sb:.3g} nm")
-        data = intensity[mask]
+        data = intensity.ravel()[inside]
         denom = float(((data - data.mean()) ** 2).sum())
-        r2 = 1.0 - float((res_grid[mask] ** 2).sum()) / denom \
+        r2 = 1.0 - float((res_grid.ravel()[inside] ** 2).sum()) / denom \
             if denom > 0 else float("nan")
         lobes.append(GaussianLobe(
             center_s_nm=float(x0), center_i_nm=float(y0),

@@ -1,0 +1,231 @@
+"""The slow paths that faster ones replaced, kept as the references of
+their equivalence tests:
+
+* ``bisect_u_array``: the bisection of the LP characteristic equation,
+  which the safeguarded Newton iteration ``dispersion._solve_u_array``
+  replaced;
+* ``serial_centers``: the bisection of the phase-matched centers, one
+  index solve per halving, which the one index solve on each bracket's
+  dyadic points in ``processes.phasematched_centers`` replaced;
+* ``union_support_fit``: the lobe fit with every lobe on the union of the
+  peeled lobes' supports and a whole-grid peel, which the fit of each
+  lobe on its own nodes in ``spectrum.fit_lobes`` replaced.
+
+Each calls the package's kernels through their modules, so a test can
+swap those too.
+"""
+
+import numpy as np
+
+from fwmpairs import dispersion, spectrum
+from fwmpairs.config import GaussianLobe
+from fwmpairs.errors import NumericError, PhaseMatchError
+from fwmpairs.processes import BaseIndexCache, _energy_partner_nm
+
+
+# ---------------------------------------------------------------------------
+# the LP characteristic equation
+
+def bisect_u_array(v, azimuthal, width=1e-13):
+    """Bracketed bisection for u * J_{l+1}(u)/J_l(u) = w * K_{l+1}(w)/K_l(w)
+    with w = sqrt(V^2 - u^2), on the fundamental branch of each label.
+    Each point stops once its own bracket is narrower than ``width`` (the
+    replaced solver's 1e-13), or after 120 halvings; ``width`` 0 runs
+    every point to the floating-point limit of its bracket."""
+    l = azimuthal
+    if l == 0:
+        lo = np.full_like(v, 1e-9)
+        hi = np.minimum(v, dispersion._J0_ZERO) * (1 - 1e-12) - 1e-12
+    else:
+        lo = np.full_like(v, dispersion._J0_ZERO + 1e-12)
+        hi = np.minimum(v, dispersion._J1_ZERO) - 1e-12
+
+    def resid(u):
+        w = np.sqrt(np.maximum(v**2 - u**2, 1e-300))
+        j_l, j_next = dispersion._bessel_j_orders((l, l + 1), u)
+        k_l, k_next = dispersion._bessel_k_orders((l, l + 1), w)
+        return u * j_next / j_l - w * k_next / k_l
+
+    f_lo = resid(lo)
+    for _ in range(120):
+        open_ = hi - lo >= width
+        if not np.any(open_):
+            break
+        mid = 0.5 * (lo + hi)
+        f_mid = resid(mid)
+        same = np.signbit(f_mid) == np.signbit(f_lo)
+        lo = np.where(open_ & same, mid, lo)
+        f_lo = np.where(open_ & same, f_mid, f_lo)
+        hi = np.where(open_ & ~same, mid, hi)
+    return 0.5 * (lo + hi)
+
+
+def bisect_n_eff(fiber, lam, azimuthal, width=1e-13):
+    """Effective index from the bisection root."""
+    u = bisect_u_array(dispersion.v_number(fiber, lam), azimuthal, width)
+    k = 2.0 * np.pi / lam
+    return np.sqrt(dispersion.core_index(fiber, lam) ** 2
+                   - (u / (k * fiber.core_radius_um)) ** 2)
+
+
+# ---------------------------------------------------------------------------
+# the phase-matched centers
+
+def serial_centers(processes, fiber, lam_p_nm, band_i_nm=(540.0, 580.0),
+                   scan_step_nm=0.01):
+    """``processes.phasematched_centers`` with its brackets bisected
+    together, one BaseIndexCache per halving, each bracket until it is
+    at most 1e-5 nm wide."""
+    lo_nm, hi_nm = band_i_nm
+    grid_i = np.arange(lo_nm, hi_nm + 0.5 * scan_step_nm, scan_step_nm)
+    grid_s = _energy_partner_nm(lam_p_nm, grid_i)
+    scan = BaseIndexCache(fiber, grid_s / 1000.0, grid_i / 1000.0)
+    out = {}
+    bracketed, first = [], []
+    for process in processes:
+        dk = scan.delta_k(process)
+        sign = np.sign(dk)
+        crossings = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+        exact = np.nonzero(dk == 0.0)[0]
+        if len(exact):
+            li = float(grid_i[exact[0]])
+            out[process.label] = float(_energy_partner_nm(lam_p_nm, li)), li
+        elif len(crossings) == 0:
+            out[process.label] = PhaseMatchError(
+                f"process {process.label} not phase matched in band "
+                f"[{lo_nm}, {hi_nm}] nm: delta_k in "
+                f"[{dk.min():.6g}, {dk.max():.6g}] 1/m",
+                dk_min=float(dk.min()), dk_max=float(dk.max()),
+            )
+        else:
+            out[process.label] = None
+            bracketed.append(process)
+            first.append(crossings[0])
+    if not bracketed:
+        return out
+
+    def dk_at(channels, li_nm):
+        cache = BaseIndexCache(fiber,
+                               _energy_partner_nm(lam_p_nm, li_nm) / 1000.0,
+                               li_nm / 1000.0)
+        return np.array([cache.delta_k(bracketed[c])[j]
+                         for j, c in enumerate(channels)])
+
+    first = np.array(first, dtype=int)
+    lo, hi = grid_i[first], grid_i[first + 1]
+    f_lo = dk_at(range(len(bracketed)), lo)
+    while True:
+        open_ = np.flatnonzero(hi - lo > 1e-5)
+        if not open_.size:
+            break
+        mid = 0.5 * (lo[open_] + hi[open_])
+        f_mid = dk_at(open_, mid)
+        same = np.sign(f_mid) == np.sign(f_lo[open_])
+        lo[open_[same]] = mid[same]
+        f_lo[open_[same]] = f_mid[same]
+        hi[open_[~same]] = mid[~same]
+    for process, lam_i in zip(bracketed, 0.5 * (lo + hi)):
+        lam_s = float(_energy_partner_nm(lam_p_nm, lam_i))
+        out[process.label] = lam_s, float(lam_i)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the lobe fit
+
+def _half_widths(image, r, col):
+    half = 0.5 * image[r, col]
+    widths = []
+    for profile, at in ((image[:, col], r), (image[r, :], col)):
+        dist = np.abs(np.flatnonzero(profile <= half) - at)
+        widths.append(max(int(dist.min()), 1) if dist.size else len(profile))
+    return widths
+
+
+def _seed_at(image, ls, li, r, col):
+    hw_s, hw_i = _half_widths(image, r, col)
+    rows = slice(max(0, r - 2 * hw_s), r + 2 * hw_s + 1)
+    cols = slice(max(0, col - 2 * hw_i), col + 2 * hw_i + 1)
+    w = np.maximum(image[rows, cols], 0.0)
+    dx = ls[rows, None] - ls[r]
+    dy = li[None, cols] - li[col]
+    total = w.sum()
+    cxx, cxy, cyy = ((w * a * b).sum() / total if total > 0 else 0.0
+                     for a, b in ((dx, dx), (dx, dy), (dy, dy)))
+    th = 0.5 * np.arctan2(2.0 * cxy, cxx - cyy)
+    ct, st = np.cos(th), np.sin(th)
+    var_a = ct * ct * cxx + 2.0 * ct * st * cxy + st * st * cyy
+    var_b = st * st * cxx - 2.0 * ct * st * cxy + ct * ct * cyy
+    floor = min(ls[1] - ls[0], li[1] - li[0])
+    amp = max(float(image[r, col]), 1e-12 * float(image.max()))
+    return [amp, float(ls[r]), float(li[col]), max(np.sqrt(var_a), floor),
+            max(np.sqrt(max(var_b, 0.0)), floor), float(th)]
+
+
+def whole_grid_peel(intensity, ls, li, n):
+    """The peel on a copy of the whole grid, each lobe subtracted on
+    every node."""
+    residual = intensity.copy()
+    params = []
+    for k in range(n):
+        r, col = np.unravel_index(int(np.argmax(residual)), residual.shape)
+        if residual[r, col] <= 0:
+            raise NumericError(
+                f"found only {k} positive maxima for {n} requested lobes")
+        hw_s, hw_i = _half_widths(residual, r, col)
+        rows = slice(max(0, r - 3 * hw_s), r + 3 * hw_s + 1)
+        cols = slice(max(0, col - 3 * hw_i), col + 3 * hw_i + 1)
+        seed = _seed_at(residual, ls, li, r, col)
+        p, _, _ = spectrum._least_squares(
+            spectrum._to_log(seed), residual[rows, cols], ls[rows, None],
+            li[None, cols], (ls, li))
+        params += list(p)
+        residual -= spectrum._lobe_model(spectrum._from_log(p), ls[:, None],
+                                         li[None, :])
+    return params
+
+
+def union_support_fit(lam_s_axis, lam_i_axis, intensity, n_lobes):
+    """``spectrum.fit_lobes`` with the whole-grid peel, every lobe fitted
+    on the union of the peeled lobes' supports, the leak checked outside
+    that union and the R^2 model on the whole grid."""
+    intensity = np.asarray(intensity, dtype=float)
+    ls = np.asarray(lam_s_axis, dtype=float)
+    li = np.asarray(lam_i_axis, dtype=float)
+    xs, yi = ls[:, None], li[None, :]
+    p = np.asarray(whole_grid_peel(intensity, ls, li, n_lobes))
+    shape = intensity.shape
+    support = np.zeros(shape, dtype=bool)
+    for d2 in spectrum._distances2(spectrum._from_log(p), xs, yi):
+        support |= d2 <= spectrum.SUPPORT_RADIUS**2
+    p, _, nfev = spectrum._least_squares(
+        p, intensity[support], np.broadcast_to(xs, shape)[support],
+        np.broadcast_to(yi, shape)[support], (ls, li))
+    leak = -2.0 * np.log(spectrum._LEAK_FRACTION)
+    if any(np.any(d2[~support] < leak)
+           for d2 in spectrum._distances2(spectrum._from_log(p), xs, yi)):
+        p, _, more = spectrum._least_squares(p, intensity, xs, yi, (ls, li))
+        nfev += more
+    lobes = []
+    denom_total = float(((intensity - intensity.mean()) ** 2).sum())
+    fitted = spectrum._canonical_params(spectrum._from_log(p))
+    res_grid = spectrum._lobe_model(fitted, xs, yi) - intensity
+    for (amp, x0, y0, sa, sb, th), d2 in zip(
+            np.reshape(fitted, (-1, 6)),
+            spectrum._distances2(fitted, xs, yi)):
+        mask = d2 <= 9.0
+        data = intensity[mask]
+        denom = float(((data - data.mean()) ** 2).sum())
+        r2 = 1.0 - float((res_grid[mask] ** 2).sum()) / denom \
+            if denom > 0 else float("nan")
+        lobes.append(GaussianLobe(
+            center_s_nm=float(x0), center_i_nm=float(y0),
+            sigma_major_nm=float(sa), sigma_minor_nm=float(sb),
+            orientation_rad=float(th), amplitude=float(amp),
+            r_squared=r2))
+    lobes.sort(key=lambda lb: lb.center_i_nm)
+    r2_global = 1.0 - float((res_grid**2).sum()) / denom_total \
+        if denom_total > 0 else float("nan")
+    return spectrum.LobeFit(lobes=lobes,
+                            residual_norm=float(np.linalg.norm(res_grid)),
+                            r_squared=r2_global, iterations=int(nfev))

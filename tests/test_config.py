@@ -37,6 +37,13 @@ PROBES = {
                         "config.fiber.core_radius_um"),
     "segment_length_inf": ({"fiber": {"segments": [[INF, False]]}},
                            "overlaps", "config.fiber.segments[0][0]"),
+    # past 1 km: the segment phase 0.5 dk L overflowed at 1e308 m
+    "segment_length_1e308_simulate": (
+        {"fiber": {"segments": [[1e308, False]]}}, "simulate-jsi",
+        "config.fiber.segments[0][0]"),
+    "segment_length_1e308_estimate": (
+        {"fiber": {"segments": [[1e308, False]]}}, "estimate-rho",
+        "config.fiber.segments[0][0]"),
     "pump_fwhm_inf": ({"pump": {"intensity_fwhm_nm": INF}}, "overlaps",
                       "config.pump.intensity_fwhm_nm"),
     "pump_amplitude_nan": (

@@ -6,6 +6,7 @@ import pytest
 import scipy.special
 from scipy.optimize import brentq
 
+import references
 from fwmpairs import dispersion, processes
 from fwmpairs.config import FiberSpec, PipelineConfig
 from fwmpairs.dispersion import (LP11_CUTOFF_V, birefringence_offset,
@@ -160,8 +161,10 @@ def test_fiber_spec_validation():
         FiberSpec(delta_parity=-1e-4)
     with pytest.raises(ConfigError):
         FiberSpec(segments=())
-    with pytest.raises(ConfigError):
-        FiberSpec(segments=((0.0, False),))
+    # a segment length is checked where the config is read
+    with pytest.raises(ConfigError, match=r"segments\[0\]\[0\]: must be in "
+                                          r"\(0, 1000\] m, got 0\.0"):
+        PipelineConfig.parse({"fiber": {"segments": [[0.0, False]]}})
 
 
 def test_ge_doped_core_anchors_na_at_reference(fiber):
@@ -172,7 +175,7 @@ def test_ge_doped_core_anchors_na_at_reference(fiber):
 
 
 # ---------------------------------------------------------------------------
-# Chebyshev index table against the bisection it is built from
+# Chebyshev index table against the bisection it was first built from
 
 TABLE_FIBERS = {
     "default": FiberSpec(),
@@ -189,7 +192,7 @@ def lp11_cutoff_um(fiber):
 
 def assert_matches_bisection(fiber, lam, label):
     table = lp_effective_index(fiber, lam, label)
-    reference = dispersion._bisect_n_eff(fiber, lam, LABEL_AZIMUTHAL[label])
+    reference = references.bisect_n_eff(fiber, lam, LABEL_AZIMUTHAL[label])
     assert np.max(np.abs(table - reference)) <= 1e-12
 
 
@@ -214,7 +217,7 @@ def test_index_table_matches_bisection_below_lp11_cutoff(name):
     assert_matches_bisection(fiber, lam, "LP11")
 
 
-def test_only_the_cutoff_panel_is_bisected(fiber, monkeypatch):
+def test_only_the_cutoff_panel_is_solved_point_by_point(fiber, monkeypatch):
     """Every LP11 panel of the default fiber carries coefficients except
     the one holding the cutoff, and every LP01 panel does."""
     monkeypatch.setattr(dispersion, "_PANEL_CACHE", OrderedDict())
@@ -264,7 +267,7 @@ def test_panel_cache_is_bounded_least_recently_used(fiber, monkeypatch):
 
 
 def test_cold_simulation_solves_each_wave_once(monkeypatch):
-    # index queries of the center search, and bisections of any caller
+    # index queries of the center search, and root solves of any caller
     calls = {"centers": 0, "solve": 0}
 
     def counted(name, fn):
@@ -280,11 +283,11 @@ def test_cold_simulation_solves_each_wave_once(monkeypatch):
                         counted("solve", dispersion._solve_u_array))
     sim = Simulation(PipelineConfig.parse({}))
     assert sorted(sim.centers) == list("ABCDE")
-    # the 4001-point scan, the brackets' lower ends and 10 bisection
-    # steps, three waves each; the scan builds the signal, idler and pump
-    # panels in one bisection per wave, and every later query, the
-    # overlaps' included, falls in a built panel
-    assert calls == {"centers": 36, "solve": 3}
+    # the 4001-point scan and the brackets' dyadic points, three waves
+    # each; the scan builds the signal, idler and pump panels in one root
+    # solve per wave, and every later query, the overlaps' included, falls
+    # in a built panel
+    assert calls == {"centers": 6, "solve": 3}
 
 
 def test_index_is_independent_of_the_batch(fiber):
@@ -375,18 +378,88 @@ def test_bessel_kernel_values_are_pointwise(orders_kernel):
 @pytest.mark.parametrize("label", ["LP01", "LP11"])
 @pytest.mark.parametrize("name", sorted(TABLE_FIBERS))
 def test_bisection_matches_scipy_bessel_bisection(monkeypatch, name, label):
+    # the reference bisection on the numpy kernels against itself on
+    # scipy.special's
     fiber = TABLE_FIBERS[name]
     lo, hi = dispersion.SELLMEIER_RANGE_UM
     lam = np.random.default_rng(2025).uniform(lo, hi, 600)
     if label == "LP11":
         lam = lam[v_number(fiber, lam) > LP11_CUTOFF_V]
-    ours = dispersion._bisect_n_eff(fiber, lam, LABEL_AZIMUTHAL[label])
+    ours = references.bisect_n_eff(fiber, lam, LABEL_AZIMUTHAL[label])
+    use_scipy_kernels(monkeypatch)
+    reference = references.bisect_n_eff(fiber, lam, LABEL_AZIMUTHAL[label])
+    assert np.max(np.abs(ours - reference)) <= 1e-13
+
+
+def use_scipy_kernels(monkeypatch):
     monkeypatch.setattr(dispersion, "_bessel_j_orders", lambda orders, x: tuple(
         scipy.special.jv(n, x) for n in orders))
     monkeypatch.setattr(dispersion, "_bessel_k_orders", lambda orders, x: tuple(
         scipy.special.kv(n, x) for n in orders))
-    reference = dispersion._bisect_n_eff(fiber, lam, LABEL_AZIMUTHAL[label])
-    assert np.max(np.abs(ours - reference)) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the safeguarded Newton root against the bisection it replaced
+
+def panel_nodes(fiber, label):
+    """The Chebyshev nodes and check points of every panel of the
+    Sellmeier range, where ``label`` is guided."""
+    last = int(np.ptp(dispersion.SELLMEIER_RANGE_UM)
+               // dispersion.PANEL_WIDTH_UM)
+    lam = np.concatenate([
+        np.concatenate([0.5 * (a + b)
+                        + 0.5 * (b - a) * np.cos(dispersion._PANEL_THETA),
+                        [a, 0.5 * (a + b), b]])
+        for a, b in map(dispersion._panel_bounds, range(last + 1))])
+    if label == "LP11":
+        lam = lam[v_number(fiber, lam) > LP11_CUTOFF_V]
+    return lam
+
+
+def cutoff_panel_points(fiber):
+    """Points of the panel holding the LP11 cutoff, above the cutoff."""
+    cutoff = lp11_cutoff_um(fiber)
+    a, b = dispersion._panel_bounds(int((cutoff - 0.21)
+                                        // dispersion.PANEL_WIDTH_UM))
+    lam = np.linspace(a, cutoff, 200)
+    return lam[v_number(fiber, lam) > LP11_CUTOFF_V]
+
+
+@pytest.mark.parametrize("kernels", ["numpy", "scipy"])
+@pytest.mark.parametrize("points", ["panel nodes", "cutoff panel"])
+@pytest.mark.parametrize("label", ["LP01", "LP11"])
+@pytest.mark.parametrize("name", sorted(TABLE_FIBERS))
+def test_newton_matches_the_bisection(monkeypatch, name, label, points,
+                                      kernels):
+    fiber = TABLE_FIBERS[name]
+    l = LABEL_AZIMUTHAL[label]
+    lam = (panel_nodes(fiber, label) if points == "panel nodes"
+           else cutoff_panel_points(fiber))
+    assert len(lam) > 100
+    newton = dispersion._solve_n_eff(fiber, lam, l)
+    u_newton = dispersion._solve_u_array(v_number(fiber, lam), l)
+    if kernels == "scipy":
+        use_scipy_kernels(monkeypatch)
+    # the bisection carried to the floating-point limit of its bracket
+    exact = references.bisect_n_eff(fiber, lam, l, width=0.0)
+    # the kernels agree to 1e-15 (J) and 1e-14 relative (K), which moves
+    # the root by far less than the replaced solver's 1e-13 bracket
+    assert np.max(np.abs(newton - exact)) <= (
+        1e-15 if kernels == "numpy" else 1e-14)
+    # the replaced bisection stops on a bracket narrower than 1e-13, so
+    # its root is within half of that of the exact one
+    replaced = references.bisect_u_array(v_number(fiber, lam), l)
+    assert np.max(np.abs(u_newton - replaced)) <= 0.5e-13 + 1e-15
+
+
+def test_newton_root_is_independent_of_the_batch(fiber):
+    lam = np.concatenate([panel_nodes(fiber, "LP11"),
+                          cutoff_panel_points(fiber)])
+    v = v_number(fiber, lam)
+    full = dispersion._solve_u_array(v, 1)
+    for j in (0, 7, len(lam) // 2, len(lam) - 1):
+        assert dispersion._solve_u_array(v[j:j + 1], 1)[0] == full[j]
+    assert np.array_equal(dispersion._solve_u_array(v[::-1], 1)[::-1], full)
 
 
 # the single-order kernels before the orders shared their tables, as the

@@ -475,20 +475,32 @@ def test_fitted_centers_satisfy_energy_identity(grid_default):
 # ---------------------------------------------------------------------------
 # the numpy Levenberg-Marquardt against MINPACK, the test-side reference
 
-def minpack_least_squares(p0, data, xs, yi, grid):
+def minpack_least_squares(p0, data, xs, yi, grid, groups=None, stays=None):
     """``spectrum._least_squares`` through ``scipy.optimize.leastsq`` with
-    the same residual, Jacobian, tolerances and budget."""
+    the same residual, Jacobian, node groups, tolerances and budget; the
+    groups hold if ``stays`` holds at the start, as MINPACK takes no test
+    of its steps."""
     from scipy.optimize import leastsq
     from fwmpairs import spectrum
+    if groups is not None and not stays(p0):
+        groups = None
 
     def resid(p):
-        return (spectrum._lobe_model(spectrum._from_log(p), xs, yi)
+        return (spectrum._lobe_model(spectrum._from_log(p), xs, yi, groups)
                 - data).ravel()
+
+    def jacobian(p):
+        if groups is None:
+            return spectrum._lobe_jacobian(p, xs, yi)
+        rows = np.zeros((len(p), np.size(data)))
+        for at, lobes in groups:
+            own = (6 * lobes[:, None] + np.arange(6)).ravel()
+            rows[own, at] = spectrum._lobe_jacobian(p, xs[at], yi[at], lobes)
+        return rows
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         p, _, info, _, ier = leastsq(
-            resid, p0, Dfun=lambda p: spectrum._lobe_jacobian(p, xs, yi),
-            col_deriv=True, full_output=True,
+            resid, p0, Dfun=jacobian, col_deriv=True, full_output=True,
             maxfev=spectrum.MAX_EVALS_PER_PARAM * len(p0),
             xtol=1e-12, ftol=1e-12, gtol=1e-12)
     assert ier in (1, 2, 3, 4)
@@ -547,7 +559,7 @@ def full_grid_fit(ls, li, grid, n):
     the canonical natural parameters of each lobe, in idler order, and
     the residual norm."""
     from fwmpairs import spectrum
-    p0 = np.asarray(spectrum._peel(grid, ls, li, n))
+    p0 = np.asarray(spectrum._peel(grid, ls, li, n)[0])
     p, fvec, _ = spectrum._least_squares(p0, grid, ls[:, None],
                                          li[None, :], (ls, li))
     q = spectrum._canonical_params(spectrum._from_log(p)).reshape(-1, 6)
@@ -610,6 +622,60 @@ def test_leaking_supported_fit_reruns_on_the_full_grid(joint_fit_nodes,
     assert support < rerun == grid.size
 
 
+@pytest.mark.parametrize("points", [61, 121])
+def test_fit_leaving_its_own_nodes_matches_the_full_grid(joint_fit_nodes,
+                                                         monkeypatch,
+                                                         points):
+    # on the cross-spliced JSI a lobe moves off its peeled place, so the
+    # joint fit goes on with every lobe on all the joint nodes
+    from fwmpairs import spectrum
+    from fwmpairs.config import PipelineConfig
+    from fwmpairs.pipeline import Simulation
+    tests = []
+    stays = spectrum._stays
+
+    def spied(p, anchors):
+        tests.append(stays(p, anchors))
+        return tests[-1]
+
+    monkeypatch.setattr(spectrum, "_stays", spied)
+    cfg = PipelineConfig.parse({"grid": {"points_s": points,
+                                         "points_i": points}})
+    jsi = Simulation(cfg, fiber=FiberSpec(
+        segments=((0.015, False), (0.015, True)))).jsi()
+    ls, li, grid = jsi.lambda_s_axis, jsi.lambda_i_axis, jsi.combined
+    joint = assert_matches_full_grid(ls, li, grid, 4, joint_fit_nodes)
+    assert tests[0] and not all(tests)
+    assert joint[0] < grid.size
+
+
+def test_staying_lobes_keep_their_leak_inside_their_own_nodes():
+    # the test of _stays is sufficient: a lobe it passes has no node
+    # above _LEAK_FRACTION of its amplitude outside its anchor's nodes
+    from fwmpairs import spectrum
+    ls = np.linspace(670.0, 690.0, 201)
+    li = np.linspace(566.0, 576.0, 161)
+    anchor = np.array([1.0, 680.0, 571.0, 1.1, 0.35, 0.45])
+    own = spectrum._window(anchor, ls, li, spectrum.SUPPORT_RADIUS**2)
+    leak = -2.0 * np.log(spectrum._LEAK_FRACTION)
+    assert spectrum._stays(spectrum._to_log(anchor), anchor[None, :])
+    rng = np.random.default_rng(5)
+    passed = 0
+    for _ in range(300):
+        q = anchor * np.exp(rng.normal(0.0, [0, 0, 0, 0.03, 0.03, 0]))
+        q[1:3] += rng.normal(0.0, 0.15, 2)
+        q[5] += rng.normal(0.0, 0.05)
+        if spectrum._stays(spectrum._to_log(q), anchor[None, :]):
+            passed += 1
+            assert np.all(np.isin(spectrum._window(q, ls, li, leak), own))
+    assert 0 < passed < 300
+    # half a minor sigma across the minor axis passes, one does not
+    for shift, want in ((0.5, True), (1.0, False)):
+        q = anchor.copy()
+        q[1:3] += shift * 0.35 * np.array([-np.sin(0.45), np.cos(0.45)])
+        assert spectrum._stays(spectrum._to_log(q), anchor[None, :]) is want
+
+
 # ---------------------------------------------------------------------------
 # the normal equations summed over node blocks against the whole Jacobian,
 # the test-side reference
@@ -649,7 +715,7 @@ def lobe_nodes(case, ls, li, grid, p):
 def test_normal_equations_match_the_whole_jacobian(centers, case):
     from fwmpairs import spectrum
     ls, li, grid = benchmark_style_lobes(1, centers)
-    p = np.asarray(spectrum._peel(grid, ls, li, 4))
+    p = np.asarray(spectrum._peel(grid, ls, li, 4)[0])
     xs, yi, data = lobe_nodes(case, ls, li, grid, p)
     want_normal, want_grad = whole_jacobian_normal_equations(p, xs, yi, data)
     flat_xs, flat_yi = (np.ravel(a) for a in np.broadcast_arrays(xs, yi))
