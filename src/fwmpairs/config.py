@@ -18,11 +18,12 @@ back to a default.  ``convert`` is the one place for type and range
 checks (numbers finite, intervals ascending, birefringences at most 1e-2
 in magnitude, fiber segments in (0, 1000] m, seeds unsigned 64-bit,
 counts at least 1, bootstrap samples at most ``MAX_BOOTSTRAP_SAMPLES``,
-coincidence counts and count scales at most 2^53, and the lobe values);
-a dataclass checks only its own constraints, such as a positive core
-radius or a grid of at most ``MAX_GRID_POINTS``.  ``PipelineConfig.parse``
-accepts the raw dict; ``load_config`` reads a file, and a config error
-exits with code 2.
+coincidence counts and count scales at most 2^53, and the lobe values),
+and each rule of one value is a kind in ``KINDS`` whose message names
+the key and the value.  A dataclass keeps only the rules that span
+fields, such as a grid of at most ``MAX_GRID_POINTS``.
+``PipelineConfig.parse`` accepts the raw dict; ``load_config`` reads a
+file, and a config error exits with code 2.
 """
 
 from __future__ import annotations
@@ -132,14 +133,7 @@ class FiberSpec:
     segments: tuple = ((0.10, False),)
 
     def __post_init__(self):
-        if not self.core_radius_um > 0:
-            raise ConfigError("core_radius_um must be > 0")
-        if not 0 < self.numerical_aperture < 1:
-            raise ConfigError("numerical_aperture must be in (0, 1)")
-        if self.delta_parity < 0:
-            raise ConfigError("delta_parity must be >= 0 (odd is slower)")
-        if len(self.segments) < 1:
-            raise ConfigError("at least one fiber segment is required")
+        # hashable: the record keys the lru_cache of ``fields``
         object.__setattr__(
             self, "segments",
             tuple((float(L), bool(sw)) for L, sw in self.segments),
@@ -162,12 +156,6 @@ class PumpSpec:
     intensity_fwhm_nm: float = 2.0
     transverse_state: ModeSuperposition = field(
         default_factory=lambda: ModeSuperposition.named("d"))
-
-    def __post_init__(self):
-        if self.intensity_fwhm_nm <= 0:
-            raise ConfigError("pump intensity FWHM must be > 0")
-        if self.center_wavelength_nm <= 0:
-            raise ConfigError("pump wavelength must be > 0")
 
     @property
     def omega_p(self) -> float:
@@ -202,8 +190,6 @@ class SpectralGrid:
     points_i: int = 301
 
     def __post_init__(self):
-        if self.points_s < 2 or self.points_i < 2:
-            raise ConfigError("grids need at least 2 points per axis")
         if self.points_s * self.points_i > MAX_GRID_POINTS:
             raise ConfigError(
                 f"points_s * points_i must be at most {MAX_GRID_POINTS}, "
@@ -222,7 +208,7 @@ class SpectralWindow:
     lambda_s_nm: tuple
     lambda_i_nm: tuple
 
-    def quadrature(self, nodes: int = 101):
+    def quadrature(self, nodes: int):
         """Midpoint nodes and the cell area."""
         s0, s1 = self.lambda_s_nm
         i0, i1 = self.lambda_i_nm
@@ -318,15 +304,14 @@ SCHEMA = {
         "center_band_nm": "interval",
     },
     FiberSpec: {
-        "core_radius_um": float, "numerical_aperture": float,
-        "delta_pol": "birefringence", "delta_parity": "birefringence",
-        "delta_parity_dispersion": "birefringence",
-        "segments": [("segment_length", bool)],
+        "core_radius_um": "positive", "numerical_aperture": "aperture",
+        "delta_pol": "birefringence", "delta_parity": "parity_birefringence",
+        "delta_parity_dispersion": "birefringence", "segments": "segments",
     },
-    PumpSpec: {"center_wavelength_nm": float, "intensity_fwhm_nm": float,
-               "transverse_state": "state"},
+    PumpSpec: {"center_wavelength_nm": "positive",
+               "intensity_fwhm_nm": "positive", "transverse_state": "state"},
     SpectralGrid: {"lambda_s_nm": "interval", "lambda_i_nm": "interval",
-                   "points_s": int, "points_i": int},
+                   "points_s": "two_or_more", "points_i": "two_or_more"},
     SpectralWindow: {"lambda_s_nm": "interval", "lambda_i_nm": "interval"},
     TomographyConfig: {"counts_scale": "counts_scale",
                        "n_samples": "samples"},
@@ -352,12 +337,18 @@ KINDS = {
     # which the additive birefringence overlays assume is large next to them
     "birefringence": (float, lambda v: abs(v) <= 1e-2,
                       "must be within [-0.01, 0.01]"),
+    # odd minus even LP11 index: the odd parity is the slower one
+    "parity_birefringence": ("birefringence", lambda v: v >= 0,
+                             "must be >= 0 (odd LP11 is slower)"),
     "positive": (float, lambda v: v > 0, "must be > 0"),
+    "aperture": (float, lambda v: 0 < v < 1, "must be in (0, 1)"),
     # a fiber segment, in m: 1 km is four orders of magnitude above the
     # paper's 10 cm and covers every length a sweep would probe, while
     # 0.5 dk L, the phase of a segment, stays far below where it overflows
     "segment_length": (float, lambda v: 0 < v <= 1000.0,
                        "must be in (0, 1000] m"),
+    "segments": ([("segment_length", bool)], lambda v: len(v) >= 1,
+                 "must list at least one segment"),
     # a lobe width: its square divides the Gaussian's exponent
     "sigma": ("positive", lambda v: 0 < v * v < math.inf,
               "must have a finite, nonzero square"),

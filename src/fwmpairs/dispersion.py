@@ -136,7 +136,9 @@ def v_number(fiber: FiberSpec, lam_um) -> np.ndarray:
 
 def check_few_mode(fiber: FiberSpec, lam_um) -> None:
     """Raise DomainError where V reaches FEW_MODE_V at one of the
-    wavelengths ``lam_um``, naming the largest V and its wavelength."""
+    wavelengths ``lam_um``, naming the largest V and its wavelength, and
+    ModeNotGuidedError where V is at most LP11_CUTOFF_V, where LP11 is
+    cut off, naming the smallest V and its wavelength."""
     lam = np.atleast_1d(np.asarray(lam_um, dtype=float))
     v = v_number(fiber, lam)
     k = int(np.argmax(v))
@@ -144,6 +146,11 @@ def check_few_mode(fiber: FiberSpec, lam_um) -> None:
         raise DomainError(
             f"fiber is not few-mode: V = {v[k]:.4g} at {lam[k] * 1e3:g} nm "
             f"is at least {FEW_MODE_V:.4f}, where LP21 and LP02 are guided")
+    k = int(np.argmin(v))
+    if v[k] <= LP11_CUTOFF_V:
+        raise ModeNotGuidedError(
+            f"LP11 is not guided: V = {v[k]:.4g} at {lam[k] * 1e3:g} nm is "
+            f"at most its cutoff {LP11_CUTOFF_V:.4f}", v_number=float(v[k]))
 
 
 # Bessel kernels of integer order n <= 2.  Each is a quadrature on a fixed

@@ -247,15 +247,16 @@ _XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 # radius of a lobe's drawn contour, in sigmas: the 1/e^2 level
 CONTOUR_SIGMAS = 2.0
+# most raster cells per axis of the heatmap
+HEATMAP_CELLS = 180
 
 
 def render_svg_heatmap(path: Path, lam_s_nm, lam_i_nm, intensity,
-                       lobes=(), title: str = "",
-                       max_cells: int = 180) -> None:
+                       lobes=(), title: str = "") -> None:
     """Publication-style SVG: colormapped heatmap, axis ticks, optional
     Gaussian-lobe contour ellipses.
 
-    The intensity raster is box-downsampled to at most ``max_cells``
+    The intensity raster is box-downsampled to at most ``HEATMAP_CELLS``
     per axis; each lobe is drawn as its 1/e^2 contour, the ellipse at
     ``CONTOUR_SIGMAS`` sigma.
     """
@@ -278,7 +279,7 @@ def render_svg_heatmap(path: Path, lam_s_nm, lam_i_nm, intensity,
         shape.insert(axis + 1, factor)
         return arr.reshape(shape).mean(axis=axis + 1)
 
-    raster = shrink(shrink(v, max_cells, 0), max_cells, 1)
+    raster = shrink(shrink(v, HEATMAP_CELLS, 0), HEATMAP_CELLS, 1)
     top = raster.max()
     norm = raster / top if top > 0 else np.zeros_like(raster)
     rgb = _colormap(norm)

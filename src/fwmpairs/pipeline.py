@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import (CountEntry, FiberSpec, GaussianLobe, ModeSuperposition,
-                     PipelineConfig, SpectralWindow)
+                     PipelineConfig, SpectralGrid, SpectralWindow)
 from .dispersion import check_few_mode
 from .errors import DomainError, GridFormatError, NumericError, PhaseMatchError
 from .estimation import (lobe_amplitudes, model_amplitudes, process_weights,
@@ -67,7 +67,7 @@ class Runner:
     flags set; ``config_sha256`` covers the config alone."""
 
     def __init__(self, cfg: PipelineConfig, command: str,
-                 out_dir: str | Path, seed: int, threads: int = 1):
+                 out_dir: str | Path, seed: int, threads: int):
         self.cfg = cfg
         self.command = command
         self.seed = seed
@@ -489,7 +489,7 @@ def cmd_render(runner: Runner, input_csv: Path,
 
 MODE_IMAGE_STATES = ("g", "e", "o", "d", "a", "r", "l")
 # default wavelength of the mode images, mid-band of the default idler axis
-MODES_WAVELENGTH_NM = 571.5
+MODES_WAVELENGTH_NM = sum(SpectralGrid().lambda_i_nm) / 2
 
 
 def cmd_modes(runner: Runner, wavelength_nm: float | None = None) -> list:

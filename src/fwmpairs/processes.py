@@ -203,27 +203,30 @@ def delta_k_vec(process: FwmProcess, lam_s_um, lam_i_um, fiber,
         process, axis_swapped)
 
 
+# Step of the idler scan that brackets each channel's zero of delta_k
+SCAN_STEP_NM = 0.01
+
+
 def _energy_partner_nm(lam_p_nm: float, lam_i_nm):
     """Signal wavelength paired with lam_i on the degenerate surface."""
     return 1.0 / (2.0 / lam_p_nm - 1.0 / np.asarray(lam_i_nm, dtype=float))
 
 
 def phasematched_centers(processes, fiber, lam_p_nm: float,
-                         band_i_nm: tuple = (540.0, 580.0),
-                         scan_step_nm: float = 0.01) -> dict:
+                         band_i_nm: tuple) -> dict:
     """Locate, per channel, the (lam_s, lam_i) pair in nm where delta_k
     crosses zero.
 
     All channels share one scan of the idler band (one BaseIndexCache,
     with per-channel birefringence overlays).  Each channel takes the
     first scan point where delta_k is exactly zero or else the first
-    bracketing interval.  Each bracket is cut into the dyadic parts, at
-    most 1e-5 nm wide, that bisecting it would reach (1 024 parts of the
-    default 0.01 nm step), delta_k is evaluated at all their ends of all
-    brackets in one index solve, and the channel takes the midpoint of
-    its first part across which delta_k leaves the sign of the bracket's
-    low end: the point a bisection returns when the bracket holds one
-    zero.  A returned pair satisfies the energy constraint
+    bracketing interval of the ``SCAN_STEP_NM`` scan.  Each bracket is cut
+    into the dyadic parts, at most 1e-5 nm wide, that bisecting it would
+    reach (1 024 parts of a 0.01 nm step), delta_k is evaluated at all
+    their ends of all brackets in one index solve, and the channel takes
+    the midpoint of its first part across which delta_k leaves the sign
+    of the bracket's low end: the point a bisection returns when the
+    bracket holds one zero.  A returned pair satisfies the energy constraint
     2/lam_p = 1/lam_s + 1/lam_i exactly.
 
     Returns {label: (lam_s, lam_i)} with a PhaseMatchError (carrying the
@@ -231,7 +234,7 @@ def phasematched_centers(processes, fiber, lam_p_nm: float,
     change in the band.
     """
     lo_nm, hi_nm = band_i_nm
-    grid_i = np.arange(lo_nm, hi_nm + 0.5 * scan_step_nm, scan_step_nm)
+    grid_i = np.arange(lo_nm, hi_nm + 0.5 * SCAN_STEP_NM, SCAN_STEP_NM)
     grid_s = _energy_partner_nm(lam_p_nm, grid_i)
     scan = BaseIndexCache(fiber, grid_s / 1000.0, grid_i / 1000.0)
     out = {}
@@ -283,18 +286,16 @@ def phasematched_centers(processes, fiber, lam_p_nm: float,
 
 
 # No caller in the package: kept because perfbench/tracer.py LAYERS wraps it.
-def phasematched_center(process: FwmProcess, fiber,
-                        lam_p_nm: float,
-                        band_i_nm: tuple = (540.0, 580.0),
-                        scan_step_nm: float = 0.01) -> tuple:
+def phasematched_center(process: FwmProcess, fiber, lam_p_nm: float,
+                        band_i_nm: tuple) -> tuple:
     """(lam_s, lam_i) in nm where delta_k of one channel crosses zero;
     see ``phasematched_centers``.
 
     Raises PhaseMatchError (with the scanned extrema) when no sign
     change exists in the band.
     """
-    center = phasematched_centers([process], fiber, lam_p_nm, band_i_nm,
-                                  scan_step_nm)[process.label]
+    center = phasematched_centers([process], fiber, lam_p_nm,
+                                  band_i_nm)[process.label]
     if isinstance(center, PhaseMatchError):
         raise center
     return center

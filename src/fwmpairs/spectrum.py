@@ -71,7 +71,7 @@ _JSA_BLOCK = 8192
 
 
 def jsa_grid(processes, fiber: FiberSpec, pump: PumpSpec, weights: dict,
-             grid: SpectralGrid | None = None) -> JsiGrid:
+             grid: SpectralGrid) -> JsiGrid:
     """Combined intensity of the weighted per-process JSAs on a grid.
 
     ``weights`` maps process labels to complex coefficients c_j; any
@@ -86,8 +86,6 @@ def jsa_grid(processes, fiber: FiberSpec, pump: PumpSpec, weights: dict,
     """
     if not processes:
         raise DomainError("jsa_grid needs at least one process")
-    if grid is None:
-        grid = SpectralGrid()
     ls, li = grid.axes()
     groups = {}
     for proc in processes:
@@ -560,6 +558,14 @@ def fit_lobes(lam_s_axis, lam_i_axis, intensity, n_lobes: int) -> LobeFit:
     Positivity: amplitudes and sigmas are fitted as logarithms, so every
     returned amplitude and sigma is positive and finite.
 
+    Scale: the fit runs on the grid divided by the power of two that
+    brings its maximum into [0.5, 1), so no cost or stopping test
+    overflows or underflows; the amplitudes and ``residual_norm`` are
+    scaled back.  The centers, sigmas, orientations and R^2 do not depend
+    on the intensity scale; a failed fit reports the residual norm of the
+    scaled grid, and a fit whose amplitudes or residual norm pass the
+    float range once scaled back raises.
+
     Deterministic given the same input; lobes are returned in ascending
     idler center.  Raises on ``n_lobes`` below 1, a zero grid, fewer nodes
     than parameters, or fewer positive maxima than lobes left to seed.
@@ -578,6 +584,9 @@ def fit_lobes(lam_s_axis, lam_i_axis, intensity, n_lobes: int) -> LobeFit:
     if intensity.size < 6 * n_lobes:
         raise DomainError(f"{intensity.size} grid nodes are too few to fit "
                           f"{n_lobes} lobes of 6 parameters each")
+    peak = float(np.max(intensity))
+    scale = int(np.frexp(peak)[1])
+    intensity = np.ldexp(intensity, -scale)
     ls = np.asarray(lam_s_axis, dtype=float)
     li = np.asarray(lam_i_axis, dtype=float)
     xs = ls[:, None]
@@ -632,13 +641,22 @@ def fit_lobes(lam_s_axis, lam_i_axis, intensity, n_lobes: int) -> LobeFit:
         lobes.append(GaussianLobe(
             center_s_nm=float(x0), center_i_nm=float(y0),
             sigma_major_nm=float(sa), sigma_minor_nm=float(sb),
-            orientation_rad=float(th), amplitude=float(amp),
-            r_squared=r2))
+            orientation_rad=float(th), amplitude=float(amp), r_squared=r2))
     lobes.sort(key=lambda lb: lb.center_i_nm)
     r2_global = 1.0 - float((res_grid**2).sum()) / denom_total \
         if denom_total > 0 else float("nan")
-    return LobeFit(lobes=lobes,
-                   residual_norm=float(np.linalg.norm(res_grid)),
+    # back at the grid's own scale, which the largest of them may pass
+    # near the top of the float range
+    with np.errstate(over="ignore"):
+        residual_norm = float(np.ldexp(np.linalg.norm(res_grid), scale))
+        for lobe in lobes:
+            lobe.amplitude = float(np.ldexp(lobe.amplitude, scale))
+    if not np.all(np.isfinite([residual_norm,
+                               *(lobe.amplitude for lobe in lobes)])):
+        raise NumericError(f"lobe fit: an amplitude or the residual norm "
+                           f"passes the float range on a grid of maximum "
+                           f"{peak!r}")
+    return LobeFit(lobes=lobes, residual_norm=residual_norm,
                    r_squared=r2_global, iterations=int(nfev))
 
 

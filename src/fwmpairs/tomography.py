@@ -409,8 +409,8 @@ class BootstrapResult:
     seed: int
 
 
-def bootstrap_metrics(record: CountRecord, n_samples: int = 100,
-                      seed: int = 0) -> BootstrapResult:
+def bootstrap_metrics(record: CountRecord, n_samples: int,
+                      seed: int) -> BootstrapResult:
     """Poisson-resample the counts, reconstruct every sample in one
     batched solve and report mean and standard deviation of the
     entanglement metrics.

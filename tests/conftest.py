@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from fwmpairs.config import FiberSpec, PumpSpec
+from fwmpairs.config import FiberSpec, PipelineConfig, PumpSpec
 from fwmpairs.fields import normalize_overlaps, process_overlap
 from fwmpairs.processes import enumerate_processes, phasematched_center
+
+# the config's default band of the phase-matched idler centers
+BAND_I_NM = PipelineConfig.parse({}).center_band_nm
 
 # measured lobe centers (lambda_s, lambda_i) in nm used as references
 MEASURED_CENTERS = {
@@ -31,7 +34,7 @@ def processes_eo():
 
 @pytest.fixture(scope="session")
 def centers(fiber, processes_eo):
-    return {p.label: phasematched_center(p, fiber, 620.0)
+    return {p.label: phasematched_center(p, fiber, 620.0, BAND_I_NM)
             for p in processes_eo}
 
 

@@ -20,7 +20,8 @@ import numpy as np
 from fwmpairs import dispersion, spectrum
 from fwmpairs.config import GaussianLobe
 from fwmpairs.errors import NumericError, PhaseMatchError
-from fwmpairs.processes import BaseIndexCache, _energy_partner_nm
+from fwmpairs.processes import (SCAN_STEP_NM, BaseIndexCache,
+                                _energy_partner_nm)
 
 
 # ---------------------------------------------------------------------------
@@ -71,13 +72,12 @@ def bisect_n_eff(fiber, lam, azimuthal, width=1e-13):
 # ---------------------------------------------------------------------------
 # the phase-matched centers
 
-def serial_centers(processes, fiber, lam_p_nm, band_i_nm=(540.0, 580.0),
-                   scan_step_nm=0.01):
+def serial_centers(processes, fiber, lam_p_nm, band_i_nm):
     """``processes.phasematched_centers`` with its brackets bisected
     together, one BaseIndexCache per halving, each bracket until it is
     at most 1e-5 nm wide."""
     lo_nm, hi_nm = band_i_nm
-    grid_i = np.arange(lo_nm, hi_nm + 0.5 * scan_step_nm, scan_step_nm)
+    grid_i = np.arange(lo_nm, hi_nm + 0.5 * SCAN_STEP_NM, SCAN_STEP_NM)
     grid_s = _energy_partner_nm(lam_p_nm, grid_i)
     scan = BaseIndexCache(fiber, grid_s / 1000.0, grid_i / 1000.0)
     out = {}

@@ -804,13 +804,25 @@ def test_deltas_flag_past_birefringence_bound_exit_code(tmp_path, config_path,
     assert not (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("command, radius, lam", [
-    ("overlaps", 1e9, "540 nm"), ("overlaps", 2.0, "540 nm"),
-    ("modes", 1e9, "571.5 nm")])
+NOT_FEW_MODE = "fiber is not few-mode: V = "
+NOT_GUIDED = "LP11 is not guided: V = "
+
+
+@pytest.mark.parametrize("command, radius, lam, message", [
+    # ids without the message, so the three few-mode cases keep theirs
+    pytest.param(*case, id="-".join(map(str, case[:3])))
+    for case in [("overlaps", 1e9, "540 nm", NOT_FEW_MODE),
+                 ("overlaps", 2.0, "540 nm", NOT_FEW_MODE),
+                 ("modes", 1e9, "571.5 nm", NOT_FEW_MODE),
+                 ("overlaps", 0.5, "700 nm", NOT_GUIDED),
+                 ("modes", 0.5, "571.5 nm", NOT_GUIDED),
+                 ("modes", 1e-12, "571.5 nm", NOT_GUIDED),
+                 ("modes", 5e-324, "571.5 nm", NOT_GUIDED)]])
 def test_fiber_beyond_few_mode_exit_code(tmp_path, capsys, command, radius,
-                                         lam):
+                                         lam, message):
     # V reaches 3.8317, where LP21 and LP02 are guided, at the shortest
-    # wavelength the command uses: the centre band's 540 nm for overlaps
+    # wavelength the command uses: the centre band's 540 nm for overlaps;
+    # LP11 is cut off where V is at most 2.4048, first at the longest
     config = tmp_path / "config.json"
     config.write_text(json.dumps(dict(
         BASE_CONFIG, fiber={"core_radius_um": radius})), encoding="utf-8")
@@ -820,10 +832,11 @@ def test_fiber_beyond_few_mode_exit_code(tmp_path, capsys, command, radius,
         code = run([command, "--config", config, "--out", out])
     err = capsys.readouterr().err
     assert code == 3, err
-    assert "fiber is not few-mode: V = " in err and f" at {lam} " in err
+    assert message in err and f" at {lam} " in err
     assert "Traceback" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert not (out / "manifest.json").exists()
+    # refused before any solve: no file written
+    assert not out.exists() or not list(out.iterdir())
 
 
 def test_grid_too_coarse_for_lobes_exit_code(tmp_path, capsys):

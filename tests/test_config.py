@@ -2,8 +2,11 @@
 and of the input documents checked in one converter, and every malformed
 number ending in exit code 2 (config) or 3 (document)."""
 
+import contextlib
 import copy
 import dataclasses
+import io
+import itertools
 import json
 import math
 import re
@@ -18,9 +21,11 @@ from hypothesis import strategies as st
 
 from fwmpairs.cli import main
 from fwmpairs.config import (MAX_BOOTSTRAP_SAMPLES, MAX_GRID_POINTS, SCHEMA,
-                             PipelineConfig, convert)
+                             FiberSpec, PipelineConfig, PumpSpec, SpectralGrid,
+                             SpectralWindow, TomographyConfig, convert)
 from fwmpairs.errors import ConfigError
 from fwmpairs.gridio import density_to_json, write_grid_csv, write_json
+from fwmpairs.pipeline import Simulation
 
 NAN, INF = float("nan"), float("inf")
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -99,6 +104,23 @@ PROBES = {
         "config.grid"),
     "n_samples_over_bound": ({"tomography": {"n_samples": 10**6}},
                              "overlaps", "config.tomography.n_samples"),
+    # the rules of one field, each a kind that names its key and value
+    "core_radius_zero": ({"fiber": {"core_radius_um": 0.0}}, "overlaps",
+                         "config.fiber.core_radius_um"),
+    "numerical_aperture_1_5": ({"fiber": {"numerical_aperture": 1.5}},
+                               "overlaps", "config.fiber.numerical_aperture"),
+    "delta_parity_negative": ({"fiber": {"delta_parity": -1e-4}},
+                              "overlaps", "config.fiber.delta_parity"),
+    "segments_empty": ({"fiber": {"segments": []}}, "overlaps",
+                       "config.fiber.segments"),
+    "pump_wavelength_zero": ({"pump": {"center_wavelength_nm": 0.0}},
+                             "overlaps", "config.pump.center_wavelength_nm"),
+    "pump_fwhm_negative": ({"pump": {"intensity_fwhm_nm": -1.0}},
+                           "overlaps", "config.pump.intensity_fwhm_nm"),
+    "points_s_one": ({"grid": {"points_s": 1}}, "simulate-jsi",
+                     "config.grid.points_s"),
+    "points_i_one": ({"grid": {"points_i": 1}}, "simulate-jsi",
+                     "config.grid.points_i"),
 }
 
 
@@ -166,7 +188,7 @@ CONFIG_RECORDS = {PipelineConfig} | {
 KEYS = [(cls, key) for cls, keys in SCHEMA.items() for key in keys
         if cls in CONFIG_RECORDS]
 BOUNDARY_VALUES = [0, -1, 0.5, NAN, INF, -INF, 1e308, 2**64, True, False,
-                   "", "d", None]
+                   "", "d", None, 5e-324, 1e-300]
 BOUNDARY = st.sampled_from(BOUNDARY_VALUES)
 VALUES = st.recursive(
     BOUNDARY,
@@ -204,6 +226,79 @@ def test_parse_gives_finite_config_or_config_error(key, value):
             if typ == "interval":
                 low, high = getattr(node, name)
                 assert low < high
+
+
+# the commands that read each config record, on a 21 x 21 grid
+SECTION_COMMANDS = {PipelineConfig: ("overlaps",),
+                    FiberSpec: ("overlaps", "modes"), PumpSpec: ("overlaps",),
+                    SpectralGrid: ("simulate-jsi",),
+                    SpectralWindow: ("estimate-rho",),
+                    TomographyConfig: ("qst-simulate",)}
+SMALL_GRID = {"points_s": 21, "points_i": 21}
+
+
+def assert_clean_run(argv, out, codes=(0, 2, 3, 4)):
+    """Run ``argv`` through ``cli.main``: an exit code in ``codes``, no
+    traceback, no RuntimeWarning and, on exit 0, no NaN or infinity in a
+    JSON, CSV or SVG output."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([str(a) for a in argv])
+    assert code in codes, (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if code == 0:
+        for output in out.iterdir():
+            text = output.read_text(encoding="utf-8", errors="replace")
+            if output.suffix == ".json":
+                assert _finite_values(json.loads(text)), output.name
+            elif output.suffix in (".csv", ".svg"):
+                assert not re.search(r"\b(nan|inf)\b", text,
+                                     re.I), output.name
+    return code
+
+
+def _leaf_paths(value, path=()):
+    if isinstance(value, (list, tuple)):
+        for k, item in enumerate(value):
+            yield from _leaf_paths(item, path + (k,))
+    else:
+        yield path
+
+
+def _key_values(cls, key, value):
+    """``value`` as the value of ``key``, and in place of each item of
+    the key's default array: an interval's ends, a segment's length and
+    its flag."""
+    yield value
+    default = WINDOW[key] if cls is SpectralWindow else getattr(cls(), key)
+    if isinstance(default, (list, tuple)):
+        default = json.loads(json.dumps(default))
+        for path in _leaf_paths(default):
+            yield _set(default, path, value)
+
+
+def test_config_boundary_values_through_every_reading_command(tmp_path):
+    rho = tmp_path / "rho.json"
+    write_json(rho, density_to_json(np.diag([0.5, 0.0, 0.0, 0.5])))
+    codes = []
+    for (cls, key), boundary in itertools.product(KEYS, BOUNDARY_VALUES):
+        for value in _key_values(cls, key, boundary):
+            doc = _nest(cls, key, value)
+            grid = doc.get("grid", {})
+            if isinstance(grid, dict):
+                doc["grid"] = dict(SMALL_GRID, **grid)
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(doc), encoding="utf-8")
+            for command in SECTION_COMMANDS[cls]:
+                out = tmp_path / f"out{len(codes)}"
+                extra = {"qst-simulate": ["--rho", rho]}.get(command, [])
+                codes.append(assert_clean_run(
+                    [command, "--config", config, "--out", out, *extra], out))
+    # the walk reaches every outcome: a finished run, a config error and
+    # a refused model
+    assert {0, 2, 3} <= set(codes)
 
 
 def test_nested_boundary_values_are_config_errors():
@@ -273,7 +368,7 @@ FIELDS = [("counts", ()), ("counts", ("n0",)), ("counts", ("records",)),
           ("density", ("matrix", 3, 0, 1)), ("density", ("matrix", 2, 2, 0)),
           ("lobes", ()), ("lobes", ("lobes",)), ("lobes", ("lobes", 1)),
           *(("lobes", ("lobes", 1, key)) for key in LOBE)]
-DOCUMENT_VALUES = st.sampled_from(BOUNDARY_VALUES + [5e-324, 2.0**53])
+DOCUMENT_VALUES = st.sampled_from(BOUNDARY_VALUES + [2.0**53])
 
 
 def _set(doc, path, value):
@@ -318,20 +413,69 @@ def test_document_boundary_values_exit_0_or_3(field, value, n_samples):
         out = tmp / "out"
         extra = {"render": ["--input", grid],
                  "compare": ["--rho-b", rho_b]}.get(command, [])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main([str(a) for a in [command, "--config", config,
-                                          "--out", out, flag, doc, *extra]])
-        assert code in (0, 3)
-        assert not [w for w in caught
-                    if issubclass(w.category, RuntimeWarning)]
-        if code == 0:
-            for output in out.iterdir():
-                text = output.read_text(encoding="utf-8", errors="replace")
-                if output.suffix == ".json":
-                    assert _finite_values(json.loads(text)), output.name
-                elif output.suffix == ".svg":
-                    assert not re.search(r"\b(nan|inf)\b", text), output.name
+        assert_clean_run([command, "--config", config, "--out", out, flag,
+                          doc, *extra], out, codes=(0, 3))
+
+
+# ---------------------------------------------------------------------------
+# malformed grid CSVs through render and fit-lobes
+
+
+def _grid_text(ls, li, values, newline="\n"):
+    rows = [["lambda_s\\lambda_i", *li]]
+    rows += [[s, *row] for s, row in zip(ls, values)]
+    return newline.join(",".join(map(str, row)) for row in rows) + newline
+
+
+def grid_csvs():
+    """Grid CSV contents by name: malformed ones, and the 41 x 41 model
+    JSI with CRLF line ends and scaled by 2^-1000 and 2^1000."""
+    jsi = Simulation(PipelineConfig.parse(
+        {"grid": {"points_s": 41, "points_i": 41}})).jsi()
+    axes = (jsi.lambda_s_axis.tolist(), jsi.lambda_i_axis.tolist())
+    ones = np.ones((2, 2)).tolist()
+    return {
+        "ragged": "h,567.0,576.0\n670.0,1.0\n700.0,1.0,1.0\n",
+        "non_numeric": "h,567.0,576.0\n670.0,1.0,x\n700.0,1.0,1.0\n",
+        "subnormal_axis": _grid_text([670.0, 700.0], [5e-324, 1e-323], ones),
+        "huge_axis": _grid_text([670.0, 700.0], [1e308, 1.7e308], ones),
+        "span_past_float_range": _grid_text([-1.7e308, 1.7e308],
+                                            [567.0, 576.0], ones),
+        "one_row": "h,567.0,576.0\n670.0,1.0,1.0\n",
+        "empty": "",
+        "non_utf8": b"h,567.0,576.0\n670.0,1.0,\xff\n700.0,1.0,1.0\n",
+        "jsi_crlf": _grid_text(*axes, jsi.combined.tolist(), "\r\n"),
+        "jsi": _grid_text(*axes, jsi.combined.tolist()),
+        **{f"jsi_2^{k}": _grid_text(*axes, np.ldexp(jsi.combined, k).tolist())
+           for k in (-1000, 1000)},
+    }
+
+
+def test_grid_csvs_through_render_and_fit_lobes(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"grid": {"points_s": 41, "points_i": 41}}),
+                      encoding="utf-8")
+    centers = {}
+    for name, content in grid_csvs().items():
+        path = tmp_path / f"{name}.csv"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8", newline="")
+        # the model JSI, however scaled, is a valid grid with four lobes
+        codes = (0,) if name.startswith("jsi") else (0, 2, 3, 4)
+        for command in ("render", "fit-lobes"):
+            out = tmp_path / f"{command}_{name}"
+            assert_clean_run([command, "--config", config, "--out", out,
+                              "--input", path], out, codes)
+        if name.startswith("jsi"):
+            doc = json.loads((out / "lobes.json").read_text(encoding="utf-8"))
+            centers[name] = [(lb["center_s_nm"], lb["center_i_nm"])
+                             for lb in doc["lobes"]]
+    # the fit does not depend on the intensity scale or the line ends
+    assert len(centers["jsi"]) == 4
+    for name in ("jsi_crlf", "jsi_2^-1000", "jsi_2^1000"):
+        assert centers[name] == centers["jsi"], name
 
 
 # ---------------------------------------------------------------------------

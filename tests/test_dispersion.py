@@ -153,18 +153,22 @@ def test_axis_swap_exchanges_roles(fiber):
 
 
 def test_fiber_spec_validation():
-    with pytest.raises(ConfigError):
-        FiberSpec(core_radius_um=-1.0)
-    with pytest.raises(ConfigError):
-        FiberSpec(numerical_aperture=1.5)
-    with pytest.raises(ConfigError):
-        FiberSpec(delta_parity=-1e-4)
-    with pytest.raises(ConfigError):
-        FiberSpec(segments=())
-    # a segment length is checked where the config is read
-    with pytest.raises(ConfigError, match=r"segments\[0\]\[0\]: must be in "
-                                          r"\(0, 1000\] m, got 0\.0"):
-        PipelineConfig.parse({"fiber": {"segments": [[0.0, False]]}})
+    # each rule is checked where the config is read, and names its key
+    # and the value
+    for key, value, message in [
+            ("core_radius_um", -1.0,
+             r"core_radius_um: must be > 0, got -1\.0"),
+            ("numerical_aperture", 1.5,
+             r"numerical_aperture: must be in \(0, 1\), got 1\.5"),
+            ("delta_parity", -1e-4, r"delta_parity: must be >= 0 \(odd LP11 "
+                                    r"is slower\), got -0\.0001"),
+            ("segments", [],
+             r"segments: must list at least one segment, got \[\]"),
+            ("segments", [[0.0, False]],
+             r"segments\[0\]\[0\]: must be in \(0, 1000\] m, got 0\.0")]:
+        with pytest.raises(ConfigError,
+                           match=r"^config\.fiber\." + message + "$"):
+            PipelineConfig.parse({"fiber": {key: value}})
 
 
 def test_ge_doped_core_anchors_na_at_reference(fiber):

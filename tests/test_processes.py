@@ -6,8 +6,9 @@ from fwmpairs.dispersion import birefringence_offset, lp_effective_index
 from fwmpairs.errors import DomainError, PhaseMatchError
 from fwmpairs.processes import (BaseIndexCache, FwmProcess, all_candidates,
                                 delta_k_vec, enumerate_processes,
-                                phasematched_center, phasematched_centers)
-from conftest import MEASURED_CENTERS
+                                SCAN_STEP_NM, phasematched_center,
+                                phasematched_centers)
+from conftest import BAND_I_NM, MEASURED_CENTERS
 
 CANONICAL = {
     "A": ("e", "o", "o", "e"),
@@ -140,8 +141,8 @@ def test_e_process_soft_location(centers):
 
 def test_centers_coincide_at_zero_dispersion():
     fiber0 = FiberSpec(delta_parity_dispersion=0.0)
-    b = phasematched_center(FwmProcess("o", "o", "o", "o"), fiber0, 620.0)
-    c = phasematched_center(FwmProcess("e", "e", "e", "e"), fiber0, 620.0)
+    b, c = (phasematched_center(FwmProcess(*modes), fiber0, 620.0, BAND_I_NM)
+            for modes in ("oooo", "eeee"))
     assert b[1] == pytest.approx(c[1], abs=2e-4)
     assert b[0] == pytest.approx(c[0], abs=2e-3)
 
@@ -150,8 +151,8 @@ def test_separation_monotone_in_dispersion():
     seps = []
     for delta in (0.0, 1.5e-5, 3.0e-5):
         f = FiberSpec(delta_parity_dispersion=delta)
-        b = phasematched_center(FwmProcess("o", "o", "o", "o"), f, 620.0)
-        c = phasematched_center(FwmProcess("e", "e", "e", "e"), f, 620.0)
+        b, c = (phasematched_center(FwmProcess(*modes), f, 620.0, BAND_I_NM)
+                for modes in ("oooo", "eeee"))
         seps.append(abs(c[1] - b[1]))
     assert seps[0] < seps[1] < seps[2]
 
@@ -249,11 +250,10 @@ def test_fundamental_mode_channels_have_no_delta_k(fiber):
 # ---------------------------------------------------------------------------
 # shared scan against the per-channel search it replaced
 
-def reference_center(process, fiber, lam_p_nm, band_i_nm,
-                     scan_step_nm=0.01):
+def reference_center(process, fiber, lam_p_nm, band_i_nm):
     """One channel's own scan and scalar bisection."""
     lo_nm, hi_nm = band_i_nm
-    grid_i = np.arange(lo_nm, hi_nm + 0.5 * scan_step_nm, scan_step_nm)
+    grid_i = np.arange(lo_nm, hi_nm + 0.5 * SCAN_STEP_NM, SCAN_STEP_NM)
     grid_s = 1.0 / (2.0 / lam_p_nm - 1.0 / grid_i)
     dk = delta_k_vec(process, grid_s / 1000.0, grid_i / 1000.0, fiber)
     sign = np.sign(dk)
@@ -293,11 +293,11 @@ def reference_center(process, fiber, lam_p_nm, band_i_nm,
 def test_shared_scan_matches_per_channel_search(processes_eo, layout, delta):
     fiber = FiberSpec(segments=LAYOUTS[layout].segments,
                       delta_parity_dispersion=delta)
-    got = phasematched_centers(processes_eo, fiber, 620.0)
+    got = phasematched_centers(processes_eo, fiber, 620.0, BAND_I_NM)
     assert list(got) == [p.label for p in processes_eo]
     for proc in processes_eo:
         assert got[proc.label] == reference_center(
-            proc, fiber, 620.0, (540.0, 580.0)), proc.label
+            proc, fiber, 620.0, BAND_I_NM), proc.label
 
 
 def test_shared_scan_reports_unmatched_channels_like_the_search(
@@ -334,9 +334,9 @@ def test_shared_scan_takes_the_first_of_several_crossings(
     monkeypatch.setattr(procmod, "lp_effective_index", rippled)
     grid_i = np.arange(540.0, 580.005, 0.01)
     grid_s = 1.0 / (2.0 / 620.0 - 1.0 / grid_i)
-    got = phasematched_centers(processes_eo, fiber, 620.0)
+    got = phasematched_centers(processes_eo, fiber, 620.0, BAND_I_NM)
     for proc in processes_eo:
         dk = delta_k_vec(proc, grid_s / 1000.0, grid_i / 1000.0, fiber)
         assert np.count_nonzero(np.diff(np.sign(dk))) >= 4, proc.label
         assert got[proc.label] == reference_center(
-            proc, fiber, 620.0, (540.0, 580.0)), proc.label
+            proc, fiber, 620.0, BAND_I_NM), proc.label

@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.constants import c as C_LIGHT
 
-from fwmpairs.config import FiberSpec, GaussianLobe, PumpSpec, SpectralGrid
+from fwmpairs.config import (FiberSpec, GaussianLobe, PipelineConfig,
+                             SpectralGrid)
 from fwmpairs.errors import ConfigError, DomainError, NumericError
 from fwmpairs.processes import BaseIndexCache, FwmProcess, enumerate_processes
 from fwmpairs.spectrum import (_JAC_BLOCK, _JSA_BLOCK, fit_lobes, jsa_grid,
@@ -73,8 +76,12 @@ def test_envelope_half_intensity_at_half_width(pump):
 
 
 def test_pump_spec_validation():
-    with pytest.raises(ConfigError):
-        PumpSpec(intensity_fwhm_nm=0.0)
+    # each rule is checked where the config is read, and names its key
+    # and the value
+    for key in ("intensity_fwhm_nm", "center_wavelength_nm"):
+        with pytest.raises(ConfigError, match=rf"^config\.pump\.{key}: "
+                                              r"must be > 0, got 0\.0$"):
+            PipelineConfig.parse({"pump": {key: 0.0}})
 
 
 def test_phase_matching_unity_at_center(fiber, centers):
@@ -126,7 +133,7 @@ def test_grid_axes_ascending_uniform(grid_default):
 
 def test_empty_process_list_rejected(fiber, pump):
     with pytest.raises(DomainError):
-        jsa_grid([], fiber, pump, {})
+        jsa_grid([], fiber, pump, {}, SpectralGrid())
 
 
 def channel_amplitudes(fiber, pump, grid, weights):
@@ -533,7 +540,6 @@ def benchmark_style_lobes(seed, centers, points=301):
 def test_levenberg_marquardt_matches_minpack(monkeypatch, centers, case):
     from fwmpairs import spectrum
     if case == "simulate-jsi":
-        from fwmpairs.config import PipelineConfig
         from fwmpairs.pipeline import Simulation
         jsi = Simulation(PipelineConfig.parse({})).jsi()
         ls, li, grid = jsi.lambda_s_axis, jsi.lambda_i_axis, jsi.combined
@@ -548,6 +554,36 @@ def test_levenberg_marquardt_matches_minpack(monkeypatch, centers, case):
         for name in ("sigma_major_nm", "sigma_minor_nm", "amplitude"):
             assert getattr(a, name) == pytest.approx(getattr(b, name),
                                                      rel=1e-6)
+
+
+@pytest.mark.parametrize("power", [-1000, 1000])
+def test_fit_does_not_depend_on_the_intensity_scale(centers, power):
+    # the stopping test overflowed from about 1e76 and underflowed below
+    # 1e-200: the fit stopped at its seeds or gave R^2 nan
+    ls, li, grid = benchmark_style_lobes(1, centers, points=121)
+    # cells that 2^-1000 takes to subnormals are rounded as it rounds
+    # them, so the grid holds exactly at both scales
+    grid = np.ldexp(np.ldexp(grid, -1000), 1000)
+    want = fit_lobes(ls, li, grid, 4)
+    got = fit_lobes(ls, li, np.ldexp(grid, power), 4)
+    assert got.r_squared == want.r_squared
+    assert got.residual_norm == np.ldexp(want.residual_norm, power)
+    for a, b in zip(got.lobes, want.lobes):
+        assert a.amplitude == np.ldexp(b.amplitude, power)
+        for name in ("center_s_nm", "center_i_nm", "sigma_major_nm",
+                     "sigma_minor_nm", "orientation_rad", "r_squared"):
+            assert getattr(a, name) == getattr(b, name), name
+
+
+def test_fit_past_the_float_range_raises(centers):
+    # noisy lobes whose maximum is within a factor 2 of the largest
+    # float: the residual norm, about that maximum times 1.2, overflows
+    ls, li, grid = benchmark_style_lobes(1, centers, points=121)
+    grid = np.ldexp(grid, 1024 - np.frexp(grid.max())[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="passes the float range"):
+            fit_lobes(ls, li, grid, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +635,6 @@ def assert_matches_full_grid(ls, li, grid, n, nodes):
 def test_supported_fit_matches_the_full_grid(joint_fit_nodes, centers,
                                              case):
     if case == "simulate-jsi":
-        from fwmpairs.config import PipelineConfig
         from fwmpairs.pipeline import Simulation
         jsi = Simulation(PipelineConfig.parse({})).jsi()
         ls, li, grid = jsi.lambda_s_axis, jsi.lambda_i_axis, jsi.combined
@@ -629,7 +664,6 @@ def test_fit_leaving_its_own_nodes_matches_the_full_grid(joint_fit_nodes,
     # on the cross-spliced JSI a lobe moves off its peeled place, so the
     # joint fit goes on with every lobe on all the joint nodes
     from fwmpairs import spectrum
-    from fwmpairs.config import PipelineConfig
     from fwmpairs.pipeline import Simulation
     tests = []
     stays = spectrum._stays
