@@ -12,12 +12,16 @@ single-photon states {e, o, d, a, r, l} (three mutually unbiased bases)
 on signal and idler.  Reconstruction maximizes the Poisson
 log-likelihood over a stack of count records by log-barrier path
 following: damped Newton steps on the 15 real parameters of a 4 x 4
-density matrix, each step one batched linear solve.  Every iterate is
-positive definite, and a record stops only where the KKT conditions
+density matrix, each step one batched linear solve, with the barrier
+weight cut a hundredfold at each loosely centred point.  Every iterate
+is positive definite, and a record stops only where the KKT conditions
 R rho = rho and R <= I (Hradil, PRA 55, R1561, 1997) both hold within
-their bounds, or at the step cap.  The bootstrap solves all of its
-resamples in one such stack and scores them with one ``metrics_block``
-call.
+their bounds, or at the step cap.  Each contraction over projectors or
+generators is a matmul over a stack of one-row matrices, (B, 1, n) @
+(n, m), which runs the same kernel on every record whatever B is: a
+record's result does not depend on its batch, bitwise.  The bootstrap
+solves all of its resamples in one such stack and scores them with one
+``metrics_block`` call.
 """
 
 from __future__ import annotations
@@ -188,8 +192,9 @@ KKT_TOL = 1e-8
 DUAL_TOL = 1e-6
 MAX_ITER = 500
 _TAU_START = 0.1     # first barrier weight
+_TAU_CUT = 0.01      # factor on tau at each centred point
 _TAU_MIN = 1e-10     # barrier weight floor
-_CENTRE_TOL = 1e-8   # centred once the Newton decrement is below this * tau
+_CENTRE_TOL = 1e-2   # centred once the Newton decrement is below this * tau
 _ARMIJO = 0.25       # sufficient increase of a backtracked step
 
 
@@ -222,7 +227,7 @@ def _operators():
 
 def _probabilities(rho: np.ndarray, pconj: np.ndarray) -> np.ndarray:
     """tr(Pi_k rho) for a stack of states, shape (B, 36)."""
-    return (rho.reshape(-1, 1, 16) * pconj).sum(axis=2).real
+    return (rho.reshape(-1, 1, 16) @ pconj.T)[:, 0].real
 
 
 def _log_likelihood(p: np.ndarray, counts: np.ndarray,
@@ -245,7 +250,7 @@ def _kkt(rho: np.ndarray, counts: np.ndarray):
     p = _probabilities(rho, pflat.conj())
     total = counts.sum(axis=1)
     ratio = counts / np.where(counts > 0, p, 1.0) / total[:, None]
-    r_op = (ratio[:, :, None] * pflat).sum(axis=1).reshape(-1, 4, 4)
+    r_op = (ratio[:, None, :] @ pflat).reshape(-1, 4, 4)
     residual = np.linalg.norm(r_op @ rho - rho, axis=(1, 2))
     excess = np.linalg.eigvalsh(r_op)[:, -1] - 1.0
     return (residual, total * np.maximum(excess, 0.0),
@@ -289,12 +294,17 @@ def _solve(counts: np.ndarray, n0: np.ndarray,
     Newton steps (Boyd & Vandenberghe, Convex Optimization, 2004, ch. 11).
     A step backtracks on the change of f, computed directly as
     sum_k w_k log1p(dp_k / p_k) + tau log det(I + rho^-1 d rho).  Each
-    record starts at I/4 with tau = 0.1; once its decrement g.d / tau is
-    below _CENTRE_TOL it is centred, and there R = (1 + 4 tau) I -
-    tau rho^-1 up to the centring error, so ||R rho - rho||_F <= ~3.5 tau
-    and lambda_max(R) <= 1 + 4 tau.  A centred record stops if both KKT
-    conditions hold (``_kkt``) and otherwise cuts tau tenfold, down to
-    _TAU_MIN; a record also stops after MAX_ITER steps.  Every operation
+    record starts at I/4 with tau = _TAU_START; once its decrement
+    g.d / tau is below _CENTRE_TOL it is centred.  On the central path
+    R = (1 + 4 tau) I - tau rho^-1, so ||R rho - rho||_F <= ~3.5 tau and
+    lambda_max(R) <= 1 + 4 tau, and a centred point lies near it.  A
+    centred record stops if both KKT conditions hold (``_kkt``) and
+    otherwise multiplies tau by _TAU_CUT, down to _TAU_MIN; a record also
+    stops after MAX_ITER steps.  The stop checks the certificate itself,
+    so how closely the path is followed sets only the cost: a larger cut
+    means fewer centrings and more Newton steps in each (Boyd &
+    Vandenberghe, section 11.3), and _TAU_CUT and _CENTRE_TOL were
+    chosen together from a measured sweep (README).  Every operation
     acts on each record alone, so a record's result does not depend on
     the rest of the batch.
 
@@ -320,9 +330,8 @@ def _solve(counts: np.ndarray, n0: np.ndarray,
     tau = np.full(n_rec, _TAU_START)
     it = 0
     while live.size:
-        rho = (np.eye(4) / 4.0
-               + (x[:, :, None] * gflat).sum(axis=1).reshape(-1, 4, 4))
-        p = 0.25 + (amat @ x[:, :, None])[:, :, 0]
+        rho = np.eye(4) / 4.0 + (x[:, None, :] @ gflat).reshape(-1, 4, 4)
+        p = 0.25 + (x[:, None, :] @ amat.T)[:, 0]
         ll = _log_likelihood(p, counts, n0)
         if it == 0 and ll_trace is not None:
             ll_trace.append(ll.copy())
@@ -333,7 +342,7 @@ def _solve(counts: np.ndarray, n0: np.ndarray,
                 * white.transpose(0, 2, 1)[:, None, :, None, :])
         m = gflat @ kron.reshape(-1, 16, 16).transpose(0, 2, 1)
         wp = weights / p
-        g_ll = (wp[:, :, None] * amat).sum(axis=1)
+        g_ll = (wp[:, None, :] @ amat)[:, 0]
         g_bar = m[:, :, ::5].real.sum(axis=2)  # tr(rho^-1 G_a)
         h_ll = amat.T @ (wp[:, :, None] / p[:, :, None] * amat)
         h_bar = (m @ m.conj().transpose(0, 2, 1)).real
@@ -346,29 +355,37 @@ def _solve(counts: np.ndarray, n0: np.ndarray,
 
         d, dec = newton(tau)
         centred = dec < _CENTRE_TOL * tau
-        stop = np.zeros(live.size, dtype=bool)
+        # the certificate of this pass's rho, filled where it is evaluated
+        res, gap = np.empty(live.size), np.empty(live.size)
+        conv = np.zeros(live.size, dtype=bool)
         if centred.any():
             if ll_trace is not None:
                 ll_trace.append(ll[centred])
-            stop[centred] = _kkt(rho[centred], counts[centred])[2]
-            cut = centred & ~stop & (tau > _TAU_MIN)
+            res[centred], gap[centred], conv[centred] = _kkt(
+                rho[centred], counts[centred])
+            cut = centred & ~conv & (tau > _TAU_MIN)
             if cut.any():
-                tau = np.where(cut, np.maximum(tau * 0.1, _TAU_MIN), tau)
+                tau = np.where(cut, np.maximum(tau * _TAU_CUT, _TAU_MIN), tau)
                 d, dec = newton(tau)
-        stop |= it >= MAX_ITER
+        stop = conv | (it >= MAX_ITER)
+        # only records stopped by the cap lack a certificate here
+        fresh = stop & ~centred
+        if fresh.any():
+            res[fresh], gap[fresh], conv[fresh] = _kkt(
+                rho[fresh], counts[fresh])
         if stop.any():
             done = live[stop]
             out_rho[done], out_ll[done], out_steps[done] = \
                 rho[stop], ll[stop], it
-            out_res[done], out_gap[done], out_conv[done] = _kkt(
-                rho[stop], counts[stop])
+            out_res[done], out_gap[done], out_conv[done] = \
+                res[stop], gap[stop], conv[stop]
             keep = ~stop
             live, x, tau, counts, n0, weights = (
                 live[keep], x[keep], tau[keep], counts[keep], n0[keep],
                 weights[keep])
             p, m, d, dec = p[keep], m[keep], d[keep], dec[keep]
         if live.size:
-            dp = (amat @ d[:, :, None])[:, :, 0] / p
+            dp = (d[:, None, :] @ amat.T)[:, 0] / p
             mu = np.linalg.eigvalsh((d[:, None, :] @ m).reshape(-1, 4, 4))
             x += _step_length(dp, mu, weights, tau, dec)[:, None] * d
         it += 1

@@ -14,6 +14,13 @@ fit takes about 2 300 model evaluations on either path, some 16 s.  On
 the smaller grid a lobe leaves its own nodes during the joint fit, so
 the run also covers the fit's switch to every lobe on all the joint
 nodes.
+
+The barrier MLE's schedule is held to the one it replaced (a tenfold
+cut of tau at centred points that are centred to 1e-8) through the KKT
+certificate: on the tomography tests' records and on a seeded record of
+the cross-spliced fiber's 1 nm state with its bootstrap, both schedules
+must return log-likelihoods within their dual gaps and metrics within
+the bound those gaps imply.
 """
 
 from collections import OrderedDict
@@ -22,11 +29,13 @@ import numpy as np
 import pytest
 
 import references
-from fwmpairs import dispersion, pipeline
+from fwmpairs import dispersion, pipeline, tomography
 from fwmpairs.config import FiberSpec, PipelineConfig, SpectralWindow
 from fwmpairs.estimation import trace_spectral
 from fwmpairs.fields import normalize_overlaps, process_overlap
-from fwmpairs.tomography import metrics_block
+from fwmpairs.tomography import (bootstrap_metrics, expected_counts,
+                                 metrics_block, sample_counts)
+from test_tomography import kkt_records
 
 # fiber, and the grid points per axis of its JSI
 FIBERS = {"10cm": (FiberSpec(), 301),
@@ -56,6 +65,16 @@ OVERLAP_REL = 1e-7
 METRICS_ABS = 1e-5
 
 
+def window_state(sim, width):
+    """The two-photon state of a ``width`` nm window about the B-C
+    intersection."""
+    (bs, bi), (cs, ci) = sim.centers["B"], sim.centers["C"]
+    mid_s, mid_i = 0.5 * (bs + cs), 0.5 * (bi + ci)
+    window = SpectralWindow((mid_s - width / 2, mid_s + width / 2),
+                            (mid_i - width / 2, mid_i + width / 2))
+    return trace_spectral(sim.amplitudes(), sim.matched, window)
+
+
 def outputs(fiber, points):
     """The compared quantities of one fiber, from a cold index table,
     with its JSI on ``points`` x ``points`` nodes."""
@@ -68,14 +87,8 @@ def outputs(fiber, points):
     jsi = sim.jsi()
     fit = pipeline._fit_in_band_lobes(sim, jsi.lambda_s_axis,
                                       jsi.lambda_i_axis, jsi.combined)
-    (bs, bi), (cs, ci) = sim.centers["B"], sim.centers["C"]
-    mid_s, mid_i = 0.5 * (bs + cs), 0.5 * (bi + ci)
-    metrics = {}
-    for width in (1.0, 8.0):
-        window = SpectralWindow((mid_s - width / 2, mid_s + width / 2),
-                                (mid_i - width / 2, mid_i + width / 2))
-        metrics[width] = metrics_block(
-            trace_spectral(sim.amplitudes(), sim.matched, window))
+    metrics = {width: metrics_block(window_state(sim, width))
+               for width in (1.0, 8.0)}
     return {
         "overlaps": {k: abs(v) ** 2
                      for k, v in normalize_overlaps(raw).items()},
@@ -113,3 +126,119 @@ def test_fast_paths_match_the_references_end_to_end(monkeypatch, name):
         for key, value in metrics.items():
             assert abs(fast["metrics"][width][key] - value) <= METRICS_ABS, \
                 (width, key)
+
+
+# ---------------------------------------------------------------------------
+# the barrier MLE's schedule against the one it replaced
+
+
+def reference_schedule(patch):
+    patch.setattr(tomography, "_TAU_CUT", 0.1)
+    patch.setattr(tomography, "_CENTRE_TOL", 1e-8)
+
+
+def metric_bounds(counts, gap_a, gap_b):
+    """How far apart the metrics of two states of each record can be
+    when each state's log-likelihood is certified within its dual gap of
+    the maximum.
+
+    Along any segment of physical states p_k <= 1, so the likelihood
+    sum_k c_k log p_k has curvature at most -x^T A^T diag(c) A x in the
+    Frobenius coordinates x of rho.  The maximizer rho* is optimal over
+    the segment to rho, so the first-order term is <= 0 and
+    ll* - ll(rho) >= lam |rho - rho*|_F^2 / 2, with lam the smallest
+    eigenvalue of A^T diag(c) A.  So |rho_a - rho_b|_F <= delta =
+    sqrt(2 / lam) (sqrt(gap_a) + sqrt(gap_b)).  Then
+    - Bell fidelity moves by at most |rho_a - rho_b|_op <= delta, its
+      square root by at most sqrt(delta);
+    - purity, tr((rho_a + rho_b)(rho_a - rho_b)), by at most 2 delta;
+    - concurrence by at most 4 sqrt(2 delta).  It moves by at most the
+      summed change of its lambda_i, the singular values of
+      T = sqrt(rho)^T S sqrt(rho) (S = sigma_y x sigma_y), and that sum
+      is at most 2 |T_a - T_b|_F (Mirsky, four values).  Every factor
+      has operator norm <= 1, so |T_a - T_b|_F <= 2 |sqrt(rho_a) -
+      sqrt(rho_b)|_F, and |sqrt(rho_a) - sqrt(rho_b)|_F^2 <=
+      |rho_a - rho_b|_1 <= 2 delta (Powers-Stormer; the trace norm of a
+      4 x 4 matrix is at most twice its Frobenius norm).
+    The concurrence bound is loose, since it goes through the square
+    root; the log-likelihoods carry the tight comparison.
+    """
+    amat = tomography._operators()[0]
+    lam = np.linalg.eigvalsh(amat.T @ (counts[:, :, None] * amat))[:, 0]
+    delta = np.sqrt(2.0 / lam) * (np.sqrt(gap_a) + np.sqrt(gap_b))
+    return {"concurrence": 4.0 * np.sqrt(2.0 * delta),
+            "bell_fidelity": delta,
+            "bell_fidelity_unsquared": np.sqrt(delta),
+            "purity": 2.0 * delta}
+
+
+def assert_within_certificate(counts, new, ref):
+    """``new`` and ``ref`` are ``_solve`` outputs for ``counts``."""
+    (rho, ll, *_, gap, conv), (rho_ref, ll_ref, *_, gap_ref, conv_ref) = \
+        new, ref
+    assert np.all(conv) and np.all(conv_ref)
+    # ll <= ll* <= ll + gap for each, so they differ by at most the larger
+    assert np.all(np.abs(ll - ll_ref) <= np.maximum(gap, gap_ref))
+    bounds = metric_bounds(counts, gap, gap_ref)
+    got, want = metrics_block(rho), metrics_block(rho_ref)
+    for key, bound in bounds.items():
+        assert np.all(np.abs(got[key] - want[key]) <= bound), key
+    return bounds
+
+
+def test_mle_schedule_matches_the_reference_within_the_certificate(
+        monkeypatch):
+    records = kkt_records()
+    counts = np.array([r.counts for r in records])
+    n0 = np.array([r.n0 for r in records])
+    new = tomography._solve(counts, n0)
+    with monkeypatch.context() as patch:
+        reference_schedule(patch)
+        ref = tomography._solve(counts, n0)
+    assert_within_certificate(counts, new, ref)
+
+
+def solved_qst(monkeypatch, record, reference):
+    """The ``_solve`` counts and outputs of the MLE and of a 34-resample
+    bootstrap of ``record``, and the bootstrap result, under the
+    reference schedule or the package's."""
+    solve, solved = tomography._solve, []
+
+    def keep(counts, *args):
+        solved.append((counts, solve(counts, *args)))
+        return solved[-1][1]
+
+    with monkeypatch.context() as patch:
+        if reference:
+            reference_schedule(patch)
+        patch.setattr(tomography, "_solve", keep)
+        tomography.mle_reconstruct(record)
+        boot = bootstrap_metrics(record, n_samples=34, seed=4242)
+    return solved, boot
+
+
+def test_qst_of_the_1nm_state_matches_the_reference_schedule(monkeypatch):
+    # a seeded record of the cross-spliced fiber's 1 nm state (purity
+    # 0.975, on the rank boundary) at the config's n0, with the
+    # benchmark's 34 resamples
+    cfg = PipelineConfig.parse({})
+    sim = pipeline.Simulation(cfg, fiber=FIBERS["15+15mm_cross"][0])
+    n0 = cfg.tomography.counts_scale
+    record = sample_counts(expected_counts(window_state(sim, 1.0), n0),
+                           seed=4242, n0=n0)
+    (mle, resampled), boot = solved_qst(monkeypatch, record, False)
+    (mle_ref, resampled_ref), boot_ref = solved_qst(monkeypatch, record,
+                                                    True)
+    assert np.array_equal(resampled[0], resampled_ref[0])
+    assert_within_certificate(mle[0], mle[1], mle_ref[1])
+    bounds = assert_within_certificate(resampled[0], resampled[1],
+                                       resampled_ref[1])
+    assert boot.unconverged == boot_ref.unconverged == 0
+    # |mean(a) - mean(b)| <= mean |a_i - b_i|, and centring is a
+    # projection, so |std(a) - std(b)| <= |a - b|_2 / sqrt(n - 1)
+    size = len(resampled[0])
+    for key in boot.means:
+        bound = bounds[key]
+        assert abs(boot.means[key] - boot_ref.means[key]) <= bound.mean()
+        assert (abs(boot.stds[key] - boot_ref.stds[key])
+                <= np.sqrt((bound ** 2).sum() / (size - 1)))

@@ -313,6 +313,34 @@ def test_batched_solve_matches_single_records():
         assert res.converged == converged[k]
 
 
+def test_batched_solve_is_bitwise_per_record_at_the_rank_boundary(
+        monkeypatch):
+    # the benchmark's regime: a near-pure state like its 1 nm window
+    # (eigenvalues 0.9875 and 0.0125, purity 0.975) at n0 = 1000, solved
+    # in one stack with its 34 bootstrap resamples
+    rho = 0.9875 * BELL + 0.0125 * np.diag([0, 1, 0, 0]).astype(complex)
+    rec = sample_counts(expected_counts(rho, 1000.0), seed=4242, n0=1000.0)
+    solve, stacks = tomography._solve, []
+
+    def keep_counts(counts, n0):
+        stacks.append(counts)
+        return solve(counts, n0)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tomography, "_solve", keep_counts)
+        bootstrap_metrics(rec, n_samples=34, seed=4242)
+    counts = np.r_[rec.counts[None, :], stacks[0]]
+    n0 = np.full(len(counts), rec.n0)
+    batch = tomography._solve(counts, n0)
+    assert np.all(batch[5])
+    for k in range(len(counts)):
+        single = tomography._solve(counts[k:k + 1], n0[k:k + 1])
+        for name, b, s in zip(("rho", "ll", "steps", "converged"),
+                              (batch[i] for i in (0, 1, 2, 5)),
+                              (single[i] for i in (0, 1, 2, 5))):
+            assert np.array_equal(b[k:k + 1], s), (k, name)
+
+
 def test_mle_reports_iteration_cap(monkeypatch):
     rates = expected_counts(0.7 * BELL + 0.3 * np.eye(4) / 4, 500.0)
     rec = CountRecord(counts=np.round(rates), n0=500.0)
