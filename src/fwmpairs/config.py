@@ -64,7 +64,6 @@ class ModeSuperposition:
     """Unit-norm complex superposition over the LP basis {g, e, o}."""
 
     amplitudes: dict
-    name: str = ""
 
     def __post_init__(self):
         amps = {k: complex(v) for k, v in self.amplitudes.items() if v != 0}
@@ -87,7 +86,7 @@ class ModeSuperposition:
                 f"unknown state name {name!r}; expected one of "
                 f"{sorted(NAMED_STATES)}"
             )
-        return cls(dict(NAMED_STATES[name]), name=name)
+        return cls(dict(NAMED_STATES[name]))
 
     def amplitude(self, mode: str) -> complex:
         return self.amplitudes.get(mode, 0j)

@@ -65,8 +65,6 @@ class FieldGrid:
 
     grid: GridSpec
     values: np.ndarray
-    wavelength_um: float
-    description: str = ""
 
     def power(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2) * self.grid.cell_area_um2)
@@ -135,8 +133,7 @@ def mode_field(fiber: FiberSpec, lam_um: float, state: ModeSuperposition,
         prof = _basis_profile(fiber, lam_um, mode, grid)
         norm = np.sqrt(np.sum(prof**2) * grid.cell_area_um2)
         total += amp * prof / norm
-    fg = FieldGrid(grid=grid, values=total, wavelength_um=lam_um,
-                   description=state.name or "superposition")
+    fg = FieldGrid(grid=grid, values=total)
     # basis modes are orthogonal on the symmetric grid, so the norm is
     # already 1 up to quadrature error; renormalize to pin it exactly
     fg.values = fg.values / np.sqrt(fg.power())

@@ -43,7 +43,7 @@ def _sanitize(obj):
     if isinstance(obj, np.ndarray):
         return _sanitize(obj.tolist())
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return _sanitize([obj.real, obj.imag])
     return obj
 
 

@@ -31,7 +31,8 @@ from .fields import (default_grid, intensity_image, normalize_overlaps,
 from .gridio import (density_to_json, load_density, load_grid_csv,
                      read_document, render_svg_heatmap, sha256_file,
                      write_grid_csv, write_json, write_pgm)
-from .processes import enumerate_processes, phasematched_centers
+from .processes import (_energy_partner_nm, enumerate_processes,
+                        phasematched_centers)
 from .spectrum import fit_lobes, jsa_grid
 from .tomography import (PROJECTOR_NAMES, CountRecord, bootstrap_metrics,
                          expected_counts, fidelity, metrics_block,
@@ -131,17 +132,21 @@ class Simulation:
         self.cfg = cfg
         self.fiber = fiber if fiber is not None else cfg.fiber
         self.pump = cfg.pump
+        lam_p = cfg.pump.center_wavelength_nm
         check_few_mode(self.fiber, np.array([
-            cfg.pump.center_wavelength_nm, *cfg.center_band_nm,
+            lam_p, *cfg.center_band_nm,
             *cfg.grid.lambda_s_nm, *cfg.grid.lambda_i_nm,
             *(lam for w in cfg.windows
               for lam in (*w.lambda_s_nm, *w.lambda_i_nm))]) / 1000.0)
+        # the scan's signal wavelengths: past the check above no band end
+        # lies at lam_p / 2, where its energy partner diverges
+        check_few_mode(self.fiber,
+                       _energy_partner_nm(lam_p, cfg.center_band_nm) / 1000.0)
         self.processes = enumerate_processes(TWO_MODE_SET)
         self.centers = {}
         self.unmatched = {}
-        found = phasematched_centers(
-            self.processes, self.fiber, self.pump.center_wavelength_nm,
-            band_i_nm=cfg.center_band_nm)
+        found = phasematched_centers(self.processes, self.fiber, lam_p,
+                                     band_i_nm=cfg.center_band_nm)
         for label, center in found.items():
             if isinstance(center, PhaseMatchError):
                 self.unmatched[label] = str(center)
@@ -150,8 +155,7 @@ class Simulation:
         if not self.centers:
             raise NumericError("no process is phase matched in the band")
         self.matched = [p for p in self.processes if p.label in self.centers]
-        raw = {p.label: process_overlap(self.fiber, p,
-                                        self.pump.center_wavelength_nm,
+        raw = {p.label: process_overlap(self.fiber, p, lam_p,
                                         self.centers[p.label])
                for p in self.matched}
         self.overlaps = normalize_overlaps(raw)
@@ -222,16 +226,12 @@ def cmd_simulate_jsi(runner: Runner) -> list:
             "pump": {
                 "center_wavelength_nm": cfg.pump.center_wavelength_nm,
                 "intensity_fwhm_nm": cfg.pump.intensity_fwhm_nm,
-                "transverse_state": {
-                    m: [a.real, a.imag] for m, a in
-                    cfg.pump.transverse_state.amplitudes.items()},
+                "transverse_state": cfg.pump.transverse_state.amplitudes,
             },
             "fiber": dataclasses.asdict(cfg.fiber),
             "normalization_raw_integral": grid.normalization,
-            "weights": {k: [v.real, v.imag]
-                        for k, v in sim.weights.items()},
-            "overlaps_normalized": {k: [v.real, v.imag]
-                                    for k, v in sim.overlaps.items()},
+            "weights": sim.weights,
+            "overlaps_normalized": sim.overlaps,
             "units": {"wavelengths": "nm",
                       "intensity": "1/nm^2 (integrates to 1)"},
             "unmatched_processes": sim.unmatched,

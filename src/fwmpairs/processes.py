@@ -103,9 +103,6 @@ def _canonical_pump_pair(a: str, b: str) -> tuple:
 def all_candidates(mode_set) -> list:
     """All distinct mode combinations (unordered pumps, ordered outputs)."""
     modes = sorted(set(mode_set), key=MODE_ORDER.index)
-    for m in modes:
-        if m not in MODE_ORDER:
-            raise ConfigError(f"unknown mode label {m!r}")
     seen = set()
     out = []
     for p1 in modes:

@@ -92,8 +92,6 @@ def jsa_grid(processes, fiber: FiberSpec, pump: PumpSpec, weights: dict,
         c_j = weights.get(proc.label, 0j)
         if c_j != 0:
             groups.setdefault((proc.t_s, proc.t_i), []).append((c_j, proc))
-    if not groups:
-        raise DomainError("all process weights are zero")
 
     combined = np.zeros((len(ls), len(li)))
     mesh_i = li[None, :]

@@ -149,8 +149,6 @@ PROJECTORS.setflags(write=False)
 def expected_counts(rho: np.ndarray, n0: float) -> np.ndarray:
     """Expected coincidence rates N0 * tr(Pi_k rho)."""
     rho = validate_density(rho)
-    if n0 <= 0:
-        raise DomainError("acquisition scale N0 must be > 0")
     probs = np.einsum("kij,ji->k", PROJECTORS, rho).real
     return n0 * np.clip(probs, 0.0, None)
 
@@ -175,9 +173,6 @@ class CountRecord:
 
 def sample_counts(rates: np.ndarray, seed: int, n0: float) -> CountRecord:
     """Independent Poisson draws around ``rates``; reproducible by seed."""
-    rates = np.asarray(rates, dtype=float)
-    if np.any(rates < 0):
-        raise DomainError("rates must be nonnegative")
     rng = np.random.default_rng(seed)
     counts = rng.poisson(rates).astype(float)
     return CountRecord(counts=counts, n0=n0)
@@ -206,7 +201,6 @@ class MleResult:
     converged: bool
     kkt_residual: float
     dual_gap: float
-    ll_trace: np.ndarray
 
 
 @lru_cache(maxsize=1)
@@ -284,8 +278,7 @@ def _step_length(dp: np.ndarray, mu: np.ndarray, weights: np.ndarray,
     return t
 
 
-def _solve(counts: np.ndarray, n0: np.ndarray,
-           ll_trace: list | None = None):
+def _solve(counts: np.ndarray, n0: np.ndarray):
     """Log-barrier path following over a stack of count records.
 
     rho = I/4 + sum_a x_a G_a over the 15 orthonormal traceless Pauli
@@ -309,10 +302,7 @@ def _solve(counts: np.ndarray, n0: np.ndarray,
     the rest of the batch.
 
     Returns rho, the log-likelihood, the steps and the ``_kkt`` residual,
-    dual gap and converged flag, each per record.  Given
-    a list, ``ll_trace`` gets the log-likelihoods at I/4 and at every
-    centred point, where they do not fall along the path: one record's
-    trace when a single record is solved.
+    dual gap and converged flag, each per record.
     """
     amat, gens, _ = _operators()
     gflat = gens.reshape(15, 16)
@@ -333,8 +323,6 @@ def _solve(counts: np.ndarray, n0: np.ndarray,
         rho = np.eye(4) / 4.0 + (x[:, None, :] @ gflat).reshape(-1, 4, 4)
         p = 0.25 + (x[:, None, :] @ amat.T)[:, 0]
         ll = _log_likelihood(p, counts, n0)
-        if it == 0 and ll_trace is not None:
-            ll_trace.append(ll.copy())
         # whitened generators W^H G_a W, W^H rho W = I, as rows (B, 15, 16)
         s, u = np.linalg.eigh(rho)
         white = u / np.sqrt(s)[:, None, :]
@@ -359,8 +347,6 @@ def _solve(counts: np.ndarray, n0: np.ndarray,
         res, gap = np.empty(live.size), np.empty(live.size)
         conv = np.zeros(live.size, dtype=bool)
         if centred.any():
-            if ll_trace is not None:
-                ll_trace.append(ll[centred])
             res[centred], gap[centred], conv[centred] = _kkt(
                 rho[centred], counts[centred])
             cut = centred & ~conv & (tau > _TAU_MIN)
@@ -396,20 +382,17 @@ def mle_reconstruct(record: CountRecord) -> MleResult:
     """Maximum-likelihood density matrix for a count record.
 
     One log-barrier path following (``_solve``) from I/4: every iterate
-    is positive definite, the recorded trace holds the log-likelihood at
-    I/4 and at every centred point, and ``converged`` says whether both
-    KKT conditions hold; ``dual_gap`` = sum(c) max(lambda_max(R) - 1, 0)
+    is positive definite, and ``converged`` says whether both KKT
+    conditions hold; ``dual_gap`` = sum(c) max(lambda_max(R) - 1, 0)
     bounds how far the log-likelihood is below its maximum.
     """
     if record.counts.sum() <= 0:
         raise DomainError("cannot reconstruct from all-zero counts")
-    trace: list = []
     rho, ll, steps, residual, gap, converged = _solve(
-        record.counts[None, :], np.array([record.n0]), trace)
+        record.counts[None, :], np.array([record.n0]))
     return MleResult(rho=rho[0], log_likelihood=float(ll[0]),
                      iterations=int(steps[0]), converged=bool(converged[0]),
-                     kkt_residual=float(residual[0]), dual_gap=float(gap[0]),
-                     ll_trace=np.concatenate(trace))
+                     kkt_residual=float(residual[0]), dual_gap=float(gap[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -808,24 +808,29 @@ NOT_FEW_MODE = "fiber is not few-mode: V = "
 NOT_GUIDED = "LP11 is not guided: V = "
 
 
-@pytest.mark.parametrize("command, radius, lam, message", [
+@pytest.mark.parametrize("command, doc, lam, message", [
     # ids without the message, so the three few-mode cases keep theirs
-    pytest.param(*case, id="-".join(map(str, case[:3])))
-    for case in [("overlaps", 1e9, "540 nm", NOT_FEW_MODE),
-                 ("overlaps", 2.0, "540 nm", NOT_FEW_MODE),
-                 ("modes", 1e9, "571.5 nm", NOT_FEW_MODE),
-                 ("overlaps", 0.5, "700 nm", NOT_GUIDED),
-                 ("modes", 0.5, "571.5 nm", NOT_GUIDED),
-                 ("modes", 1e-12, "571.5 nm", NOT_GUIDED),
-                 ("modes", 5e-324, "571.5 nm", NOT_GUIDED)]])
-def test_fiber_beyond_few_mode_exit_code(tmp_path, capsys, command, radius,
+    pytest.param(command, {"fiber": {"core_radius_um": radius}}, lam,
+                 message, id=f"{command}-{radius}-{lam}")
+    for command, radius, lam, message in [
+        ("overlaps", 1e9, "540 nm", NOT_FEW_MODE),
+        ("overlaps", 2.0, "540 nm", NOT_FEW_MODE),
+        ("modes", 1e9, "571.5 nm", NOT_FEW_MODE),
+        ("overlaps", 0.5, "700 nm", NOT_GUIDED),
+        ("modes", 0.5, "571.5 nm", NOT_GUIDED),
+        ("modes", 1e-12, "571.5 nm", NOT_GUIDED),
+        ("modes", 5e-324, "571.5 nm", NOT_GUIDED)]] + [
+    # the centre scan pairs the band's 500 nm end with an 815.789 nm
+    # signal, where the default fiber cuts LP11 off
+    pytest.param("overlaps", {"center_band_nm": [500.0, 510.0]},
+                 "815.789 nm", NOT_GUIDED, id="overlaps-band_500_510")])
+def test_fiber_beyond_few_mode_exit_code(tmp_path, capsys, command, doc,
                                          lam, message):
     # V reaches 3.8317, where LP21 and LP02 are guided, at the shortest
     # wavelength the command uses: the centre band's 540 nm for overlaps;
     # LP11 is cut off where V is at most 2.4048, first at the longest
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(dict(
-        BASE_CONFIG, fiber={"core_radius_um": radius})), encoding="utf-8")
+    config.write_text(json.dumps(dict(BASE_CONFIG, **doc)), encoding="utf-8")
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -837,6 +842,27 @@ def test_fiber_beyond_few_mode_exit_code(tmp_path, capsys, command, radius,
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     # refused before any solve: no file written
     assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("doc, message", [
+    pytest.param({"fiber": {"numerical_aperture": 0.9}},
+                 "numerical aperture 0.9 outside the range reachable by "
+                 "GeO2 doping", id="numerical_aperture_0.9"),
+    # every channel's mismatch keeps its sign over 575-580 nm
+    pytest.param({"center_band_nm": [575.0, 580.0]},
+                 "no process is phase matched in the band",
+                 id="band_575_580")])
+def test_model_refusal_exit_code(tmp_path, capsys, doc, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(
+        BASE_CONFIG, grid={"points_s": 41, "points_i": 41}, **doc)),
+        encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["overlaps", "--config", config, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+    assert not (out / "manifest.json").exists()
 
 
 def test_grid_too_coarse_for_lobes_exit_code(tmp_path, capsys):

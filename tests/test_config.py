@@ -54,6 +54,9 @@ PROBES = {
     "pump_amplitude_nan": (
         {"pump": {"transverse_state": {"e": [NAN, 0.0], "o": [1.0, 0.0]}}},
         "overlaps", "config.pump.transverse_state.e[0]"),
+    "pump_state_unknown_mode": (
+        {"pump": {"transverse_state": {"x": [1.0, 0.0]}}}, "overlaps",
+        "config.pump.transverse_state"),
     "grid_band_nan": ({"grid": {"lambda_s_nm": [NAN, 700.0]}},
                       "simulate-jsi", "config.grid.lambda_s_nm[0]"),
     "window_inf": ({"windows": [dict(WINDOW, lambda_s_nm=[673.0, INF])]},

@@ -241,6 +241,21 @@ def test_only_the_cutoff_panel_is_solved_point_by_point(fiber, monkeypatch):
 
 
 @pytest.mark.parametrize("label", ["LP01", "LP11"])
+def test_panel_missing_the_tolerance_is_solved_point_by_point(
+        fiber, monkeypatch, label):
+    # no interpolant meets a zero tolerance, so every panel falls back on
+    # the root solve, which then gives every value
+    monkeypatch.setattr(dispersion, "_PANEL_CACHE", OrderedDict())
+    monkeypatch.setattr(dispersion, "PANEL_TOLERANCE", 0.0)
+    lam = np.linspace(0.50, 0.75, 301)
+    n = lp_effective_index(fiber, lam, label)
+    assert dispersion._PANEL_CACHE and all(
+        coef is None for coef in dispersion._PANEL_CACHE.values())
+    assert np.array_equal(
+        n, dispersion._solve_n_eff(fiber, lam, LABEL_AZIMUTHAL[label]))
+
+
+@pytest.mark.parametrize("label", ["LP01", "LP11"])
 def test_multi_panel_build_matches_one_panel_builds(fiber, monkeypatch,
                                                     label):
     # panels from 0.50 to 0.86 um, the LP11 cutoff panel among them

@@ -265,3 +265,25 @@ def test_svg_heatmap_matches_the_per_pixel_loop(tmp_path, monkeypatch, grid):
         assert len(want) == rgb.shape[0]
     else:
         assert len(want) > 10 * rgb.shape[0]
+
+
+def re_im(value):
+    """The [re, im] lists that jsi_meta.json wrote by hand for each
+    complex value of a dict, or for one value."""
+    if isinstance(value, dict):
+        return {k: [v.real, v.imag] for k, v in value.items()}
+    return [value.real, value.imag]
+
+
+@pytest.mark.parametrize("value, minus_zero", [
+    pytest.param(0.6 + 0.1j, False, id="complex"),
+    pytest.param(np.complex128(-0.25 + 1e-300j), False, id="complex128"),
+    pytest.param(complex(0.79, -0.0), True, id="minus_zero_imag"),
+    pytest.param(np.complex128(complex(1.0, -0.0)), True,
+                 id="complex128_minus_zero_imag"),
+    pytest.param({"e": 0.6 + 0.1j, "o": np.complex128(0.79j),
+                  "z": complex(0.0, -0.0)}, True, id="dict")])
+def test_complex_values_encode_as_re_im_pairs(value, minus_zero):
+    text = gridio.canonical_json(value)
+    assert text == gridio.canonical_json(re_im(value))
+    assert ("-0.0" in text) == minus_zero

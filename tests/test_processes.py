@@ -340,3 +340,25 @@ def test_shared_scan_takes_the_first_of_several_crossings(
         assert np.count_nonzero(np.diff(np.sign(dk))) >= 4, proc.label
         assert got[proc.label] == reference_center(
             proc, fiber, 620.0, BAND_I_NM), proc.label
+
+
+def test_shared_scan_takes_an_exact_zero_at_a_scan_node(
+        fiber, processes_eo, monkeypatch):
+    # channel C's delta_k vanishes exactly at one node of the idler scan
+    grid_i = np.arange(540.0, 580.005, SCAN_STEP_NM)
+    node = 1234
+    delta_k = BaseIndexCache.delta_k
+
+    def vanishing(self, process, axis_swapped=False):
+        dk = delta_k(self, process, axis_swapped)
+        if process.label == "C" and self.lam_i.shape == grid_i.shape:
+            dk[node] = 0.0
+        return dk
+
+    want = phasematched_centers(processes_eo, fiber, 620.0, BAND_I_NM)
+    monkeypatch.setattr(BaseIndexCache, "delta_k", vanishing)
+    got = phasematched_centers(processes_eo, fiber, 620.0, BAND_I_NM)
+    li = float(grid_i[node])
+    assert got.pop("C") == (1.0 / (2.0 / 620.0 - 1.0 / li), li)
+    del want["C"]
+    assert got == want
