@@ -430,19 +430,20 @@ def lp_effective_index(fiber: FiberSpec, lam_um, lp_label: str) -> np.ndarray:
     return n_eff
 
 
-def solve_lp_mode(fiber: FiberSpec, lam_um: float, lp_label: str) -> tuple:
-    """Solve the LP eigenvalue problem at one wavelength.
+def solve_lp_mode(fiber: FiberSpec, lam_um, lp_label: str) -> tuple:
+    """Solve the LP eigenvalue problem at the wavelengths ``lam_um``.
 
-    Returns (u, w) of the root with the largest effective index for the
-    label; they satisfy u^2 + w^2 = V^2.
+    Returns (u, w), arrays of ``lam_um``'s shape, of the root with the
+    largest effective index for the label; u^2 + w^2 = V^2.  A scalar is
+    solved as a one-point array: a value depends on its wavelength only.
     """
-    n_eff = float(lp_effective_index(fiber, lam_um, lp_label)[0])
-    v = float(v_number(fiber, np.asarray(lam_um, dtype=float)))
-    k = 2.0 * np.pi / lam_um
-    n_core = float(core_index(fiber, np.asarray(lam_um, dtype=float)))
-    u = k * fiber.core_radius_um * np.sqrt(n_core**2 - n_eff**2)
-    w = np.sqrt(max(v**2 - u**2, 0.0))
-    return float(u), float(w)
+    lam = np.atleast_1d(np.asarray(lam_um, dtype=float))
+    n_eff = lp_effective_index(fiber, lam, lp_label)
+    k = 2.0 * np.pi / lam
+    u = k * fiber.core_radius_um * np.sqrt(core_index(fiber, lam)**2
+                                           - n_eff**2)
+    w = np.sqrt(np.maximum(v_number(fiber, lam)**2 - u**2, 0.0))
+    return u.reshape(np.shape(lam_um)), w.reshape(np.shape(lam_um))
 
 
 def birefringence_offset(fiber: FiberSpec, parity: str, photon: str,

@@ -27,7 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from .config import FiberSpec, ModeSuperposition
-from .dispersion import _bessel_j_orders, _bessel_k_orders, solve_lp_mode
+from .dispersion import (LP_LABELS, _bessel_j_orders, _bessel_k_orders,
+                         solve_lp_mode)
 from .errors import ConfigError, DomainError
 
 @dataclass(frozen=True)
@@ -36,10 +37,6 @@ class GridSpec:
 
     extent_um: float
     resolution: int = 257
-
-    def __post_init__(self):
-        if self.extent_um <= 0 or self.resolution < 16:
-            raise ConfigError("grid extent must be > 0, resolution >= 16")
 
     def axes(self):
         # midpoint sampling: cell centers of a uniform partition
@@ -70,18 +67,18 @@ class FieldGrid:
         return float(np.sum(np.abs(self.values) ** 2) * self.grid.cell_area_um2)
 
 
-def _radial_profile(u: float, w: float, azimuthal: int,
-                    rho: np.ndarray) -> np.ndarray:
-    """LP radial profile R_l at ``rho`` = r / a for the mode parameters
-    (u, w): Bessel core, modified-Bessel cladding, both equal to 1 at the
-    core boundary."""
+def _radial_profile(u, w, azimuthal: int, rho: np.ndarray) -> np.ndarray:
+    """LP radial profiles R_l at ``rho`` = r / a, one per (u, w) pair, of
+    shape u.shape + rho.shape: Bessel core, modified-Bessel cladding, both
+    1 at the core boundary (an appended rho = 1), in one J_l and K_l pass."""
     inside = rho <= 1.0
-    radial = np.empty_like(rho)
+    radial = np.empty(np.shape(u) + rho.shape)
     order = (azimuthal,)
-    radial[inside] = (_bessel_j_orders(order, u * rho[inside])[0]
-                      / _bessel_j_orders(order, u)[0])
-    radial[~inside] = (_bessel_k_orders(order, w * rho[~inside])[0]
-                       / _bessel_k_orders(order, w)[0])
+    for part, kernel, scale in ((inside, _bessel_j_orders, u),
+                                (~inside, _bessel_k_orders, w)):
+        values = kernel(order, np.multiply.outer(
+            scale, np.append(rho[part], 1.0)))[0]
+        radial[..., part] = values[..., :-1] / values[..., -1:]
     return radial
 
 
@@ -173,36 +170,48 @@ def _radial_rule(nodes: int):
     return rho, weights
 
 
-def process_overlap(fiber: FiberSpec, process, lam_p_nm: float,
-                    center_nm: tuple) -> complex:
-    """Spatial coupling O_j of one FWM channel (unnormalized).
+def process_overlap(fiber: FiberSpec, processes, lam_p_nm: float,
+                    centers: dict) -> dict:
+    """Spatial couplings {label: O_j} of the FWM channels ``processes``
+    (unnormalized), each at its (signal, idler) center ``centers[label]``.
 
     Plain four-field overlap integral T_p1 T_p2 T_s* T_i* d2r of unit-norm
     basis fields, computed as a radial quadrature times a closed-form
     azimuthal integral.  Pump fields are evaluated at the pump
-    wavelength, signal and idler fields at the channel's phase-matched
-    center.  Mixed pump pairs count both photon orderings, doubling the
-    integral.
+    wavelength, signal and idler fields at the channel's center.  Mixed
+    pump pairs count both photon orderings, doubling the integral.  The
+    channels' distinct fields share one LP solve and profile pass per order.
     """
     rho, unit_weights = _radial_rule(RADIAL_NODES)
     weights = fiber.core_radius_um**2 * unit_weights
-    lam_s_nm, lam_i_nm = center_nm
-    product = np.ones_like(rho)
-    cos_power = sin_power = 0
-    for mode, lam_nm in ((process.t_p1, lam_p_nm), (process.t_p2, lam_p_nm),
-                         (process.t_s, lam_s_nm), (process.t_i, lam_i_nm)):
-        m, n = _AZIMUTH_POWERS[mode]
-        u, w = solve_lp_mode(fiber, lam_nm / 1000.0,
-                             "LP01" if mode == "g" else "LP11")
-        radial = _radial_profile(u, w, m + n, rho)
-        azimuth_norm = _AZIMUTH_INTEGRALS[(2 * m, 2 * n)]
-        norm = np.sqrt(np.dot(weights, radial**2) * azimuth_norm)
-        product *= radial / norm
-        cos_power += m
-        sin_power += n
-    azimuth = _AZIMUTH_INTEGRALS.get((cos_power, sin_power), 0.0)
-    exchange = 1.0 if process.pump_mode_degenerate else 2.0
-    return complex(exchange * azimuth * np.dot(weights, product))
+    # each channel's four fields as (LP order, wavelength in nm)
+    roles = {p.label: [(sum(_AZIMUTH_POWERS[mode]), lam_nm) for mode, lam_nm
+                       in zip(p.modes, (lam_p_nm, lam_p_nm,
+                                        *centers[p.label]))]
+             for p in processes}
+    # each distinct field -> its unit-norm radial profile
+    profiles = dict.fromkeys(key for keys in roles.values() for key in keys)
+    for order in sorted({order for order, _ in profiles}):
+        keys = [key for key in profiles if key[0] == order]
+        u, w = solve_lp_mode(fiber, np.array([lam for _, lam in keys])
+                             / 1000.0, LP_LABELS[order])
+        # the azimuthal norm of g (2 pi), or of e and o (pi)
+        azimuth_norm = _AZIMUTH_INTEGRALS[(2 * order, 0)]
+        for key, radial in zip(keys, _radial_profile(u, w, order, rho)):
+            profiles[key] = radial / np.sqrt(np.dot(weights, radial**2)
+                                             * azimuth_norm)
+    overlaps = {}
+    for p in processes:
+        product = np.ones_like(rho)
+        for key in roles[p.label]:
+            product *= profiles[key]
+        cos_power, sin_power = map(sum, zip(*(_AZIMUTH_POWERS[mode]
+                                              for mode in p.modes)))
+        azimuth = _AZIMUTH_INTEGRALS.get((cos_power, sin_power), 0.0)
+        exchange = 1.0 if p.pump_mode_degenerate else 2.0
+        overlaps[p.label] = complex(exchange * azimuth
+                                    * np.dot(weights, product))
+    return overlaps
 
 
 def normalize_overlaps(raw: dict) -> dict:

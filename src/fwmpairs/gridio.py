@@ -38,10 +38,6 @@ def _sanitize(obj):
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
         return None if not math.isfinite(v) else v
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _sanitize(obj.tolist())
     if isinstance(obj, complex):
         return _sanitize([obj.real, obj.imag])
     return obj

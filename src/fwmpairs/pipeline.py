@@ -155,10 +155,8 @@ class Simulation:
         if not self.centers:
             raise NumericError("no process is phase matched in the band")
         self.matched = [p for p in self.processes if p.label in self.centers]
-        raw = {p.label: process_overlap(self.fiber, p, lam_p,
-                                        self.centers[p.label])
-               for p in self.matched}
-        self.overlaps = normalize_overlaps(raw)
+        self.overlaps = normalize_overlaps(process_overlap(
+            self.fiber, self.matched, lam_p, self.centers))
         self.weights = process_weights(self.pump, self.overlaps, self.matched)
 
     def jsi(self):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import MODE_ORDER
 from .dispersion import birefringence_offset, lp_effective_index
-from .errors import ConfigError, DomainError, PhaseMatchError
+from .errors import DomainError, PhaseMatchError
 
 _AZIMUTHAL = {"g": 0, "e": 1, "o": 1}
 _PARITY_SIGN = {"g": 1, "e": 1, "o": -1}
@@ -56,9 +56,6 @@ class FwmProcess:
     label: str = ""
 
     def __post_init__(self):
-        for t in self.modes:
-            if t not in MODE_ORDER:
-                raise ConfigError(f"unknown mode label {t!r}")
         if not self.label:
             object.__setattr__(self, "label", canonical_label(self.modes))
 
@@ -125,8 +122,6 @@ def enumerate_processes(mode_set) -> list:
     {e, o} yields exactly the five canonical channels A-E; {g, e, o}
     yields ten.
     """
-    if not mode_set:
-        raise ConfigError("mode_set must be non-empty")
     viable = [p for p in all_candidates(mode_set) if p.is_viable()]
     return sorted(viable, key=lambda p: p.modes)
 

@@ -41,9 +41,8 @@ def centers(fiber, processes_eo):
 @pytest.fixture(scope="session")
 def overlaps_abcd(fiber, processes_eo, centers):
     """Normalized overlaps over the four in-band channels."""
-    raw = {p.label: process_overlap(fiber, p, 620.0, centers[p.label])
-           for p in processes_eo if p.label in "ABCD"}
-    return normalize_overlaps(raw)
+    in_band = [p for p in processes_eo if p.label in "ABCD"]
+    return normalize_overlaps(process_overlap(fiber, in_band, 620.0, centers))
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,10 @@ their equivalence tests:
 * ``serial_centers``: the bisection of the phase-matched centers, one
   index solve per halving, which the one index solve on each bracket's
   dyadic points in ``processes.phasematched_centers`` replaced;
+* ``serial_overlaps``: the four-field overlaps solved channel by channel,
+  one LP solve and one radial profile per field, which the one solve and
+  one profile pass per LP order over the distinct fields of all channels
+  in ``fields.process_overlap`` replaced;
 * ``union_support_fit``: the lobe fit with every lobe on the union of the
   peeled lobes' supports and a whole-grid peel, which the fit of each
   lobe on its own nodes in ``spectrum.fit_lobes`` replaced.
@@ -17,7 +21,7 @@ swap those too.
 
 import numpy as np
 
-from fwmpairs import dispersion, spectrum
+from fwmpairs import dispersion, fields, spectrum
 from fwmpairs.config import GaussianLobe
 from fwmpairs.errors import NumericError, PhaseMatchError
 from fwmpairs.processes import (SCAN_STEP_NM, BaseIndexCache,
@@ -127,6 +131,39 @@ def serial_centers(processes, fiber, lam_p_nm, band_i_nm):
     for process, lam_i in zip(bracketed, 0.5 * (lo + hi)):
         lam_s = float(_energy_partner_nm(lam_p_nm, lam_i))
         out[process.label] = lam_s, float(lam_i)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the mode overlaps
+
+def serial_overlaps(fiber, processes, lam_p_nm, centers):
+    """``fields.process_overlap`` with each channel's four fields solved
+    and profiled one at a time."""
+    rho, unit_weights = fields._radial_rule(fields.RADIAL_NODES)
+    weights = fiber.core_radius_um**2 * unit_weights
+    out = {}
+    for process in processes:
+        lam_s_nm, lam_i_nm = centers[process.label]
+        product = np.ones_like(rho)
+        cos_power = sin_power = 0
+        for mode, lam_nm in ((process.t_p1, lam_p_nm),
+                             (process.t_p2, lam_p_nm),
+                             (process.t_s, lam_s_nm),
+                             (process.t_i, lam_i_nm)):
+            m, n = fields._AZIMUTH_POWERS[mode]
+            u, w = dispersion.solve_lp_mode(
+                fiber, lam_nm / 1000.0, "LP01" if mode == "g" else "LP11")
+            radial = fields._radial_profile(u, w, m + n, rho)
+            azimuth_norm = fields._AZIMUTH_INTEGRALS[(2 * m, 2 * n)]
+            norm = np.sqrt(np.dot(weights, radial**2) * azimuth_norm)
+            product *= radial / norm
+            cos_power += m
+            sin_power += n
+        azimuth = fields._AZIMUTH_INTEGRALS.get((cos_power, sin_power), 0.0)
+        exchange = 1.0 if process.pump_mode_degenerate else 2.0
+        out[process.label] = complex(exchange * azimuth
+                                     * np.dot(weights, product))
     return out
 
 

@@ -91,8 +91,7 @@ def test_criterion_02_overlap_integrals(sim_10cm, monkeypatch):
     fiber = sim_10cm.fiber
     centers = sim_10cm.centers
     in_band = [p for p in sim_10cm.matched if p.label in "ABCD"]
-    raw = {p.label: process_overlap(fiber, p, 620.0, centers[p.label])
-           for p in in_band}
+    raw = process_overlap(fiber, in_band, 620.0, centers)
     ratio = abs(raw["C"]) ** 2 / abs(raw["A"]) ** 2
     c.check(abs(ratio - 2.2) <= 0.1 * 2.2, f"|O_C|^2/|O_A|^2 = {ratio:.3f}")
     norm = {k: abs(v) ** 2 for k, v in normalize_overlaps(raw).items()}
@@ -103,9 +102,8 @@ def test_criterion_02_overlap_integrals(sim_10cm, monkeypatch):
         c.check(abs(norm[label] - 0.15) <= 0.03,
                 f"|O_{label}|^2 = {norm[label]:.3f}")
     monkeypatch.setattr(fields, "RADIAL_NODES", 2 * fields.RADIAL_NODES)
-    fine = process_overlap(fiber, in_band[0], 620.0,
-                           centers[in_band[0].label])
     key = in_band[0].label
+    fine = process_overlap(fiber, in_band[:1], 620.0, centers)[key]
     rel = abs(abs(fine) ** 2 - abs(raw[key]) ** 2) / abs(raw[key]) ** 2
     c.check(rel < 0.005, f"quadrature doubling moved |O|^2 by {rel:.2%}")
     c.conclude()

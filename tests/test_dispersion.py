@@ -77,6 +77,16 @@ def test_u_w_consistency(fiber, lam_um):
         assert u**2 + w**2 == pytest.approx(v**2, rel=1e-9)
 
 
+def test_solve_lp_mode_on_an_array_matches_each_wavelength(fiber):
+    lam = np.array([[0.56, 0.59, 0.62], [0.65, 0.68, 0.70]])
+    for label in ("LP01", "LP11"):
+        u, w = solve_lp_mode(fiber, lam, label)
+        assert u.shape == w.shape == lam.shape
+        each = np.array([solve_lp_mode(fiber, x, label) for x in lam.flat])
+        assert np.array_equal(u.ravel(), each[:, 0])
+        assert np.array_equal(w.ravel(), each[:, 1])
+
+
 def test_lp01_faster_than_lp11(fiber):
     assert n_eff(fiber, 0.620, "LP01") > n_eff(fiber, 0.620, "LP11")
 

@@ -102,11 +102,10 @@ def test_overlap_requires_matching_grids(fiber):
 
 
 def test_overlap_ratio_identical_vs_mixed(fiber, centers):
-    c = process_overlap(fiber, FwmProcess("e", "e", "e", "e"), 620.0,
-                        centers["C"])
-    a = process_overlap(fiber, FwmProcess("e", "o", "o", "e"), 620.0,
-                        centers["A"])
-    ratio = abs(c) ** 2 / abs(a) ** 2
+    raw = process_overlap(fiber, [FwmProcess("e", "e", "e", "e"),
+                                  FwmProcess("e", "o", "o", "e")],
+                          620.0, centers)
+    ratio = abs(raw["C"]) ** 2 / abs(raw["A"]) ** 2
     assert ratio == pytest.approx(2.2, rel=0.10)
 
 
@@ -127,24 +126,25 @@ def test_normalize_overlaps_rejects_all_zero():
 def test_parity_violating_combinations_have_zero_overlap(fiber, centers):
     # every candidate rejected by parity conservation has a vanishing
     # four-field integral; (e,e)->(o,o) conserves parity and does not
-    for proc in all_candidates({"e", "o"}):
-        raw = process_overlap(fiber, proc, 620.0, (677.0, 571.0))
+    procs = all_candidates({"e", "o"})
+    raw = process_overlap(fiber, procs, 620.0,
+                          dict.fromkeys((p.label for p in procs),
+                                        (677.0, 571.0)))
+    for proc in procs:
         if proc.conserves_parity():
-            assert abs(raw) > 1e-3
+            assert abs(raw[proc.label]) > 1e-3
         else:
-            assert abs(raw) < 1e-9
+            assert abs(raw[proc.label]) < 1e-9
 
 
 def test_quadrature_doubling_changes_overlaps_little(fiber, centers,
                                                      monkeypatch):
     procs = (FwmProcess("e", "e", "e", "e"), FwmProcess("e", "o", "o", "e"))
-    coarse = [process_overlap(fiber, p, 620.0, centers[p.label])
-              for p in procs]
+    coarse = process_overlap(fiber, procs, 620.0, centers)
     monkeypatch.setattr(fields, "RADIAL_NODES", 2 * fields.RADIAL_NODES)
-    fine = [process_overlap(fiber, p, 620.0, centers[p.label])
-            for p in procs]
-    for c, f in zip(coarse, fine):
-        rel = abs(abs(f) ** 2 - abs(c) ** 2) / abs(c) ** 2
+    fine = process_overlap(fiber, procs, 620.0, centers)
+    for label, c in coarse.items():
+        rel = abs(abs(fine[label]) ** 2 - abs(c) ** 2) / abs(c) ** 2
         assert rel < 0.005
 
 
@@ -162,7 +162,8 @@ def test_radial_overlap_matches_grid_reference(fiber, centers, modes):
     center = centers.get(proc.label, (677.0, 571.0))
     ref = grid_process_overlap(fiber, proc, 620.0, center,
                                GridSpec(5 * fiber.core_radius_um, 641))
-    got = process_overlap(fiber, proc, 620.0, center)
+    got = process_overlap(fiber, [proc], 620.0,
+                          {proc.label: center})[proc.label]
     bound = 5e-3 if proc.label == "E" else 5e-4
     assert abs(got - ref) <= bound * abs(ref)
 
@@ -227,6 +228,7 @@ def test_wavelength_consistency_changes_overlap(fiber, centers):
     # pump fields at the pump wavelength, outputs at process centers:
     # moving the output wavelengths must change the integral
     proc = FwmProcess("e", "e", "e", "e")
-    at_center = process_overlap(fiber, proc, 620.0, centers["C"])
-    elsewhere = process_overlap(fiber, proc, 620.0, (720.0, 545.0))
+    at_center = process_overlap(fiber, [proc], 620.0, centers)["C"]
+    elsewhere = process_overlap(fiber, [proc], 620.0,
+                                {"C": (720.0, 545.0)})["C"]
     assert abs(at_center - elsewhere) > 1e-4 * abs(at_center)

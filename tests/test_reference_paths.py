@@ -3,17 +3,17 @@
 One run takes the package as it is; the other swaps in, all at once, the
 references kept in ``references.py``: the bisection of the LP
 characteristic equation (with a cold index table, so the table is built
-from it), the serial bisection of the phase-matched centers and the lobe
-fit on the union support of the peeled lobes.  Both runs compute the
-criterion-2 normalized overlaps |O|^2, the criterion-4 predicted and
-fitted centers and the criterion-6 metrics at a 1 nm and an 8 nm window
-about the B-C intersection, for the default 10 cm fiber and the
-15 + 15 mm cross-spliced one.  The cross-spliced JSI is fitted on a
-121 x 121 grid over the default band: on the default 301 x 301 grid its
-fit takes about 2 300 model evaluations on either path, some 16 s.  On
-the smaller grid a lobe leaves its own nodes during the joint fit, so
-the run also covers the fit's switch to every lobe on all the joint
-nodes.
+from it), the serial bisection of the phase-matched centers, the
+overlaps solved channel by channel and the lobe fit on the union support
+of the peeled lobes.  Both runs compute the criterion-2 normalized
+overlaps |O|^2, the criterion-4 predicted and fitted centers and the
+criterion-6 metrics at a 1 nm and an 8 nm window about the B-C
+intersection, for the default 10 cm fiber and the 15 + 15 mm
+cross-spliced one.  The cross-spliced JSI is fitted on a 121 x 121 grid
+over the default band: on the default 301 x 301 grid its fit takes about
+2 300 model evaluations on either path, some 16 s.  On the smaller grid
+a lobe leaves its own nodes during the joint fit, so the run also covers
+the fit's switch to every lobe on all the joint nodes.
 
 The barrier MLE's schedule is held to the one it replaced (a tenfold
 cut of tau at centred points that are centred to 1e-8) through the KKT
@@ -21,6 +21,10 @@ certificate: on the tomography tests' records and on a seeded record of
 the cross-spliced fiber's 1 nm state with its bootstrap, both schedules
 must return log-likelihoods within their dual gaps and metrics within
 the bound those gaps imply.
+
+The overlaps of all channels at once are held bit for bit to the
+overlaps solved one channel at a time, on both fibers' matched channels
+and on the ten {g, e, o} channels.
 """
 
 from collections import OrderedDict
@@ -33,6 +37,7 @@ from fwmpairs import dispersion, pipeline, tomography
 from fwmpairs.config import FiberSpec, PipelineConfig, SpectralWindow
 from fwmpairs.estimation import trace_spectral
 from fwmpairs.fields import normalize_overlaps, process_overlap
+from fwmpairs.processes import enumerate_processes
 from fwmpairs.tomography import (bootstrap_metrics, expected_counts,
                                  metrics_block, sample_counts)
 from test_tomography import kkt_records
@@ -82,8 +87,7 @@ def outputs(fiber, points):
                                          "points_i": points}})
     sim = pipeline.Simulation(cfg, fiber=fiber)
     in_band = [p for p in sim.matched if p.label in "ABCD"]
-    raw = {p.label: process_overlap(fiber, p, 620.0, sim.centers[p.label])
-           for p in in_band}
+    raw = pipeline.process_overlap(fiber, in_band, 620.0, sim.centers)
     jsi = sim.jsi()
     fit = pipeline._fit_in_band_lobes(sim, jsi.lambda_s_axis,
                                       jsi.lambda_i_axis, jsi.combined)
@@ -109,6 +113,8 @@ def test_fast_paths_match_the_references_end_to_end(monkeypatch, name):
                         references.bisect_u_array)
     monkeypatch.setattr(pipeline, "phasematched_centers",
                         references.serial_centers)
+    monkeypatch.setattr(pipeline, "process_overlap",
+                        references.serial_overlaps)
     monkeypatch.setattr(pipeline, "fit_lobes", references.union_support_fit)
     slow = outputs(fiber, points)
 
@@ -126,6 +132,33 @@ def test_fast_paths_match_the_references_end_to_end(monkeypatch, name):
         for key, value in metrics.items():
             assert abs(fast["metrics"][width][key] - value) <= METRICS_ABS, \
                 (width, key)
+
+
+# ---------------------------------------------------------------------------
+# the overlaps of all channels at once against one channel at a time
+
+
+@pytest.mark.parametrize("case", [*sorted(FIBERS), "ten_channels",
+                                  "off_center"])
+def test_overlaps_match_the_serial_reference_bitwise(case):
+    # the fibers' phase-matched channels; the ten {g, e, o} channels,
+    # which take the LP01 fields too, at one point near the lobes and at
+    # seeded centers of their own
+    if case in FIBERS:
+        fiber = FIBERS[case][0]
+        sim = pipeline.Simulation(PipelineConfig.parse({}), fiber=fiber)
+        processes, centers = sim.matched, sim.centers
+    else:
+        fiber = FiberSpec()
+        processes = enumerate_processes({"g", "e", "o"})
+        rng = np.random.default_rng(31)
+        centers = {p.label: ((677.0, 571.0) if case == "ten_channels"
+                             else (rng.uniform(640.0, 720.0),
+                                   rng.uniform(540.0, 600.0)))
+                   for p in processes}
+    assert len(processes) >= 5
+    assert (process_overlap(fiber, processes, 620.0, centers)
+            == references.serial_overlaps(fiber, processes, 620.0, centers))
 
 
 # ---------------------------------------------------------------------------
