@@ -12,8 +12,14 @@ checked by ``config.convert`` before the config loads.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
+
+# One BLAS thread unless the caller sets a count: no stage gains from a
+# threaded BLAS, and the thread count reaches the last digit of a
+# threaded dot product.  numpy reads it once, as ``pipeline`` loads it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import pipeline
 from .config import convert, load_config

@@ -130,7 +130,10 @@ def core_index(fiber: FiberSpec, lam_um) -> np.ndarray:
 
 def v_number(fiber: FiberSpec, lam_um) -> np.ndarray:
     lam = np.asarray(lam_um, dtype=float)
-    na = np.sqrt(core_index(fiber, lam) ** 2 - cladding_index(lam) ** 2)
+    # np.square, not ** 2: a 0-d index is a numpy scalar, whose ** 2 is
+    # libm pow, so V would depend on the input's shape
+    na = np.sqrt(np.square(core_index(fiber, lam))
+                 - np.square(cladding_index(lam)))
     return 2.0 * np.pi * fiber.core_radius_um * na / lam
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import MODE_ORDER
 from .dispersion import birefringence_offset, lp_effective_index
-from .errors import DomainError, PhaseMatchError
+from .errors import ConfigError, DomainError, PhaseMatchError
 
 _AZIMUTHAL = {"g": 0, "e": 1, "o": 1}
 _PARITY_SIGN = {"g": 1, "e": 1, "o": -1}
@@ -98,7 +98,13 @@ def _canonical_pump_pair(a: str, b: str) -> tuple:
 
 
 def all_candidates(mode_set) -> list:
-    """All distinct mode combinations (unordered pumps, ordered outputs)."""
+    """All distinct mode combinations (unordered pumps, ordered outputs);
+    a ConfigError names a label outside the basis."""
+    unknown = set(mode_set) - set(MODE_ORDER)
+    if unknown:
+        raise ConfigError(f"unknown mode label "
+                          f"{', '.join(sorted(map(repr, unknown)))}: the "
+                          f"basis is ({', '.join(MODE_ORDER)})")
     modes = sorted(set(mode_set), key=MODE_ORDER.index)
     seen = set()
     out = []

@@ -294,12 +294,10 @@ def _least_squares(p0, data, xs, yi, grid, groups=None, stays=None):
                         f"lobe fit stalled: no step lowers the residual "
                         f"norm {np.sqrt(cost):.3e} after {nfev} "
                         f"evaluations")
-                try:
-                    step = np.linalg.solve(normal + damping * np.diag(scale),
-                                           -grad)
-                except np.linalg.LinAlgError:
-                    damping *= 10.0
-                    continue
+                # J J^T plus a damping of at least _LM_DAMPING_FLOOR
+                # times its diagonal, every scale > 0: positive definite
+                step = np.linalg.solve(normal + damping * np.diag(scale),
+                                       -grad)
                 r_trial = resid(p + step)
                 nfev += 1
                 cost_trial = float(r_trial @ r_trial)
@@ -372,20 +370,6 @@ SUPPORT_RADIUS = 8.0
 _LEAK_FRACTION = 1e-12
 
 
-def _distances2(q: np.ndarray, xs, yi):
-    """Squared Mahalanobis distance of the nodes to each lobe of the
-    natural parameters ``q``, one array per lobe."""
-    for amp, x0, y0, sa, sb, th in np.reshape(q, (-1, 6)):
-        ct, st = np.cos(th), np.sin(th)
-        dx = xs - x0
-        dy = yi - y0
-        # a sigma below about 1e-150 nm overflows the distance to inf,
-        # which reads as outside every radius
-        with np.errstate(over="ignore"):
-            yield (((ct * dx + st * dy) / sa) ** 2
-                   + ((-st * dx + ct * dy) / sb) ** 2)
-
-
 def _window(q: np.ndarray, ls: np.ndarray, li: np.ndarray,
             d2_max: float) -> np.ndarray:
     """Ascending flat indices of the nodes of the grid on the ascending
@@ -402,7 +386,13 @@ def _window(q: np.ndarray, ls: np.ndarray, li: np.ndarray,
                                            center + radius * half))
         box.append(np.arange(max(low - 1, 0), min(high + 1, len(axis))))
     rows, cols = box
-    d2 = next(_distances2(q, ls[rows, None], li[None, cols]))
+    dx = ls[rows, None] - x0
+    dy = li[None, cols] - y0
+    # a sigma below about 1e-150 nm overflows the distance to inf, which
+    # reads as outside every radius
+    with np.errstate(over="ignore"):
+        d2 = (((ct * dx + st * dy) / sa) ** 2
+              + ((-st * dx + ct * dy) / sb) ** 2)
     return (rows[:, None] * len(li) + cols)[d2 <= d2_max]
 
 
@@ -443,57 +433,31 @@ def _stays(p: np.ndarray, anchors: np.ndarray) -> bool:
     return True
 
 
-# Nodes per block of rows in which the peel looks for the next maximum
-_PEEL_BLOCK = 8192
-
-
 def _peel(intensity, ls, li, n) -> tuple:
     """Seed ``n`` lobes one at a time: fit one lobe on a crop around the
     maximum of what earlier lobes leave unexplained, then subtract it on
     its own nodes, those within ``SUPPORT_RADIUS`` of it.
 
-    The unexplained grid is formed only where it is read: in blocks of
-    rows of at most ``_PEEL_BLOCK`` nodes for its maximum, and on the
-    column, the row and the crop through that maximum.  Returns the log
-    parameters and the ascending flat indices of each lobe's own nodes."""
+    What is unexplained is one copy of the grid, from which each lobe is
+    subtracted as it is fitted.  Returns the log parameters and the
+    ascending flat indices of each lobe's own nodes."""
     n_s, n_i = intensity.shape
-    params, windows, peeled = [], [], []  # peeled: each lobe on its nodes
-
-    def unexplained(rows, cols):
-        """The unexplained grid on ``rows`` x ``cols``, slices whose
-        start and stop lie on the grid."""
-        out = intensity[rows, cols].copy()
-        for nodes, values in zip(windows, peeled):
-            a, b = np.searchsorted(nodes, (rows.start * n_i, rows.stop * n_i))
-            r, c = np.divmod(nodes[a:b], n_i)
-            keep = (cols.start <= c) & (c < cols.stop)
-            out[r[keep] - rows.start, c[keep] - cols.start] -= \
-                values[a:b][keep]
-        return out
+    residual = intensity.copy()
+    params, windows = [], []
 
     def around(at, half, size):
         return slice(max(0, at - half), min(size, at + half + 1))
 
     floor = min(ls[1] - ls[0], li[1] - li[0])
-    step = max(1, _PEEL_BLOCK // n_i)
     for k in range(n):
-        peak, r, col = -np.inf, 0, 0
-        for start in range(0, n_s, step):
-            block = unexplained(slice(start, min(n_s, start + step)),
-                                slice(0, n_i))
-            j = int(np.argmax(block))
-            if block.flat[j] > peak:
-                peak = block.flat[j]
-                r, col = divmod(start * n_i + j, n_i)
-        if peak <= 0:
+        r, col = divmod(int(np.argmax(residual)), n_i)
+        if residual[r, col] <= 0:
             raise NumericError(
                 f"found only {k} positive maxima for {n} requested lobes")
-        widths = _half_widths(
-            unexplained(slice(0, n_s), slice(col, col + 1))[:, 0],
-            unexplained(slice(r, r + 1), slice(0, n_i))[0], r, col)
+        widths = _half_widths(residual[:, col], residual[r], r, col)
         rows = around(r, 3 * widths[0], n_s)
         cols = around(col, 3 * widths[1], n_i)
-        crop = unexplained(rows, cols)
+        crop = residual[rows, cols]
         seed = _seed_at(crop, ls[rows], li[cols], r - rows.start,
                         col - cols.start, widths, floor)
         p, _, _ = _least_squares(_to_log(seed), crop, ls[rows, None],
@@ -501,8 +465,8 @@ def _peel(intensity, ls, li, n) -> tuple:
         params += list(p)
         nodes = _window(_from_log(p), ls, li, SUPPORT_RADIUS**2)
         windows.append(nodes)
-        peeled.append(_lobe_model(_from_log(p), ls[nodes // n_i],
-                                  li[nodes % n_i]))
+        residual.ravel()[nodes] -= _lobe_model(_from_log(p), ls[nodes // n_i],
+                                               li[nodes % n_i])
     return params, windows
 
 
@@ -565,8 +529,9 @@ def fit_lobes(lam_s_axis, lam_i_axis, intensity, n_lobes: int) -> LobeFit:
     float range once scaled back raises.
 
     Deterministic given the same input; lobes are returned in ascending
-    idler center.  Raises on ``n_lobes`` below 1, a zero grid, fewer nodes
-    than parameters, or fewer positive maxima than lobes left to seed.
+    idler center.  Raises on ``n_lobes`` below 1, a non-finite or zero
+    grid, fewer nodes than parameters, or fewer positive maxima than lobes
+    left to seed.
     Every fit, of one peeled lobe or of all of them, raises as soon as a
     step it takes centres a lobe off the grid, gives it a sigma wider than
     the wider axis span or drives an amplitude or sigma to 0 or infinity,
@@ -577,6 +542,8 @@ def fit_lobes(lam_s_axis, lam_i_axis, intensity, n_lobes: int) -> LobeFit:
     if n_lobes < 1:
         raise DomainError(f"n_lobes must be >= 1, got {n_lobes}")
     intensity = np.asarray(intensity, dtype=float)
+    if not np.all(np.isfinite(intensity)):
+        raise DomainError("cannot fit lobes on a grid with a non-finite value")
     if not np.any(intensity > 0):
         raise DomainError("cannot fit lobes on a non-positive grid")
     if intensity.size < 6 * n_lobes:

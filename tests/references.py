@@ -13,7 +13,11 @@ their equivalence tests:
   in ``fields.process_overlap`` replaced;
 * ``union_support_fit``: the lobe fit with every lobe on the union of the
   peeled lobes' supports and a whole-grid peel, which the fit of each
-  lobe on its own nodes in ``spectrum.fit_lobes`` replaced.
+  lobe on its own nodes in ``spectrum.fit_lobes`` replaced;
+* ``block_scan_peel``: the peel that formed the unexplained grid from the
+  earlier lobes only where it read it, in blocks of rows for the maximum
+  and on the crop through it, which the one residual grid of
+  ``spectrum._peel`` replaced.
 
 Each calls the package's kernels through their modules, so a test can
 swap those too.
@@ -170,6 +174,78 @@ def serial_overlaps(fiber, processes, lam_p_nm, centers):
 # ---------------------------------------------------------------------------
 # the lobe fit
 
+def distances2(q, xs, yi):
+    """Squared Mahalanobis distance of the nodes to each lobe of the
+    natural parameters ``q``, one array per lobe."""
+    for amp, x0, y0, sa, sb, th in np.reshape(q, (-1, 6)):
+        ct, st = np.cos(th), np.sin(th)
+        dx = xs - x0
+        dy = yi - y0
+        with np.errstate(over="ignore"):
+            yield (((ct * dx + st * dy) / sa) ** 2
+                   + ((-st * dx + ct * dy) / sb) ** 2)
+
+
+# Nodes per block of rows in which ``block_scan_peel`` looks for the next
+# maximum
+PEEL_BLOCK = 8192
+
+
+def block_scan_peel(intensity, ls, li, n):
+    """``spectrum._peel`` with the unexplained grid formed only where it
+    is read: in blocks of rows of at most ``PEEL_BLOCK`` nodes for its
+    maximum, and on the column, the row and the crop through that
+    maximum."""
+    n_s, n_i = intensity.shape
+    params, windows, peeled = [], [], []  # peeled: each lobe on its nodes
+
+    def unexplained(rows, cols):
+        out = intensity[rows, cols].copy()
+        for nodes, values in zip(windows, peeled):
+            a, b = np.searchsorted(nodes, (rows.start * n_i, rows.stop * n_i))
+            r, c = np.divmod(nodes[a:b], n_i)
+            keep = (cols.start <= c) & (c < cols.stop)
+            out[r[keep] - rows.start, c[keep] - cols.start] -= \
+                values[a:b][keep]
+        return out
+
+    def around(at, half, size):
+        return slice(max(0, at - half), min(size, at + half + 1))
+
+    floor = min(ls[1] - ls[0], li[1] - li[0])
+    step = max(1, PEEL_BLOCK // n_i)
+    for k in range(n):
+        peak, r, col = -np.inf, 0, 0
+        for start in range(0, n_s, step):
+            block = unexplained(slice(start, min(n_s, start + step)),
+                                slice(0, n_i))
+            j = int(np.argmax(block))
+            if block.flat[j] > peak:
+                peak = block.flat[j]
+                r, col = divmod(start * n_i + j, n_i)
+        if peak <= 0:
+            raise NumericError(
+                f"found only {k} positive maxima for {n} requested lobes")
+        widths = spectrum._half_widths(
+            unexplained(slice(0, n_s), slice(col, col + 1))[:, 0],
+            unexplained(slice(r, r + 1), slice(0, n_i))[0], r, col)
+        rows = around(r, 3 * widths[0], n_s)
+        cols = around(col, 3 * widths[1], n_i)
+        crop = unexplained(rows, cols)
+        seed = spectrum._seed_at(crop, ls[rows], li[cols], r - rows.start,
+                                 col - cols.start, widths, floor)
+        p, _, _ = spectrum._least_squares(spectrum._to_log(seed), crop,
+                                          ls[rows, None], li[None, cols],
+                                          (ls, li))
+        params += list(p)
+        nodes = spectrum._window(spectrum._from_log(p), ls, li,
+                                 spectrum.SUPPORT_RADIUS**2)
+        windows.append(nodes)
+        peeled.append(spectrum._lobe_model(spectrum._from_log(p),
+                                           ls[nodes // n_i], li[nodes % n_i]))
+    return params, windows
+
+
 def _half_widths(image, r, col):
     half = 0.5 * image[r, col]
     widths = []
@@ -233,14 +309,14 @@ def union_support_fit(lam_s_axis, lam_i_axis, intensity, n_lobes):
     p = np.asarray(whole_grid_peel(intensity, ls, li, n_lobes))
     shape = intensity.shape
     support = np.zeros(shape, dtype=bool)
-    for d2 in spectrum._distances2(spectrum._from_log(p), xs, yi):
+    for d2 in distances2(spectrum._from_log(p), xs, yi):
         support |= d2 <= spectrum.SUPPORT_RADIUS**2
     p, _, nfev = spectrum._least_squares(
         p, intensity[support], np.broadcast_to(xs, shape)[support],
         np.broadcast_to(yi, shape)[support], (ls, li))
     leak = -2.0 * np.log(spectrum._LEAK_FRACTION)
     if any(np.any(d2[~support] < leak)
-           for d2 in spectrum._distances2(spectrum._from_log(p), xs, yi)):
+           for d2 in distances2(spectrum._from_log(p), xs, yi)):
         p, _, more = spectrum._least_squares(p, intensity, xs, yi, (ls, li))
         nfev += more
     lobes = []
@@ -249,7 +325,7 @@ def union_support_fit(lam_s_axis, lam_i_axis, intensity, n_lobes):
     res_grid = spectrum._lobe_model(fitted, xs, yi) - intensity
     for (amp, x0, y0, sa, sb, th), d2 in zip(
             np.reshape(fitted, (-1, 6)),
-            spectrum._distances2(fitted, xs, yi)):
+            distances2(fitted, xs, yi)):
         mask = d2 <= 9.0
         data = intensity[mask]
         denom = float(((data - data.mean()) ** 2).sum())

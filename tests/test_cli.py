@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
+import fwmpairs
+from fwmpairs import pipeline
 from fwmpairs.cli import main
 from fwmpairs.config import PipelineConfig, load_config
 from fwmpairs.errors import ConfigError, GridFormatError
@@ -1065,6 +1071,52 @@ def test_timings_record_the_peak_resident_set(tmp_path, config_path):
     assert float(number) > 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert "timings.txt" not in {e["path"] for e in manifest["outputs"]}
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="compares against VmHWM in /proc")
+def test_peak_resident_set_without_proc(monkeypatch):
+    # where /proc has no status file, the peak comes from ru_maxrss, in
+    # kB on Linux: about VmHWM, and 1024 times off in the wrong unit
+    with_proc = pipeline._peak_rss_mb()
+
+    def no_proc(*args, **kwargs):
+        raise FileNotFoundError("/proc/self/status")
+
+    monkeypatch.setattr(pipeline, "open", no_proc, raising=False)
+    assert pipeline._peak_rss_mb() == pytest.approx(with_proc, rel=0.1)
+
+
+def test_unreadable_config_exits_2_naming_the_file(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert run(["overlaps", "--config", missing, "--out", tmp_path]) == 2
+    assert f"cannot read config {missing}" in capsys.readouterr().err
+
+
+def test_output_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # numpy's OpenBLAS starts one thread per core unless a count is set,
+    # and a threaded dot product can move the last digit of the residual
+    # norm; the CLI sets one thread unless the caller sets a count
+    src = str(Path(fwmpairs.__file__).resolve().parents[1])
+    config = tmp_path / "config.json"
+    config.write_text("{}", encoding="utf-8")
+    unset = {k: v for k, v in os.environ.items()
+             if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                          "OMP_NUM_THREADS")}
+    unset["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outputs = []
+    for name, env in (("unset", unset),
+                      ("one", dict(unset, OPENBLAS_NUM_THREADS="1"))):
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-m", "fwmpairs.cli", "simulate-jsi",
+                        "--config", str(config), "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        outputs.append({path.name: path.read_bytes()
+                        for path in out.iterdir()
+                        if path.name != "timings.txt"})
+    assert "lobes.json" in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 def test_estimate_rho_from_labeled_lobes(tmp_path, config_path):

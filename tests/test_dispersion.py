@@ -51,6 +51,15 @@ def test_v_number_at_620(fiber):
         expected, abs=1e-6)
 
 
+def test_v_number_does_not_depend_on_the_input_shape(fiber):
+    # a 0-d wavelength gets the bits it gets inside an array; squaring
+    # the 0-d indices with libm pow moved 8 of these by up to 8e-15
+    lam = np.linspace(0.50, 0.75, 4001)
+    inside = v_number(fiber, lam)
+    alone = np.array([v_number(fiber, np.asarray(x)) for x in lam])
+    assert np.array_equal(alone, inside)
+
+
 def test_lp11_guided_at_680(fiber):
     v = float(v_number(fiber, np.asarray(0.680)))
     assert v > LP11_CUTOFF_V

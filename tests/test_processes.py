@@ -3,7 +3,7 @@ import pytest
 
 from fwmpairs.config import FiberSpec
 from fwmpairs.dispersion import birefringence_offset, lp_effective_index
-from fwmpairs.errors import DomainError, PhaseMatchError
+from fwmpairs.errors import ConfigError, DomainError, PhaseMatchError
 from fwmpairs.processes import (BaseIndexCache, FwmProcess, all_candidates,
                                 delta_k_vec, enumerate_processes,
                                 SCAN_STEP_NM, phasematched_center,
@@ -28,6 +28,13 @@ def test_single_mode_set():
     procs = enumerate_processes({"e"})
     assert len(procs) == 1
     assert procs[0].modes == ("e", "e", "e", "e")
+
+
+@pytest.mark.parametrize("enumerate_", [all_candidates, enumerate_processes])
+def test_unknown_mode_label_is_a_config_error(enumerate_):
+    with pytest.raises(ConfigError, match=r"^unknown mode label 'x': the "
+                                          r"basis is \(g, e, o\)$"):
+        enumerate_({"e", "x"})
 
 
 def test_three_mode_set_gives_ten():

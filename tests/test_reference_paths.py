@@ -5,15 +5,16 @@ references kept in ``references.py``: the bisection of the LP
 characteristic equation (with a cold index table, so the table is built
 from it), the serial bisection of the phase-matched centers, the
 overlaps solved channel by channel and the lobe fit on the union support
-of the peeled lobes.  Both runs compute the criterion-2 normalized
-overlaps |O|^2, the criterion-4 predicted and fitted centers and the
-criterion-6 metrics at a 1 nm and an 8 nm window about the B-C
-intersection, for the default 10 cm fiber and the 15 + 15 mm
-cross-spliced one.  The cross-spliced JSI is fitted on a 121 x 121 grid
-over the default band: on the default 301 x 301 grid its fit takes about
-2 300 model evaluations on either path, some 16 s.  On the smaller grid
-a lobe leaves its own nodes during the joint fit, so the run also covers
-the fit's switch to every lobe on all the joint nodes.
+of the peeled lobes.  A third run swaps in the block-scan peel alone and
+must give the package's outputs bit for bit.  The runs compute the
+criterion-2 normalized overlaps |O|^2, the criterion-4 predicted and
+fitted centers and the criterion-6 metrics at a 1 nm and an 8 nm window
+about the B-C intersection, for the default 10 cm fiber and the
+15 + 15 mm cross-spliced one.  The cross-spliced JSI is fitted on a
+121 x 121 grid over the default band: on the default 301 x 301 grid its
+fit takes about 2 300 model evaluations on either path, some 16 s.  On
+the smaller grid a lobe leaves its own nodes during the joint fit, so the
+run also covers the fit's switch to every lobe on all the joint nodes.
 
 The barrier MLE's schedule is held to the one it replaced (a tenfold
 cut of tau at centred points that are centred to 1e-8) through the KKT
@@ -24,7 +25,10 @@ the bound those gaps imply.
 
 The overlaps of all channels at once are held bit for bit to the
 overlaps solved one channel at a time, on both fibers' matched channels
-and on the ten {g, e, o} channels.
+and on the ten {g, e, o} channels.  The lobe fit seeded by the peel on
+one residual grid is held bit for bit to the one seeded by the block-scan
+peel, on both fibers' JSIs, a one-lobe JSI and seeded measured-like
+grids.
 """
 
 from collections import OrderedDict
@@ -33,13 +37,14 @@ import numpy as np
 import pytest
 
 import references
-from fwmpairs import dispersion, pipeline, tomography
+from fwmpairs import dispersion, pipeline, spectrum, tomography
 from fwmpairs.config import FiberSpec, PipelineConfig, SpectralWindow
 from fwmpairs.estimation import trace_spectral
 from fwmpairs.fields import normalize_overlaps, process_overlap
 from fwmpairs.processes import enumerate_processes
 from fwmpairs.tomography import (bootstrap_metrics, expected_counts,
                                  metrics_block, sample_counts)
+from test_spectrum import benchmark_style_lobes
 from test_tomography import kkt_records
 
 # fiber, and the grid points per axis of its JSI
@@ -108,6 +113,10 @@ def test_fast_paths_match_the_references_end_to_end(monkeypatch, name):
     fiber, points = FIBERS[name]
     monkeypatch.setattr(dispersion, "_PANEL_CACHE", OrderedDict())
     fast = outputs(fiber, points)
+    with monkeypatch.context() as patch:
+        patch.setattr(dispersion, "_PANEL_CACHE", OrderedDict())
+        patch.setattr(spectrum, "_peel", references.block_scan_peel)
+        assert outputs(fiber, points) == fast
     monkeypatch.setattr(dispersion, "_PANEL_CACHE", OrderedDict())
     monkeypatch.setattr(dispersion, "_solve_u_array",
                         references.bisect_u_array)
@@ -159,6 +168,44 @@ def test_overlaps_match_the_serial_reference_bitwise(case):
     assert len(processes) >= 5
     assert (process_overlap(fiber, processes, 620.0, centers)
             == references.serial_overlaps(fiber, processes, 620.0, centers))
+
+
+# ---------------------------------------------------------------------------
+# the peel on one residual grid against the block scan
+
+
+def lobe_fit(case, centers):
+    """The lobe fit of one case, run when called: a fiber's in-band
+    lobes on its JSI, the one lobe of a pump in mode e on the default
+    JSI, or four lobes on a seeded measured-like grid, scaled by 2^1000
+    or 2^-1000 where the case names the power."""
+    if case in FIBERS or case == "pump_e":
+        fiber, points = FIBERS.get(case, FIBERS["10cm"])
+        cfg = PipelineConfig.parse({
+            "grid": {"points_s": points, "points_i": points},
+            **({"pump": {"transverse_state": "e"}} if case == "pump_e"
+               else {})})
+        sim = pipeline.Simulation(cfg, fiber=fiber)
+        jsi = sim.jsi()
+        return lambda: pipeline._fit_in_band_lobes(
+            sim, jsi.lambda_s_axis, jsi.lambda_i_axis, jsi.combined)
+    seed, power = case if isinstance(case, tuple) else (case, 0)
+    ls, li, grid = benchmark_style_lobes(seed, centers)
+    return lambda: spectrum.fit_lobes(ls, li, np.ldexp(grid, power), 4)
+
+
+@pytest.mark.parametrize("case", [*sorted(FIBERS), "pump_e", *range(1, 6),
+                                  (6, 1000), (6, -1000)], ids=str)
+def test_peel_matches_the_block_scan_reference_bitwise(monkeypatch, centers,
+                                                       case):
+    fit = lobe_fit(case, centers)
+    new = fit()
+    monkeypatch.setattr(spectrum, "_peel", references.block_scan_peel)
+    # the lobes, their R^2, the residual norm and the evaluations; a
+    # float's repr gives back its bits
+    assert repr(new) == repr(fit())
+    if case == "pump_e":
+        assert len(new.lobes) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.constants import c as C_LIGHT
 
+from references import distances2
 from fwmpairs.config import (FiberSpec, GaussianLobe, PipelineConfig,
                              SpectralGrid)
 from fwmpairs.errors import ConfigError, DomainError, NumericError
@@ -436,6 +437,63 @@ def test_fit_rejects_zero_grid():
         fit_lobes(ls, ls, np.ones((32, 32)), 0)
 
 
+def test_fit_rejects_a_non_finite_grid():
+    ls = np.linspace(670.0, 671.0, 32)
+    for bad in (np.nan, np.inf, -np.inf):
+        grid = np.ones((32, 32))
+        grid[5, 7] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            fit_lobes(ls, ls, grid, 1)
+
+
+# a 61 x 61 grid over the default band, zero but for a few nodes
+SPARSE_LS = np.linspace(670.0, 700.0, 61)
+SPARSE_LI = np.linspace(567.0, 576.0, 61)
+
+
+def sparse_grid(*nodes):
+    grid = np.zeros((61, 61))
+    for node in nodes:
+        grid[node] = 1.0
+    return grid
+
+
+def test_peel_refuses_more_lobes_than_positive_maxima():
+    # one positive node: the first lobe covers it, and nothing positive
+    # is left to seed a second
+    with pytest.raises(NumericError, match="found only 1 positive maxima "
+                                           "for 2 requested lobes"):
+        fit_lobes(SPARSE_LS, SPARSE_LI, sparse_grid((30, 30)), 2)
+
+
+def test_fit_refuses_once_its_evaluation_budget_is_spent():
+    # a 3 x 3 box: the second peeled lobe fits what the first leaves of
+    # its corners and does not converge in its budget
+    box = sparse_grid(*((r, c) for r in (29, 30, 31) for c in (29, 30, 31)))
+    with pytest.raises(NumericError, match="did not converge in 1200 "
+                                           "evaluations"):
+        fit_lobes(SPARSE_LS, SPARSE_LI, box, 2)
+
+
+def test_least_squares_stops_where_the_gradient_vanishes():
+    # data off the model at p0 only along a direction orthogonal to every
+    # Jacobian row: the residual is nonzero, yet p0 is stationary, and
+    # only the gradient-cosine test stops the fit before a trial step
+    from fwmpairs import spectrum
+    xs, yi = np.meshgrid(SPARSE_LS[20:41], SPARSE_LI[20:41], indexing="ij")
+    xs, yi = xs.ravel(), yi.ravel()
+    p0 = spectrum._to_log([1.0, 685.0, 571.5, 2.0, 0.5, 0.3])
+    jac = spectrum._lobe_jacobian(p0, xs, yi)
+    off = np.random.default_rng(7).standard_normal(xs.size)
+    off -= jac.T @ np.linalg.solve(jac @ jac.T, jac @ off)
+    data = spectrum._lobe_model(spectrum._from_log(p0), xs, yi) - off
+    p, r, nfev = spectrum._least_squares(p0, data, xs, yi,
+                                         (SPARSE_LS, SPARSE_LI))
+    assert nfev == 1
+    assert np.array_equal(p, p0)
+    assert r @ r == pytest.approx(off @ off)
+
+
 def test_fit_rejects_grid_with_fewer_nodes_than_parameters():
     ls = np.linspace(670.0, 671.0, 2)
     with pytest.raises(DomainError, match="4 grid nodes are too few"):
@@ -735,7 +793,7 @@ def lobe_nodes(case, ls, li, grid, p):
         return ls[:, None], li[None, :], grid
     xs, yi = np.meshgrid(ls, li, indexing="ij")
     support = np.zeros(grid.shape, dtype=bool)
-    for d2 in spectrum._distances2(spectrum._from_log(p), xs, yi):
+    for d2 in distances2(spectrum._from_log(p), xs, yi):
         support |= d2 <= spectrum.SUPPORT_RADIUS**2
     if case == "support":
         return xs[support], yi[support], grid[support]
