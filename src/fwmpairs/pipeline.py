@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -176,18 +177,35 @@ def _on_grid(lam_s, lam_i, center_s, center_i) -> bool:
 
 
 def _fit_in_band_lobes(sim: Simulation, lam_s, lam_i, intensity):
-    """Fit one lobe per process on the grid and label the lobes with them,
-    both in idler order: the matched processes of nonzero weight whose
-    predicted center lies ``_on_grid``."""
-    on_grid = sorted((p for p in sim.matched
+    """Fit one lobe per process on the grid and label the lobes with them:
+    the matched processes of nonzero weight whose predicted center lies
+    ``_on_grid``.  Each lobe takes the process of the assignment with the
+    least total distance between fitted and predicted centers, the one
+    in idler order on a tie.  Raises when a lobe lies further than
+    criterion 4's 2 nm from its process's center in either coordinate."""
+    on_grid = sorted((p.label for p in sim.matched
                       if sim.weights[p.label] != 0
                       and _on_grid(lam_s, lam_i, *sim.centers[p.label])),
-                     key=lambda p: sim.centers[p.label][1])
+                     key=lambda label: sim.centers[label][1])
     if not on_grid:
         raise NumericError("no phase-matched lobe inside the grid band")
     fit = fit_lobes(lam_s, lam_i, intensity, len(on_grid))
-    for lobe, proc in zip(fit.lobes, on_grid):
-        lobe.process_label = proc.label
+
+    def offsets(lobe, label):
+        cs, ci = sim.centers[label]
+        return lobe.center_s_nm - cs, lobe.center_i_nm - ci
+
+    labels = min(itertools.permutations(on_grid), key=lambda order: sum(
+        np.hypot(*offsets(lobe, label))
+        for lobe, label in zip(fit.lobes, order)))
+    for lobe, label in zip(fit.lobes, labels):
+        if max(map(abs, offsets(lobe, label))) > 2.0:
+            raise NumericError(
+                f"fitted lobe at ({lobe.center_s_nm:.3f}, "
+                f"{lobe.center_i_nm:.3f}) nm misses the predicted center "
+                f"({sim.centers[label][0]:.3f}, {sim.centers[label][1]:.3f})"
+                f" nm of process {label} by more than 2 nm")
+        lobe.process_label = label
     return fit
 
 

@@ -9,8 +9,9 @@ coherently before squaring; distinct output pairs add in intensity.
 Lobes are fitted as sums of elliptical Gaussians by a numpy
 Levenberg-Marquardt iteration on the analytic Jacobian.  The lobes are
 peeled off the grid one at a time and then fitted jointly, each lobe on
-its own nodes only: those within ``SUPPORT_RADIUS`` of it, outside which
-it is below about 1e-14 of its amplitude.
+its own nodes only: those within ``SUPPORT_RADIUS`` of its anchor, where
+it was peeled or last re-anchored, outside which it is below about 1e-14
+of its amplitude.
 """
 
 from __future__ import annotations
@@ -116,6 +117,10 @@ def jsa_grid(processes, fiber: FiberSpec, pump: PumpSpec, weights: dict,
 
 @dataclass
 class LobeFit:
+    """Fitted lobes in ascending idler center, with the residual norm and
+    R^2 taken over the whole grid.  ``iterations`` counts the joint fit's
+    evaluations of the model, a regroup's included, not its steps."""
+
     lobes: list
     residual_norm: float
     r_squared: float
@@ -236,7 +241,8 @@ def _check_lobes(p: np.ndarray, ls: np.ndarray, li: np.ndarray) -> None:
                                f"wider than the grid span {span:.3f} nm")
 
 
-def _least_squares(p0, data, xs, yi, grid, groups=None, stays=None):
+def _least_squares(p0, data, xs, yi, grid, groups=None,
+                   regroup=lambda p: None):
     """Levenberg-Marquardt fit of the lobe sum to ``data``, in the log
     parameters (More, Lecture Notes in Mathematics 630, 1978).
 
@@ -246,11 +252,11 @@ def _least_squares(p0, data, xs, yi, grid, groups=None, stays=None):
     (any shapes that broadcast to the shape of ``data``), so no step holds
     J on all nodes at once.  With ``groups`` (see ``_lobe_model``) each
     lobe of the model and of J lives on its own groups of the flattened
-    nodes only, as long as the test ``stays`` holds for the parameters;
-    from the first ones it fails for, every lobe lives on every node.  A
-    step that lowers the cost is
-    taken and divides the damping mu by 10, one that does not multiplies
-    it by 10.  Converges when the relative cost reduction, actual and
+    nodes only.  A step that lowers the cost is taken and divides the
+    damping mu by 10, one that does not multiplies it by 10.  After each
+    step taken, ``regroup`` of the parameters returns None or new 1-D
+    (xs, yi, data, groups), on which the fit goes on with the same
+    damping.  Converges when the relative cost reduction, actual and
     predicted, the relative scaled step, or the largest cosine between
     the residual and a Jacobian row falls to ``_LM_TOL``.  Returns
     (parameters, residual vector, evaluations).  Every step taken must
@@ -271,8 +277,6 @@ def _least_squares(p0, data, xs, yi, grid, groups=None, stays=None):
     # warning.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         p = np.asarray(p0, dtype=float)
-        if groups is not None and not stays(p):
-            groups = None
         r = resid(p)
         cost = float(r @ r)
         nfev = 1
@@ -311,8 +315,9 @@ def _least_squares(p0, data, xs, yi, grid, groups=None, stays=None):
                         p @ (scale * p))
                     p, r, cost = p + step, r_trial, cost_trial
                     _check_lobes(p, *grid)
-                    if groups is not None and not stays(p):
-                        groups = None
+                    moved = regroup(p)
+                    if moved is not None:
+                        xs, yi, target, groups = moved
                         r = resid(p)
                         cost = float(r @ r)
                         nfev += 1
@@ -504,18 +509,14 @@ def fit_lobes(lam_s_axis, lam_i_axis, intensity, n_lobes: int) -> LobeFit:
     play no part.
 
     Joint fit: all lobes are then fitted jointly, each lobe on its own
-    nodes only: those within Mahalanobis radius ``SUPPORT_RADIUS`` of it
-    as peeled, outside which it is below about 1e-14 of its amplitude.
-    The fit stays there while every fitted lobe stays below
+    nodes only: those within Mahalanobis radius ``SUPPORT_RADIUS`` of its
+    anchor, at first the lobe as peeled.  While every lobe stays below
     ``_LEAK_FRACTION`` of its amplitude outside its own nodes
-    (``_stays``), and then equals the fit of every lobe on the whole
-    grid.  Once a lobe leaves them, the fit goes on with every lobe on
-    all the peeled lobes' nodes; if a fitted lobe then exceeds
-    ``_LEAK_FRACTION`` of its amplitude at a node outside those, the fit
-    is run once more on the whole grid, started from that result.  The
-    global and per-lobe R^2 and ``residual_norm`` are taken over the
-    whole grid, with each lobe of the model on the nodes it was fitted
-    on.
+    (``_stays``), the fit equals the fit of every lobe on the whole grid.
+    A step that takes a lobe out re-anchors every lobe where it is, and
+    the fit goes on on their new nodes.  The global and per-lobe R^2 and
+    ``residual_norm`` are taken over the whole grid, with each lobe of
+    the model on its last nodes.
 
     Positivity: amplitudes and sigmas are fitted as logarithms, so every
     returned amplitude and sigma is positive and finite.
@@ -554,39 +555,36 @@ def fit_lobes(lam_s_axis, lam_i_axis, intensity, n_lobes: int) -> LobeFit:
     intensity = np.ldexp(intensity, -scale)
     ls = np.asarray(lam_s_axis, dtype=float)
     li = np.asarray(lam_i_axis, dtype=float)
-    xs = ls[:, None]
-    yi = li[None, :]
+
+    def on(nodes):
+        return ls[nodes // len(li)], li[nodes % len(li)]
 
     p, windows = _peel(intensity, ls, li, n_lobes)
     anchors = np.reshape(_from_log(np.asarray(p)), (-1, 6))
     nodes, groups = _joint_nodes(windows, intensity.size)
-    xs_n, yi_n = ls[nodes // len(li)], li[nodes % len(li)]
+
+    def regroup(p):
+        # a lobe re-anchored at itself stays (_stays), as SUPPORT_RADIUS
+        # exceeds the leak radius sqrt(-2 ln _LEAK_FRACTION) ~ 7.43
+        nonlocal anchors, nodes, groups
+        if _stays(p, anchors):
+            return None
+        anchors = np.reshape(_from_log(p), (-1, 6))
+        nodes, groups = _joint_nodes(
+            [_window(q, ls, li, SUPPORT_RADIUS**2) for q in anchors],
+            intensity.size)
+        return (*on(nodes), intensity.ravel()[nodes], groups)
+
     p, _, nfev = _least_squares(np.asarray(p), intensity.ravel()[nodes],
-                                xs_n, yi_n, (ls, li), groups,
-                                lambda p: _stays(p, anchors))
-    if not _stays(p, anchors):
-        # a lobe left its own nodes, and the fit went on with every lobe
-        # on all the joint nodes
-        groups = None
-        joint = np.zeros(intensity.size, dtype=bool)
-        joint[nodes] = True
-        leak = -2.0 * np.log(_LEAK_FRACTION)
-        if any(not np.all(joint[_window(q, ls, li, leak)])
-               for q in np.reshape(_from_log(p), (-1, 6))):
-            p, _, more = _least_squares(p, intensity, xs, yi, (ls, li))
-            nfev += more
-            nodes = None
+                                *on(nodes), (ls, li), groups, regroup)
 
     lobes = []
     denom_total = float(((intensity - intensity.mean()) ** 2).sum())
     fitted = np.reshape(_canonical_params(_from_log(p)), (-1, 6))
     # the fitted model, each lobe on the nodes it was fitted on, less the
     # data
-    if nodes is None:
-        res_grid = _lobe_model(fitted, xs, yi)
-    else:
-        res_grid = np.zeros(intensity.shape)
-        res_grid.ravel()[nodes] = _lobe_model(fitted, xs_n, yi_n, groups)
+    res_grid = np.zeros(intensity.shape)
+    res_grid.ravel()[nodes] = _lobe_model(fitted, *on(nodes), groups)
     res_grid -= intensity
     for q in fitted:
         amp, x0, y0, sa, sb, th = q

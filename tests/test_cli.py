@@ -179,6 +179,34 @@ def test_fit_lobes_labels_the_predicted_centers_on_its_grid(tmp_path):
     assert [lb["process_label"] for lb in lobes] == ["C", "D"]
 
 
+def test_simulate_jsi_refuses_a_lobe_off_its_predicted_center(
+        tmp_path, monkeypatch, capsys):
+    # the lobes fitted on the default 301^2 grid of the 15 + 15 mm
+    # cross-spliced fiber: two near A, one on the merged B + C lobe, and
+    # D. In idler order the second read as B, 2.7 nm from B's prediction;
+    # the nearest assignment takes it as A and leaves the first to B
+    from fwmpairs.spectrum import LobeFit
+    fitted = [(683.585, 567.449), (682.481, 568.003), (678.879, 570.522),
+              (675.423, 572.996)]
+
+    def fit_lobes(lam_s, lam_i, intensity, n_lobes):
+        assert n_lobes == len(fitted)
+        return LobeFit(lobes=[GaussianLobe(cs, ci, 1.0, 0.3, 0.45, 1.0)
+                              for cs, ci in fitted],
+                       residual_norm=0.0, r_squared=0.9999, iterations=1)
+
+    monkeypatch.setattr(pipeline, "fit_lobes", fit_lobes)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"fiber": {
+        "segments": [[0.015, False], [0.015, True]]}}), encoding="utf-8")
+    out = tmp_path / "o"
+    assert run(["simulate-jsi", "--config", config, "--out", out]) == 3
+    assert ("error: fitted lobe at (683.585, 567.449) nm misses the "
+            "predicted center (679.774, 569.889) nm of process B by more "
+            "than 2 nm") in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_simulate_jsi_lobe_ordering(tmp_path, config_path):
     out = tmp_path / "o"
     assert run(["simulate-jsi", "--config", config_path, "--out", out]) == 0

@@ -540,15 +540,14 @@ def test_fitted_centers_satisfy_energy_identity(grid_default):
 # ---------------------------------------------------------------------------
 # the numpy Levenberg-Marquardt against MINPACK, the test-side reference
 
-def minpack_least_squares(p0, data, xs, yi, grid, groups=None, stays=None):
+def minpack_least_squares(p0, data, xs, yi, grid, groups=None,
+                          regroup=lambda p: None):
     """``spectrum._least_squares`` through ``scipy.optimize.leastsq`` with
-    the same residual, Jacobian, node groups, tolerances and budget; the
-    groups hold if ``stays`` holds at the start, as MINPACK takes no test
-    of its steps."""
+    the same residual, Jacobian, node groups, tolerances and budget.
+    MINPACK takes no test of its steps, so the groups hold throughout,
+    and the result must need no regroup."""
     from scipy.optimize import leastsq
     from fwmpairs import spectrum
-    if groups is not None and not stays(p0):
-        groups = None
 
     def resid(p):
         return (spectrum._lobe_model(spectrum._from_log(p), xs, yi, groups)
@@ -569,6 +568,7 @@ def minpack_least_squares(p0, data, xs, yi, grid, groups=None, stays=None):
             maxfev=spectrum.MAX_EVALS_PER_PARAM * len(p0),
             xtol=1e-12, ftol=1e-12, gtol=1e-12)
     assert ier in (1, 2, 3, 4)
+    assert regroup(p) is None
     return p, info["fvec"], info["nfev"]
 
 
@@ -677,7 +677,8 @@ def joint_fit_nodes(monkeypatch):
 
 def assert_matches_full_grid(ls, li, grid, n, nodes):
     """Fit ``n`` lobes, compare them with the reference and return the
-    joint stage's node counts, from the list ``nodes``."""
+    fitted lobes and the joint stage's node counts, from the list
+    ``nodes``."""
     fit = fit_lobes(ls, li, grid, n)
     joint = nodes[n:]
     want, residual_norm = full_grid_fit(ls, li, grid, n)
@@ -686,7 +687,7 @@ def assert_matches_full_grid(ls, li, grid, n, nodes):
                      lb.orientation_rad] for lb in fit.lobes])
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
     assert fit.residual_norm == pytest.approx(residual_norm, rel=1e-12)
-    return joint
+    return fit.lobes, joint
 
 
 @pytest.mark.parametrize("case", ["simulate-jsi", *range(1, 9)])
@@ -698,21 +699,9 @@ def test_supported_fit_matches_the_full_grid(joint_fit_nodes, centers,
         ls, li, grid = jsi.lambda_s_axis, jsi.lambda_i_axis, jsi.combined
     else:
         ls, li, grid = benchmark_style_lobes(case, centers)
-    (support,) = assert_matches_full_grid(ls, li, grid, 4, joint_fit_nodes)
+    _, (support,) = assert_matches_full_grid(ls, li, grid, 4,
+                                             joint_fit_nodes)
     assert support < grid.size
-
-
-def test_leaking_supported_fit_reruns_on_the_full_grid(joint_fit_nodes,
-                                                       monkeypatch,
-                                                       centers):
-    # at radius 3 every lobe still holds 1 % of its amplitude at the
-    # support's edge, so the fit on the support reruns on the whole grid
-    from fwmpairs import spectrum
-    monkeypatch.setattr(spectrum, "SUPPORT_RADIUS", 3.0)
-    ls, li, grid = benchmark_style_lobes(1, centers)
-    support, rerun = assert_matches_full_grid(ls, li, grid, 4,
-                                              joint_fit_nodes)
-    assert support < rerun == grid.size
 
 
 @pytest.mark.parametrize("points", [61, 121])
@@ -720,15 +709,15 @@ def test_fit_leaving_its_own_nodes_matches_the_full_grid(joint_fit_nodes,
                                                          monkeypatch,
                                                          points):
     # on the cross-spliced JSI a lobe moves off its peeled place, so the
-    # joint fit goes on with every lobe on all the joint nodes
+    # joint fit re-anchors every lobe and goes on on their new nodes
     from fwmpairs import spectrum
     from fwmpairs.pipeline import Simulation
     tests = []
     stays = spectrum._stays
 
     def spied(p, anchors):
-        tests.append(stays(p, anchors))
-        return tests[-1]
+        tests.append((p, anchors, stays(p, anchors)))
+        return tests[-1][2]
 
     monkeypatch.setattr(spectrum, "_stays", spied)
     cfg = PipelineConfig.parse({"grid": {"points_s": points,
@@ -736,9 +725,22 @@ def test_fit_leaving_its_own_nodes_matches_the_full_grid(joint_fit_nodes,
     jsi = Simulation(cfg, fiber=FiberSpec(
         segments=((0.015, False), (0.015, True)))).jsi()
     ls, li, grid = jsi.lambda_s_axis, jsi.lambda_i_axis, jsi.combined
-    joint = assert_matches_full_grid(ls, li, grid, 4, joint_fit_nodes)
-    assert tests[0] and not all(tests)
-    assert joint[0] < grid.size
+    lobes, (support,) = assert_matches_full_grid(ls, li, grid, 4,
+                                                 joint_fit_nodes)
+    assert support < grid.size
+    assert not all(ok for _, _, ok in tests)
+    # the last step taken is the last one tested; its lobes are their own
+    # anchors if that test re-anchored them
+    p, anchors, ok = tests[-1]
+    q = np.reshape(spectrum._from_log(p), (-1, 6))
+    if not ok:
+        anchors = q
+    got = np.array([[lb.amplitude, lb.center_s_nm, lb.center_i_nm,
+                     lb.sigma_major_nm, lb.sigma_minor_nm,
+                     lb.orientation_rad] for lb in lobes])
+    order = np.argsort(q[:, 2], kind="stable")
+    np.testing.assert_array_equal(got[:, 1:3], q[order, 1:3])
+    assert stays(spectrum._to_log(got), anchors[order])
 
 
 def test_staying_lobes_keep_their_leak_inside_their_own_nodes():
