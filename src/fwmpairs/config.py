@@ -173,9 +173,9 @@ class PumpSpec:
 
 # Largest grid a config or a grid CSV may hold.  simulate-jsi and
 # fit-lobes, the largest consumers, peak in their lobe fit near 37 MB +
-# 65 bytes per node (VmHWM with one BLAS thread, README "Configuration":
-# fit-lobes 42.6 MB at 301 x 301, 99.1 MB at 1001 x 1001 and 101.9 MB at
-# 1024 x 1024 = 2^20 nodes; simulate-jsi 92.5 MB and 95.0 MB at the last
+# 56 bytes per node (VmHWM with one BLAS thread, README "Configuration":
+# fit-lobes 41.7 MB at 301 x 301, 90.3 MB at 1001 x 1001 and 92.8 MB at
+# 1024 x 1024 = 2^20 nodes; simulate-jsi 81.3 MB and 83.1 MB at the last
 # two)
 MAX_GRID_POINTS = 2**20
 

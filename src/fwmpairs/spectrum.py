@@ -7,11 +7,9 @@ segmented fiber.  Processes with the same output mode pair add
 coherently before squaring; distinct output pairs add in intensity.
 
 Lobes are fitted as sums of elliptical Gaussians by a numpy
-Levenberg-Marquardt iteration on the analytic Jacobian.  The lobes are
-peeled off the grid one at a time and then fitted jointly, each lobe on
-its own nodes only: those within ``SUPPORT_RADIUS`` of its anchor, where
-it was peeled or last re-anchored, outside which it is below about 1e-14
-of its amplitude.
+Levenberg-Marquardt iteration on the analytic Jacobian: peeled and
+fitted jointly on a coarse subgrid, then refined on the full grid, each
+lobe on its own nodes (``fit_lobes``).
 """
 
 from __future__ import annotations
@@ -118,8 +116,8 @@ def jsa_grid(processes, fiber: FiberSpec, pump: PumpSpec, weights: dict,
 @dataclass
 class LobeFit:
     """Fitted lobes in ascending idler center, with the residual norm and
-    R^2 taken over the whole grid.  ``iterations`` counts the joint fit's
-    evaluations of the model, a regroup's included, not its steps."""
+    R^2 taken over the whole grid.  ``iterations`` counts the model
+    evaluations of the coarse joint fit and the fine one, not steps."""
 
     lobes: list
     residual_norm: float
@@ -241,8 +239,7 @@ def _check_lobes(p: np.ndarray, ls: np.ndarray, li: np.ndarray) -> None:
                                f"wider than the grid span {span:.3f} nm")
 
 
-def _least_squares(p0, data, xs, yi, grid, groups=None,
-                   regroup=lambda p: None):
+def _least_squares(p0, data, xs, yi, grid, groups=None, rest=0.0):
     """Levenberg-Marquardt fit of the lobe sum to ``data``, in the log
     parameters (More, Lecture Notes in Mathematics 630, 1978).
 
@@ -252,18 +249,18 @@ def _least_squares(p0, data, xs, yi, grid, groups=None,
     (any shapes that broadcast to the shape of ``data``), so no step holds
     J on all nodes at once.  With ``groups`` (see ``_lobe_model``) each
     lobe of the model and of J lives on its own groups of the flattened
-    nodes only.  A step that lowers the cost is taken and divides the
-    damping mu by 10, one that does not multiplies it by 10.  After each
-    step taken, ``regroup`` of the parameters returns None or new 1-D
-    (xs, yi, data, groups), on which the fit goes on with the same
-    damping.  Converges when the relative cost reduction, actual and
-    predicted, the relative scaled step, or the largest cosine between
-    the residual and a Jacobian row falls to ``_LM_TOL``.  Returns
-    (parameters, residual vector, evaluations).  Every step taken must
-    pass ``_check_lobes`` on ``grid``, the (signal, idler) axes; raises
-    when one does not, when the damping passes ``_LM_DAMPING_CAP``
-    without lowering the cost, or when ``MAX_EVALS_PER_PARAM`` evaluations
-    per parameter do not converge."""
+    nodes only.  The cost is the residual's sum of squares plus ``rest``,
+    that of the data on nodes left out, where the model is taken as 0, so
+    a fit on part of a grid stops where the fit on all of it would.  A
+    step that lowers the cost is taken and divides the damping mu by 10,
+    one that does not multiplies it by 10.  Converges when the relative
+    cost reduction, actual and predicted, the relative scaled step, or
+    the largest cosine between the residual and a Jacobian row falls to
+    ``_LM_TOL``.  Returns (parameters, residual vector, evaluations).
+    Every step taken must pass ``_check_lobes`` on ``grid``, the (signal,
+    idler) axes; raises when one does not, when the damping passes
+    ``_LM_DAMPING_CAP`` without lowering the cost, or when
+    ``MAX_EVALS_PER_PARAM`` evaluations per parameter do not converge."""
     target = np.ravel(data)
     xs, yi = (np.ravel(a) for a in np.broadcast_arrays(xs, yi))
 
@@ -278,7 +275,7 @@ def _least_squares(p0, data, xs, yi, grid, groups=None,
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         p = np.asarray(p0, dtype=float)
         r = resid(p)
-        cost = float(r @ r)
+        cost = float(r @ r) + rest
         nfev = 1
         damping = _LM_DAMPING0
         converged = cost == 0.0
@@ -304,7 +301,7 @@ def _least_squares(p0, data, xs, yi, grid, groups=None,
                                        -grad)
                 r_trial = resid(p + step)
                 nfev += 1
-                cost_trial = float(r_trial @ r_trial)
+                cost_trial = float(r_trial @ r_trial) + rest
                 step_norm2 = float(step @ (scale * step))
                 # relative cost reductions, actual and predicted
                 actual = 1.0 - cost_trial / cost
@@ -315,13 +312,6 @@ def _least_squares(p0, data, xs, yi, grid, groups=None,
                         p @ (scale * p))
                     p, r, cost = p + step, r_trial, cost_trial
                     _check_lobes(p, *grid)
-                    moved = regroup(p)
-                    if moved is not None:
-                        xs, yi, target, groups = moved
-                        r = resid(p)
-                        cost = float(r @ r)
-                        nfev += 1
-                        converged = False
                     damping = max(damping / 10.0, _LM_DAMPING_FLOOR)
                     break
                 if converged:
@@ -412,43 +402,40 @@ def _shape_matrix(q: np.ndarray, power: float) -> np.ndarray:
     return rot.T @ np.diag([sa**power, sb**power]) @ rot
 
 
-def _stays(p: np.ndarray, anchors: np.ndarray) -> bool:
-    """Whether every lobe of the log parameters ``p`` stays below
+def _stays(q: np.ndarray, anchor: np.ndarray) -> bool:
+    """Whether the lobe of natural parameters ``q`` stays below
     ``_LEAK_FRACTION`` of its amplitude outside its own nodes, those
-    within ``SUPPORT_RADIUS`` of its anchor (the lobe of natural
-    parameters in ``anchors`` they were drawn around).  A sufficient
-    test, in the anchor's metric: the distance between the centers plus
-    the lobe's longest semi-axis at that level is at most
-    ``SUPPORT_RADIUS``, so the lobe's ellipse at that level lies inside
-    the anchor's ellipse at ``SUPPORT_RADIUS``."""
+    within ``SUPPORT_RADIUS`` of its ``anchor`` (the lobe they were drawn
+    around).  A sufficient test, in the anchor's metric: the distance
+    between the centers plus the lobe's longest semi-axis at that level
+    is at most ``SUPPORT_RADIUS``, so the lobe's ellipse at that level
+    lies inside the anchor's ellipse at ``SUPPORT_RADIUS``."""
     leak = np.sqrt(-2.0 * np.log(_LEAK_FRACTION))
     # a sigma near 0 or infinity overflows the matrices, and a nan
     # fails the test
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for q, anchor in zip(np.reshape(_from_log(p), (-1, 6)), anchors):
-            metric = _shape_matrix(anchor, -2.0)
-            shift = q[1:3] - anchor[1:3]
-            stretch = _shape_matrix(q, 2.0) @ metric
-            half = 0.5 * np.trace(stretch)
-            longest = half + np.sqrt(max(half**2 - np.linalg.det(stretch),
-                                         0.0))
-            if not (np.sqrt(shift @ metric @ shift)
-                    + leak * np.sqrt(longest) <= SUPPORT_RADIUS):
-                return False
-    return True
+        metric = _shape_matrix(anchor, -2.0)
+        shift = q[1:3] - anchor[1:3]
+        stretch = _shape_matrix(q, 2.0) @ metric
+        half = 0.5 * np.trace(stretch)
+        longest = half + np.sqrt(max(half**2 - np.linalg.det(stretch), 0.0))
+        return bool(np.sqrt(shift @ metric @ shift) + leak * np.sqrt(longest)
+                    <= SUPPORT_RADIUS)
 
 
-def _peel(intensity, ls, li, n) -> tuple:
+def _peel(intensity, ls, li, n) -> list:
     """Seed ``n`` lobes one at a time: fit one lobe on a crop around the
     maximum of what earlier lobes leave unexplained, then subtract it on
     its own nodes, those within ``SUPPORT_RADIUS`` of it.
 
     What is unexplained is one copy of the grid, from which each lobe is
-    subtracted as it is fitted.  Returns the log parameters and the
-    ascending flat indices of each lobe's own nodes."""
+    subtracted as it is fitted and then clamped at 0 there, so a lobe
+    that takes out more than the grid holds leaves no hole for the next,
+    positive lobe to fit.  Returns the log parameters."""
     n_s, n_i = intensity.shape
     residual = intensity.copy()
-    params, windows = [], []
+    left = residual.ravel()
+    params = []
 
     def around(at, half, size):
         return slice(max(0, at - half), min(size, at + half + 1))
@@ -469,20 +456,22 @@ def _peel(intensity, ls, li, n) -> tuple:
                                  li[None, cols], (ls, li))
         params += list(p)
         nodes = _window(_from_log(p), ls, li, SUPPORT_RADIUS**2)
-        windows.append(nodes)
-        residual.ravel()[nodes] -= _lobe_model(_from_log(p), ls[nodes // n_i],
-                                               li[nodes % n_i])
-    return params, windows
+        left[nodes] = np.maximum(
+            left[nodes] - _lobe_model(_from_log(p), ls[nodes // n_i],
+                                      li[nodes % n_i]), 0.0)
+    return params
 
 
-def _joint_nodes(windows: list, size: int) -> tuple:
-    """The joint fit's nodes, every lobe's own of the flat ``windows``
-    on a grid of ``size`` nodes, grouped by the lobes they belong to and
-    ascending within a group, and the groups (see ``_lobe_model``): each
-    lobe lives on whole groups."""
-    member = np.zeros((len(windows), size), dtype=bool)
-    for k, w in enumerate(windows):
-        member[k, w] = True
+def _joint_nodes(lobes: np.ndarray, ls: np.ndarray,
+                 li: np.ndarray) -> tuple:
+    """The flat indices of the nodes that the ``lobes`` of natural
+    parameters own on the grid with axes ``ls``, ``li``, those within
+    ``SUPPORT_RADIUS`` of one (``_window``), grouped by the lobes they
+    belong to and ascending within a group, and the groups (see
+    ``_lobe_model``): each lobe lives on whole groups."""
+    member = np.zeros((len(lobes), ls.size * li.size), dtype=bool)
+    for k, q in enumerate(lobes):
+        member[k, _window(q, ls, li, SUPPORT_RADIUS**2)] = True
     nodes = np.flatnonzero(member.any(axis=0))
     member = member[:, nodes]
     order = np.lexsort(member)
@@ -493,6 +482,21 @@ def _joint_nodes(windows: list, size: int) -> tuple:
                    for a, b in zip(edges[:-1], edges[1:]) if a < b]
 
 
+# The coarse pass takes every s-th node of an axis of n, s = max(1, n //
+# COARSE_NODES): at least this many a side where there are, 199 at most.
+COARSE_NODES = 100
+
+
+def _coarse_pass(intensity, ls, li, n) -> tuple:
+    """The ``_least_squares`` result of the lobes peeled (``_peel``) and
+    fitted jointly on every s-th node of each axis (``COARSE_NODES``)."""
+    rows, cols = (slice(None, None, max(1, len(axis) // COARSE_NODES))
+                  for axis in (ls, li))
+    grid, ls, li = intensity[rows, cols], ls[rows], li[cols]
+    return _least_squares(_peel(grid, ls, li, n), grid, ls[:, None],
+                          li[None, :], (ls, li))
+
+
 # The fewest grid nodes inside a lobe's 3-sigma ellipse that its R^2 is
 # taken over.
 _MIN_LOBE_NODES = 8
@@ -501,22 +505,22 @@ _MIN_LOBE_NODES = 8
 def fit_lobes(lam_s_axis, lam_i_axis, intensity, n_lobes: int) -> LobeFit:
     """Nonlinear least squares of a sum of elliptical Gaussians.
 
-    Seeding: the lobes are peeled off one at a time.  The maximum of the
-    grid left unexplained by the lobes so far seeds one lobe, with widths
-    and orientation from the second moments within two half-maximum
-    widths of it; that lobe is fitted alone on a crop of three such widths
-    and subtracted before the next maximum is taken.  Predicted centers
-    play no part.
+    Coarse pass (``_coarse_pass``), on every s-th node of each axis of n,
+    s = max(1, n // ``COARSE_NODES``): the maximum of the grid left
+    unexplained by the lobes so far seeds one lobe, with widths and
+    orientation from the second moments within two half-maximum widths
+    of it; that lobe is fitted alone on a crop of three such widths and
+    subtracted, clamping what is left at 0, before the next maximum is
+    taken.  Predicted centers play no part.  All lobes are then fitted
+    jointly on every coarse node.
 
-    Joint fit: all lobes are then fitted jointly, each lobe on its own
-    nodes only: those within Mahalanobis radius ``SUPPORT_RADIUS`` of its
-    anchor, at first the lobe as peeled.  While every lobe stays below
-    ``_LEAK_FRACTION`` of its amplitude outside its own nodes
-    (``_stays``), the fit equals the fit of every lobe on the whole grid.
-    A step that takes a lobe out re-anchors every lobe where it is, and
-    the fit goes on on their new nodes.  The global and per-lobe R^2 and
-    ``residual_norm`` are taken over the whole grid, with each lobe of
-    the model on its last nodes.
+    Fine pass: from their coarse fit, the lobes are fitted jointly on the
+    full grid, each on its own nodes only, fixed for the pass: those
+    within Mahalanobis radius ``SUPPORT_RADIUS`` of its coarse fit.  A
+    lobe that ends above ``_LEAK_FRACTION`` of its amplitude outside them
+    (``_stays``) raises; otherwise the fit equals the fit of every lobe on
+    the whole grid.  The global and per-lobe R^2 and ``residual_norm`` are
+    taken over the whole grid, with each lobe of the model on its nodes.
 
     Positivity: amplitudes and sigmas are fitted as logarithms, so every
     returned amplitude and sigma is positive and finite.
@@ -559,30 +563,25 @@ def fit_lobes(lam_s_axis, lam_i_axis, intensity, n_lobes: int) -> LobeFit:
     def on(nodes):
         return ls[nodes // len(li)], li[nodes % len(li)]
 
-    p, windows = _peel(intensity, ls, li, n_lobes)
-    anchors = np.reshape(_from_log(np.asarray(p)), (-1, 6))
-    nodes, groups = _joint_nodes(windows, intensity.size)
-
-    def regroup(p):
-        # a lobe re-anchored at itself stays (_stays), as SUPPORT_RADIUS
-        # exceeds the leak radius sqrt(-2 ln _LEAK_FRACTION) ~ 7.43
-        nonlocal anchors, nodes, groups
-        if _stays(p, anchors):
-            return None
-        anchors = np.reshape(_from_log(p), (-1, 6))
-        nodes, groups = _joint_nodes(
-            [_window(q, ls, li, SUPPORT_RADIUS**2) for q in anchors],
-            intensity.size)
-        return (*on(nodes), intensity.ravel()[nodes], groups)
-
-    p, _, nfev = _least_squares(np.asarray(p), intensity.ravel()[nodes],
-                                *on(nodes), (ls, li), groups, regroup)
+    p, _, coarse = _coarse_pass(intensity, ls, li, n_lobes)
+    anchors = np.reshape(_from_log(p), (-1, 6))
+    nodes, groups = _joint_nodes(anchors, ls, li)
+    # the whole grid's cost: the model is 0 off the lobes' own nodes
+    rest = float(np.square(np.delete(intensity, nodes)).sum())
+    p, _, fine = _least_squares(p, intensity.ravel()[nodes], *on(nodes),
+                                (ls, li), groups, rest)
+    for q, anchor in zip(np.reshape(_from_log(p), (-1, 6)), anchors):
+        if not _stays(q, anchor):
+            raise NumericError(
+                f"lobe fit: the lobe at ({q[1]:.3f}, {q[2]:.3f}) nm left "
+                f"the nodes it was refined on, within Mahalanobis radius "
+                f"{SUPPORT_RADIUS:g} of its coarse fit at ({anchor[1]:.3f}, "
+                f"{anchor[2]:.3f}) nm")
 
     lobes = []
     denom_total = float(((intensity - intensity.mean()) ** 2).sum())
     fitted = np.reshape(_canonical_params(_from_log(p)), (-1, 6))
-    # the fitted model, each lobe on the nodes it was fitted on, less the
-    # data
+    # the fitted model, each lobe on its own nodes, less the data
     res_grid = np.zeros(intensity.shape)
     res_grid.ravel()[nodes] = _lobe_model(fitted, *on(nodes), groups)
     res_grid -= intensity
@@ -620,7 +619,7 @@ def fit_lobes(lam_s_axis, lam_i_axis, intensity, n_lobes: int) -> LobeFit:
                            f"passes the float range on a grid of maximum "
                            f"{peak!r}")
     return LobeFit(lobes=lobes, residual_norm=residual_norm,
-                   r_squared=r2_global, iterations=int(nfev))
+                   r_squared=r2_global, iterations=int(coarse + fine))
 
 
 def _canonical_params(q: np.ndarray) -> np.ndarray:

@@ -12,8 +12,9 @@ their equivalence tests:
   one profile pass per LP order over the distinct fields of all channels
   in ``fields.process_overlap`` replaced;
 * ``union_support_fit``: the lobe fit with every lobe on the union of the
-  peeled lobes' supports and a whole-grid peel, which the fit of each
-  lobe on its own nodes in ``spectrum.fit_lobes`` replaced;
+  peeled lobes' supports and a whole-grid peel, which the coarse pass and
+  the fit of each lobe on its own nodes in ``spectrum.fit_lobes``
+  replaced;
 * ``block_scan_peel``: the peel that formed the unexplained grid from the
   earlier lobes only where it read it, in blocks of rows for the maximum
   and on the crop through it, which the one residual grid of
@@ -195,7 +196,8 @@ def block_scan_peel(intensity, ls, li, n):
     """``spectrum._peel`` with the unexplained grid formed only where it
     is read: in blocks of rows of at most ``PEEL_BLOCK`` nodes for its
     maximum, and on the column, the row and the crop through that
-    maximum."""
+    maximum.  Each earlier lobe is subtracted on its nodes in turn, and
+    what is left clamped at 0 there."""
     n_s, n_i = intensity.shape
     params, windows, peeled = [], [], []  # peeled: each lobe on its nodes
 
@@ -205,8 +207,8 @@ def block_scan_peel(intensity, ls, li, n):
             a, b = np.searchsorted(nodes, (rows.start * n_i, rows.stop * n_i))
             r, c = np.divmod(nodes[a:b], n_i)
             keep = (cols.start <= c) & (c < cols.stop)
-            out[r[keep] - rows.start, c[keep] - cols.start] -= \
-                values[a:b][keep]
+            at = r[keep] - rows.start, c[keep] - cols.start
+            out[at] = np.maximum(out[at] - values[a:b][keep], 0.0)
         return out
 
     def around(at, half, size):
@@ -243,7 +245,7 @@ def block_scan_peel(intensity, ls, li, n):
         windows.append(nodes)
         peeled.append(spectrum._lobe_model(spectrum._from_log(p),
                                            ls[nodes // n_i], li[nodes % n_i]))
-    return params, windows
+    return params
 
 
 def _half_widths(image, r, col):
@@ -277,7 +279,7 @@ def _seed_at(image, ls, li, r, col):
 
 def whole_grid_peel(intensity, ls, li, n):
     """The peel on a copy of the whole grid, each lobe subtracted on
-    every node."""
+    every node and what is left clamped at 0."""
     residual = intensity.copy()
     params = []
     for k in range(n):
@@ -293,8 +295,9 @@ def whole_grid_peel(intensity, ls, li, n):
             spectrum._to_log(seed), residual[rows, cols], ls[rows, None],
             li[None, cols], (ls, li))
         params += list(p)
-        residual -= spectrum._lobe_model(spectrum._from_log(p), ls[:, None],
-                                         li[None, :])
+        residual = np.maximum(
+            residual - spectrum._lobe_model(spectrum._from_log(p),
+                                            ls[:, None], li[None, :]), 0.0)
     return params
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -181,10 +182,11 @@ def test_fit_lobes_labels_the_predicted_centers_on_its_grid(tmp_path):
 
 def test_simulate_jsi_refuses_a_lobe_off_its_predicted_center(
         tmp_path, monkeypatch, capsys):
-    # the lobes fitted on the default 301^2 grid of the 15 + 15 mm
-    # cross-spliced fiber: two near A, one on the merged B + C lobe, and
-    # D. In idler order the second read as B, 2.7 nm from B's prediction;
-    # the nearest assignment takes it as A and leaves the first to B
+    # the lobes that a joint fit on the whole grid, with no coarse pass,
+    # gave on the default 301^2 grid of the 15 + 15 mm cross-spliced
+    # fiber: two near A, one on the merged B + C lobe, and D. In idler
+    # order the second read as B, 2.7 nm from B's prediction; the nearest
+    # assignment takes it as A and leaves the first to B
     from fwmpairs.spectrum import LobeFit
     fitted = [(683.585, 567.449), (682.481, 568.003), (678.879, 570.522),
               (675.423, 572.996)]
@@ -204,6 +206,93 @@ def test_simulate_jsi_refuses_a_lobe_off_its_predicted_center(
     assert ("error: fitted lobe at (683.585, 567.449) nm misses the "
             "predicted center (679.774, 569.889) nm of process B by more "
             "than 2 nm") in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+CROSS_SPLICED = {"segments": [[0.015, False], [0.015, True]]}
+
+
+def simulate_cross_spliced(tmp_path, points):
+    """``simulate-jsi`` on the 15 + 15 mm cross-spliced fiber on
+    ``points``^2 nodes of the default band: the exit code, and the rows
+    of ``lobe_centers.csv``."""
+    config = tmp_path / f"cross_{points}.json"
+    config.write_text(json.dumps({"fiber": CROSS_SPLICED, "grid": {
+        "points_s": points, "points_i": points}}), encoding="utf-8")
+    out = tmp_path / f"jsi_{points}"
+    code = run(["simulate-jsi", "--config", config, "--out", out])
+    if code:
+        return code, []
+    with open(out / "lobe_centers.csv", encoding="utf-8") as f:
+        return code, list(csv.DictReader(f))
+
+
+@pytest.mark.parametrize("points", [301, 501])
+def test_simulate_jsi_labels_the_cross_spliced_lobes(tmp_path, points):
+    # without the coarse pass and the peel's clamp, the joint fit walks
+    # lobe C 3.6 nm to the A side at both sizes, and the command exits 3
+    code, rows = simulate_cross_spliced(tmp_path, points)
+    assert code == 0
+    assert [row["process"] for row in rows] == list("ABCD")
+    for row in rows:
+        for axis in "si":
+            assert abs(float(row[f"fitted_lambda_{axis}_nm"])
+                       - float(row[f"predicted_lambda_{axis}_nm"])) <= 2.0
+
+
+def test_lobe_route_concurrence_at_the_criterion_6_window(tmp_path):
+    # the 1 nm window at the B-C crossing of the cross-spliced fiber,
+    # from the lobes fitted at 301^2 and from the model's amplitudes.
+    # The lobe route's Gaussians keep B and C almost indistinguishable
+    # inside 1 nm (purity 0.9998 against 0.9752), so its concurrence is
+    # the higher; the two must agree within criterion 6's +/- 0.10, or
+    # the criterion's verdict would depend on the route
+    code, rows = simulate_cross_spliced(tmp_path, 301)
+    assert code == 0
+    (bs, bi), (cs, ci) = ((float(row["predicted_lambda_s_nm"]),
+                           float(row["predicted_lambda_i_nm"]))
+                          for row in rows if row["process"] in "BC")
+    mid_s, mid_i = (bs + cs) / 2, (bi + ci) / 2
+    config = tmp_path / "window.json"
+    config.write_text(json.dumps({"fiber": CROSS_SPLICED, "windows": [{
+        "lambda_s_nm": [mid_s - 0.5, mid_s + 0.5],
+        "lambda_i_nm": [mid_i - 0.5, mid_i + 0.5]}]}), encoding="utf-8")
+    metrics = {}
+    for route, extra in (("lobes_json", ["--lobes-json",
+                                         tmp_path / "jsi_301" / "lobes.json"]),
+                         ("simulation", [])):
+        out = tmp_path / route
+        assert run(["estimate-rho", "--config", config, "--out", out,
+                    *extra]) == 0
+        doc = json.loads((out / "rho_se_w0.json").read_text())
+        assert doc["source"] == route
+        metrics[route] = doc["metrics"]
+    lobe, model = metrics["lobes_json"], metrics["simulation"]
+    assert lobe["purity"] > model["purity"]
+    assert abs(lobe["concurrence"] - model["concurrence"]) <= 0.10
+
+
+def test_lobe_leaving_its_fine_nodes_exit_code(tmp_path, config_path,
+                                               monkeypatch, capsys):
+    # a fine pass that ends with its first lobe 2 nm off its coarse fit
+    # in signal: the command names that lobe and exits 3
+    from fwmpairs import spectrum
+    least_squares, moved = spectrum._least_squares, []
+
+    def leaking(p0, data, xs, yi, grid, groups=None, rest=0.0):
+        p, r, nfev = least_squares(p0, data, xs, yi, grid, groups, rest)
+        if groups is not None:
+            p = p.copy()
+            p[1] += 2.0
+            moved.append(spectrum._from_log(p)[1:3])
+        return p, r, nfev
+
+    monkeypatch.setattr(spectrum, "_least_squares", leaking)
+    out = tmp_path / "o"
+    assert run(["simulate-jsi", "--config", config_path, "--out", out]) == 3
+    (x0, y0), = moved
+    assert (f"error: lobe fit: the lobe at ({x0:.3f}, {y0:.3f}) nm left "
+            f"the nodes it was refined on") in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 
 

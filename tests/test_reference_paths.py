@@ -10,11 +10,7 @@ must give the package's outputs bit for bit.  The runs compute the
 criterion-2 normalized overlaps |O|^2, the criterion-4 predicted and
 fitted centers and the criterion-6 metrics at a 1 nm and an 8 nm window
 about the B-C intersection, for the default 10 cm fiber and the
-15 + 15 mm cross-spliced one.  The cross-spliced JSI is fitted on a
-121 x 121 grid over the default band: on the default 301 x 301 grid its
-fit takes about 2 300 model evaluations on either path, some 16 s.  On
-the smaller grid a lobe leaves its own nodes during the joint fit, so the
-run also covers the fit's switch to every lobe on all the joint nodes.
+15 + 15 mm cross-spliced one, each JSI on the default 301 x 301 grid.
 
 The barrier MLE's schedule is held to the one it replaced (a tenfold
 cut of tau at centred points that are centred to 1e-8) through the KKT
@@ -47,10 +43,9 @@ from fwmpairs.tomography import (bootstrap_metrics, expected_counts,
 from test_spectrum import benchmark_style_lobes
 from test_tomography import kkt_records
 
-# fiber, and the grid points per axis of its JSI
-FIBERS = {"10cm": (FiberSpec(), 301),
-          "15+15mm_cross": (FiberSpec(segments=((0.015, False),
-                                                (0.015, True))), 121)}
+FIBERS = {"10cm": FiberSpec(),
+          "15+15mm_cross": FiberSpec(segments=((0.015, False),
+                                               (0.015, True)))}
 
 # Bounds, each from a tolerance the local tests hold:
 # - both index tables lie within 1e-12 of the bisection
@@ -85,12 +80,10 @@ def window_state(sim, width):
     return trace_spectral(sim.amplitudes(), sim.matched, window)
 
 
-def outputs(fiber, points):
+def outputs(fiber):
     """The compared quantities of one fiber, from a cold index table,
-    with its JSI on ``points`` x ``points`` nodes."""
-    cfg = PipelineConfig.parse({"grid": {"points_s": points,
-                                         "points_i": points}})
-    sim = pipeline.Simulation(cfg, fiber=fiber)
+    with its JSI on the default grid."""
+    sim = pipeline.Simulation(PipelineConfig.parse({}), fiber=fiber)
     in_band = [p for p in sim.matched if p.label in "ABCD"]
     raw = pipeline.process_overlap(fiber, in_band, 620.0, sim.centers)
     jsi = sim.jsi()
@@ -110,13 +103,13 @@ def outputs(fiber, points):
 
 @pytest.mark.parametrize("name", sorted(FIBERS))
 def test_fast_paths_match_the_references_end_to_end(monkeypatch, name):
-    fiber, points = FIBERS[name]
+    fiber = FIBERS[name]
     monkeypatch.setattr(dispersion, "_PANEL_CACHE", OrderedDict())
-    fast = outputs(fiber, points)
+    fast = outputs(fiber)
     with monkeypatch.context() as patch:
         patch.setattr(dispersion, "_PANEL_CACHE", OrderedDict())
         patch.setattr(spectrum, "_peel", references.block_scan_peel)
-        assert outputs(fiber, points) == fast
+        assert outputs(fiber) == fast
     monkeypatch.setattr(dispersion, "_PANEL_CACHE", OrderedDict())
     monkeypatch.setattr(dispersion, "_solve_u_array",
                         references.bisect_u_array)
@@ -125,7 +118,7 @@ def test_fast_paths_match_the_references_end_to_end(monkeypatch, name):
     monkeypatch.setattr(pipeline, "process_overlap",
                         references.serial_overlaps)
     monkeypatch.setattr(pipeline, "fit_lobes", references.union_support_fit)
-    slow = outputs(fiber, points)
+    slow = outputs(fiber)
 
     assert sorted(fast["overlaps"]) == sorted(slow["overlaps"])
     for label, value in slow["overlaps"].items():
@@ -154,7 +147,7 @@ def test_overlaps_match_the_serial_reference_bitwise(case):
     # which take the LP01 fields too, at one point near the lobes and at
     # seeded centers of their own
     if case in FIBERS:
-        fiber = FIBERS[case][0]
+        fiber = FIBERS[case]
         sim = pipeline.Simulation(PipelineConfig.parse({}), fiber=fiber)
         processes, centers = sim.matched, sim.centers
     else:
@@ -180,12 +173,9 @@ def lobe_fit(case, centers):
     JSI, or four lobes on a seeded measured-like grid, scaled by 2^1000
     or 2^-1000 where the case names the power."""
     if case in FIBERS or case == "pump_e":
-        fiber, points = FIBERS.get(case, FIBERS["10cm"])
-        cfg = PipelineConfig.parse({
-            "grid": {"points_s": points, "points_i": points},
-            **({"pump": {"transverse_state": "e"}} if case == "pump_e"
-               else {})})
-        sim = pipeline.Simulation(cfg, fiber=fiber)
+        cfg = PipelineConfig.parse(
+            {"pump": {"transverse_state": "e"}} if case == "pump_e" else {})
+        sim = pipeline.Simulation(cfg, fiber=FIBERS.get(case, FiberSpec()))
         jsi = sim.jsi()
         return lambda: pipeline._fit_in_band_lobes(
             sim, jsi.lambda_s_axis, jsi.lambda_i_axis, jsi.combined)
@@ -302,7 +292,7 @@ def test_qst_of_the_1nm_state_matches_the_reference_schedule(monkeypatch):
     # 0.975, on the rank boundary) at the config's n0, with the
     # benchmark's 34 resamples
     cfg = PipelineConfig.parse({})
-    sim = pipeline.Simulation(cfg, fiber=FIBERS["15+15mm_cross"][0])
+    sim = pipeline.Simulation(cfg, fiber=FIBERS["15+15mm_cross"])
     n0 = cfg.tomography.counts_scale
     record = sample_counts(expected_counts(window_state(sim, 1.0), n0),
                            seed=4242, n0=n0)
