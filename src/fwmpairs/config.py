@@ -309,7 +309,7 @@ SCHEMA = {
         "delta_parity_dispersion": "birefringence", "segments": "segments",
     },
     PumpSpec: {"center_wavelength_nm": "positive",
-               "intensity_fwhm_nm": "positive", "transverse_state": "state"},
+               "intensity_fwhm_nm": "positive", "transverse_state": "lp11"},
     SpectralGrid: {"lambda_s_nm": "interval", "lambda_i_nm": "interval",
                    "points_s": "two_or_more", "points_i": "two_or_more"},
     SpectralWindow: {"lambda_s_nm": "interval", "lambda_i_nm": "interval"},
@@ -358,6 +358,9 @@ KINDS = {
                      "must be in [0, 2^53]"),
     "basis": ((str,) * 4, lambda v: v == BASIS_LABELS,
               f"must be {list(BASIS_LABELS)}"),
+    # every modelled channel is pumped in LP11: an LP01 part goes unused
+    "lp11": ("state", lambda v: v.amplitude("g") == 0,
+             "must have no g (LP01) amplitude, as every channel is LP11"),
 }
 
 _EXPECTED = {float: "a number", int: "an integer", bool: "true/false",

@@ -69,16 +69,17 @@ def trace_spectral(amplitudes, processes, window: SpectralWindow,
     """Integrate pointwise projectors over a window and renormalize.
 
     ``amplitudes(lam_s[:, None], lam_i[None, :])`` returns a dict from
-    process labels to real amplitude arrays over the mesh (nm); the flat
-    joint-spectral-phase assumption makes these nonnegative magnitudes.
-    ``model_amplitudes`` and ``lobe_amplitudes`` build such sources.
+    process labels to amplitude arrays over the mesh (nm), as
+    ``model_amplitudes`` and ``lobe_amplitudes`` build them.  The flat
+    joint-spectral-phase assumption is taken here alone: each channel
+    enters as its magnitude |a_j|.
     """
     by_label = {p.label: p for p in processes}
     ls, li, _ = window.quadrature(nodes)
     comp = np.zeros((4, nodes, nodes), dtype=complex)
     for label, amp in amplitudes(ls[:, None], li[None, :]).items():
         proc = by_label[label]
-        comp[basis_index(proc.t_s, proc.t_i)] += amp
+        comp[basis_index(proc.t_s, proc.t_i)] += np.abs(amp)
     flat = comp.reshape(4, -1)
     peak = float(np.max(np.abs(flat)))
     if not np.isfinite(peak):
@@ -96,24 +97,22 @@ def trace_spectral(amplitudes, processes, window: SpectralWindow,
 
 
 def model_amplitudes(processes, fiber, pump: PumpSpec, weights: dict):
-    """Flat-phase amplitude source straight from the physical model.
+    """Amplitude source straight from the physical model.
 
-    a_j = |c_j| * envelope * |phase-matching|, with c_j from the
-    {label: c_j} map ``weights``, evaluated analytically at the
-    requested wavelengths (no grid interpolation); one index solve per
-    call serves every channel.
+    a_j = c_j * alpha * phi_j, complex, with c_j from the {label: c_j} map
+    ``weights``, the pump envelope alpha and the phase-matching function
+    phi_j, evaluated analytically at the requested wavelengths (no grid
+    interpolation); one index solve per call serves every channel.  The
+    one place this product is formed: ``jsa_grid`` reads it too.
     """
-    mags = {proc: abs(weights.get(proc.label, 0j)) for proc in processes}
+    coefficients = {proc: weights.get(proc.label, 0j) for proc in processes}
 
     def amplitudes(ls, li):
-        shape = np.broadcast_shapes(np.shape(ls), np.shape(li))
         cache = BaseIndexCache(fiber, np.asarray(ls) / 1000.0,
                                np.asarray(li) / 1000.0)
         envelope = pump_envelope(ls, li, pump)
-        return {proc.label: np.broadcast_to(
-                    mag * envelope * np.abs(cache.phase_matching(proc)),
-                    shape)
-                for proc, mag in mags.items() if mag != 0}
+        return {proc.label: c_j * envelope * cache.phase_matching(proc)
+                for proc, c_j in coefficients.items() if c_j != 0}
 
     return amplitudes
 

@@ -161,8 +161,7 @@ class Simulation:
         self.weights = process_weights(self.pump, self.overlaps, self.matched)
 
     def jsi(self):
-        return jsa_grid(self.matched, self.fiber, self.pump, self.weights,
-                        self.cfg.grid)
+        return jsa_grid(self.amplitudes(), self.matched, self.cfg.grid)
 
     def amplitudes(self):
         return model_amplitudes(self.matched, self.fiber, self.pump,

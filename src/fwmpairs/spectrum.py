@@ -1,10 +1,10 @@
-"""Joint spectral amplitudes and 2-D lobe fits.
+"""Joint spectral intensities and 2-D lobe fits.
 
-The joint spectral amplitude of a channel factorizes into the pump
-envelope (a Gaussian in the summed detuning, from the convolution of
-the two identical pump photons) and the phase-matching function of the
-segmented fiber.  Processes with the same output mode pair add
-coherently before squaring; distinct output pairs add in intensity.
+``jsa_grid`` squares the channel amplitudes c_j * alpha * phi_j that
+``estimation.model_amplitudes`` forms, with alpha the pump envelope
+(``pump_envelope``): processes with the same output mode pair add
+coherently before squaring, distinct pairs in intensity.  This module
+loads no fiber-model module.
 
 Lobes are fitted as sums of elliptical Gaussians by a numpy
 Levenberg-Marquardt iteration on the analytic Jacobian: peeled and
@@ -18,10 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (C_LIGHT, FiberSpec, GaussianLobe, PumpSpec,
-                     SpectralGrid)
+from .config import C_LIGHT, GaussianLobe, PumpSpec, SpectralGrid
 from .errors import DomainError, NumericError
-from .processes import BaseIndexCache
 
 _TWO_PI = 2.0 * np.pi
 
@@ -64,46 +62,39 @@ class JsiGrid:
 
 
 # Nodes per row block of jsa_grid (at least one row): a block holds the
-# pump envelope, the index solve and the complex channel sums of its own
-# nodes only, never of the whole grid.
+# channel amplitudes and their complex sums of its own nodes only, never
+# of the whole grid.
 _JSA_BLOCK = 8192
 
 
-def jsa_grid(processes, fiber: FiberSpec, pump: PumpSpec, weights: dict,
-             grid: SpectralGrid) -> JsiGrid:
-    """Combined intensity of the weighted per-process JSAs on a grid.
+def jsa_grid(amplitudes, processes, grid: SpectralGrid) -> JsiGrid:
+    """Combined intensity of the per-process JSAs on a grid.
 
-    ``weights`` maps process labels to complex coefficients c_j; any
-    process missing from the map is dropped.  The amplitudes
-    c_j * alpha * phi_j of the processes sharing an output mode pair
-    (T_s, T_i) are summed before squaring, one pair at a time, and the
-    pairs add in intensity.  The grid is filled one block of rows of at
-    most ``_JSA_BLOCK`` nodes at a time, each with its own pump envelope
-    and index solve, so no whole-grid temporary is held beside the result;
-    a node's value does not depend on the block it falls in.  The grid is
-    normalized so the combined intensity integrates to 1.
+    ``amplitudes(lam_s[:, None], lam_i[None, :])`` returns a dict from
+    labels of ``processes`` to the complex amplitudes over the mesh (nm),
+    as ``estimation.model_amplitudes`` does.  The amplitudes of the
+    processes sharing an output mode pair (T_s, T_i) are summed before
+    squaring, and the pairs add in intensity.  The grid is filled one
+    block of rows of at most ``_JSA_BLOCK`` nodes at a time, each from its
+    own call of ``amplitudes``, so no whole-grid temporary is held beside
+    the result; a node's value does not depend on the block it falls in.
+    The grid is normalized so the combined intensity integrates to 1.
     """
     if not processes:
         raise DomainError("jsa_grid needs at least one process")
+    pairs = {proc.label: (proc.t_s, proc.t_i) for proc in processes}
     ls, li = grid.axes()
-    groups = {}
-    for proc in processes:
-        c_j = weights.get(proc.label, 0j)
-        if c_j != 0:
-            groups.setdefault((proc.t_s, proc.t_i), []).append((c_j, proc))
-
     combined = np.zeros((len(ls), len(li)))
-    mesh_i = li[None, :]
     rows = max(1, _JSA_BLOCK // len(li))
     for start in range(0, len(ls), rows):
-        mesh_s = ls[start:start + rows, None]
-        alpha = pump_envelope(mesh_s, mesh_i, pump)
-        cache = BaseIndexCache(fiber, mesh_s / 1000.0, mesh_i / 1000.0)
+        coherent = {}
+        for label, amp in amplitudes(ls[start:start + rows, None],
+                                     li[None, :]).items():
+            pair = pairs[label]
+            coherent[pair] = coherent.get(pair, 0) + amp
         block = combined[start:start + rows]
-        for group in groups.values():
-            coherent = sum(c_j * alpha * cache.phase_matching(proc)
-                           for c_j, proc in group)
-            block += np.abs(coherent) ** 2
+        for amp in coherent.values():
+            block += np.abs(amp) ** 2
     # summed over the whole grid, in numpy's pairwise order
     raw_integral = float(combined.sum()) * (ls[1] - ls[0]) * (li[1] - li[0])
     if raw_integral <= 0:

@@ -19,6 +19,9 @@ their equivalence tests:
   earlier lobes only where it read it, in blocks of rows for the maximum
   and on the crop through it, which the one residual grid of
   ``spectrum._peel`` replaced.
+* ``fused_jsa_grid``: the JSI that formed each row block's pump envelope,
+  index solve and weighted channel products itself, which ``jsa_grid``
+  reading the amplitude source ``estimation.model_amplitudes`` replaced.
 
 Each calls the package's kernels through their modules, so a test can
 swap those too.
@@ -28,7 +31,7 @@ import numpy as np
 
 from fwmpairs import dispersion, fields, spectrum
 from fwmpairs.config import GaussianLobe
-from fwmpairs.errors import NumericError, PhaseMatchError
+from fwmpairs.errors import DomainError, NumericError, PhaseMatchError
 from fwmpairs.processes import (SCAN_STEP_NM, BaseIndexCache,
                                 _energy_partner_nm)
 
@@ -170,6 +173,43 @@ def serial_overlaps(fiber, processes, lam_p_nm, centers):
         out[process.label] = complex(exchange * azimuth
                                      * np.dot(weights, product))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the joint spectral intensity
+
+def fused_jsa_grid(processes, fiber, pump, weights, grid):
+    """``spectrum.jsa_grid`` with c_j * alpha * phi_j formed in its own
+    row blocks of at most ``spectrum._JSA_BLOCK`` nodes: each block's
+    pump envelope and index solve, the weighted channel products summed
+    over each output pair before squaring.  Returns the ``JsiGrid``."""
+    if not processes:
+        raise DomainError("jsa_grid needs at least one process")
+    ls, li = grid.axes()
+    groups = {}
+    for proc in processes:
+        c_j = weights.get(proc.label, 0j)
+        if c_j != 0:
+            groups.setdefault((proc.t_s, proc.t_i), []).append((c_j, proc))
+
+    combined = np.zeros((len(ls), len(li)))
+    mesh_i = li[None, :]
+    rows = max(1, spectrum._JSA_BLOCK // len(li))
+    for start in range(0, len(ls), rows):
+        mesh_s = ls[start:start + rows, None]
+        alpha = spectrum.pump_envelope(mesh_s, mesh_i, pump)
+        cache = BaseIndexCache(fiber, mesh_s / 1000.0, mesh_i / 1000.0)
+        block = combined[start:start + rows]
+        for group in groups.values():
+            coherent = sum(c_j * alpha * cache.phase_matching(proc)
+                           for c_j, proc in group)
+            block += np.abs(coherent) ** 2
+    raw_integral = float(combined.sum()) * (ls[1] - ls[0]) * (li[1] - li[0])
+    if raw_integral <= 0:
+        raise NumericError("joint spectrum vanishes on the whole grid")
+    combined /= raw_integral
+    return spectrum.JsiGrid(lambda_s_axis=ls, lambda_i_axis=li,
+                            combined=combined, normalization=raw_integral)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,13 @@ PROBES = {
     "pump_state_unknown_mode": (
         {"pump": {"transverse_state": {"x": [1.0, 0.0]}}}, "overlaps",
         "config.pump.transverse_state"),
+    # every modelled channel is pumped in LP11 {e, o}: an LP01 part was
+    # dropped without a word, and a pure LP01 pump exited 3
+    "pump_state_with_g": (
+        {"pump": {"transverse_state": {"g": [0.6, 0.0], "e": [0.8, 0.0]}}},
+        "simulate-jsi", "config.pump.transverse_state"),
+    "pump_state_g": ({"pump": {"transverse_state": "g"}}, "simulate-jsi",
+                     "config.pump.transverse_state"),
     "grid_band_nan": ({"grid": {"lambda_s_nm": [NAN, 700.0]}},
                       "simulate-jsi", "config.grid.lambda_s_nm[0]"),
     "window_inf": ({"windows": [dict(WINDOW, lambda_s_nm=[673.0, INF])]},

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from fwmpairs.errors import ConfigError, DomainError
-from fwmpairs.config import GaussianLobe, ModeSuperposition, SpectralWindow
+from fwmpairs.config import (FiberSpec, GaussianLobe, ModeSuperposition,
+                             SpectralWindow)
 from fwmpairs.estimation import (basis_index, lobe_amplitudes,
                                  model_amplitudes, process_weights,
                                  trace_spectral)
@@ -197,7 +198,7 @@ def unscaled_trace_spectral(amplitudes, processes, window, nodes=101):
     comp = np.zeros((4, nodes, nodes), dtype=complex)
     for label, amp in amplitudes(ls[:, None], li[None, :]).items():
         proc = by_label[label]
-        comp[basis_index(proc.t_s, proc.t_i)] += amp
+        comp[basis_index(proc.t_s, proc.t_i)] += np.abs(amp)
     flat = comp.reshape(4, -1)
     rho = flat @ flat.conj().T
     rho = rho / float(np.trace(rho).real)
@@ -219,6 +220,31 @@ def test_scaled_trace_matches_the_unscaled_one(fiber, pump, processes_eo,
         got = trace_spectral(source, ABCD, win)
         assert got.tobytes() == unscaled_trace_spectral(source, ABCD,
                                                         win).tobytes()
+
+
+def magnitudes(amplitudes):
+    """The source of the magnitudes |a_j| of the source ``amplitudes``."""
+    return lambda ls, li: {label: np.abs(amp) for label, amp
+                           in amplitudes(ls, li).items()}
+
+
+@pytest.mark.parametrize("segments", [((0.10, False),),
+                                      ((0.015, False), (0.015, True))])
+def test_trace_takes_the_magnitudes_of_complex_amplitudes(
+        pump, processes_eo, overlaps_abcd, segments):
+    # the flat-phase assumption: a complex source traces as the source of
+    # its magnitudes, bit for bit, in a window where B and C overlap
+    fiber = FiberSpec(segments=segments)
+    procs = [p for p in processes_eo if p.label in "ABCD"]
+    source = model_amplitudes(procs, fiber, pump,
+                              process_weights(pump, overlaps_abcd, procs))
+    win = SpectralWindow((672.0, 684.0), (566.0, 576.0))
+    assert any(np.iscomplexobj(amp) and np.any(amp.imag != 0)
+               for amp in source(np.array([[678.0]]),
+                                 np.array([[570.5]])).values())
+    got = trace_spectral(source, procs, win)
+    assert got.tobytes() == trace_spectral(magnitudes(source), procs,
+                                           win).tobytes()
 
 
 def test_overflowing_amplitudes_trace_without_warnings():

@@ -6,8 +6,11 @@ every command.  The Bessel functions and the lobe fit's optimizer are
 numpy code, and scipy is a test-side reference only; ``np.unique``
 imports ``numpy.ma``, so the package finds its distinct band and panel
 indices with ``np.bincount``.  ``config``, the input records, loads no
-other fwmpairs module but ``errors``, and the two-qubit side
-(``tomography``, ``gridio``) loads no fiber-model module.  These tests
+other fwmpairs module but ``errors``, the two-qubit side
+(``tomography``, ``gridio``) loads no fiber-model module, and
+``spectrum``, which reads its amplitudes from a source it is given,
+loads none of ``dispersion``, ``processes``, ``fields`` and
+``estimation``.  These tests
 run commands and imports in fresh interpreters and read ``sys.modules``
 afterwards.
 """
@@ -115,6 +118,13 @@ def test_two_qubit_side_loads_no_model_module(module):
     loaded = loaded_by(f"fwmpairs.{module}")
     assert f"fwmpairs.{module}" in loaded
     assert not loaded & {f"fwmpairs.{name}" for name in MODEL}
+
+
+def test_spectrum_loads_no_fiber_model_module():
+    loaded = loaded_by("fwmpairs.spectrum")
+    assert "fwmpairs.spectrum" in loaded
+    assert not loaded & {f"fwmpairs.{name}" for name in
+                         ("dispersion", "processes", "fields", "estimation")}
 
 
 def test_import_cli_loads_every_traced_layer():

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.constants import c as C_LIGHT
 
-from references import distances2
+from references import distances2, fused_jsa_grid
 from fwmpairs.config import (FiberSpec, GaussianLobe, PipelineConfig,
                              SpectralGrid)
 from fwmpairs.errors import ConfigError, DomainError, NumericError
+from fwmpairs.estimation import model_amplitudes, process_weights
 from fwmpairs.processes import BaseIndexCache, FwmProcess, enumerate_processes
 from fwmpairs.spectrum import (_JAC_BLOCK, _JSA_BLOCK, fit_lobes, jsa_grid,
                                pump_envelope)
@@ -29,7 +30,6 @@ def surface_partner(lam_i_nm, lam_p_nm=620.0):
 
 @pytest.fixture(scope="module")
 def weights(fiber, pump, processes_eo, overlaps_abcd):
-    from fwmpairs.estimation import process_weights
     procs = [p for p in processes_eo if p.label in "ABCD"]
     return process_weights(pump, overlaps_abcd, procs)
 
@@ -37,7 +37,7 @@ def weights(fiber, pump, processes_eo, overlaps_abcd):
 @pytest.fixture(scope="module")
 def grid_default(fiber, pump, processes_eo, weights):
     procs = [p for p in processes_eo if p.label in "ABCD"]
-    return jsa_grid(procs, fiber, pump, weights,
+    return jsa_grid(model_amplitudes(procs, fiber, pump, weights), procs,
                     SpectralGrid(points_s=201, points_i=201))
 
 
@@ -134,7 +134,7 @@ def test_grid_axes_ascending_uniform(grid_default):
 
 def test_empty_process_list_rejected(fiber, pump):
     with pytest.raises(DomainError):
-        jsa_grid([], fiber, pump, {}, SpectralGrid())
+        jsa_grid(model_amplitudes([], fiber, pump, {}), [], SpectralGrid())
 
 
 def channel_amplitudes(fiber, pump, grid, weights):
@@ -156,8 +156,9 @@ def unit_integral(intensity, grid):
 def test_single_process_combined_equals_squared_amplitude(fiber, pump):
     grid = SpectralGrid(points_s=101, points_i=101)
     amps, procs = channel_amplitudes(fiber, pump, grid, {"C": 1.0 + 0j})
-    combined = jsa_grid([procs["C"]], fiber, pump, {"C": 1.0 + 0j},
-                        grid).combined
+    combined = jsa_grid(model_amplitudes([procs["C"]], fiber, pump,
+                                         {"C": 1.0 + 0j}),
+                        [procs["C"]], grid).combined
     recon = unit_integral(np.abs(amps["C"]) ** 2, grid)
     assert np.max(np.abs(recon - combined)) < 1e-12 * combined.max()
 
@@ -181,8 +182,9 @@ def test_jsi_combination_rule(fiber, pump, case):
     weights = {label: CHANNEL_WEIGHTS[label] for label in labels}
     grid = SpectralGrid(points_s=101, points_i=101)
     amps, procs = channel_amplitudes(fiber, pump, grid, weights)
-    combined = jsa_grid([procs[label] for label in labels], fiber, pump,
-                        weights, grid).combined
+    chosen = [procs[label] for label in labels]
+    combined = jsa_grid(model_amplitudes(chosen, fiber, pump, weights),
+                        chosen, grid).combined
     want = unit_integral(rule(amps), grid)
     other = unit_integral(other_rule(amps), grid)
     assert np.max(np.abs(combined - want)) <= 1e-12 * want.max()
@@ -209,7 +211,7 @@ def test_halving_length_doubles_antidiagonal_width(pump, overlaps_abcd,
     widths = {}
     for L in (0.10, 0.05):
         f = FiberSpec(segments=((L, False),))
-        grid = jsa_grid(procs, f, pump, w,
+        grid = jsa_grid(model_amplitudes(procs, f, pump, w), procs,
                         SpectralGrid((674.0, 682.0), (569.0, 574.0),
                                      321, 321))
         fit = fit_lobes(grid.lambda_s_axis, grid.lambda_i_axis,
@@ -225,7 +227,7 @@ def test_short_cross_spliced_fiber_has_broader_lobes(pump):
     for tag, segments in (("long", ((0.10, False),)),
                           ("short", ((0.025, False), (0.025, True)))):
         f = FiberSpec(segments=segments)
-        grid = jsa_grid(procs, f, pump, w,
+        grid = jsa_grid(model_amplitudes(procs, f, pump, w), procs,
                         SpectralGrid((674.0, 682.0), (569.0, 574.0),
                                      321, 321))
         fit = fit_lobes(grid.lambda_s_axis, grid.lambda_i_axis,
@@ -472,7 +474,7 @@ def short_fiber_jsi(pump, weights, processes_eo, points):
     the segment layout."""
     short = FiberSpec(segments=((0.025, False), (0.025, True)))
     procs = [p for p in processes_eo if p.label in "ABCD"]
-    grid = jsa_grid(procs, short, pump, weights,
+    grid = jsa_grid(model_amplitudes(procs, short, pump, weights), procs,
                     SpectralGrid((672.0, 684.0), (566.0, 576.0), points,
                                  points))
     return grid.lambda_s_axis, grid.lambda_i_axis, grid.combined
@@ -868,10 +870,15 @@ def test_row_blocks_match_the_whole_grid(monkeypatch, pump, processes_eo,
     # C and E share the output pair (e, e), so one group is coherent
     weights = {**CHANNEL_WEIGHTS, "A": 0.2 + 0.3j, "D": -0.4}
     grid = SpectralGrid((674.0, 684.0), (566.0, 576.0), rows, _BLOCK_COLS)
-    got = jsa_grid(processes_eo, f, pump, weights, grid)
+    got = jsa_grid(model_amplitudes(processes_eo, f, pump, weights),
+                   processes_eo, grid)
     want, raw = whole_grid_jsa(processes_eo, f, pump, weights, grid)
     assert got.combined.tobytes() == want.tobytes()
     assert got.normalization == raw
+    # and the fused reference, which forms c_j * alpha * phi_j itself
+    fused = fused_jsa_grid(processes_eo, f, pump, weights, grid)
+    assert got.combined.tobytes() == fused.combined.tobytes()
+    assert got.normalization == fused.normalization
 
 
 @pytest.mark.parametrize("points", [301, 451])
@@ -882,11 +889,12 @@ def test_jsa_grid_memory_stays_within_three_grids(fiber, pump, processes_eo,
     import tracemalloc
     procs = [p for p in processes_eo if p.label in "ABCD"]
     grid = SpectralGrid(points_s=points, points_i=points)
-    jsa_grid(procs, fiber, pump, weights, grid)  # builds the index table
+    amplitudes = model_amplitudes(procs, fiber, pump, weights)
+    jsa_grid(amplitudes, procs, grid)  # builds the index table
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        combined = jsa_grid(procs, fiber, pump, weights, grid).combined
+        combined = jsa_grid(amplitudes, procs, grid).combined
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
