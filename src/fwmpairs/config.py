@@ -132,7 +132,8 @@ class FiberSpec:
     segments: tuple = ((0.10, False),)
 
     def __post_init__(self):
-        # hashable: the record keys the lru_cache of ``fields``
+        # tuples, so a record read from JSON lists compares equal to one
+        # built from tuple literals
         object.__setattr__(
             self, "segments",
             tuple((float(L), bool(sw)) for L, sw in self.segments),

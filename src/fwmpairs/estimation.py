@@ -38,18 +38,17 @@ def basis_index(t_s: str, t_i: str) -> int:
 # process weights
 
 
-def process_weights(pump: PumpSpec | ModeSuperposition, overlaps: dict,
+def process_weights(state: ModeSuperposition, overlaps: dict,
                     processes) -> dict:
     """Relative complex coefficients {label: c_j} of the emitted
     channels, normalized so that sum |c_j|^2 = 1.
 
-    c_j is the product of the two pump-mode amplitudes with the spatial
-    coupling O_j (whose mixed-pump exchange doubling already accounts
-    for pump-photon indistinguishability).  Raises when every channel
-    weight vanishes (e.g. a pump state with no support on the required
-    modes).
+    c_j is the product of the amplitudes of the two pump modes in the
+    pump's transverse ``state`` with the spatial coupling O_j (whose
+    mixed-pump exchange doubling already accounts for pump-photon
+    indistinguishability).  Raises when every channel weight vanishes
+    (e.g. a pump state with no support on the required modes).
     """
-    state = pump.transverse_state if isinstance(pump, PumpSpec) else pump
     amps = {proc.label: state.amplitude(proc.t_p1)
             * state.amplitude(proc.t_p2) * overlaps.get(proc.label, 0j)
             for proc in processes}

@@ -1,4 +1,4 @@
-"""Transverse LP mode fields, overlap integrals and intensity images.
+"""Transverse LP mode fields: overlap integrals and intensity images.
 
 An LP field factorizes into a radial profile R_l(r) (Bessel in the core,
 modified Bessel in the cladding, from the numpy kernels of
@@ -10,8 +10,11 @@ the core and on the cladding mapped to a finite interval, times a
 closed-form integral of cos^m(phi) sin^n(phi).  Absolute orientation
 drops out of every overlap magnitude.
 
-Square uniform grids (``GridSpec``) are used only to synthesize field
-images for the ``modes`` command.
+The ``modes`` images sample the same fields on a square uniform grid
+(``GridSpec``): ``basis_fields`` does one LP01 and one LP11 solve and
+returns the unit-norm g, e and o fields, and ``intensity_image``
+superposes them for a state or a mixture.  Nothing is cached between
+calls.
 
 The per-process spatial coupling O_j counts both orderings of a mixed
 pump pair (the two pump photons are indistinguishable), which is what
@@ -44,27 +47,11 @@ class GridSpec:
         x = -self.extent_um + step * (np.arange(self.resolution) + 0.5)
         return x, x.copy(), step
 
-    @property
-    def cell_area_um2(self) -> float:
-        step = 2.0 * self.extent_um / self.resolution
-        return step * step
-
 
 def default_grid(fiber: FiberSpec) -> GridSpec:
     """Default field grid: 3 core radii half-width, ``GridSpec``'s
     default resolution."""
     return GridSpec(extent_um=3.0 * fiber.core_radius_um)
-
-
-@dataclass
-class FieldGrid:
-    """Sampled complex transverse field, unit L2 norm over the grid."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def power(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2) * self.grid.cell_area_um2)
 
 
 def _radial_profile(u, w, azimuthal: int, rho: np.ndarray) -> np.ndarray:
@@ -82,59 +69,36 @@ def _radial_profile(u, w, azimuthal: int, rho: np.ndarray) -> np.ndarray:
     return radial
 
 
-@lru_cache(maxsize=1)  # the e and o profiles, built in turn, share it
-def _radial_on_grid(fiber: FiberSpec, lam_um: float, lp_label: str,
-                    grid: GridSpec) -> tuple:
-    """The grid's x (one row) and y (one column), the radius r and the LP
-    radial profile at r; read-only."""
-    u, w = solve_lp_mode(fiber, lam_um, lp_label)
-    x, y, _ = grid.axes()
+def basis_fields(fiber: FiberSpec, lam_um: float, grid: GridSpec) -> dict:
+    """The unit-norm basis fields {mode: array} of g, e and o sampled on
+    ``grid`` (rows along y, columns along x): one LP01 and one LP11
+    solve, whose radial profile the e and o fields share."""
+    x, y, step = grid.axes()
     xx, yy = np.meshgrid(x, y, indexing="xy", sparse=True)
     r = np.hypot(xx, yy)
-    radial = _radial_profile(u, w, 0 if lp_label == "LP01" else 1,
-                             r / fiber.core_radius_um)
-    for array in (xx, yy, r, radial):
-        array.flags.writeable = False
-    return xx, yy, r, radial
+    basis = {}
+    for order, modes in ((0, "g"), (1, "eo")):
+        u, w = solve_lp_mode(fiber, lam_um, LP_LABELS[order])
+        radial = _radial_profile(u, w, order, r / fiber.core_radius_um)
+        for mode in modes:
+            # each azimuthal factor is built only for its own field
+            if mode == "g":
+                profile = radial
+            elif mode == "e":  # cos(phi)
+                profile = radial * np.where(r > 0, xx / np.maximum(r, 1e-300),
+                                            1.0)
+            else:  # sin(phi)
+                profile = radial * np.where(r > 0, yy / np.maximum(r, 1e-300),
+                                            0.0)
+            basis[mode] = profile / np.sqrt(np.sum(profile**2) * step**2)
+    return basis
 
 
-@lru_cache(maxsize=3)  # one per basis mode g, e, o
-def _basis_profile(fiber: FiberSpec, lam_um: float, mode: str,
-                   grid: GridSpec) -> np.ndarray:
-    """Un-normalized LP mode profile sampled on ``grid``; read-only.
-
-    Cached, so the images of one wavelength and grid share the three
-    basis profiles instead of rebuilding one per superposed mode; the
-    even and odd LP11 profiles share one radial profile."""
-    xx, yy, r, radial = _radial_on_grid(fiber, lam_um,
-                                        "LP01" if mode == "g" else "LP11",
-                                        grid)
-    if mode == "g":
-        azim = 1.0
-    elif mode == "e":
-        azim = np.where(r > 0, xx / np.maximum(r, 1e-300), 1.0)  # cos(phi)
-    else:
-        azim = np.where(r > 0, yy / np.maximum(r, 1e-300), 0.0)  # sin(phi)
-    profile = radial * azim
-    profile.flags.writeable = False
-    return profile
-
-
-def mode_field(fiber: FiberSpec, lam_um: float, state: ModeSuperposition,
-               grid: GridSpec | None = None) -> FieldGrid:
-    """Synthesize the normalized transverse field of ``state``."""
-    if grid is None:
-        grid = default_grid(fiber)
-    total = np.zeros((grid.resolution, grid.resolution), dtype=complex)
-    for mode, amp in state.amplitudes.items():
-        prof = _basis_profile(fiber, lam_um, mode, grid)
-        norm = np.sqrt(np.sum(prof**2) * grid.cell_area_um2)
-        total += amp * prof / norm
-    fg = FieldGrid(grid=grid, values=total)
-    # basis modes are orthogonal on the symmetric grid, so the norm is
-    # already 1 up to quadrature error; renormalize to pin it exactly
-    fg.values = fg.values / np.sqrt(fg.power())
-    return fg
+def mode_field(basis: dict, state: ModeSuperposition) -> np.ndarray:
+    """The field of ``state``, superposed from ``basis_fields``: unit-norm
+    to rounding, as the basis fields are orthonormal on the symmetric
+    grid."""
+    return sum(amp * basis[mode] for mode, amp in state.amplitudes.items())
 
 
 # Gauss-Legendre nodes per radial part: the core [0, a], and the
@@ -223,28 +187,16 @@ def normalize_overlaps(raw: dict) -> dict:
     return {k: v * scale for k, v in raw.items()}
 
 
-def intensity_image(fiber: FiberSpec, lam_um: float, state,
-                    grid: GridSpec | None = None) -> np.ndarray:
-    """Intensity image of a pure state or a weighted mixture.
+def intensity_image(basis: dict, state) -> np.ndarray:
+    """Intensity image, scaled to peak 1, of a pure state or a weighted
+    mixture, superposed from ``basis_fields``.
 
     ``state`` is a ModeSuperposition, or a list of (weight, state)
-    pairs whose weights sum to 1 (incoherent mixture).  Normalized to
-    peak 1 for rendering.
+    pairs whose weights sum to 1 (incoherent mixture).
     """
-    if grid is None:
-        grid = default_grid(fiber)
-    if isinstance(state, ModeSuperposition):
-        f = mode_field(fiber, lam_um, state, grid)
-        img = np.abs(f.values) ** 2
-    else:
-        weights = [w for w, _ in state]
-        if abs(sum(weights) - 1.0) > 1e-9:
-            raise ConfigError("mixture weights must sum to 1")
-        img = np.zeros((grid.resolution, grid.resolution))
-        for w, st in state:
-            f = mode_field(fiber, lam_um, st, grid)
-            img += w * np.abs(f.values) ** 2
+    mixture = [(1.0, state)] if isinstance(state, ModeSuperposition) else state
+    if abs(sum(w for w, _ in mixture) - 1.0) > 1e-9:
+        raise ConfigError("mixture weights must sum to 1")
+    img = sum(w * np.abs(mode_field(basis, st)) ** 2 for w, st in mixture)
     peak = img.max()
-    if peak > 0:
-        img = img / peak
-    return img
+    return img / peak if peak > 0 else img

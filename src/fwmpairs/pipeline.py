@@ -27,8 +27,8 @@ from .dispersion import check_few_mode
 from .errors import DomainError, GridFormatError, NumericError, PhaseMatchError
 from .estimation import (lobe_amplitudes, model_amplitudes, process_weights,
                          trace_spectral)
-from .fields import (default_grid, intensity_image, normalize_overlaps,
-                     process_overlap)
+from .fields import (basis_fields, default_grid, intensity_image,
+                     normalize_overlaps, process_overlap)
 from .gridio import (density_to_json, load_density, load_grid_csv,
                      read_document, render_svg_heatmap, sha256_file,
                      write_grid_csv, write_json, write_pgm)
@@ -158,7 +158,8 @@ class Simulation:
         self.matched = [p for p in self.processes if p.label in self.centers]
         self.overlaps = normalize_overlaps(process_overlap(
             self.fiber, self.matched, lam_p, self.centers))
-        self.weights = process_weights(self.pump, self.overlaps, self.matched)
+        self.weights = process_weights(self.pump.transverse_state,
+                                       self.overlaps, self.matched)
 
     def jsi(self):
         return jsa_grid(self.amplitudes(), self.matched, self.cfg.grid)
@@ -513,14 +514,13 @@ def cmd_modes(runner: Runner, wavelength_nm: float | None = None) -> list:
     check_few_mode(cfg.fiber, lam_nm / 1000.0)
     with runner.stage("modes"):
         grid = default_grid(cfg.fiber)
+        basis = basis_fields(cfg.fiber, lam_nm / 1000.0, grid)
         for name in MODE_IMAGE_STATES:
             runner.write(f"mode_{name}.pgm", write_pgm, intensity_image(
-                cfg.fiber, lam_nm / 1000.0, ModeSuperposition.named(name),
-                grid))
+                basis, ModeSuperposition.named(name)))
         runner.write("mode_mix_eo.pgm", write_pgm, intensity_image(
-            cfg.fiber, lam_nm / 1000.0,
-            [(0.5, ModeSuperposition.named("e")),
-             (0.5, ModeSuperposition.named("o"))], grid))
+            basis, [(0.5, ModeSuperposition.named("e")),
+                    (0.5, ModeSuperposition.named("o"))]))
         runner.write("modes_meta.json", write_json, {
             "wavelength_nm": lam_nm,
             "grid_extent_um": grid.extent_um,

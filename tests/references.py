@@ -22,16 +22,24 @@ their equivalence tests:
 * ``fused_jsa_grid``: the JSI that formed each row block's pump envelope,
   index solve and weighted channel products itself, which ``jsa_grid``
   reading the amplitude source ``estimation.model_amplitudes`` replaced.
+* ``cached_intensity_image``: the mode image superposed from per-mode
+  profiles cached across calls, each normalized with the grid's cell
+  area, then renormalized, which the one basis solve of
+  ``fields.basis_fields`` and the superposition of ``intensity_image``
+  replaced.
 
 Each calls the package's kernels through their modules, so a test can
 swap those too.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from fwmpairs import dispersion, fields, spectrum
-from fwmpairs.config import GaussianLobe
-from fwmpairs.errors import DomainError, NumericError, PhaseMatchError
+from fwmpairs.config import GaussianLobe, ModeSuperposition
+from fwmpairs.errors import (ConfigError, DomainError, NumericError,
+                             PhaseMatchError)
 from fwmpairs.processes import (SCAN_STEP_NM, BaseIndexCache,
                                 _energy_partner_nm)
 
@@ -173,6 +181,68 @@ def serial_overlaps(fiber, processes, lam_p_nm, centers):
         out[process.label] = complex(exchange * azimuth
                                      * np.dot(weights, product))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the mode images
+
+@lru_cache(maxsize=1)  # the e and o profiles, built in turn, share it
+def _radial_on_grid(fiber, lam_um, lp_label, grid):
+    """The grid's x (one row) and y (one column), the radius r and the LP
+    radial profile at r."""
+    u, w = dispersion.solve_lp_mode(fiber, lam_um, lp_label)
+    x, y, _ = grid.axes()
+    xx, yy = np.meshgrid(x, y, indexing="xy", sparse=True)
+    r = np.hypot(xx, yy)
+    radial = fields._radial_profile(u, w, 0 if lp_label == "LP01" else 1,
+                                    r / fiber.core_radius_um)
+    return xx, yy, r, radial
+
+
+@lru_cache(maxsize=3)  # one per basis mode g, e, o
+def _basis_profile(fiber, lam_um, mode, grid):
+    """Un-normalized LP mode profile sampled on ``grid``."""
+    xx, yy, r, radial = _radial_on_grid(fiber, lam_um,
+                                        "LP01" if mode == "g" else "LP11",
+                                        grid)
+    if mode == "g":
+        azim = 1.0
+    elif mode == "e":
+        azim = np.where(r > 0, xx / np.maximum(r, 1e-300), 1.0)  # cos(phi)
+    else:
+        azim = np.where(r > 0, yy / np.maximum(r, 1e-300), 0.0)  # sin(phi)
+    return radial * azim
+
+
+def _cached_mode_field(fiber, lam_um, state, grid):
+    """The field of ``state``: each cached profile normalized with the
+    cell area, superposed, and the sum renormalized."""
+    step = grid.axes()[2]
+    cell_area = step * step
+    total = np.zeros((grid.resolution, grid.resolution), dtype=complex)
+    for mode, amp in state.amplitudes.items():
+        prof = _basis_profile(fiber, lam_um, mode, grid)
+        norm = np.sqrt(np.sum(prof**2) * cell_area)
+        total += amp * prof / norm
+    return total / np.sqrt(np.sum(np.abs(total) ** 2) * cell_area)
+
+
+def cached_intensity_image(fiber, lam_um, state, grid):
+    """``fields.intensity_image`` of a ModeSuperposition or a list of
+    (weight, state) pairs, each field from ``_cached_mode_field``."""
+    if isinstance(state, ModeSuperposition):
+        img = np.abs(_cached_mode_field(fiber, lam_um, state, grid)) ** 2
+    else:
+        if abs(sum(w for w, _ in state) - 1.0) > 1e-9:
+            raise ConfigError("mixture weights must sum to 1")
+        img = np.zeros((grid.resolution, grid.resolution))
+        for w, st in state:
+            img += w * np.abs(_cached_mode_field(fiber, lam_um, st,
+                                                 grid)) ** 2
+    peak = img.max()
+    if peak > 0:
+        img = img / peak
+    return img
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from fwmpairs.config import (FiberSpec, GaussianLobe, ModeSuperposition,
                              PipelineConfig, SpectralWindow)
 from fwmpairs.estimation import lobe_amplitudes, trace_spectral
 from fwmpairs import fields
-from fwmpairs.fields import (default_grid, intensity_image,
+from fwmpairs.fields import (basis_fields, default_grid, intensity_image,
                              normalize_overlaps, process_overlap)
 from fwmpairs.pipeline import Simulation
 from fwmpairs.processes import enumerate_processes
@@ -248,12 +248,11 @@ def test_criterion_08_pipeline_self_consistency(sim_15mm_cross):
 def test_criterion_09_donut_equivalence(base_config):
     c = Criterion(9, "odd/even mixture equals circular superposition", 5.0)
     fiber = base_config.fiber
-    grid = default_grid(fiber)
-    mix = intensity_image(fiber, 0.5708,
+    grid_fields = basis_fields(fiber, 0.5708, default_grid(fiber))
+    mix = intensity_image(grid_fields,
                           [(0.5, ModeSuperposition.named("e")),
-                           (0.5, ModeSuperposition.named("o"))], grid)
-    donut = intensity_image(fiber, 0.5708, ModeSuperposition.named("r"),
-                            grid)
+                           (0.5, ModeSuperposition.named("o"))])
+    donut = intensity_image(grid_fields, ModeSuperposition.named("r"))
     dev = float(np.max(np.abs(mix - donut)))
     c.check(dev <= 1e-9, f"pointwise deviation {dev:.2e}")
     c.conclude()

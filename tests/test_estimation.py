@@ -179,7 +179,7 @@ def test_disjoint_supports_have_no_cross_coherence():
 def test_quadrature_doubling_converged(fiber, pump, processes_eo,
                                        overlaps_abcd, centers):
     procs = [p for p in processes_eo if p.label in "ABCD"]
-    weights = process_weights(pump, overlaps_abcd, procs)
+    weights = process_weights(pump.transverse_state, overlaps_abcd, procs)
     amps = model_amplitudes(procs, fiber, pump, weights)
     mid_i = 0.5 * (centers["B"][1] + centers["C"][1])
     mid_s = 0.5 * (centers["B"][0] + centers["C"][0])
@@ -210,7 +210,7 @@ def test_scaled_trace_matches_the_unscaled_one(fiber, pump, processes_eo,
                                                overlaps_abcd, amp):
     # a power-of-two scaling is exact, and rho is renormalized
     procs = [p for p in processes_eo if p.label in "ABCD"]
-    weights = process_weights(pump, overlaps_abcd, procs)
+    weights = process_weights(pump.transverse_state, overlaps_abcd, procs)
     lobes = [bc_lobe(570.2, amp=amp, label="B"),
              bc_lobe(571.4, amp=amp, label="C"),
              bc_lobe(568.4, amp=0.4 * amp, label="A")]
@@ -237,7 +237,8 @@ def test_trace_takes_the_magnitudes_of_complex_amplitudes(
     fiber = FiberSpec(segments=segments)
     procs = [p for p in processes_eo if p.label in "ABCD"]
     source = model_amplitudes(procs, fiber, pump,
-                              process_weights(pump, overlaps_abcd, procs))
+                              process_weights(pump.transverse_state,
+                                              overlaps_abcd, procs))
     win = SpectralWindow((672.0, 684.0), (566.0, 576.0))
     assert any(np.iscomplexobj(amp) and np.any(amp.imag != 0)
                for amp in source(np.array([[678.0]]),

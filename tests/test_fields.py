@@ -4,7 +4,7 @@ import pytest
 from fwmpairs import fields
 from fwmpairs.errors import ConfigError, DomainError
 from fwmpairs.config import ModeSuperposition
-from fwmpairs.fields import (FieldGrid, GridSpec, default_grid,
+from fwmpairs.fields import (GridSpec, basis_fields, default_grid,
                              intensity_image, mode_field, normalize_overlaps,
                              process_overlap)
 from fwmpairs.processes import FwmProcess, all_candidates
@@ -14,28 +14,38 @@ def basis(name):
     return ModeSuperposition.named(name)
 
 
-def overlap_integral(p1: FieldGrid, p2: FieldGrid, s: FieldGrid,
-                     i: FieldGrid) -> complex:
+def field(fiber, name, grid=None):
+    """The unit-norm field of the named state at 620 nm on ``grid`` (the
+    default grid if None)."""
+    grid = grid or default_grid(fiber)
+    return mode_field(basis_fields(fiber, 0.62, grid), basis(name))
+
+
+def cell_area(grid: GridSpec) -> float:
+    return grid.axes()[2] ** 2
+
+
+def overlap_integral(p1, p2, s, i) -> complex:
     """Slow 2-D reference: four-field overlap T_p1 T_p2 T_s* T_i* d2r
-    summed over a shared square grid.  Symmetric under p1 <-> p2."""
-    specs = {f.grid for f in (p1, p2, s, i)}
+    summed over a shared square grid, each field a (values, GridSpec)
+    pair.  Symmetric under p1 <-> p2."""
+    specs = {grid for _, grid in (p1, p2, s, i)}
     if len(specs) != 1:
         raise DomainError("overlap_integral requires identical grid specs")
-    integrand = p1.values * p2.values * np.conj(s.values) * np.conj(i.values)
-    return complex(np.sum(integrand) * p1.grid.cell_area_um2)
+    (f_p1, grid), (f_p2, _), (f_s, _), (f_i, _) = p1, p2, s, i
+    integrand = f_p1 * f_p2 * np.conj(f_s) * np.conj(f_i)
+    return complex(np.sum(integrand) * cell_area(grid))
 
 
 def grid_process_overlap(fiber, process, lam_p_nm, center_nm, grid):
     """process_overlap evaluated by ``overlap_integral`` on ``grid``."""
-    f_p1, f_p2, f_s, f_i = (
-        mode_field(fiber, lam_nm / 1000.0, ModeSuperposition({mode: 1.0}),
-                   grid)
-        for mode, lam_nm in ((process.t_p1, lam_p_nm),
-                             (process.t_p2, lam_p_nm),
-                             (process.t_s, center_nm[0]),
-                             (process.t_i, center_nm[1])))
+    roles = ((process.t_p1, lam_p_nm), (process.t_p2, lam_p_nm),
+             (process.t_s, center_nm[0]), (process.t_i, center_nm[1]))
+    bases = {lam_nm: basis_fields(fiber, lam_nm / 1000.0, grid)
+             for _, lam_nm in roles}
     exchange = 1.0 if process.pump_mode_degenerate else 2.0
-    return exchange * overlap_integral(f_p1, f_p2, f_s, f_i)
+    return exchange * overlap_integral(*((bases[lam_nm][mode], grid)
+                                         for mode, lam_nm in roles))
 
 
 def test_superposition_normalization_and_names():
@@ -50,53 +60,51 @@ def test_superposition_normalization_and_names():
 
 
 def test_lp01_peaks_on_axis(fiber):
-    f = mode_field(fiber, 0.62, basis("g"))
-    inten = np.abs(f.values) ** 2
-    mid = f.grid.resolution // 2
+    inten = np.abs(field(fiber, "g")) ** 2
+    mid = default_grid(fiber).resolution // 2
     peak = np.unravel_index(np.argmax(inten), inten.shape)
     assert abs(peak[0] - mid) <= 1 and abs(peak[1] - mid) <= 1
 
 
 @pytest.mark.parametrize("name", ["e", "o"])
 def test_lp11_vanishes_on_axis(fiber, name):
-    f = mode_field(fiber, 0.62, basis(name))
-    inten = np.abs(f.values) ** 2
-    mid = f.grid.resolution // 2
+    inten = np.abs(field(fiber, name)) ** 2
+    mid = default_grid(fiber).resolution // 2
     assert inten[mid, mid] < 1e-6 * inten.max()
 
 
 @pytest.mark.parametrize("name", ["g", "e", "o", "d", "r"])
 def test_field_normalization(fiber, name):
-    f = mode_field(fiber, 0.62, basis(name))
-    assert f.power() == pytest.approx(1.0, abs=1e-6)
+    power = np.sum(np.abs(field(fiber, name)) ** 2) * cell_area(
+        default_grid(fiber))
+    assert power == pytest.approx(1.0, abs=1e-6)
 
 
 def test_lp11e_lobes_along_x(fiber):
-    f = mode_field(fiber, 0.62, basis("e"))
-    inten = np.abs(f.values) ** 2
-    mid = f.grid.resolution // 2
+    inten = np.abs(field(fiber, "e")) ** 2
+    mid = default_grid(fiber).resolution // 2
     # cos(phi) profile: maxima on the x axis (row index = y)
     assert inten[mid, :].max() > 100 * inten[:, mid].max()
 
 
 def test_overlap_odd_integrand_vanishes(fiber):
-    fe = mode_field(fiber, 0.62, basis("e"))
-    fo = mode_field(fiber, 0.62, basis("o"))
+    grid = default_grid(fiber)
+    fe, fo = ((field(fiber, name, grid), grid) for name in "eo")
     val = overlap_integral(fe, fe, fe, fo)
     assert abs(val) < 1e-9
 
 
 def test_overlap_pump_exchange_symmetry(fiber):
-    fe = mode_field(fiber, 0.62, basis("e"))
-    fo = mode_field(fiber, 0.62, basis("o"))
+    grid = default_grid(fiber)
+    fe, fo = ((field(fiber, name, grid), grid) for name in "eo")
     ab = overlap_integral(fe, fo, fo, fe)
     ba = overlap_integral(fo, fe, fo, fe)
     assert ab == pytest.approx(ba, rel=1e-12)
 
 
 def test_overlap_requires_matching_grids(fiber):
-    f1 = mode_field(fiber, 0.62, basis("e"), GridSpec(5.0, 64))
-    f2 = mode_field(fiber, 0.62, basis("e"), GridSpec(5.0, 65))
+    f1, f2 = ((field(fiber, "e", grid), grid)
+              for grid in (GridSpec(5.0, 64), GridSpec(5.0, 65)))
     with pytest.raises(DomainError):
         overlap_integral(f1, f1, f1, f2)
 
@@ -169,21 +177,10 @@ def test_radial_overlap_matches_grid_reference(fiber, centers, modes):
 
 
 def test_donut_equivalence(fiber):
-    grid = default_grid(fiber)
-    mix = intensity_image(fiber, 0.5708,
-                          [(0.5, basis("e")), (0.5, basis("o"))], grid)
-    donut = intensity_image(fiber, 0.5708, basis("r"), grid)
+    grid_fields = basis_fields(fiber, 0.5708, default_grid(fiber))
+    mix = intensity_image(grid_fields, [(0.5, basis("e")), (0.5, basis("o"))])
+    donut = intensity_image(grid_fields, basis("r"))
     assert np.max(np.abs(mix - donut)) < 1e-9
-
-
-def test_cached_basis_profile_is_shared_read_only_and_exact(fiber):
-    grid = GridSpec(5.0, 64)
-    for mode in ("g", "e", "o"):
-        cached = fields._basis_profile(fiber, 0.62, mode, grid)
-        assert fields._basis_profile(fiber, 0.62, mode, grid) is cached
-        assert not cached.flags.writeable
-        fresh = fields._basis_profile.__wrapped__(fiber, 0.62, mode, grid)
-        assert np.array_equal(cached, fresh)
 
 
 def test_diagonal_state_is_rotated_even_lobe(fiber):
@@ -191,15 +188,13 @@ def test_diagonal_state_is_rotated_even_lobe(fiber):
     # rotated by -45 degrees; compare the diagonal cut against the
     # x-axis cut through the shared radial profile
     grid = default_grid(fiber)
-    f_d = mode_field(fiber, 0.62, basis("d"), grid)
-    inten_d = np.abs(f_d.values) ** 2
+    inten_d = np.abs(field(fiber, "d", grid)) ** 2
     x, y, _ = grid.axes()
     mid = grid.resolution // 2
     # sample along the +45 degree diagonal where |d> should peak
     diag = np.array([inten_d[k, k] for k in range(grid.resolution)])
     row = inten_d[mid, :]  # along x, where |e> peaks
-    f_e = mode_field(fiber, 0.62, basis("e"), grid)
-    inten_e = np.abs(f_e.values) ** 2
+    inten_e = np.abs(field(fiber, "e", grid)) ** 2
     # the d-state diagonal profile matches the e-state x profile at the
     # rescaled radius sqrt(2)*|x|
     r_diag = np.sqrt(x**2 + y**2)
@@ -208,7 +203,8 @@ def test_diagonal_state_is_rotated_even_lobe(fiber):
 
 
 def test_pure_even_mode_has_two_lobes_with_nodal_line(fiber):
-    img = intensity_image(fiber, 0.62, basis("e"))
+    img = intensity_image(basis_fields(fiber, 0.62, default_grid(fiber)),
+                          basis("e"))
     mid = img.shape[0] // 2
     # nodal line: the column x = 0 is dark
     assert img[:, mid].max() < 1e-12
@@ -221,7 +217,8 @@ def test_pure_even_mode_has_two_lobes_with_nodal_line(fiber):
 
 def test_mixture_weights_must_sum_to_one(fiber):
     with pytest.raises(ConfigError):
-        intensity_image(fiber, 0.62, [(0.7, basis("e")), (0.5, basis("o"))])
+        intensity_image(basis_fields(fiber, 0.62, default_grid(fiber)),
+                        [(0.7, basis("e")), (0.5, basis("o"))])
 
 
 def test_wavelength_consistency_changes_overlap(fiber, centers):

@@ -25,6 +25,11 @@ and on the ten {g, e, o} channels.  The lobe fit seeded by the peel on
 one residual grid is held bit for bit to the one seeded by the block-scan
 peel, on both fibers' JSIs, a one-lobe JSI and seeded measured-like
 grids.
+
+The mode images superposed from one basis solve are held to 1e-12 (a
+rounding bound) and to equal PGM bytes against the images superposed
+from cached per-mode profiles and renormalized, for every image of
+``modes`` at its default wavelength and at 560 and 700 nm.
 """
 
 from collections import OrderedDict
@@ -34,9 +39,12 @@ import pytest
 
 import references
 from fwmpairs import dispersion, pipeline, spectrum, tomography
-from fwmpairs.config import FiberSpec, PipelineConfig, SpectralWindow
+from fwmpairs.config import (FiberSpec, ModeSuperposition, PipelineConfig,
+                             SpectralWindow)
 from fwmpairs.estimation import trace_spectral
-from fwmpairs.fields import normalize_overlaps, process_overlap
+from fwmpairs.fields import (basis_fields, default_grid, intensity_image,
+                             normalize_overlaps, process_overlap)
+from fwmpairs.gridio import write_pgm
 from fwmpairs.processes import enumerate_processes
 from fwmpairs.tomography import (bootstrap_metrics, expected_counts,
                                  metrics_block, sample_counts)
@@ -161,6 +169,37 @@ def test_overlaps_match_the_serial_reference_bitwise(case):
     assert len(processes) >= 5
     assert (process_overlap(fiber, processes, 620.0, centers)
             == references.serial_overlaps(fiber, processes, 620.0, centers))
+
+
+# ---------------------------------------------------------------------------
+# the mode images from one basis solve against the cached profiles
+
+# a peak-1 image value is |sum of at most two unit-norm basis values|^2;
+# the two paths round the superposition and the normalizations in a
+# different order, a few ulp (1e-16) of a value at most 1 each, and the
+# reference's renormalization divides by 1 to 3e-16; 1e-12 leaves room
+IMAGE_ABS = 1e-12
+
+
+@pytest.mark.parametrize("lam_nm", [pipeline.MODES_WAVELENGTH_NM, 560.0,
+                                    700.0])
+def test_mode_images_match_the_cached_profile_reference(tmp_path, lam_nm):
+    # every image of ``modes``: its seven states and the e/o mixture
+    fiber = FiberSpec()
+    grid = default_grid(fiber)
+    basis = basis_fields(fiber, lam_nm / 1000.0, grid)
+    states = {name: ModeSuperposition.named(name)
+              for name in pipeline.MODE_IMAGE_STATES}
+    states["mix_eo"] = [(0.5, states["e"]), (0.5, states["o"])]
+    for name, state in states.items():
+        got = intensity_image(basis, state)
+        ref = references.cached_intensity_image(fiber, lam_nm / 1000.0,
+                                                state, grid)
+        assert np.max(np.abs(got - ref)) <= IMAGE_ABS, name
+        write_pgm(tmp_path / "got.pgm", got)
+        write_pgm(tmp_path / "ref.pgm", ref)
+        assert ((tmp_path / "got.pgm").read_bytes()
+                == (tmp_path / "ref.pgm").read_bytes()), name
 
 
 # ---------------------------------------------------------------------------

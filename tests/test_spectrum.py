@@ -31,7 +31,7 @@ def surface_partner(lam_i_nm, lam_p_nm=620.0):
 @pytest.fixture(scope="module")
 def weights(fiber, pump, processes_eo, overlaps_abcd):
     procs = [p for p in processes_eo if p.label in "ABCD"]
-    return process_weights(pump, overlaps_abcd, procs)
+    return process_weights(pump.transverse_state, overlaps_abcd, procs)
 
 
 @pytest.fixture(scope="module")
