@@ -153,7 +153,7 @@ def check_few_mode(fiber: FiberSpec, lam_um) -> None:
     if v[k] <= LP11_CUTOFF_V:
         raise ModeNotGuidedError(
             f"LP11 is not guided: V = {v[k]:.4g} at {lam[k] * 1e3:g} nm is "
-            f"at most its cutoff {LP11_CUTOFF_V:.4f}", v_number=float(v[k]))
+            f"at most its cutoff {LP11_CUTOFF_V:.4f}")
 
 
 # Bessel kernels of integer order n <= 2.  Each is a quadrature on a fixed
@@ -409,12 +409,9 @@ def lp_effective_index(fiber: FiberSpec, lam_um, lp_label: str) -> np.ndarray:
     v = v_number(fiber, lam)
     l = _LP_AZIMUTHAL[lp_label]
     if l == 1 and np.any(v <= LP11_CUTOFF_V):
-        v_bad = float(np.min(v))
         raise ModeNotGuidedError(
             f"mode not guided: LP11 requires V > {LP11_CUTOFF_V:.4f}, "
-            f"got V = {v_bad:.4f}",
-            v_number=v_bad,
-        )
+            f"got V = {np.min(v):.4f}")
     lo, hi = SELLMEIER_RANGE_UM
     last = int((hi - lo) // PANEL_WIDTH_UM)
     panel = np.minimum(((lam - lo) // PANEL_WIDTH_UM).astype(int), last)

@@ -228,11 +228,9 @@ def _colormap(norm: np.ndarray) -> np.ndarray:
 
 
 def write_pgm(path: Path, values: np.ndarray) -> None:
-    """8-bit binary P5 graymap, rows top to bottom."""
+    """8-bit binary P5 graymap of values in [0, 1], rows top to bottom."""
     v = np.asarray(values, dtype=float)
-    top = v.max()
-    norm = v / top if top > 0 else np.zeros_like(v)
-    pix = np.clip(np.rint(norm * 255), 0, 255).astype(np.uint8)
+    pix = np.clip(np.rint(v * 255), 0, 255).astype(np.uint8)
     h, w = pix.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))

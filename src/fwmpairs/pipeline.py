@@ -24,7 +24,7 @@ from . import __version__
 from .config import (CountEntry, FiberSpec, GaussianLobe, ModeSuperposition,
                      PipelineConfig, SpectralGrid, SpectralWindow)
 from .dispersion import check_few_mode
-from .errors import DomainError, GridFormatError, NumericError, PhaseMatchError
+from .errors import DomainError, GridFormatError, NumericError
 from .estimation import (lobe_amplitudes, model_amplitudes, process_weights,
                          trace_spectral)
 from .fields import (basis_fields, default_grid, intensity_image,
@@ -144,15 +144,8 @@ class Simulation:
         check_few_mode(self.fiber,
                        _energy_partner_nm(lam_p, cfg.center_band_nm) / 1000.0)
         self.processes = enumerate_processes(TWO_MODE_SET)
-        self.centers = {}
-        self.unmatched = {}
-        found = phasematched_centers(self.processes, self.fiber, lam_p,
-                                     band_i_nm=cfg.center_band_nm)
-        for label, center in found.items():
-            if isinstance(center, PhaseMatchError):
-                self.unmatched[label] = str(center)
-            else:
-                self.centers[label] = center
+        self.centers, self.unmatched = phasematched_centers(
+            self.processes, self.fiber, lam_p, band_i_nm=cfg.center_band_nm)
         if not self.centers:
             raise NumericError("no process is phase matched in the band")
         self.matched = [p for p in self.processes if p.label in self.centers]
@@ -499,7 +492,9 @@ def cmd_render(runner: Runner, input_csv: Path,
         except DomainError as exc:
             raise GridFormatError(
                 f"{lobes_json}: {exc} on the grid of {input_csv}") from None
-        runner.write(f"{stem}.pgm", write_pgm, intensity)
+        peak = intensity.max()
+        runner.write(f"{stem}.pgm", write_pgm,
+                     intensity / peak if peak > 0 else intensity)
     return []
 
 

@@ -13,9 +13,14 @@ mode pair.  Three selection rules decide which combinations can emit:
 For the two-mode set {e, o} these rules leave exactly the five channels
 labelled A-E; adding the fundamental mode g admits five more.
 
+A channel is its four modes; its label derives from them: the letter
+of a canonical two-mode channel, else ``p1p2-si``.
+
 ``phasematched_centers`` finds the phase-matched centers of a set of
 channels from one shared scan of the idler band and one shared index
-solve on the dyadic points of all their bracketing intervals.
+solve on the dyadic points of all their bracketing intervals.  It
+returns the centers of the matched channels and, beside them, a message
+for each channel with no zero of delta_k in the band.
 
 Every ``fiber`` argument is a ``config.FiberSpec``.
 """
@@ -23,6 +28,7 @@ Every ``fiber`` argument is a ``config.FiberSpec``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -47,21 +53,22 @@ CANONICAL_LABELS = {
 
 @dataclass(frozen=True)
 class FwmProcess:
-    """One FWM channel (T_p1, T_p2, T_s, T_i) with its display label."""
+    """One FWM channel (T_p1, T_p2, T_s, T_i)."""
 
     t_p1: str
     t_p2: str
     t_s: str
     t_i: str
-    label: str = ""
-
-    def __post_init__(self):
-        if not self.label:
-            object.__setattr__(self, "label", canonical_label(self.modes))
 
     @property
     def modes(self) -> tuple:
         return (self.t_p1, self.t_p2, self.t_s, self.t_i)
+
+    @property
+    def label(self) -> str:
+        """The canonical letter, else ``p1p2-si``."""
+        p1, p2, s, i = self.modes
+        return CANONICAL_LABELS.get(self.modes, f"{p1}{p2}-{s}{i}")
 
     @property
     def pump_mode_degenerate(self) -> bool:
@@ -86,17 +93,6 @@ class FwmProcess:
                 and self.pump_odd_excess() >= 0)
 
 
-def canonical_label(modes: tuple) -> str:
-    if modes in CANONICAL_LABELS:
-        return CANONICAL_LABELS[modes]
-    p1, p2, s, i = modes
-    return f"{p1}{p2}-{s}{i}"
-
-
-def _canonical_pump_pair(a: str, b: str) -> tuple:
-    return tuple(sorted((a, b), key=MODE_ORDER.index))
-
-
 def all_candidates(mode_set) -> list:
     """All distinct mode combinations (unordered pumps, ordered outputs);
     a ConfigError names a label outside the basis."""
@@ -106,19 +102,9 @@ def all_candidates(mode_set) -> list:
                           f"{', '.join(sorted(map(repr, unknown)))}: the "
                           f"basis is ({', '.join(MODE_ORDER)})")
     modes = sorted(set(mode_set), key=MODE_ORDER.index)
-    seen = set()
-    out = []
-    for p1 in modes:
-        for p2 in modes:
-            pair = _canonical_pump_pair(p1, p2)
-            for s in modes:
-                for i in modes:
-                    key = pair + (s, i)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    out.append(FwmProcess(*key))
-    return out
+    return [FwmProcess(*pumps, *outputs)
+            for pumps in combinations_with_replacement(modes, 2)
+            for outputs in product(modes, repeat=2)]
 
 
 def enumerate_processes(mode_set) -> list:
@@ -211,7 +197,7 @@ def _energy_partner_nm(lam_p_nm: float, lam_i_nm):
 
 
 def phasematched_centers(processes, fiber, lam_p_nm: float,
-                         band_i_nm: tuple) -> dict:
+                         band_i_nm: tuple) -> tuple:
     """Locate, per channel, the (lam_s, lam_i) pair in nm where delta_k
     crosses zero.
 
@@ -227,15 +213,15 @@ def phasematched_centers(processes, fiber, lam_p_nm: float,
     bracket holds one zero.  A returned pair satisfies the energy constraint
     2/lam_p = 1/lam_s + 1/lam_i exactly.
 
-    Returns {label: (lam_s, lam_i)} with a PhaseMatchError (carrying the
-    scanned extrema) in place of the pair for a channel with no sign
-    change in the band.
+    Returns two maps: ``({label: (lam_s, lam_i)}, {label: message})``,
+    the centers in channel order and, for each channel with no sign
+    change in the band, a message that gives the scanned extrema.
     """
     lo_nm, hi_nm = band_i_nm
     grid_i = np.arange(lo_nm, hi_nm + 0.5 * SCAN_STEP_NM, SCAN_STEP_NM)
     grid_s = _energy_partner_nm(lam_p_nm, grid_i)
     scan = BaseIndexCache(fiber, grid_s / 1000.0, grid_i / 1000.0)
-    out = {}
+    centers, unmatched = {}, {}
     bracketed, first = [], []
     for process in processes:
         dk = scan.delta_k(process)
@@ -244,20 +230,18 @@ def phasematched_centers(processes, fiber, lam_p_nm: float,
         exact = np.nonzero(dk == 0.0)[0]
         if len(exact):
             li = float(grid_i[exact[0]])
-            out[process.label] = float(_energy_partner_nm(lam_p_nm, li)), li
+            centers[process.label] = (float(_energy_partner_nm(lam_p_nm, li)),
+                                      li)
         elif len(crossings) == 0:
-            out[process.label] = PhaseMatchError(
+            unmatched[process.label] = (
                 f"process {process.label} not phase matched in band "
                 f"[{lo_nm}, {hi_nm}] nm: delta_k in "
-                f"[{dk.min():.6g}, {dk.max():.6g}] 1/m",
-                dk_min=float(dk.min()), dk_max=float(dk.max()),
-            )
+                f"[{dk.min():.6g}, {dk.max():.6g}] 1/m")
         else:
-            out[process.label] = None  # keeps the channel order; set below
             bracketed.append(process)
             first.append(crossings[0])
     if not bracketed:
-        return out
+        return centers, unmatched
 
     # Each bracket's dyadic points: its ends and the midpoints of halving
     # it until every part is at most 1e-5 nm wide, each midpoint taken
@@ -279,8 +263,9 @@ def phasematched_centers(processes, fiber, lam_p_nm: float,
         j = int(np.argmax(sign[1:] != sign[0]))
         lam_i = 0.5 * (li[j] + li[j + 1])
         lam_s = float(_energy_partner_nm(lam_p_nm, lam_i))
-        out[process.label] = lam_s, float(lam_i)
-    return out
+        centers[process.label] = lam_s, float(lam_i)
+    return ({p.label: centers[p.label] for p in processes
+             if p.label in centers}, unmatched)
 
 
 # No caller in the package: kept because perfbench/tracer.py LAYERS wraps it.
@@ -292,8 +277,8 @@ def phasematched_center(process: FwmProcess, fiber, lam_p_nm: float,
     Raises PhaseMatchError (with the scanned extrema) when no sign
     change exists in the band.
     """
-    center = phasematched_centers([process], fiber, lam_p_nm,
-                                  band_i_nm)[process.label]
-    if isinstance(center, PhaseMatchError):
-        raise center
-    return center
+    centers, unmatched = phasematched_centers([process], fiber, lam_p_nm,
+                                              band_i_nm)
+    if unmatched:
+        raise PhaseMatchError(unmatched[process.label])
+    return centers[process.label]

@@ -38,8 +38,7 @@ import numpy as np
 
 from fwmpairs import dispersion, fields, spectrum
 from fwmpairs.config import GaussianLobe, ModeSuperposition
-from fwmpairs.errors import (ConfigError, DomainError, NumericError,
-                             PhaseMatchError)
+from fwmpairs.errors import ConfigError, DomainError, NumericError
 from fwmpairs.processes import (SCAN_STEP_NM, BaseIndexCache,
                                 _energy_partner_nm)
 
@@ -100,7 +99,7 @@ def serial_centers(processes, fiber, lam_p_nm, band_i_nm):
     grid_i = np.arange(lo_nm, hi_nm + 0.5 * SCAN_STEP_NM, SCAN_STEP_NM)
     grid_s = _energy_partner_nm(lam_p_nm, grid_i)
     scan = BaseIndexCache(fiber, grid_s / 1000.0, grid_i / 1000.0)
-    out = {}
+    out, unmatched = {}, {}
     bracketed, first = [], []
     for process in processes:
         dk = scan.delta_k(process)
@@ -111,18 +110,16 @@ def serial_centers(processes, fiber, lam_p_nm, band_i_nm):
             li = float(grid_i[exact[0]])
             out[process.label] = float(_energy_partner_nm(lam_p_nm, li)), li
         elif len(crossings) == 0:
-            out[process.label] = PhaseMatchError(
+            unmatched[process.label] = (
                 f"process {process.label} not phase matched in band "
                 f"[{lo_nm}, {hi_nm}] nm: delta_k in "
-                f"[{dk.min():.6g}, {dk.max():.6g}] 1/m",
-                dk_min=float(dk.min()), dk_max=float(dk.max()),
-            )
+                f"[{dk.min():.6g}, {dk.max():.6g}] 1/m")
         else:
             out[process.label] = None
             bracketed.append(process)
             first.append(crossings[0])
     if not bracketed:
-        return out
+        return out, unmatched
 
     def dk_at(channels, li_nm):
         cache = BaseIndexCache(fiber,
@@ -147,7 +144,7 @@ def serial_centers(processes, fiber, lam_p_nm, band_i_nm):
     for process, lam_i in zip(bracketed, 0.5 * (lo + hi)):
         lam_s = float(_energy_partner_nm(lam_p_nm, lam_i))
         out[process.label] = lam_s, float(lam_i)
-    return out
+    return out, unmatched
 
 
 # ---------------------------------------------------------------------------

@@ -988,6 +988,22 @@ def test_model_refusal_exit_code(tmp_path, capsys, doc, message):
     assert not (out / "manifest.json").exists()
 
 
+def test_band_that_leaves_one_channel_unmatched(tmp_path):
+    # E matches near 542 nm, outside the band; A-D match inside it
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"grid": {"points_s": 61, "points_i": 61},
+                                  "center_band_nm": [560.0, 580.0]}),
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["simulate-jsi", "--config", config, "--out", out]) == 0
+    with open(out / "lobe_centers.csv", encoding="utf-8") as fh:
+        assert [r["process"] for r in csv.DictReader(fh)] == list("ABCD")
+    meta = json.loads((out / "jsi_meta.json").read_text(encoding="utf-8"))
+    assert meta["unmatched_processes"] == {
+        "E": "process E not phase matched in band [560.0, 580.0] nm: "
+             "delta_k in [6163.33, 10627.4] 1/m"}
+
+
 def test_grid_too_coarse_for_lobes_exit_code(tmp_path, capsys):
     # the 21 x 21 default-band grid steps 1.5 nm and 0.45 nm against minor
     # sigmas near 0.17 nm: too few nodes inside a lobe for its R^2
@@ -1155,6 +1171,28 @@ def test_render_constant_grid_uniform(tmp_path, config_path):
     assert pixels == {255}
     svg = (out / "const.svg").read_text()
     assert "ellipse" not in svg  # no contours without lobes
+
+
+def test_render_images_do_not_depend_on_the_intensity_scale(tmp_path,
+                                                            config_path):
+    # a power-of-two scale divides out exactly; a render that stopped
+    # scaling by the peak would write a black or a saturated image
+    ls = np.linspace(670.0, 680.0, 21)
+    li = np.linspace(567.0, 571.0, 11)
+    bump = (np.exp(-((ls - 674.0) / 3.0) ** 2)[:, None]
+            * np.exp(-((li - 569.5) / 1.0) ** 2)[None, :])
+    images = []
+    for exp in (0, -500, 500):
+        d = tmp_path / f"scale_{exp}"
+        d.mkdir()
+        write_grid_csv(d / "jsi.csv", ls, li, np.ldexp(bump, exp))
+        assert run(["render", "--config", config_path, "--out", d / "img",
+                    "--input", d / "jsi.csv"]) == 0
+        images.append([(d / "img" / name).read_bytes()
+                       for name in ("jsi.pgm", "jsi.svg")])
+    assert images[1] == images[0]
+    assert images[2] == images[0]
+    assert len(set(images[0][0][-21 * 11:])) > 2  # not one flat shade
 
 
 def test_modes_command_writes_images(tmp_path, config_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,16 @@ def test_three_mode_set_gives_ten():
     assert {"A", "B", "C", "D", "E"} <= labels
     # the five fundamental-mode channels
     assert {"gg-gg", "ge-ge", "ge-eg", "go-go", "go-og"} <= labels
+
+
+def test_candidates_pair_the_pumps_unordered_and_the_outputs_ordered():
+    # pump pairs, then outputs, in basis order, whatever the set's order
+    got = [p.modes for p in all_candidates({"o", "e"})]
+    assert got == [(p1, p2, s, i)
+                   for p1, p2 in (("e", "e"), ("e", "o"), ("o", "o"))
+                   for s in "eo" for i in "eo"]
+    modes = [p.modes for p in all_candidates({"g", "e", "o"})]
+    assert len(modes) == len(set(modes)) == 6 * 9
 
 
 def test_every_emitted_process_conserves_parity(processes_eo):
@@ -168,9 +180,12 @@ def test_no_root_in_band_reports_extrema(fiber):
     proc = FwmProcess("o", "o", "e", "e")  # matches near 542 nm
     with pytest.raises(PhaseMatchError) as err:
         phasematched_center(proc, fiber, 620.0, band_i_nm=(560.0, 580.0))
-    assert "not phase matched in band" in str(err.value)
-    assert err.value.dk_min < err.value.dk_max
-    assert err.value.dk_min > 0  # entire band on one side of the root
+    found = re.search(r"not phase matched in band .*: "
+                      r"delta_k in \[(\S+), (\S+)\] 1/m$", str(err.value))
+    assert found
+    dk_min, dk_max = map(float, found.groups())
+    assert dk_min < dk_max
+    assert dk_min > 0  # entire band on one side of the root
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +273,8 @@ def test_fundamental_mode_channels_have_no_delta_k(fiber):
 # shared scan against the per-channel search it replaced
 
 def reference_center(process, fiber, lam_p_nm, band_i_nm):
-    """One channel's own scan and scalar bisection."""
+    """One channel's own scan and scalar bisection: its (lam_s, lam_i),
+    or the message for a channel with no zero in the band."""
     lo_nm, hi_nm = band_i_nm
     grid_i = np.arange(lo_nm, hi_nm + 0.5 * SCAN_STEP_NM, SCAN_STEP_NM)
     grid_s = 1.0 / (2.0 / lam_p_nm - 1.0 / grid_i)
@@ -270,11 +286,9 @@ def reference_center(process, fiber, lam_p_nm, band_i_nm):
         li = float(grid_i[exact[0]])
         return float(1.0 / (2.0 / lam_p_nm - 1.0 / li)), li
     if len(crossings) == 0:
-        return PhaseMatchError(
-            f"process {process.label} not phase matched in band "
-            f"[{lo_nm}, {hi_nm}] nm: delta_k in "
-            f"[{dk.min():.6g}, {dk.max():.6g}] 1/m",
-            dk_min=float(dk.min()), dk_max=float(dk.max()))
+        return (f"process {process.label} not phase matched in band "
+                f"[{lo_nm}, {hi_nm}] nm: delta_k in "
+                f"[{dk.min():.6g}, {dk.max():.6g}] 1/m")
 
     def dk_at(li_nm):
         ls_nm = float(1.0 / (2.0 / lam_p_nm - 1.0 / np.asarray(li_nm)))
@@ -300,8 +314,10 @@ def reference_center(process, fiber, lam_p_nm, band_i_nm):
 def test_shared_scan_matches_per_channel_search(processes_eo, layout, delta):
     fiber = FiberSpec(segments=LAYOUTS[layout].segments,
                       delta_parity_dispersion=delta)
-    got = phasematched_centers(processes_eo, fiber, 620.0, BAND_I_NM)
+    got, unmatched = phasematched_centers(processes_eo, fiber, 620.0,
+                                          BAND_I_NM)
     assert list(got) == [p.label for p in processes_eo]
+    assert unmatched == {}
     for proc in processes_eo:
         assert got[proc.label] == reference_center(
             proc, fiber, 620.0, BAND_I_NM), proc.label
@@ -310,20 +326,19 @@ def test_shared_scan_matches_per_channel_search(processes_eo, layout, delta):
 def test_shared_scan_reports_unmatched_channels_like_the_search(
         fiber, processes_eo):
     # E matches near 542 nm, outside this band; A-D match inside it
-    got = phasematched_centers(processes_eo, fiber, 620.0,
-                               band_i_nm=(560.0, 580.0))
+    got, unmatched = phasematched_centers(processes_eo, fiber, 620.0,
+                                          band_i_nm=(560.0, 580.0))
+    assert list(got) == [p.label for p in processes_eo if p.label != "E"]
+    assert list(unmatched) == ["E"]
     for proc in processes_eo:
         want = reference_center(proc, fiber, 620.0, (560.0, 580.0))
-        assert isinstance(want, PhaseMatchError) == (proc.label == "E")
+        assert isinstance(want, str) == (proc.label == "E")
         if proc.label == "E":
-            err = got[proc.label]
-            assert isinstance(err, PhaseMatchError)
-            assert str(err) == str(want)
-            assert (err.dk_min, err.dk_max) == (want.dk_min, want.dk_max)
+            assert unmatched[proc.label] == want
             with pytest.raises(PhaseMatchError) as raised:
                 phasematched_center(proc, fiber, 620.0,
                                     band_i_nm=(560.0, 580.0))
-            assert str(raised.value) == str(want)
+            assert str(raised.value) == want
         else:
             assert got[proc.label] == want, proc.label
 
@@ -341,7 +356,10 @@ def test_shared_scan_takes_the_first_of_several_crossings(
     monkeypatch.setattr(procmod, "lp_effective_index", rippled)
     grid_i = np.arange(540.0, 580.005, 0.01)
     grid_s = 1.0 / (2.0 / 620.0 - 1.0 / grid_i)
-    got = phasematched_centers(processes_eo, fiber, 620.0, BAND_I_NM)
+    got, unmatched = phasematched_centers(processes_eo, fiber, 620.0,
+                                          BAND_I_NM)
+    assert list(got) == [p.label for p in processes_eo]
+    assert unmatched == {}
     for proc in processes_eo:
         dk = delta_k_vec(proc, grid_s / 1000.0, grid_i / 1000.0, fiber)
         assert np.count_nonzero(np.diff(np.sign(dk))) >= 4, proc.label
@@ -362,9 +380,13 @@ def test_shared_scan_takes_an_exact_zero_at_a_scan_node(
             dk[node] = 0.0
         return dk
 
-    want = phasematched_centers(processes_eo, fiber, 620.0, BAND_I_NM)
+    want, _ = phasematched_centers(processes_eo, fiber, 620.0, BAND_I_NM)
     monkeypatch.setattr(BaseIndexCache, "delta_k", vanishing)
-    got = phasematched_centers(processes_eo, fiber, 620.0, BAND_I_NM)
+    got, unmatched = phasematched_centers(processes_eo, fiber, 620.0,
+                                          BAND_I_NM)
+    # the exact zero keeps its place in the channel order
+    assert list(got) == [p.label for p in processes_eo]
+    assert unmatched == {}
     li = float(grid_i[node])
     assert got.pop("C") == (1.0 / (2.0 / 620.0 - 1.0 / li), li)
     del want["C"]
