@@ -5,8 +5,9 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 
 ``COMMANDS`` is the one place a command is declared: its help, the
 ``pipeline`` function it runs and its own flags.  Every command also
-takes the ``COMMON`` flags.  A flag whose schema type is not None is
-checked by ``config.convert`` before the config loads.
+takes the ``COMMON`` flags; ``SEED`` goes only to the two commands that
+draw random numbers.  A flag whose schema type is not None is checked by
+``config.convert`` before the config loads.
 """
 
 from __future__ import annotations
@@ -37,11 +38,9 @@ COMMON = (
           help="pipeline configuration JSON"),
     _flag("--out", type=Path, default=Path("out"),
           help="output directory (default: out)"),
-    _flag("--seed", type=int, default=20240620, check="seed",
-          help="master RNG seed (default: 20240620)"),
-    _flag("--threads", type=int, default=1, check="count",
-          help="recorded in the manifest; no stage reads it"),
 )
+SEED = _flag("--seed", type=int, default=20240620, check="seed",
+             help="master RNG seed (default: 20240620)")
 
 # name -> (help, pipeline function, its own flags); the function takes
 # the Runner and one keyword per flag, and returns the lines to print
@@ -72,11 +71,15 @@ COMMANDS = {
         pipeline.cmd_qst_simulate,
         (_flag("--rho", dest="rho_json", required=True, type=Path,
                help="density-matrix JSON, such as estimate-rho's "
-                    "rho_se_w0.json"),)),
+                    "rho_se_w0.json"),
+         SEED)),
     "qst-reconstruct": (
         "maximum-likelihood reconstruction with bootstrap error bars",
         pipeline.cmd_qst_reconstruct,
-        (_flag("--counts", required=True, type=Path),)),
+        (_flag("--counts", required=True, type=Path),
+         SEED,
+         _flag("--threads", type=int, default=1, check="count",
+               help="checked, but no stage reads it"))),
     "compare": (
         "fidelity report between two density matrices (both conventions "
         "and phase-blind)",
@@ -120,9 +123,7 @@ def main(argv=None) -> int:
             if check is not None and args[dest] is not None:
                 convert(args[dest], check, flag)
         runner = pipeline.Runner(load_config(args.pop("config")), command,
-                                 out_dir=args.pop("out"),
-                                 seed=args.pop("seed"),
-                                 threads=args.pop("threads"))
+                                 out_dir=args.pop("out"))
         for line in run(runner, **args):
             print(line)
         runner.finish()

@@ -20,6 +20,7 @@ import numpy as np
 from .config import (BASIS_LABELS, ModeSuperposition, PumpSpec,
                      SpectralWindow)
 from .errors import ConfigError, DomainError
+from .fields import normalize_overlaps
 from .processes import BaseIndexCache
 from .spectrum import pump_envelope
 
@@ -49,14 +50,11 @@ def process_weights(state: ModeSuperposition, overlaps: dict,
     indistinguishability).  Raises when every channel weight vanishes
     (e.g. a pump state with no support on the required modes).
     """
-    amps = {proc.label: state.amplitude(proc.t_p1)
-            * state.amplitude(proc.t_p2) * overlaps.get(proc.label, 0j)
-            for proc in processes}
-    total = sum(abs(v) ** 2 for v in amps.values())
-    if total <= 0:
-        raise DomainError("all process weights are zero for this pump state")
-    scale = 1.0 / np.sqrt(total)
-    return {k: v * scale for k, v in amps.items()}
+    return normalize_overlaps(
+        {proc.label: state.amplitude(proc.t_p1)
+         * state.amplitude(proc.t_p2) * overlaps.get(proc.label, 0j)
+         for proc in processes},
+        "all process weights are zero for this pump state")
 
 
 # ---------------------------------------------------------------------------

@@ -178,11 +178,14 @@ def process_overlap(fiber: FiberSpec, processes, lam_p_nm: float,
     return overlaps
 
 
-def normalize_overlaps(raw: dict) -> dict:
-    """Scale a {label: O_j} map so that sum |O_j|^2 = 1."""
+def normalize_overlaps(
+        raw: dict,
+        error: str = "cannot normalize an all-zero overlap set") -> dict:
+    """Scale a {label: O_j} map so that sum |O_j|^2 = 1; a map whose
+    sum is not positive raises ``DomainError(error)``."""
     total = sum(abs(v) ** 2 for v in raw.values())
     if total <= 0:
-        raise DomainError("cannot normalize an all-zero overlap set")
+        raise DomainError(error)
     scale = 1.0 / np.sqrt(total)
     return {k: v * scale for k, v in raw.items()}
 

@@ -1,7 +1,7 @@
 """Command implementations: simulation, estimation, tomography, rendering.
 
 Every command writes its primary outputs plus ``manifest.json`` listing
-each file with its SHA-256; reruns with identical config and seed are
+each file with its SHA-256; reruns with identical config and flags are
 byte-identical.  Wall-clock timings and the peak resident set go to
 ``timings.txt``, which is deliberately not listed in the manifest so the
 determinism contract covers every listed file.
@@ -65,15 +65,13 @@ def _peak_rss_mb() -> float:
 
 class Runner:
     """Output directory, timing capture and manifest assembly.  The
-    output directory, seed and thread count are run values that the CLI
-    flags set; ``config_sha256`` covers the config alone."""
+    output directory is a run value that ``--out`` sets;
+    ``config_sha256`` covers the config alone."""
 
     def __init__(self, cfg: PipelineConfig, command: str,
-                 out_dir: str | Path, seed: int, threads: int):
+                 out_dir: str | Path):
         self.cfg = cfg
         self.command = command
-        self.seed = seed
-        self.threads = threads
         self.out = Path(out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         self.files: list = []
@@ -99,8 +97,6 @@ class Runner:
         manifest = {
             "command": self.command,
             "config_sha256": config_hash(self.cfg),
-            "seed": self.seed,
-            "threads": self.threads,
             "versions": {
                 "fwmpairs": __version__,
                 "python": sys.version.split()[0],
@@ -367,18 +363,17 @@ def cmd_estimate_rho(runner: Runner, lobes_json: Path | None = None) -> list:
             f"{row['purity']:.4f}" for row in rows]
 
 
-def cmd_qst_simulate(runner: Runner, rho_json: Path) -> list:
+def cmd_qst_simulate(runner: Runner, rho_json: Path, seed: int) -> list:
     cfg = runner.cfg
     with runner.stage("state"):
         rho = load_density(rho_json)
     with runner.stage("counts"):
         rates = expected_counts(rho, cfg.tomography.counts_scale)
-        record = sample_counts(rates, runner.seed,
-                               cfg.tomography.counts_scale)
+        record = sample_counts(rates, seed, cfg.tomography.counts_scale)
         counts = [int(c) for c in record.counts]
         runner.write("counts.json", write_json, {
             "n0": cfg.tomography.counts_scale,
-            "seed": runner.seed,
+            "seed": seed,
             "records": [
                 {"signal_basis": name[0], "idler_basis": name[1],
                  "counts": c}
@@ -403,7 +398,9 @@ def load_counts(path: Path) -> CountRecord:
     return CountRecord(counts=np.array(counts), n0=doc["n0"])
 
 
-def cmd_qst_reconstruct(runner: Runner, counts: Path) -> list:
+def cmd_qst_reconstruct(runner: Runner, counts: Path, seed: int,
+                        threads: int) -> list:
+    # ``threads`` is checked by the CLI; no stage reads it
     cfg = runner.cfg
     with runner.stage("mle"):
         record = load_counts(counts)
@@ -411,7 +408,7 @@ def cmd_qst_reconstruct(runner: Runner, counts: Path) -> list:
         metrics = metrics_block(result.rho)
     with runner.stage("bootstrap"):
         boot = bootstrap_metrics(record, n_samples=cfg.tomography.n_samples,
-                                 seed=runner.seed)
+                                 seed=seed)
     doc = density_to_json(result.rho, metrics, extra={
         "kind": "rho_qst",
         "log_likelihood": result.log_likelihood,

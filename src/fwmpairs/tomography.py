@@ -343,22 +343,19 @@ def _solve(counts: np.ndarray, n0: np.ndarray):
 
         d, dec = newton(tau)
         centred = dec < _CENTRE_TOL * tau
-        # the certificate of this pass's rho, filled where it is evaluated
+        # the certificate of this pass's rho, evaluated where a record
+        # may stop: centred, or at the step cap
+        check = centred | (it >= MAX_ITER)
         res, gap = np.empty(live.size), np.empty(live.size)
         conv = np.zeros(live.size, dtype=bool)
-        if centred.any():
-            res[centred], gap[centred], conv[centred] = _kkt(
-                rho[centred], counts[centred])
+        if check.any():
+            res[check], gap[check], conv[check] = _kkt(
+                rho[check], counts[check])
             cut = centred & ~conv & (tau > _TAU_MIN)
             if cut.any():
                 tau = np.where(cut, np.maximum(tau * _TAU_CUT, _TAU_MIN), tau)
                 d, dec = newton(tau)
         stop = conv | (it >= MAX_ITER)
-        # only records stopped by the cap lack a certificate here
-        fresh = stop & ~centred
-        if fresh.any():
-            res[fresh], gap[fresh], conv[fresh] = _kkt(
-                rho[fresh], counts[fresh])
         if stop.any():
             done = live[stop]
             out_rho[done], out_ll[done], out_steps[done] = \

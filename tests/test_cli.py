@@ -12,7 +12,7 @@ import pytest
 
 import fwmpairs
 from fwmpairs import pipeline
-from fwmpairs.cli import main
+from fwmpairs.cli import COMMANDS, main
 from fwmpairs.config import PipelineConfig, load_config
 from fwmpairs.errors import ConfigError, GridFormatError
 from fwmpairs.gridio import load_grid_csv, write_grid_csv, load_density
@@ -551,13 +551,42 @@ def test_seed_u64_bounds_accepted(tmp_path, config_path):
 def test_config_hash_ignores_output_dir_and_seed(tmp_path, config_path):
     # the output directory and the seed are run values, not config
     hashes = set()
-    for out, seed in (("a", "1"), ("b", "2")):
-        assert run(["overlaps", "--config", config_path,
-                    "--out", tmp_path / out, "--seed", seed]) == 0
-        doc = json.loads((tmp_path / out / "manifest.json").read_text())
-        assert doc["seed"] == int(seed)
-        hashes.add(doc["config_sha256"])
+    for out, seed in (("a", 1), ("b", 2)):
+        (tmp_path / out).mkdir()
+        assert qst_simulate_mixture(tmp_path / out, config_path,
+                                    "--seed", seed) == 0
+        qst = tmp_path / out / "qst"
+        assert json.loads((qst / "counts.json").read_text())["seed"] == seed
+        hashes.add(json.loads((qst / "manifest.json").read_text())[
+            "config_sha256"])
     assert len(hashes) == 1
+
+
+# every command but the two QST ones, with its required flags; argparse
+# refuses an unknown flag before any of these paths is opened
+NO_SEED = {
+    "simulate-jsi": [], "sweep-delta": [], "fit-lobes": ["--input", "g.csv"],
+    "estimate-rho": [], "compare": ["--rho-a", "a.json", "--rho-b", "b.json"],
+    "render": ["--input", "g.csv"], "modes": [], "overlaps": [],
+}
+NO_THREADS = {**NO_SEED, "qst-simulate": ["--rho", "rho.json"]}
+
+
+@pytest.mark.parametrize("command, flag", [
+    *((command, "--seed") for command in NO_SEED),
+    *((command, "--threads") for command in NO_THREADS)])
+def test_run_flag_refused_where_nothing_reads_it(tmp_path, config_path,
+                                                 capsys, command, flag):
+    # only qst-simulate and qst-reconstruct draw random numbers, and only
+    # qst-reconstruct takes --threads
+    assert set(COMMANDS) - set(NO_THREADS) == {"qst-reconstruct"}
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--config", config_path, "--out", out,
+             *NO_THREADS[command], flag, "5"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_lobe_with_unknown_field_exit_code(tmp_path, config_path, capsys):
@@ -785,11 +814,10 @@ def test_lobe_fit_with_no_center_in_band_exit_code(tmp_path, capsys,
 @pytest.mark.parametrize("value", [0, -3])
 def test_count_flag_below_one_exit_code(tmp_path, config_path, capsys,
                                         flag, value):
-    grid = tmp_path / "grid.csv"
-    write_grid_csv(grid, [670.0, 671.0], [567.0, 568.0], np.ones((2, 2)))
-    out = tmp_path / "fit"
-    assert run(["fit-lobes", "--config", config_path, "--out", out,
-                "--input", grid, flag, value]) == 2
+    out = tmp_path / "qst"
+    # the flag is refused before the counts are read
+    assert run(["qst-reconstruct", "--config", config_path, "--out", out,
+                "--counts", tmp_path / "counts.json", flag, value]) == 2
     assert f"{flag}: must be >= 1" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 

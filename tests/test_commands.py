@@ -94,7 +94,7 @@ def readme_output_files() -> dict:
 
 def test_every_command_prints_its_summary_lines(tmp_path, capsys):
     # ... and writes the files of its RUNS entry, each listed in its
-    # manifest, and nothing else
+    # manifest, and nothing else; no manifest records a run value
     config = tmp_path / "config.json"
     config.write_text(json.dumps(CONFIG), encoding="utf-8")
     assert list(dict.fromkeys(argv[0] for argv, _, _ in RUNS)) == list(
@@ -111,6 +111,7 @@ def test_every_command_prints_its_summary_lines(tmp_path, capsys):
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert {entry["path"] for entry in manifest["outputs"]} == files, (
             argv[0])
+        assert not {"seed", "threads"} & set(manifest), argv[0]
         assert {p.name for p in out_dir.iterdir()} == files | {
             "manifest.json", "timings.txt"}, argv[0]
         # only render draws a grid

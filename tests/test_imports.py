@@ -82,11 +82,11 @@ def inputs(tmp_path_factory):
                density_to_json(0.8 * bell + 0.2 * np.eye(4) / 4))
     write_grid_csv(root / "grid.csv", np.linspace(670.0, 680.0, 11),
                    np.linspace(567.0, 571.0, 9), np.ones((11, 9)))
-    common = ["--config", cfg, "--seed", "7"]
+    common = ["--config", cfg]
     for step in (["qst-simulate", "--out", root / "sim",
-                  "--rho", root / "rho.json"],
+                  "--rho", root / "rho.json", "--seed", "7"],
                  ["qst-reconstruct", "--out", root / "qst",
-                  "--counts", root / "sim" / "counts.json"],
+                  "--counts", root / "sim" / "counts.json", "--seed", "7"],
                  ["simulate-jsi", "--out", root / "jsi"]):
         assert main([str(a) for a in [*step, *common]]) == 0
     return root, common
