@@ -405,7 +405,6 @@ def lp_effective_index(fiber: FiberSpec, lam_um, lp_label: str) -> np.ndarray:
     if lp_label not in LP_LABELS:
         raise ConfigError(f"unknown LP label {lp_label!r}")
     lam = np.atleast_1d(np.asarray(lam_um, dtype=float))
-    _check_range(lam)
     v = v_number(fiber, lam)
     l = _LP_AZIMUTHAL[lp_label]
     if l == 1 and np.any(v <= LP11_CUTOFF_V):

@@ -351,10 +351,7 @@ def cmd_estimate_rho(runner: Runner, lobes_json: Path | None = None) -> list:
                 "lambda_s_hi_nm": window.lambda_s_nm[1],
                 "lambda_i_lo_nm": window.lambda_i_nm[0],
                 "lambda_i_hi_nm": window.lambda_i_nm[1],
-                "concurrence": metrics["concurrence"],
-                "bell_fidelity": metrics["bell_fidelity"],
-                "bell_fidelity_unsquared": metrics["bell_fidelity_unsquared"],
-                "purity": metrics["purity"],
+                **metrics,
             })
     runner.write("windows.csv", _write_csv, rows)
     return [f"window {row['window']}: concurrence {row['concurrence']:.4f}, "

@@ -382,38 +382,6 @@ def _window(q: np.ndarray, ls: np.ndarray, li: np.ndarray,
     return (rows[:, None] * len(li) + cols)[d2 <= d2_max]
 
 
-def _shape_matrix(q: np.ndarray, power: float) -> np.ndarray:
-    """R^T diag(sa^power, sb^power) R for the lobe of natural parameters
-    ``q``, with R its rotation: with ``power`` -2 the matrix M of its
-    squared Mahalanobis distance (x - c)^T M (x - c), with 2 its
-    inverse."""
-    amp, x0, y0, sa, sb, th = q
-    ct, st = np.cos(th), np.sin(th)
-    rot = np.array([[ct, st], [-st, ct]])
-    return rot.T @ np.diag([sa**power, sb**power]) @ rot
-
-
-def _stays(q: np.ndarray, anchor: np.ndarray) -> bool:
-    """Whether the lobe of natural parameters ``q`` stays below
-    ``_LEAK_FRACTION`` of its amplitude outside its own nodes, those
-    within ``SUPPORT_RADIUS`` of its ``anchor`` (the lobe they were drawn
-    around).  A sufficient test, in the anchor's metric: the distance
-    between the centers plus the lobe's longest semi-axis at that level
-    is at most ``SUPPORT_RADIUS``, so the lobe's ellipse at that level
-    lies inside the anchor's ellipse at ``SUPPORT_RADIUS``."""
-    leak = np.sqrt(-2.0 * np.log(_LEAK_FRACTION))
-    # a sigma near 0 or infinity overflows the matrices, and a nan
-    # fails the test
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        metric = _shape_matrix(anchor, -2.0)
-        shift = q[1:3] - anchor[1:3]
-        stretch = _shape_matrix(q, 2.0) @ metric
-        half = 0.5 * np.trace(stretch)
-        longest = half + np.sqrt(max(half**2 - np.linalg.det(stretch), 0.0))
-        return bool(np.sqrt(shift @ metric @ shift) + leak * np.sqrt(longest)
-                    <= SUPPORT_RADIUS)
-
-
 def _peel(intensity, ls, li, n) -> list:
     """Seed ``n`` lobes one at a time: fit one lobe on a crop around the
     maximum of what earlier lobes leave unexplained, then subtract it on
@@ -453,16 +421,11 @@ def _peel(intensity, ls, li, n) -> list:
     return params
 
 
-def _joint_nodes(lobes: np.ndarray, ls: np.ndarray,
-                 li: np.ndarray) -> tuple:
-    """The flat indices of the nodes that the ``lobes`` of natural
-    parameters own on the grid with axes ``ls``, ``li``, those within
-    ``SUPPORT_RADIUS`` of one (``_window``), grouped by the lobes they
-    belong to and ascending within a group, and the groups (see
-    ``_lobe_model``): each lobe lives on whole groups."""
-    member = np.zeros((len(lobes), ls.size * li.size), dtype=bool)
-    for k, q in enumerate(lobes):
-        member[k, _window(q, ls, li, SUPPORT_RADIUS**2)] = True
+def _joint_nodes(member: np.ndarray) -> tuple:
+    """The flat indices of the nodes that some lobe owns, each lobe's own
+    nodes one row of the boolean mask ``member`` over the flat grid,
+    grouped by the lobes they belong to and ascending within a group, and
+    the groups (see ``_lobe_model``): each lobe lives on whole groups."""
     nodes = np.flatnonzero(member.any(axis=0))
     member = member[:, nodes]
     order = np.lexsort(member)
@@ -508,9 +471,10 @@ def fit_lobes(lam_s_axis, lam_i_axis, intensity, n_lobes: int) -> LobeFit:
     Fine pass: from their coarse fit, the lobes are fitted jointly on the
     full grid, each on its own nodes only, fixed for the pass: those
     within Mahalanobis radius ``SUPPORT_RADIUS`` of its coarse fit.  A
-    lobe that ends above ``_LEAK_FRACTION`` of its amplitude outside them
-    (``_stays``) raises; otherwise the fit equals the fit of every lobe on
-    the whole grid.  The global and per-lobe R^2 and ``residual_norm`` are
+    lobe that ends above ``_LEAK_FRACTION`` of its amplitude on a node
+    outside them (its ``_window`` at that level holds a node they do not)
+    raises; otherwise the fit equals the fit of every lobe on the whole
+    grid.  The global and per-lobe R^2 and ``residual_norm`` are
     taken over the whole grid, with each lobe of the model on its nodes.
 
     Positivity: amplitudes and sigmas are fitted as logarithms, so every
@@ -556,13 +520,18 @@ def fit_lobes(lam_s_axis, lam_i_axis, intensity, n_lobes: int) -> LobeFit:
 
     p, _, coarse = _coarse_pass(intensity, ls, li, n_lobes)
     anchors = np.reshape(_from_log(p), (-1, 6))
-    nodes, groups = _joint_nodes(anchors, ls, li)
+    # each lobe's own nodes, one mask row over the flat grid per lobe
+    own = np.zeros((n_lobes, intensity.size), dtype=bool)
+    for k, anchor in enumerate(anchors):
+        own[k, _window(anchor, ls, li, SUPPORT_RADIUS**2)] = True
+    nodes, groups = _joint_nodes(own)
     # the whole grid's cost: the model is 0 off the lobes' own nodes
     rest = float(np.square(np.delete(intensity, nodes)).sum())
     p, _, fine = _least_squares(p, intensity.ravel()[nodes], *on(nodes),
                                 (ls, li), groups, rest)
-    for q, anchor in zip(np.reshape(_from_log(p), (-1, 6)), anchors):
-        if not _stays(q, anchor):
+    for q, anchor, mine in zip(np.reshape(_from_log(p), (-1, 6)), anchors,
+                               own):
+        if not mine[_window(q, ls, li, -2.0 * np.log(_LEAK_FRACTION))].all():
             raise NumericError(
                 f"lobe fit: the lobe at ({q[1]:.3f}, {q[2]:.3f}) nm left "
                 f"the nodes it was refined on, within Mahalanobis radius "
